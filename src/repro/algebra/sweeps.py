@@ -6,14 +6,14 @@ the planner pick an evaluation strategy, run the requested bounded
 check, and render a report that is byte-identical for every plan
 mode, backend, and worker count.
 
-Rendering duplicates the service layer's tiny formatters (header,
-coverage, violation lines) instead of importing
-:mod:`repro.service.jobs` — jobs imports this module, and the
-formats must stay in lockstep byte for byte (the service test suite
-pins both).  Report text derives only from the *title* (the original
-expression label) and sweep verdicts, never from the names or
-structure of whatever mapping the plan chose to evaluate — that is
-what makes byte-identity across plans hold by construction.
+The report renderers live here and nowhere else: the service's plain
+``unique`` / ``subset`` / ``invertibility`` jobs (:mod:`repro.service.jobs`)
+call the same functions, so an expression job and a plain job over one
+mapping print one report byte for byte.  Report text derives only from
+the *title* (the original expression label) and sweep verdicts, never
+from the names or structure of whatever mapping the plan chose to
+evaluate — that is what makes byte-identity across plans hold by
+construction.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ class AlgebraReport:
         return self.plan.explain(self.actuals)
 
 
-# -- rendering helpers (format-locked to repro.service.jobs) ------------
+# -- report rendering (shared with repro.service.jobs) ------------------
 
 
-def _facts(instance: Instance) -> str:
+def facts_text(instance: Instance) -> str:
     return "{" + ", ".join(str(fact) for fact in instance.sorted_facts()) + "}"
 
 
-def _header(name: str, what: str, domain: Sequence[str], max_facts: int) -> str:
+def header_line(name: str, what: str, domain: Sequence[str], max_facts: int) -> str:
     rendered = ",".join(domain)
     return (
         f"== check {name}: {what} over domain {{{rendered}}}, "
@@ -82,20 +82,77 @@ def _header(name: str, what: str, domain: Sequence[str], max_facts: int) -> str:
     )
 
 
-def _coverage_line(coverage: str, instances: int, orbits: int) -> str:
+def coverage_line(coverage: str, instances: int, orbits: int) -> str:
     return (
         f"coverage: {coverage} "
         f"(instances_checked={instances}, orbits_checked={orbits})"
     )
 
 
-def _violation_lines(pairs, joiner: str, limit: int = 5) -> List[str]:
+def violation_lines(pairs, joiner: str, limit: int = 5) -> List[str]:
     lines = [
-        f"  violation: {_facts(left)} {joiner} {_facts(right)}"
+        f"  violation: {facts_text(left)} {joiner} {facts_text(right)}"
         for left, right in pairs[:limit]
     ]
     if len(pairs) > limit:
         lines.append(f"  ... and {len(pairs) - limit} more")
+    return lines
+
+
+def unique_lines(title, universe, verdict, domain, max_facts) -> List[str]:
+    """The report of a unique-solutions sweep verdict."""
+    ok, violations = verdict
+    return [
+        header_line(title, "unique solutions", domain, max_facts),
+        f"universe: {len(universe)} instances",
+        f"holds: {'yes' if ok else 'VIOLATED'}",
+        *violation_lines(violations, "~"),
+        coverage_line(
+            verdict.coverage, verdict.instances_checked, verdict.orbits_checked
+        ),
+    ]
+
+
+def subset_lines(title, universe, report, domain, max_facts) -> List[str]:
+    """The report of a (~M,~M)-subset property check."""
+    return [
+        header_line(title, "subset property (~M,~M)", domain, max_facts),
+        f"universe: {len(universe)} instances",
+        f"holds: {'yes' if report.holds else 'VIOLATED'} "
+        f"(pairs checked: {report.checked})",
+        *violation_lines(report.violations, "|"),
+        coverage_line(
+            report.coverage, report.instances_checked, report.orbits_checked
+        ),
+    ]
+
+
+def invertibility_lines(
+    title, classification, universe, report, domain, max_facts
+) -> List[str]:
+    """The report of an invertibility analysis; *classification*
+    describes the mapping's syntax."""
+    subset = report.quasi_subset_property
+    lines = [
+        header_line(title, "invertibility", domain, max_facts),
+        f"class: {classification.describe()} "
+        f"({classification.n_dependencies} dependencies)",
+        f"universe: {len(universe)} instances",
+        f"constant propagation: {'yes' if report.constant_propagation else 'no'}",
+        f"unique solutions: {'yes' if report.unique_solutions else 'VIOLATED'}",
+    ]
+    if report.unique_solutions_witness is not None:
+        left, right = report.unique_solutions_witness
+        lines.append(f"  witness: {facts_text(left)} ~ {facts_text(right)}")
+    lines.append(
+        f"subset property (~M,~M): {'holds' if subset.holds else 'VIOLATED'} "
+        f"(pairs checked: {subset.checked})"
+    )
+    lines.extend(violation_lines(subset.violations, "|"))
+    lines.append(f"verdict: {report.verdict()}")
+    lines.append(
+        coverage_line(report.coverage, report.instances_checked, report.orbits_checked)
+    )
     return lines
 
 
@@ -221,22 +278,22 @@ def check_expression(
     state = _actuals_begin()
     with engine_stats().phase("algebra.sweep"):
         if kind == "unique":
-            lines, holds, coverage, instances, orbits = _run_unique(
+            lines, holds, report = _run_unique(
                 shown, normalized, chosen, universe, domain, max_facts,
                 budget, options,
             )
         elif kind == "subset":
-            lines, holds, coverage, instances, orbits = _run_subset(
+            lines, holds, report = _run_subset(
                 shown, normalized, chosen, universe, domain, max_facts,
                 budget, checkpoint, options,
             )
         elif kind == "invertibility":
-            lines, holds, coverage, instances, orbits = _run_invertibility(
+            lines, holds, report = _run_invertibility(
                 shown, normalized, chosen, universe, domain, max_facts,
                 budget, checkpoint, options,
             )
         elif kind == "inverse":
-            lines, holds, coverage, instances, orbits = _run_inverse(
+            lines, holds, report = _run_inverse(
                 shown, normalized, reverse_shown, reverse_normalized,
                 planned_expr, chosen, universe, domain, max_facts,
                 max_nulls, budget, options,
@@ -250,9 +307,9 @@ def check_expression(
         holds=holds,
         lines=tuple(lines),
         plan=chosen,
-        coverage=coverage,
-        instances_checked=instances,
-        orbits_checked=orbits,
+        coverage=report.coverage,
+        instances_checked=report.instances_checked,
+        orbits_checked=report.orbits_checked,
         actuals=actuals,
     )
 
@@ -266,25 +323,7 @@ def _run_unique(
     verdict = unique_solutions_property(
         evaluated, universe, budget=budget, **options
     )
-    ok, violations = verdict
-    lines = [
-        _header(shown, "unique solutions", domain, max_facts),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if ok else 'VIOLATED'}",
-    ]
-    lines.extend(_violation_lines(violations, "~"))
-    lines.append(
-        _coverage_line(
-            verdict.coverage, verdict.instances_checked, verdict.orbits_checked
-        )
-    )
-    return (
-        lines,
-        ok,
-        verdict.coverage,
-        verdict.instances_checked,
-        verdict.orbits_checked,
-    )
+    return unique_lines(shown, universe, verdict, domain, max_facts), verdict.ok, verdict
 
 
 def _run_subset(
@@ -305,25 +344,7 @@ def _run_subset(
         checkpoint=checkpoint,
         **options,
     )
-    lines = [
-        _header(shown, "subset property (~M,~M)", domain, max_facts),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if report.holds else 'VIOLATED'} "
-        f"(pairs checked: {report.checked})",
-    ]
-    lines.extend(_violation_lines(report.violations, "|"))
-    lines.append(
-        _coverage_line(
-            report.coverage, report.instances_checked, report.orbits_checked
-        )
-    )
-    return (
-        lines,
-        report.holds,
-        report.coverage,
-        report.instances_checked,
-        report.orbits_checked,
-    )
+    return subset_lines(shown, universe, report, domain, max_facts), report.holds, report
 
 
 def _run_invertibility(
@@ -348,37 +369,10 @@ def _run_invertibility(
         syntax_mapping=syntax,
         **options,
     )
-    subset = report.quasi_subset_property
-    lines = [
-        _header(shown, "invertibility", domain, max_facts),
-        f"class: {classification.describe()} "
-        f"({classification.n_dependencies} dependencies)",
-        f"universe: {len(universe)} instances",
-        f"constant propagation: {'yes' if report.constant_propagation else 'no'}",
-        f"unique solutions: {'yes' if report.unique_solutions else 'VIOLATED'}",
-    ]
-    if report.unique_solutions_witness is not None:
-        left, right = report.unique_solutions_witness
-        lines.append(f"  witness: {_facts(left)} ~ {_facts(right)}")
-    lines.append(
-        f"subset property (~M,~M): {'holds' if subset.holds else 'VIOLATED'} "
-        f"(pairs checked: {subset.checked})"
+    lines = invertibility_lines(
+        shown, classification, universe, report, domain, max_facts
     )
-    lines.extend(_violation_lines(subset.violations, "|"))
-    lines.append(f"verdict: {report.verdict()}")
-    lines.append(
-        _coverage_line(
-            report.coverage, report.instances_checked, report.orbits_checked
-        )
-    )
-    holds = report.unique_solutions and subset.holds
-    return (
-        lines,
-        holds,
-        report.coverage,
-        report.instances_checked,
-        report.orbits_checked,
-    )
+    return lines, report.unique_solutions and report.quasi_subset_property.holds, report
 
 
 def _leg_mapping(expr: MappingExpr) -> SchemaMapping:
@@ -422,31 +416,18 @@ def _run_inverse(
             **options,
         )
     lines = [
-        _header(
-            shown,
-            f"inverse via {reverse_shown}",
-            domain,
-            max_facts,
-        ),
+        header_line(shown, f"inverse via {reverse_shown}", domain, max_facts),
         f"universe: {len(universe)} instances",
         f"inverse: {'yes' if report.holds else 'VIOLATED'} "
         f"(pairs checked: {report.checked})",
     ]
     for left, right, direction in report.mismatches[:5]:
         lines.append(
-            f"  mismatch: {_facts(left)} vs {_facts(right)} ({direction})"
+            f"  mismatch: {facts_text(left)} vs {facts_text(right)} ({direction})"
         )
     if len(report.mismatches) > 5:
         lines.append(f"  ... and {len(report.mismatches) - 5} more")
     lines.append(
-        _coverage_line(
-            report.coverage, report.instances_checked, report.orbits_checked
-        )
+        coverage_line(report.coverage, report.instances_checked, report.orbits_checked)
     )
-    return (
-        lines,
-        report.holds,
-        report.coverage,
-        report.instances_checked,
-        report.orbits_checked,
-    )
+    return lines, report.holds, report

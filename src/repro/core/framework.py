@@ -21,18 +21,8 @@ these checkers to find (see experiments E2, E4, E8).
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.datamodel.instances import Instance
 from repro.core.mapping import (
@@ -41,35 +31,17 @@ from repro.core.mapping import (
     solutions_contained,
 )
 from repro.core.composition import composition_membership
-from repro.engine.budget import (
-    Budget,
-    COVERAGE_EXHAUSTIVE,
-    SweepVerdict,
-    current_budget,
-    record_coverage,
-    use_budget,
-)
+from repro.engine.budget import Budget, COVERAGE_EXHAUSTIVE
 from repro.engine.cache import mapping_key
-from repro.engine.checkpoint import (
-    CheckpointJournal,
-    claim_shards,
-    default_journal,
-    shard_entry_key,
-    sweep_key,
-)
-from repro.engine.instrumentation import engine_stats
-from repro.engine.kernel import use_backend
-from repro.engine.parallel import ParallelUniverseRunner, get_shared
-from repro.engine.store import default_store, stable_digest
+from repro.engine.checkpoint import CheckpointJournal, default_journal, sweep_key
+from repro.engine.parallel import get_shared
+from repro.engine.store import default_store
+from repro.engine.sweep import run_sweep, sweep_fingerprint
 from repro.engine.symmetry import (
     SweepPlan,
     mapping_permutation_invariant,
     plan_sweep,
-    resolve_shards,
-    shard_of_instance,
-    use_ground_keys,
 )
-from repro.errors import BudgetExceeded, WorkerFault, governed_coverage
 
 
 class EquivalenceRelation(Protocol):
@@ -150,66 +122,6 @@ def _relation_content_key(relation: EquivalenceRelation) -> Tuple:
     return (type(relation).__name__, str(relation))
 
 
-def _sweep_fingerprint(
-    label: str,
-    mappings: Sequence[SchemaMapping],
-    relations: Sequence[EquivalenceRelation],
-    pools: Sequence[Sequence[Instance]],
-    mode: str,
-) -> str:
-    """The derivation key a checkpoint entry is guarded by.
-
-    Digests the sweep's actual *content* — the mappings' dependencies,
-    the relations, every instance in every pool, and the effective
-    sweep mode — so a journal written for a different sweep can never
-    be honoured just because its universe happens to have the same
-    length (the checkpoint module's fingerprint sanity guard).
-    """
-    parts: List[object] = [label, mode]
-    parts.extend(mapping_key(current) for current in mappings)
-    parts.extend(_relation_content_key(current) for current in relations)
-    for pool in pools:
-        parts.append([instance.sorted_facts() for instance in pool])
-    return stable_digest(parts)[:16]
-
-
-def _worst_coverage(coverages: Iterable[str]) -> str:
-    """Merged coverage of shard reports: exhaustive only when every
-    shard was, else the first shard's partial coverage (deterministic
-    — shards merge in shard-id order)."""
-    for coverage in coverages:
-        if coverage != COVERAGE_EXHAUSTIVE:
-            return coverage
-    return COVERAGE_EXHAUSTIVE
-
-
-def _first_positions(instances: Sequence[Instance]) -> Dict[Instance, int]:
-    positions: Dict[Instance, int] = {}
-    for index, instance in enumerate(instances):
-        positions.setdefault(instance, index)
-    return positions
-
-
-def _serial_pair_order(
-    outer: Sequence[Instance], universe: Sequence[Instance]
-) -> Callable[[Tuple], Tuple[int, int]]:
-    """Sort key restoring the serial sweep's violation order: by the
-    left instance's position in the outer stream, then the right
-    instance's position in the universe scan."""
-    outer_positions = _first_positions(outer)
-    inner_positions = _first_positions(universe)
-    fallback_outer = len(outer_positions)
-    fallback_inner = len(inner_positions)
-
-    def order(pair: Tuple) -> Tuple[int, int]:
-        return (
-            outer_positions.get(pair[0], fallback_outer),
-            inner_positions.get(pair[1], fallback_inner),
-        )
-
-    return order
-
-
 @dataclass(frozen=True)
 class SubsetPropertyReport:
     """Outcome of a bounded (∼1,∼2)-subset property check.
@@ -265,37 +177,26 @@ def _default_witnesses(universe: Sequence[Instance]) -> List[Instance]:
     return pool
 
 
-def _subset_property_task(
-    left: Instance,
-) -> List[Tuple[Instance, bool]]:
-    """Per-left-instance worker: ``(right, witnessed)`` for every
+def _subset_property_task(position: int) -> List[Tuple[Instance, bool]]:
+    """Per-outer-instance worker: ``(right, witnessed)`` for every
     containment pair, in the serial iteration order."""
-    mapping, relation1, relation2, universe, witnesses = get_shared()
+    mapping, relation1, relation2, outer, universe, witnesses = get_shared()
+    left = outer[position]
     events: List[Tuple[Instance, bool]] = []
     for right in universe:
         if not solutions_contained(mapping, right, left):
             continue  # only pairs with Sol(I2) ⊆ Sol(I1) matter
         events.append(
-            (
-                right,
-                _has_subset_witness(
-                    mapping, relation1, relation2, left, right, witnesses
-                ),
-            )
+            (right, _has_subset_witness(relation1, relation2, left, right, witnesses))
         )
     return events
 
 
-def _resolve_budget(budget: Optional[Budget]) -> Optional[Budget]:
-    """The budget a checker entry point should run under: an explicit
-    one, else the ambient one, else whatever the environment knobs
-    (``REPRO_DEADLINE`` & friends, set by the CLI) configure."""
-    if budget is not None:
-        return budget
-    ambient = current_budget()
-    if ambient is not None:
-        return ambient
-    return Budget.from_env()
+def _subset_fold(
+    left: Instance, events: List[Tuple[Instance, bool]]
+) -> Iterator[Optional[Tuple[Instance, Instance]]]:
+    for right, witnessed in events:
+        yield None if witnessed else (left, right)
 
 
 def subset_property(
@@ -377,230 +278,51 @@ def subset_property(
     plan = _plan_sweep(
         symmetry, universe, mappings=(mapping,), relations=(relation1, relation2)
     )
-    budget = _resolve_budget(budget)
-    journal = checkpoint if checkpoint is not None else default_journal()
-    key = sweep_key(
-        "subset_property",
-        mapping.name or mapping,
-        relation1,
-        relation2,
-        len(universe),
-        len(witnesses),
-        plan.mode,
-    )
-    fingerprint = _sweep_fingerprint(
-        "subset_property",
-        (mapping,),
-        (relation1, relation2),
-        (universe, witnesses),
-        plan.mode,
-    )
-    shards, shard_id = resolve_shards(shards, shard_id)
-
-    def run_shard(which: Optional[int], shard_plan: SweepPlan) -> SubsetPropertyReport:
-        shard_key = key if which is None else shard_entry_key(key, which, shards)
-        return _subset_sweep(
-            mapping,
+    result = run_sweep(
+        plan,
+        _subset_property_task,
+        (mapping, relation1, relation2, plan.outer, universe, witnesses),
+        _subset_fold,
+        label="check.subset_property",
+        stop_at_first_violation=stop_at_first_violation,
+        workers=workers,
+        budget=budget,
+        backend=backend,
+        journal=checkpoint if checkpoint is not None else default_journal(),
+        key=sweep_key(
+            "subset_property",
+            mapping.name or mapping,
             relation1,
             relation2,
-            universe,
-            witnesses,
-            shard_plan,
-            key=shard_key,
-            fingerprint=fingerprint,
-            stop_at_first_violation=stop_at_first_violation,
-            workers=workers,
-            budget=budget,
-            journal=journal,
-            backend=backend,
-        )
-
-    if shards <= 1:
-        return run_shard(None, plan)
-    if shard_id is not None:
-        return run_shard(shard_id, plan.shard(shards, shard_id))
-    owner = uuid.uuid4().hex
-    reports: Dict[int, SubsetPropertyReport] = {}
-    for claimed in claim_shards(
-        journal, key, shards, owner=owner, fingerprint=fingerprint
-    ):
-        reports[claimed] = run_shard(claimed, plan.shard(shards, claimed))
-    return _merge_subset_reports(
-        reports, plan, universe, shards=shards, key=key, journal=journal
-    )
-
-
-def _subset_sweep(
-    mapping: SchemaMapping,
-    relation1: EquivalenceRelation,
-    relation2: EquivalenceRelation,
-    universe: Sequence[Instance],
-    witnesses: Sequence[Instance],
-    plan: SweepPlan,
-    *,
-    key: str,
-    fingerprint: Optional[str],
-    stop_at_first_violation: bool,
-    workers: Optional[int],
-    budget: Optional[Budget],
-    journal: Optional[CheckpointJournal],
-    backend: Optional[str],
-) -> SubsetPropertyReport:
-    """One journal-backed sweep over *plan*'s outer stream — the whole
-    check when unsharded, one shard's share otherwise."""
-    outer = plan.outer
-    start = (
-        journal.resume_index(key, len(outer), fingerprint) if journal else 0
-    )
-    prior = (
-        journal.prior_verdict(key)
-        if journal and start
-        else {"ok": True, "violations": 0}
-    )
-    runner = ParallelUniverseRunner(workers)
-    shared = (mapping, relation1, relation2, universe, witnesses)
-    checked = 0
-    position = start
-    instances_checked = plan.covered_upto(start)
-    orbits_checked = start if plan.reduced else 0
-    coverage = COVERAGE_EXHAUSTIVE
-    violations: List[Tuple[Instance, Instance]] = []
-
-    def report(holds: bool) -> SubsetPropertyReport:
-        return SubsetPropertyReport(
-            holds and prior["ok"],
-            checked,
-            tuple(violations),
-            coverage=coverage,
-            instances_checked=instances_checked,
-            orbits_checked=orbits_checked,
-        )
-
-    def note_progress(flush: bool = False) -> None:
-        if journal is not None:
-            journal.record(
-                key,
-                verified_upto=position,
-                total=len(outer),
-                ok=prior["ok"] and not violations,
-                violations=prior["violations"] + len(violations),
-                fingerprint=fingerprint,
-                flush=flush,
-            )
-
-    with engine_stats().phase("check.subset_property"), use_budget(
-        budget
-    ), use_ground_keys(plan.ground_keys), use_backend(backend):
-        results = runner.map_iter(
-            _subset_property_task, outer[start:], shared=shared, budget=budget
-        )
-        try:
-            for left, events in zip(outer[start:], results):
-                for right, witnessed in events:
-                    checked += 1
-                    if witnessed:
-                        continue
-                    violations.append((left, right))
-                    if stop_at_first_violation:
-                        results.close()
-                        if journal is not None:
-                            journal.complete(
-                                key,
-                                total=len(outer),
-                                ok=False,
-                                violations=prior["violations"] + len(violations),
-                                fingerprint=fingerprint,
-                            )
-                        return report(False)
-                instances_checked += plan.weight_of(position)
-                position += 1
-                if plan.reduced:
-                    orbits_checked += 1
-                note_progress()
-        except (BudgetExceeded, WorkerFault) as error:
-            coverage = governed_coverage(error)
-            if coverage is None:
-                raise
-            note_progress(flush=True)
-            record_coverage(
-                "check.subset_property", coverage, str(error), instances_checked
-            )
-            return report(not violations)
-    if journal is not None:
-        journal.complete(
-            key,
-            total=len(outer),
-            ok=prior["ok"] and not violations,
-            violations=prior["violations"] + len(violations),
-            fingerprint=fingerprint,
-        )
-    return report(not violations)
-
-
-def _merge_subset_reports(
-    reports: Dict[int, SubsetPropertyReport],
-    plan: SweepPlan,
-    universe: Sequence[Instance],
-    *,
-    shards: int,
-    key: str,
-    journal: Optional[CheckpointJournal],
-) -> SubsetPropertyReport:
-    """Fold per-shard reports back into the unsharded report.
-
-    Violations are re-sorted into the serial sweep's pair order and
-    the counters summed — the outer stream is partitioned exactly, so
-    under ``stop_at_first_violation=False`` the merge reproduces the
-    serial report byte for byte.  Shards completed by peer processes
-    (absent from *reports*) contribute their journal verdict: their
-    ok/violation counts fold into ``holds`` and ``checked`` stays
-    local, mirroring how a resumed unsharded sweep accounts for its
-    pre-restart prefix.
-    """
-    holds = all(report.holds for report in reports.values())
-    if journal is not None:
-        journal.reload()
-        for shard in range(shards):
-            if shard in reports:
-                continue
-            prior = journal.prior_verdict(shard_entry_key(key, shard, shards))
-            if not prior["ok"] or prior["violations"]:
-                holds = False
-    order = _serial_pair_order(plan.outer, universe)
-    violations = tuple(
-        sorted(
+            len(universe),
+            len(witnesses),
+            plan.mode,
+        ),
+        fingerprint=sweep_fingerprint(
+            "subset_property",
+            plan.mode,
             (
-                pair
-                for report in reports.values()
-                for pair in report.violations
+                mapping_key(mapping),
+                _relation_content_key(relation1),
+                _relation_content_key(relation2),
             ),
-            key=order,
-        )
+            (universe, witnesses),
+        ),
+        shards=shards,
+        shard_id=shard_id,
     )
-    return SubsetPropertyReport(
-        holds and not violations,
-        sum(report.checked for report in reports.values()),
-        violations,
-        coverage=_worst_coverage(
-            reports[shard].coverage for shard in sorted(reports)
-        ),
-        instances_checked=sum(
-            report.instances_checked for report in reports.values()
-        ),
-        orbits_checked=sum(
-            report.orbits_checked for report in reports.values()
-        ),
-    )
+    return SubsetPropertyReport(*result)
 
 
 def _has_subset_witness(
-    mapping: SchemaMapping,
     relation1: EquivalenceRelation,
     relation2: EquivalenceRelation,
     left: Instance,
     right: Instance,
     witnesses: Sequence[Instance],
 ) -> bool:
+    """Is there a witness pair (I1', I2') with I1 ∼1 I1', I2 ∼2 I2'
+    and I1' ⊆ I2'?  Also membership of (I1, I2) in Inst(Id)[∼1,∼2]."""
     for left_prime in witnesses:
         if not relation1.related(left, left_prime):
             continue
@@ -612,34 +334,29 @@ def _has_subset_witness(
     return False
 
 
-def _unique_solutions_task(index: int) -> List[Tuple[Instance, Instance]]:
-    """Per-left-index worker: ∼M-equivalent pairs (left, right) with
-    right after left in the universe order."""
-    mapping, ordered = get_shared()
-    left = ordered[index]
-    return [
-        (left, right)
-        for right in ordered[index + 1 :]
-        if left != right and data_exchange_equivalent(mapping, left, right)
-    ]
+def _unique_solutions_task(position: int) -> List[Tuple[Instance, Instance]]:
+    """Per-outer-instance worker: ∼M-equivalent pairs (left, right).
 
-
-def _unique_solutions_orbit_task(index: int) -> List[Tuple[Instance, Instance]]:
-    """Per-representative worker for orbit-mode sweeps: ∼M-equivalent
-    pairs (rep, right) with right ranging over the *full* universe.
-
-    The upper-triangle cut of the full sweep would be unsound here — a
-    permuted copy π(I) of a later universe instance can precede the
-    orbit representative in universe order — so the inner loop instead
-    compares the representative against every *other* instance.
+    A full sweep pairs each instance with the later ones only (the
+    upper triangle of the universe).  An orbit sweep cannot cut there
+    — a permuted copy π(I) of a later universe instance can precede
+    the orbit representative in universe order — so it pairs each
+    representative with every *other* instance.
     """
-    mapping, representatives, ordered = get_shared()
-    left = representatives[index]
+    mapping, outer, ordered, reduced = get_shared()
+    left = outer[position]
+    rights = ordered if reduced else ordered[position + 1 :]
     return [
         (left, right)
-        for right in ordered
+        for right in rights
         if left != right and data_exchange_equivalent(mapping, left, right)
     ]
+
+
+def _found_pairs(
+    left: Instance, pairs: List[Tuple[Instance, Instance]]
+) -> List[Tuple[Instance, Instance]]:
+    return pairs  # the task returns violations only
 
 
 def unique_solutions_property(
@@ -679,126 +396,18 @@ def unique_solutions_property(
     default_store()
     ordered = list(universe)
     plan = _plan_sweep(symmetry, ordered, mappings=(mapping,))
-    budget = _resolve_budget(budget)
-    shards, shard_id = resolve_shards(shards, shard_id)
-    if shards <= 1:
-        return _unique_solutions_sweep(
-            mapping, ordered, plan, None,
-            workers=workers, budget=budget, backend=backend,
-        )
-    shard_ids = [shard_id] if shard_id is not None else list(range(shards))
-    verdicts = [
-        _unique_solutions_sweep(
-            mapping, ordered, plan, (shards, which),
-            workers=workers, budget=budget, backend=backend,
-        )
-        for which in shard_ids
-    ]
-    if shard_id is not None:
-        return verdicts[0]
-    return _merge_sweep_verdicts(verdicts, plan, ordered)
-
-
-def _unique_solutions_sweep(
-    mapping: SchemaMapping,
-    ordered: Sequence[Instance],
-    plan: SweepPlan,
-    shard: Optional[Tuple[int, int]],
-    *,
-    workers: Optional[int],
-    budget: Optional[Budget],
-    backend: Optional[str],
-) -> SweepVerdict:
-    """One (possibly shard-restricted) unique-solutions sweep.
-
-    Under a reduced plan the shard restricts the representative
-    stream via :meth:`SweepPlan.shard`; under a full plan it restricts
-    the left *indices* directly, preserving the serial upper-triangle
-    cut (each kept left index still compares against every later
-    universe instance, so the shard slices partition the serial pair
-    stream exactly).
-    """
-    runner = ParallelUniverseRunner(workers)
-    violations: List[Tuple[Instance, Instance]] = []
-    coverage = COVERAGE_EXHAUSTIVE
-    instances_checked = 0
-    orbits_checked = 0
-    position = 0
-    work_plan = plan
-    with engine_stats().phase("check.unique_solutions"), use_budget(
-        budget
-    ), use_ground_keys(plan.ground_keys), use_backend(backend):
-        if plan.reduced:
-            if shard is not None:
-                work_plan = plan.shard(*shard)
-            results = runner.map_iter(
-                _unique_solutions_orbit_task,
-                range(len(work_plan.outer)),
-                shared=(mapping, work_plan.outer, ordered),
-                budget=budget,
-            )
-        else:
-            if shard is None:
-                indices: Sequence[int] = range(len(ordered))
-            else:
-                shard_count, which = shard
-                indices = [
-                    index
-                    for index in range(len(ordered))
-                    if shard_of_instance(ordered[index], shard_count) == which
-                ]
-            results = runner.map_iter(
-                _unique_solutions_task,
-                indices,
-                shared=(mapping, ordered),
-                budget=budget,
-            )
-        try:
-            for found in results:
-                violations.extend(found)
-                instances_checked += work_plan.weight_of(position)
-                position += 1
-                if plan.reduced:
-                    orbits_checked += 1
-        except (BudgetExceeded, WorkerFault) as error:
-            coverage = governed_coverage(error)
-            if coverage is None:
-                raise
-            record_coverage(
-                "check.unique_solutions", coverage, str(error), instances_checked
-            )
-    return SweepVerdict(
-        not violations,
-        tuple(violations),
-        coverage=coverage,
-        instances_checked=instances_checked,
-        orbits_checked=orbits_checked,
-    )
-
-
-def _merge_sweep_verdicts(
-    verdicts: Sequence[SweepVerdict],
-    plan: SweepPlan,
-    ordered: Sequence[Instance],
-) -> SweepVerdict:
-    """Fold per-shard sweep verdicts back into the unsharded one
-    (violations re-sorted into serial pair order, counters summed)."""
-    order = _serial_pair_order(ordered, ordered)
-    violations = tuple(
-        sorted(
-            (pair for verdict in verdicts for pair in verdict.violators),
-            key=order,
-        )
-    )
-    return SweepVerdict(
-        not violations and all(verdict.ok for verdict in verdicts),
-        violations,
-        coverage=_worst_coverage(verdict.coverage for verdict in verdicts),
-        instances_checked=sum(
-            verdict.instances_checked for verdict in verdicts
-        ),
-        orbits_checked=sum(verdict.orbits_checked for verdict in verdicts),
-    )
+    return run_sweep(
+        plan,
+        _unique_solutions_task,
+        (mapping, plan.outer, ordered, plan.reduced),
+        _found_pairs,
+        label="check.unique_solutions",
+        workers=workers,
+        budget=budget,
+        backend=backend,
+        shards=shards,
+        shard_id=shard_id,
+    ).verdict()
 
 
 @dataclass(frozen=True)
@@ -922,51 +531,32 @@ def is_generalized_inverse(
         mappings=(mapping, candidate),
         relations=(relation1, relation2),
     )
-    budget = _resolve_budget(budget)
-    shards, shard_id = resolve_shards(shards, shard_id)
     shared = (
         mapping,
         candidate,
         relation1,
         relation2,
+        plan.outer,
         universe,
         witnesses,
         max_nulls,
         composition_test,
     )
-    with engine_stats().phase("check.generalized_inverse"), use_budget(
-        budget
-    ), use_ground_keys(plan.ground_keys), use_backend(backend):
-        return _sharded_inverse_check(
-            _generalized_inverse_task,
+    return InverseCheckReport(
+        *run_sweep(
             plan,
-            universe,
+            _generalized_inverse_task,
             shared,
-            stop_at_first_mismatch,
+            _inverse_fold,
+            label="check.generalized_inverse",
+            stop_at_first_violation=stop_at_first_mismatch,
             workers=workers,
             budget=budget,
-            phase="check.generalized_inverse",
+            backend=backend,
             shards=shards,
             shard_id=shard_id,
         )
-
-
-def _in_id_closure(
-    relation1: EquivalenceRelation,
-    relation2: EquivalenceRelation,
-    witnesses: Sequence[Instance],
-    left: Instance,
-    right: Instance,
-) -> bool:
-    for left_prime in witnesses:
-        if not relation1.related(left, left_prime):
-            continue
-        for right_prime in witnesses:
-            if left_prime.issubset(right_prime) and relation2.related(
-                right, right_prime
-            ):
-                return True
-    return False
+    )
 
 
 def _in_comp_closure(
@@ -1024,38 +614,42 @@ def _composition_test_membership(
 _InverseEvents = Tuple[List[Tuple[Instance, bool, bool]], Optional[BaseException]]
 
 
-def _generalized_inverse_task(left: Instance) -> _InverseEvents:
-    """Per-left worker for :func:`is_generalized_inverse`: the two
-    closure memberships per right, in serial order.  An exception is
-    returned (not raised) with the events that preceded it, so the
-    merge can replay the serial control flow exactly."""
+def _generalized_inverse_task(position: int) -> _InverseEvents:
+    """Per-outer-instance worker for :func:`is_generalized_inverse`:
+    the two closure memberships per right, in serial order.  An
+    exception is returned (not raised) with the events that preceded
+    it, so the fold can replay the serial control flow exactly."""
     (
         mapping,
         candidate,
         relation1,
         relation2,
+        outer,
         universe,
         witnesses,
         max_nulls,
         composition_test,
     ) = get_shared()
+    left = outer[position]
     events: List[Tuple[Instance, bool, bool]] = []
     for right in universe:
         try:
-            in_id = _in_id_closure(relation1, relation2, witnesses, left, right)
+            in_id = _has_subset_witness(relation1, relation2, left, right, witnesses)
             in_comp = _in_comp_closure(
                 mapping, candidate, relation1, relation2, witnesses,
                 left, right, max_nulls, composition_test,
             )
-        except Exception as error:  # replayed in-order by the merge
+        except Exception as error:  # replayed in-order by the fold
             return events, error
         events.append((right, in_id, in_comp))
     return events, None
 
 
-def _is_inverse_task(left: Instance) -> _InverseEvents:
-    """Per-left worker for :func:`is_inverse` (exact membership)."""
-    mapping, candidate, universe, max_nulls, composition_test = get_shared()
+def _is_inverse_task(position: int) -> _InverseEvents:
+    """Per-outer-instance worker for :func:`is_inverse` (exact
+    membership)."""
+    mapping, candidate, outer, universe, max_nulls, composition_test = get_shared()
+    left = outer[position]
     events: List[Tuple[Instance, bool, bool]] = []
     for right in universe:
         try:
@@ -1068,135 +662,21 @@ def _is_inverse_task(left: Instance) -> _InverseEvents:
     return events, None
 
 
-def _sharded_inverse_check(
-    task: Callable[[Instance], _InverseEvents],
-    plan: SweepPlan,
-    universe: Sequence[Instance],
-    shared: Tuple,
-    stop_at_first_mismatch: bool,
-    *,
-    workers: Optional[int],
-    budget: Optional[Budget],
-    phase: str,
-    shards: int,
-    shard_id: Optional[int],
-) -> InverseCheckReport:
-    """Run an inverse-style pair check unsharded, on one shard, or on
-    every shard locally with the shard reports merged back."""
-    runner = ParallelUniverseRunner(workers)
-    if shards <= 1:
-        return _merge_inverse_events(
-            runner, task, plan, shared, stop_at_first_mismatch,
-            budget=budget, phase=phase,
-        )
-    shard_ids = [shard_id] if shard_id is not None else list(range(shards))
-    reports = [
-        _merge_inverse_events(
-            runner, task, plan.shard(shards, which), shared,
-            stop_at_first_mismatch, budget=budget, phase=phase,
-        )
-        for which in shard_ids
-    ]
-    if shard_id is not None:
-        return reports[0]
-    return _merge_inverse_reports(reports, plan, universe)
-
-
-def _merge_inverse_reports(
-    reports: Sequence[InverseCheckReport],
-    plan: SweepPlan,
-    universe: Sequence[Instance],
-) -> InverseCheckReport:
-    """Fold per-shard inverse reports back into the unsharded one
-    (mismatches re-sorted into serial pair order, counters summed)."""
-    order = _serial_pair_order(plan.outer, universe)
-    mismatches = tuple(
-        sorted(
-            (entry for report in reports for entry in report.mismatches),
-            key=order,
-        )
-    )
-    return InverseCheckReport(
-        not mismatches and all(report.holds for report in reports),
-        sum(report.checked for report in reports),
-        mismatches,
-        coverage=_worst_coverage(report.coverage for report in reports),
-        instances_checked=sum(
-            report.instances_checked for report in reports
-        ),
-        orbits_checked=sum(report.orbits_checked for report in reports),
-    )
-
-
-def _merge_inverse_events(
-    runner: ParallelUniverseRunner,
-    task: Callable[[Instance], _InverseEvents],
-    plan: SweepPlan,
-    shared: Tuple,
-    stop_at_first_mismatch: bool,
-    *,
-    budget: Optional[Budget] = None,
-    phase: str = "check.inverse",
-) -> InverseCheckReport:
-    """Fold per-left event streams into an :class:`InverseCheckReport`
-    exactly as the serial pair loop would.
-
-    Exceptions an algorithm raised in a worker are re-raised at their
-    serial position; governed budget trips (deadline / instance cap /
-    RSS) and recovered-from worker faults instead degrade the report
-    to a partial ``coverage``.  The outer stream is *plan*'s: orbit
-    representatives under a reduced plan (each advancing
-    ``instances_checked`` by its orbit size), the full universe
-    otherwise.
-    """
-    checked = 0
-    position = 0
-    instances_checked = 0
-    orbits_checked = 0
-    coverage = COVERAGE_EXHAUSTIVE
-    mismatches: List[Tuple[Instance, Instance, str]] = []
-
-    def report(holds: bool) -> InverseCheckReport:
-        return InverseCheckReport(
-            holds,
-            checked,
-            tuple(mismatches),
-            coverage=coverage,
-            instances_checked=instances_checked,
-            orbits_checked=orbits_checked,
-        )
-
-    results = runner.map_iter(task, plan.outer, shared=shared, budget=budget)
-    try:
-        for left, (events, error) in zip(plan.outer, results):
-            for right, in_id, in_comp in events:
-                checked += 1
-                if in_id == in_comp:
-                    continue
-                kind = "id_only" if in_id else "comp_only"
-                mismatches.append((left, right, kind))
-                if stop_at_first_mismatch:
-                    results.close()
-                    return report(False)
-            if error is not None:
-                results.close()
-                governed = governed_coverage(error)
-                if governed is None:
-                    raise error
-                coverage = governed
-                record_coverage(phase, coverage, str(error), instances_checked)
-                return report(not mismatches)
-            instances_checked += plan.weight_of(position)
-            position += 1
-            if plan.reduced:
-                orbits_checked += 1
-    except (BudgetExceeded, WorkerFault) as error:
-        coverage = governed_coverage(error)
-        if coverage is None:
-            raise
-        record_coverage(phase, coverage, str(error), instances_checked)
-        return report(not mismatches)
-    return report(not mismatches)
+def _inverse_fold(
+    left: Instance, outcome: _InverseEvents
+) -> Iterator[Optional[Tuple[Instance, Instance, str]]]:
+    """Replay one left instance's pairs as the serial loop would: a
+    pair whose two memberships disagree is a mismatch, and an error
+    the task handed back surfaces after the pairs before it (a
+    governed one degrades the report to partial coverage)."""
+    events, error = outcome
+    for right, in_id, in_comp in events:
+        if in_id == in_comp:
+            yield None
+        else:
+            yield (left, right, "id_only" if in_id else "comp_only")
+    if error is not None:
+        raise error
 
 
 def is_inverse(
@@ -1235,21 +715,19 @@ def is_inverse(
     default_store()
     universe = list(universe)
     plan = _plan_sweep(symmetry, universe, mappings=(mapping, candidate))
-    budget = _resolve_budget(budget)
-    shards, shard_id = resolve_shards(shards, shard_id)
-    shared = (mapping, candidate, universe, max_nulls, composition_test)
-    with engine_stats().phase("check.is_inverse"), use_budget(
-        budget
-    ), use_ground_keys(plan.ground_keys), use_backend(backend):
-        return _sharded_inverse_check(
-            _is_inverse_task,
+    shared = (mapping, candidate, plan.outer, universe, max_nulls, composition_test)
+    return InverseCheckReport(
+        *run_sweep(
             plan,
-            universe,
+            _is_inverse_task,
             shared,
-            stop_at_first_mismatch,
+            _inverse_fold,
+            label="check.is_inverse",
+            stop_at_first_violation=stop_at_first_mismatch,
             workers=workers,
             budget=budget,
-            phase="check.is_inverse",
+            backend=backend,
             shards=shards,
             shard_id=shard_id,
         )
+    )

@@ -19,7 +19,7 @@ validate both over the catalog and random workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.chase.homomorphism import instance_homomorphism
 from repro.datamodel.instances import Instance
@@ -35,12 +35,10 @@ from repro.engine.budget import (
 )
 from repro.engine.cache import mapping_key
 from repro.engine.checkpoint import CheckpointJournal, default_journal, sweep_key
-from repro.engine.instrumentation import engine_stats
-from repro.engine.kernel import use_backend
-from repro.engine.parallel import ParallelUniverseRunner, get_shared
-from repro.engine.store import stable_digest
-from repro.engine.symmetry import plan_sweep, use_ground_keys
-from repro.errors import BudgetExceeded, WorkerFault, governed_coverage
+from repro.engine.parallel import get_shared
+from repro.engine.sweep import Fold, run_sweep, sweep_fingerprint
+from repro.engine.symmetry import plan_sweep
+from repro.errors import BudgetExceeded, governed_coverage
 
 
 @dataclass(frozen=True)
@@ -139,41 +137,40 @@ def is_faithful(
     ).faithful
 
 
-def _round_trip_task(instance: Instance) -> Tuple[bool, bool]:
+def _round_trip_task(position: int) -> Tuple[bool, bool]:
     # Budget trips propagate out of the task (rather than being folded
     # into the per-instance report) so the surrounding sweep stops with
     # partial coverage instead of mislabeling cut-short instances as
     # violators.
-    mapping, reverse_mapping = get_shared()
-    trip = round_trip(mapping, reverse_mapping, instance)
+    mapping, reverse_mapping, outer = get_shared()
+    trip = round_trip(mapping, reverse_mapping, outer[position])
     sound, faithful, _ = _judge_round_trip(trip)
     return sound, faithful
 
 
-def _resolve_budget(budget: Optional[Budget]) -> Optional[Budget]:
-    if budget is not None:
-        return budget
-    ambient = current_budget()
-    if ambient is not None:
-        return ambient
-    return Budget.from_env()
+def _unsound(instance: Instance, verdict: Tuple[bool, bool]) -> Tuple[Optional[Instance]]:
+    return (None if verdict[0] else instance,)
 
 
-def _sweep(
+def _unfaithful(instance: Instance, verdict: Tuple[bool, bool]) -> Tuple[Optional[Instance]]:
+    return (None if verdict[1] else instance,)
+
+
+def _sweep_round_trips(
     mapping: SchemaMapping,
     reverse_mapping: SchemaMapping,
     instances: Iterable[Instance],
-    keep: Callable[[Tuple[bool, bool]], bool],
-    workers: Optional[int],
+    fold: Fold,
     *,
     label: str,
-    budget: Optional[Budget] = None,
-    checkpoint: Optional[CheckpointJournal] = None,
-    symmetry: Optional[str] = None,
-    backend: Optional[str] = None,
+    workers: Optional[int],
+    budget: Optional[Budget],
+    checkpoint: Optional[CheckpointJournal],
+    symmetry: Optional[str],
+    backend: Optional[str],
 ) -> SweepVerdict:
     """Fan the Figure-1 round trip out over *instances* and collect,
-    in input order, those whose verdict fails *keep*.
+    in input order, those *fold* flags as violators.
 
     Returns a :class:`~repro.engine.budget.SweepVerdict` — unpacks as
     the historical ``(ok, violators)`` pair and carries ``coverage`` /
@@ -191,99 +188,31 @@ def _sweep(
     """
     ordered = list(instances)
     plan = plan_sweep(symmetry, ordered, mappings=(mapping, reverse_mapping))
-    budget = _resolve_budget(budget)
-    journal = checkpoint if checkpoint is not None else default_journal()
-    key = sweep_key(
-        label,
-        mapping.name or mapping,
-        reverse_mapping.name or reverse_mapping,
-        len(ordered),
-        plan.mode,
-    )
-    fingerprint = stable_digest(
-        [
+    return run_sweep(
+        plan,
+        _round_trip_task,
+        (mapping, reverse_mapping, plan.outer),
+        fold,
+        label=label,
+        workers=workers,
+        budget=budget,
+        backend=backend,
+        journal=checkpoint if checkpoint is not None else default_journal(),
+        key=sweep_key(
+            label,
+            mapping.name or mapping,
+            reverse_mapping.name or reverse_mapping,
+            len(ordered),
+            plan.mode,
+        ),
+        fingerprint=sweep_fingerprint(
             label,
             plan.mode,
-            mapping_key(mapping),
-            mapping_key(reverse_mapping),
-            [instance.sorted_facts() for instance in ordered],
-        ]
-    )[:16]
-    start = (
-        journal.resume_index(key, len(plan.outer), fingerprint)
-        if journal
-        else 0
-    )
-    prior = (
-        journal.prior_verdict(key)
-        if journal and start
-        else {"ok": True, "violations": 0}
-    )
-    runner = ParallelUniverseRunner(workers)
-    coverage = COVERAGE_EXHAUSTIVE
-    position = start
-    instances_checked = plan.covered_upto(start)
-    orbits_checked = start if plan.reduced else 0
-    violators: List[Instance] = []
-
-    def note_progress(flush: bool = False) -> None:
-        if journal is not None:
-            journal.record(
-                key,
-                verified_upto=position,
-                total=len(plan.outer),
-                ok=prior["ok"] and not violators,
-                violations=prior["violations"] + len(violators),
-                fingerprint=fingerprint,
-                flush=flush,
-            )
-
-    with engine_stats().phase("check.round_trips"), use_budget(
-        budget
-    ), use_ground_keys(plan.ground_keys), use_backend(backend):
-        results = runner.map_iter(
-            _round_trip_task,
-            plan.outer[start:],
-            shared=(mapping, reverse_mapping),
-            budget=budget,
-        )
-        try:
-            for instance, verdict in zip(plan.outer[start:], results):
-                if not keep(verdict):
-                    violators.append(instance)
-                instances_checked += plan.weight_of(position)
-                position += 1
-                if plan.reduced:
-                    orbits_checked += 1
-                note_progress()
-        except (BudgetExceeded, WorkerFault) as error:
-            coverage = governed_coverage(error)
-            if coverage is None:
-                raise
-            note_progress(flush=True)
-            record_coverage(label, coverage, str(error), instances_checked)
-            return SweepVerdict(
-                prior["ok"] and not violators,
-                tuple(violators),
-                coverage=coverage,
-                instances_checked=instances_checked,
-                orbits_checked=orbits_checked,
-            )
-    if journal is not None:
-        journal.complete(
-            key,
-            total=len(plan.outer),
-            ok=prior["ok"] and not violators,
-            violations=prior["violations"] + len(violators),
-            fingerprint=fingerprint,
-        )
-    return SweepVerdict(
-        prior["ok"] and not violators,
-        tuple(violators),
-        coverage=coverage,
-        instances_checked=instances_checked,
-        orbits_checked=orbits_checked,
-    )
+            (mapping_key(mapping), mapping_key(reverse_mapping)),
+            (ordered,),
+        ),
+        shards=1,
+    ).verdict()
 
 
 def sound_on(
@@ -302,13 +231,13 @@ def sound_on(
     The result is a :class:`~repro.engine.budget.SweepVerdict`, so it
     also exposes ``coverage`` and ``instances_checked``.
     """
-    return _sweep(
+    return _sweep_round_trips(
         mapping,
         reverse_mapping,
         instances,
-        lambda verdict: verdict[0],
-        workers,
+        _unsound,
         label="check.sound_on",
+        workers=workers,
         budget=budget,
         checkpoint=checkpoint,
         symmetry=symmetry,
@@ -332,13 +261,13 @@ def faithful_on(
     The result is a :class:`~repro.engine.budget.SweepVerdict`, so it
     also exposes ``coverage`` and ``instances_checked``.
     """
-    return _sweep(
+    return _sweep_round_trips(
         mapping,
         reverse_mapping,
         instances,
-        lambda verdict: verdict[1],
-        workers,
+        _unfaithful,
         label="check.faithful_on",
+        workers=workers,
         budget=budget,
         checkpoint=checkpoint,
         symmetry=symmetry,

@@ -43,7 +43,20 @@ fast:
   with labeled nulls in a tagged id-space, the chase run as bulk
   ``INSERT … SELECT … EXCEPT`` rounds, and homomorphism checks
   evaluated as conjunctive queries — the scaling path past what
-  in-memory backends can chase, still byte-identical.
+  in-memory backends can chase, still byte-identical;
+* :mod:`repro.engine.sweep` — the one sweep loop every bounded
+  checker runs on.  A checker hands :func:`run_sweep` its sweep plan,
+  a per-item task with its shared payload, and a fold that turns each
+  task result into passing pairs and violations; ``run_sweep`` resolves
+  the budget, opens the budget/ground-key/backend scopes, fans out,
+  resumes from and records to the journal, stops at the first
+  violation, degrades governed errors to partial coverage, weights
+  orbits, and claims and merges shards.
+
+Ambient engine state that a sweep scopes — the budget, the backend,
+and the ground-key flag — is per-thread, so concurrent service jobs
+never see each other's choices; pool workers install the sweeping
+thread's values in their initializer.
 
 The package depends only on :mod:`repro.datamodel` and
 :mod:`repro.errors`; the chase, core, analysis, and data-exchange
@@ -144,6 +157,7 @@ from repro.engine.store import (
     stable_digest,
     use_store,
 )
+from repro.engine.sweep import SweepResult, run_sweep
 from repro.engine.symmetry import (
     SYMMETRY_FULL,
     SYMMETRY_MODES,
@@ -203,6 +217,7 @@ __all__ = [
     "SYMMETRY_ORBITS",
     "SqlInstance",
     "SweepPlan",
+    "SweepResult",
     "SweepVerdict",
     "VerdictStore",
     "active_backend",
@@ -262,6 +277,7 @@ __all__ = [
     "resolve_backend",
     "resolve_shards",
     "resolve_symmetry",
+    "run_sweep",
     "set_default_workers",
     "set_symmetry_memo_limit",
     "shard_entry_key",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import weakref
 from array import array
 from contextlib import contextmanager
@@ -86,19 +87,29 @@ def resolve_backend(backend: Optional[str]) -> str:
     return backend
 
 
-_ACTIVE: Optional[str] = None
+class _BackendScope(threading.local):
+    """The ambient backend of the current thread (``None``: follow the
+    environment).  Per-thread because the service daemon runs jobs on
+    concurrent threads, each with its own ``backend`` option; the
+    class-level default keeps every read a single attribute lookup."""
+
+    active: Optional[str] = None
+
+
+_BACKEND = _BackendScope()
 
 
 def kernel_active() -> bool:
     """Is the kernel backend active for the current (sweep) context?
 
     True inside ``use_backend("kernel")``, or — with no ambient
-    context — when ``REPRO_BACKEND=kernel``.  Forked pool workers
-    inherit the ambient context (they fork after it is installed), so
-    a sweep runs on one backend end to end.
+    context — when ``REPRO_BACKEND=kernel``.  Pool workers install the
+    sweep's backend in their initializer, so a sweep runs on one
+    backend end to end.
     """
-    if _ACTIVE is not None:
-        return _ACTIVE == BACKEND_KERNEL
+    active = _BACKEND.active
+    if active is not None:
+        return active == BACKEND_KERNEL
     return default_backend() == BACKEND_KERNEL
 
 
@@ -111,38 +122,39 @@ def sql_active() -> bool:
     joins inside SQLite; like the kernel it is exact acceleration, so
     verdicts and their order are identical across backends.
     """
-    if _ACTIVE is not None:
-        return _ACTIVE == BACKEND_SQL
+    active = _BACKEND.active
+    if active is not None:
+        return active == BACKEND_SQL
     return default_backend() == BACKEND_SQL
 
 
 @contextmanager
 def use_backend(backend: Optional[str]) -> Iterator[None]:
     """Install *backend* (resolved against ``REPRO_BACKEND``) for the
-    enclosed scope.  Nesting restores the previous choice on exit."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = resolve_backend(backend)
+    enclosed scope on this thread.  Nesting restores the previous
+    choice on exit."""
+    previous = _BACKEND.active
+    _BACKEND.active = resolve_backend(backend)
     try:
         yield
     finally:
-        _ACTIVE = previous
+        _BACKEND.active = previous
 
 
 def active_backend() -> str:
     """The backend in effect right now (ambient context, else the
     environment default).  The parallel runner captures this at pool
     creation and re-installs it in each worker."""
-    return _ACTIVE if _ACTIVE is not None else default_backend()
+    active = _BACKEND.active
+    return active if active is not None else default_backend()
 
 
 def install_backend(backend: Optional[str]) -> None:
-    """Process-lifetime backend install (pool worker initializer).
+    """Thread-lifetime backend install (pool worker initializer).
 
     Unlike :func:`use_backend` there is no scope to restore — workers
     are born into the sweep's backend and die with it."""
-    global _ACTIVE
-    _ACTIVE = None if backend is None else resolve_backend(backend)
+    _BACKEND.active = None if backend is None else resolve_backend(backend)
 
 
 # -- term interning -------------------------------------------------------
@@ -159,20 +171,28 @@ class InternTable:
     plain terms and verdicts).
     """
 
-    __slots__ = ("_ids", "_terms", "_is_const")
+    __slots__ = ("_ids", "_terms", "_is_const", "_lock")
 
     def __init__(self) -> None:
         self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
         self._is_const: List[bool] = []
+        self._lock = threading.Lock()
 
     def intern(self, term: Term) -> int:
         tid = self._ids.get(term)
         if tid is None:
-            tid = len(self._terms)
-            self._ids[term] = tid
-            self._terms.append(term)
-            self._is_const.append(isinstance(term, Constant))
+            # Concurrent daemon jobs intern from several threads: the
+            # miss path re-checks under the lock so a term never gets
+            # two ids, and publishes the id only once the term lists
+            # hold it, so the lock-free hit path never sees a torn row.
+            with self._lock:
+                tid = self._ids.get(term)
+                if tid is None:
+                    tid = len(self._terms)
+                    self._terms.append(term)
+                    self._is_const.append(isinstance(term, Constant))
+                    self._ids[term] = tid
         return tid
 
     def term(self, tid: int) -> Term:
@@ -186,6 +206,13 @@ class InternTable:
 
 
 _INTERN = InternTable()
+# A fork taken while another thread is mid-miss would leave the
+# child's copy of the lock held forever.
+os.register_at_fork(
+    before=_INTERN._lock.acquire,
+    after_in_parent=_INTERN._lock.release,
+    after_in_child=_INTERN._lock.release,
+)
 
 
 def intern_table() -> InternTable:

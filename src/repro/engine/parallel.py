@@ -62,6 +62,7 @@ from repro.engine.budget import Budget, current_budget, install_budget
 from repro.engine.cache import flush_active_store
 from repro.engine.instrumentation import engine_stats
 from repro.engine.kernel import active_backend, install_backend
+from repro.engine.symmetry import ground_keys_active, install_ground_keys
 from repro.errors import WorkerFault
 
 Item = TypeVar("Item")
@@ -108,6 +109,7 @@ def _worker_init(
     task: Optional[Callable[[Any], Any]] = None,
     budget: Optional[Budget] = None,
     backend: Optional[str] = None,
+    ground_keys: bool = False,
 ) -> None:
     # Forked workers inherit the parent's signal dispositions.  A host
     # that traps SIGTERM (the service daemon's graceful-drain handler)
@@ -124,11 +126,12 @@ def _worker_init(
     _STATE.in_worker = True
     _STATE.task = task
     install_budget(budget)
-    # Workers already inherit the ambient backend (fork happens inside
-    # the checker's use_backend scope) along with the intern table;
-    # installing it explicitly keeps that true even if a start method
-    # ever stops forking after the context is published.
+    # The backend and ground-key scopes are per-thread, and a pool may
+    # fork replacement workers from its own handler thread, so every
+    # worker installs the sweep's choices explicitly (the intern table
+    # is inherited with the fork).
     install_backend(backend)
+    install_ground_keys(ground_keys)
 
 
 def fork_available() -> bool:
@@ -323,7 +326,9 @@ class ParallelUniverseRunner:
             pool = context.Pool(
                 processes=self.workers,
                 initializer=_worker_init,
-                initargs=(shared, task, budget, active_backend()),
+                initargs=(
+                    shared, task, budget, active_backend(), ground_keys_active()
+                ),
             )
         pool_alive = True
         condemned = False

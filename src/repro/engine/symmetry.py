@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -803,21 +804,25 @@ class SweepPlan:
             return position
         return sum(self.weights[:position])
 
-    def shard(self, shards: int, shard_id: int) -> "SweepPlan":
-        """The sub-plan of the outer items owned by *shard_id* (see
-        :func:`shard_of_instance`).  Relative order — and therefore
-        serial merge order within the shard — is preserved, and every
-        outer item belongs to exactly one shard, so the shard reports
-        merge back to the unsharded report exactly."""
+    def shard_positions(self, shards: int, shard_id: int) -> List[int]:
+        """The positions of the outer items owned by *shard_id* (see
+        :func:`shard_of_instance`), ascending.  Every outer item belongs
+        to exactly one shard, so the shard sweeps partition the
+        unsharded one and merge back to it exactly."""
         if not 0 <= shard_id < shards:
             raise ValueError(
                 f"shard_id must be in [0, {shards}), got {shard_id}"
             )
-        keep = [
+        return [
             position
             for position, instance in enumerate(self.outer)
             if shard_of_instance(instance, shards) == shard_id
         ]
+
+    def shard(self, shards: int, shard_id: int) -> "SweepPlan":
+        """The sub-plan of the outer items owned by *shard_id*, in
+        their relative order (see :meth:`shard_positions`)."""
+        keep = self.shard_positions(shards, shard_id)
         return SweepPlan(
             self.mode,
             [self.outer[position] for position in keep],
@@ -945,30 +950,43 @@ def resolve_shards(
 
 # -- ambient ground-cache-key context -------------------------------------
 
-_GROUND_KEYS = False
+class _GroundKeyScope(threading.local):
+    """The current thread's ground-key flag (per-thread like the
+    ambient backend; the class-level default keeps reads a single
+    attribute lookup)."""
+
+    active = False
+
+
+_GROUND_KEYS = _GroundKeyScope()
 
 
 def ground_keys_active() -> bool:
     """Should the memo caches key ground instances by their canonical
-    form under constant permutation?  Enabled by orbit-mode sweeps
-    (and inherited by forked workers, which fork after the context is
-    installed)."""
-    return _GROUND_KEYS
+    form under constant permutation?  Enabled by orbit-mode sweeps on
+    the sweeping thread (pool workers install it in their
+    initializer)."""
+    return _GROUND_KEYS.active
+
+
+def install_ground_keys(active: bool) -> None:
+    """Thread-lifetime install of the flag (pool worker initializer)."""
+    _GROUND_KEYS.active = bool(active)
 
 
 @contextmanager
 def use_ground_keys(active: bool) -> Iterator[None]:
     """Enable (or explicitly disable) ground-canonical cache keys for
-    the enclosed sweep.  Sound whenever every mapping involved passes
-    :func:`mapping_permutation_invariant` — the caches re-check that
-    per call, so enabling this around a sweep is always safe."""
-    global _GROUND_KEYS
-    previous = _GROUND_KEYS
-    _GROUND_KEYS = bool(active)
+    the enclosed sweep on this thread.  Sound whenever every mapping
+    involved passes :func:`mapping_permutation_invariant` — the caches
+    re-check that per call, so enabling this around a sweep is always
+    safe."""
+    previous = _GROUND_KEYS.active
+    _GROUND_KEYS.active = bool(active)
     try:
         yield
     finally:
-        _GROUND_KEYS = previous
+        _GROUND_KEYS.active = previous
 
 
 __all__ = [
@@ -988,6 +1006,7 @@ __all__ = [
     "ground_canonical_form",
     "ground_keys_active",
     "ground_pair_key",
+    "install_ground_keys",
     "mapping_permutation_invariant",
     "orbit_count_estimate",
     "orbit_reduce",

@@ -79,36 +79,11 @@ def budget_for(
     )
 
 
-# -- rendering helpers -----------------------------------------------------
-
-
-def _facts(instance: Any) -> str:
-    return "{" + ", ".join(str(fact) for fact in instance.sorted_facts()) + "}"
-
-
-def _header(name: str, what: str, spec: Dict[str, Any]) -> str:
-    domain = ",".join(spec["domain"])
-    return (
-        f"== check {name}: {what} over domain {{{domain}}}, "
-        f"max_facts={spec['max_facts']} =="
-    )
-
-
-def _coverage_line(coverage: str, instances: int, orbits: int) -> str:
-    return (
-        f"coverage: {coverage} "
-        f"(instances_checked={instances}, orbits_checked={orbits})"
-    )
-
-
-def _violation_lines(pairs, joiner: str, limit: int = 5) -> List[str]:
-    lines = [
-        f"  violation: {_facts(left)} {joiner} {_facts(right)}"
-        for left, right in pairs[:limit]
-    ]
-    if len(pairs) > limit:
-        lines.append(f"  ... and {len(pairs) - limit} more")
-    return lines
+# -- helpers ---------------------------------------------------------------
+#
+# Reports render through repro.algebra.sweeps' renderers, imported lazily
+# by each executor like its engine imports (thin clients stay light): one
+# copy renders both the plain jobs and the algebra expression jobs.
 
 
 def _universe(mapping, spec: Dict[str, Any]) -> list:
@@ -150,6 +125,7 @@ def _run_experiment_job(
 def _run_invertibility_job(
     spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
 ) -> Tuple[str, bool]:
+    from repro.algebra.sweeps import invertibility_lines
     from repro.analysis.classify import classify_mapping
     from repro.analysis.invertibility import invertibility_report
 
@@ -159,33 +135,17 @@ def _run_invertibility_job(
     report = invertibility_report(
         mapping, universe, checkpoint=checkpoint, **_sweep_options(spec)
     )
-    subset = report.quasi_subset_property
-    lines = [
-        _header(_mapping_label(mapping), "invertibility", spec),
-        f"class: {classification.describe()} "
-        f"({classification.n_dependencies} dependencies)",
-        f"universe: {len(universe)} instances",
-        f"constant propagation: {'yes' if report.constant_propagation else 'no'}",
-        f"unique solutions: {'yes' if report.unique_solutions else 'VIOLATED'}",
-    ]
-    if report.unique_solutions_witness is not None:
-        left, right = report.unique_solutions_witness
-        lines.append(f"  witness: {_facts(left)} ~ {_facts(right)}")
-    lines.append(
-        f"subset property (~M,~M): {'holds' if subset.holds else 'VIOLATED'} "
-        f"(pairs checked: {subset.checked})"
+    lines = invertibility_lines(
+        _mapping_label(mapping), classification, universe, report,
+        spec["domain"], spec["max_facts"],
     )
-    lines.extend(_violation_lines(subset.violations, "|"))
-    lines.append(f"verdict: {report.verdict()}")
-    lines.append(
-        _coverage_line(report.coverage, report.instances_checked, report.orbits_checked)
-    )
-    return "\n".join(lines), report.unique_solutions and subset.holds
+    return "\n".join(lines), report.unique_solutions and report.quasi_subset_property.holds
 
 
 def _run_subset_job(
     spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
 ) -> Tuple[str, bool]:
+    from repro.algebra.sweeps import subset_lines
     from repro.core.framework import SolutionEquivalence, subset_property
 
     mapping = resolve_mapping(spec["mapping"])
@@ -200,15 +160,8 @@ def _run_subset_job(
         checkpoint=checkpoint,
         **_sweep_options(spec),
     )
-    lines = [
-        _header(_mapping_label(mapping), "subset property (~M,~M)", spec),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if report.holds else 'VIOLATED'} "
-        f"(pairs checked: {report.checked})",
-    ]
-    lines.extend(_violation_lines(report.violations, "|"))
-    lines.append(
-        _coverage_line(report.coverage, report.instances_checked, report.orbits_checked)
+    lines = subset_lines(
+        _mapping_label(mapping), universe, report, spec["domain"], spec["max_facts"]
     )
     return "\n".join(lines), report.holds
 
@@ -216,6 +169,7 @@ def _run_subset_job(
 def _run_unique_job(
     spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
 ) -> Tuple[str, bool]:
+    from repro.algebra.sweeps import unique_lines
     from repro.core.framework import unique_solutions_property
 
     mapping = resolve_mapping(spec["mapping"])
@@ -223,24 +177,16 @@ def _run_unique_job(
     # No checkpoint: the unique-solutions sweep carries no journal
     # support (it is the cheap phase; see invertibility_report).
     verdict = unique_solutions_property(mapping, universe, **_sweep_options(spec))
-    ok, violations = verdict
-    lines = [
-        _header(_mapping_label(mapping), "unique solutions", spec),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if ok else 'VIOLATED'}",
-    ]
-    lines.extend(_violation_lines(violations, "~"))
-    lines.append(
-        _coverage_line(
-            verdict.coverage, verdict.instances_checked, verdict.orbits_checked
-        )
+    lines = unique_lines(
+        _mapping_label(mapping), universe, verdict, spec["domain"], spec["max_facts"]
     )
-    return "\n".join(lines), ok
+    return "\n".join(lines), verdict.ok
 
 
 def _run_roundtrip_job(
     spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
 ) -> Tuple[str, bool]:
+    from repro.algebra.sweeps import coverage_line, facts_text, header_line
     from repro.dataexchange.recovery import faithful_on, sound_on
 
     mapping = resolve_mapping(spec["mapping"])
@@ -252,22 +198,23 @@ def _run_roundtrip_job(
     sound = sound_on(mapping, reverse, universe, checkpoint=checkpoint, **options)
     faithful = faithful_on(mapping, reverse, universe, checkpoint=checkpoint, **options)
     lines = [
-        _header(
+        header_line(
             _mapping_label(mapping),
             f"round trip via {_mapping_label(reverse)}",
-            spec,
+            spec["domain"],
+            spec["max_facts"],
         ),
         f"universe: {len(universe)} instances",
         f"sound: {'yes' if sound.ok else 'VIOLATED'}",
     ]
     for violator in sound.violators[:5]:
-        lines.append(f"  violator: {_facts(violator)}")
+        lines.append(f"  violator: {facts_text(violator)}")
     lines.append(f"faithful: {'yes' if faithful.ok else 'VIOLATED'}")
     for violator in faithful.violators[:5]:
-        lines.append(f"  violator: {_facts(violator)}")
+        lines.append(f"  violator: {facts_text(violator)}")
     coverage = worst_coverage(sound.coverage, faithful.coverage)
     lines.append(
-        _coverage_line(
+        coverage_line(
             coverage,
             sound.instances_checked + faithful.instances_checked,
             sound.orbits_checked + faithful.orbits_checked,

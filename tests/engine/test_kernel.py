@@ -1,5 +1,7 @@
 """Unit tests for the compiled relational kernel backend."""
 
+import sys
+import threading
 from array import array
 
 import pytest
@@ -27,6 +29,7 @@ from repro.engine.kernel import (
     resolve_backend,
     sorted_premise_matches,
 )
+from repro.engine.symmetry import ground_keys_active, use_ground_keys
 
 X, Y = Variable("x"), Variable("y")
 
@@ -118,6 +121,68 @@ class TestBackendSelection:
         finally:
             install_backend(None)
         assert not kernel_active()
+
+    def test_concurrent_scopes_are_per_thread(self):
+        # Two daemon jobs hold their own backend and ground-key scopes
+        # at the same time; each must see only its own, and the
+        # process must be back on the defaults once both are gone.
+        # Thread "a" exits first, so a process-global scope would be
+        # restored to a stale value by "b".
+        both_inside = threading.Barrier(2, timeout=10)
+        both_read = threading.Barrier(2, timeout=10)
+        a_exited = threading.Event()
+        seen = {}
+
+        def job(name, backend, ground_keys):
+            with use_backend(backend), use_ground_keys(ground_keys):
+                both_inside.wait()
+                seen[name] = (active_backend(), ground_keys_active())
+                both_read.wait()
+                if name == "b":
+                    assert a_exited.wait(timeout=10)
+            if name == "a":
+                a_exited.set()
+
+        threads = [
+            threading.Thread(target=job, args=("a", "sql", True)),
+            threading.Thread(target=job, args=("b", "kernel", False)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert seen == {"a": ("sql", True), "b": ("kernel", False)}
+        assert active_backend() == default_backend()
+        assert not ground_keys_active()
+
+
+class TestInternTableConcurrency:
+    def test_concurrent_interning_assigns_one_id_per_term(self):
+        table = InternTable()
+        terms = [Null(f"stress{index}") for index in range(20_000)]
+        start = threading.Barrier(8, timeout=10)
+
+        def intern_all():
+            start.wait()
+            for term in terms:
+                table.intern(term)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=intern_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(table) == len(set(terms))
+        assert sorted(table.intern(term) for term in terms) == list(
+            range(len(terms))
+        )
 
 
 def _projection_mapping():

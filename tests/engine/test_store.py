@@ -10,7 +10,12 @@ import time
 
 import pytest
 
-from repro.catalog import all_catalog_mappings, decomposition, projection
+from repro.catalog import (
+    all_catalog_mappings,
+    decomposition,
+    projection,
+    projection_quasi_inverse,
+)
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null
 from repro.engine import (
@@ -36,7 +41,10 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.symmetry import plan_sweep
 from repro.core.framework import (
+    Equality,
     SolutionEquivalence,
+    is_generalized_inverse,
+    is_inverse,
     subset_property,
     unique_solutions_property,
 )
@@ -56,6 +64,44 @@ def _projection_setup():
         power_instances(mapping.source, domain=("a", "b"), max_facts=2)
     )
     return mapping, SolutionEquivalence(mapping), universe
+
+
+def _sharded_subset(**options):
+    mapping, equivalence, universe = _projection_setup()
+    return subset_property(
+        mapping, equivalence, equivalence, universe,
+        stop_at_first_violation=False, **options,
+    )
+
+
+def _sharded_is_inverse(**options):
+    mapping, _, universe = _projection_setup()
+    return is_inverse(
+        mapping, projection_quasi_inverse(), universe,
+        stop_at_first_mismatch=False, **options,
+    )
+
+
+def _sharded_generalized_inverse(**options):
+    mapping, _, universe = _projection_setup()
+    return is_generalized_inverse(
+        mapping, projection_quasi_inverse(), Equality(), Equality(), universe,
+        stop_at_first_mismatch=False, **options,
+    )
+
+
+#: The checkers whose sharded runs must merge back to the unsharded
+#: report, all run without early stopping.
+SHARDED_CHECKS = {
+    "subset": _sharded_subset,
+    "is_inverse": _sharded_is_inverse,
+    "is_generalized_inverse": _sharded_generalized_inverse,
+}
+
+
+def _pairs(report):
+    """The violation entries of a subset or inverse report."""
+    return getattr(report, "violations", ()) + getattr(report, "mismatches", ())
 
 
 class TestStableDigest:
@@ -471,17 +517,11 @@ class TestSharding:
                 renamed, shards
             )
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_subset_reports_merge_byte_identically(self, shards):
-        mapping, equivalence, universe = _projection_setup()
-        serial = subset_property(
-            mapping, equivalence, equivalence, universe,
-            stop_at_first_violation=False, shards=1,
-        )
-        merged = subset_property(
-            mapping, equivalence, equivalence, universe,
-            stop_at_first_violation=False, shards=shards,
-        )
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    @pytest.mark.parametrize("check", sorted(SHARDED_CHECKS))
+    def test_sharded_reports_merge_byte_identically(self, check, shards):
+        serial = SHARDED_CHECKS[check](shards=1)
+        merged = SHARDED_CHECKS[check](shards=shards)
         assert merged == serial
 
     def test_sharded_subset_orbit_mode_matches_serial(self):
@@ -496,24 +536,22 @@ class TestSharding:
         )
         assert merged == serial
 
-    def test_single_shard_reports_cover_disjoint_slices(self):
-        mapping, equivalence, universe = _projection_setup()
-        serial = subset_property(
-            mapping, equivalence, equivalence, universe,
-            stop_at_first_violation=False,
-        )
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("check", sorted(SHARDED_CHECKS))
+    def test_single_shard_reports_cover_disjoint_slices(self, check, shards):
+        serial = SHARDED_CHECKS[check](shards=1)
         slices = [
-            subset_property(
-                mapping, equivalence, equivalence, universe,
-                stop_at_first_violation=False, shards=2, shard_id=which,
-            )
-            for which in (0, 1)
+            SHARDED_CHECKS[check](shards=shards, shard_id=which)
+            for which in range(shards)
         ]
         assert sum(part.checked for part in slices) == serial.checked
         assert (
             sum(part.instances_checked for part in slices)
             == serial.instances_checked
         )
+        found = [pair for part in slices for pair in _pairs(part)]
+        assert len(set(found)) == len(found)
+        assert set(found) == set(_pairs(serial))
 
     def test_sharded_unique_solutions_matches_serial(self):
         mapping = decomposition()

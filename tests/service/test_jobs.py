@@ -169,3 +169,17 @@ class TestRoundtripJobs:
         assert outcome.state == "done"
         assert "sound: yes" in outcome.rendering
         assert "faithful: yes" in outcome.rendering
+
+
+class TestSharedRendering:
+    @pytest.mark.parametrize("kind", ["unique", "subset", "invertibility"])
+    @pytest.mark.parametrize("name", ["Projection", "Decomposition"])
+    def test_algebra_job_renders_like_the_plain_job(self, name, kind):
+        # A bare mapping name is an algebra expression too; the two
+        # job kinds must render one report byte for byte.
+        plain = execute_job(_spec(kind=kind, mapping=name, max_facts=1))
+        algebra = execute_job(
+            _spec(kind="algebra", expression=name, check=kind, max_facts=1)
+        )
+        assert algebra.rendering == plain.rendering
+        assert algebra.state == plain.state
