@@ -21,9 +21,8 @@ QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 def scale_params(full, quick):
     """Parameter sweep for scale benchmarks.
 
-    CI's bench-smoke job sets ``BENCH_QUICK=1`` to run the reduced
-    sweep (the regression gate compares only those); local runs get
-    the full curve.
+    CI's bench jobs set ``BENCH_QUICK=1`` to run the reduced sweep;
+    local runs get the full curve.
     """
     return quick if QUICK else full
 

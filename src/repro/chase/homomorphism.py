@@ -35,7 +35,7 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Term, Variable
 from repro.engine.budget import current_budget
 from repro.engine.indexing import fact_index
-from repro.engine.kernel import kernel_active, kernel_all_homomorphisms, sql_active
+from repro.engine.kernel import active_operations
 
 Assignment = Dict[Term, Term]
 
@@ -156,20 +156,12 @@ def all_homomorphisms(
     base: Assignment = dict(fixed or {})
     if not _check_constraints(base, constant_vars, inequalities):
         return
-    if kernel_active():
-        # The compiled backend replays the same greedy atom order and
-        # candidate selection over interned ids; results and result
-        # order are identical (tests/properties/test_backend_equivalence).
-        yield from kernel_all_homomorphisms(
-            tuple(atoms), target, base, constant_vars, inequalities
-        )
-        return
-    if sql_active():
-        # One conjunctive query over the lowered target; rows are
-        # re-sorted into this search's exact DFS yield order.
-        from repro.engine.sqlbackend import sql_all_homomorphisms
-
-        yield from sql_all_homomorphisms(
+    operations = active_operations()
+    if operations is not None:
+        # The kernel replays this search's atom order over interned ids;
+        # SQL re-sorts one query's rows into its DFS yield order.  Same
+        # results, same order (tests/properties/test_backend_equivalence).
+        yield from operations.all_homomorphisms(
             tuple(atoms), target, base, constant_vars, inequalities
         )
         return

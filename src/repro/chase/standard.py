@@ -27,8 +27,7 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null, Term
 from repro.dependencies.dependency import Dependency
 from repro.engine.budget import current_budget
-from repro.engine.kernel import kernel_active, sorted_premise_matches, sql_active
-from repro.engine.sqlbackend import sql_sorted_premise_matches, sql_stratified_chase
+from repro.engine.kernel import active_operations
 from repro.errors import ChaseError
 
 
@@ -78,13 +77,11 @@ def _sorted_matches(
     dependency: Dependency, instance: Instance
 ) -> Sequence[Assignment]:
     """Premise matches in a deterministic order (by matched images)."""
-    if kernel_active():
-        # Same matches, same order — computed semi-naively over the
-        # sub-instance lattice when the instance is ground.
-        return sorted_premise_matches(dependency, instance)
-    if sql_active():
-        # Same matches, same order — the premise join runs in SQLite.
-        return sql_sorted_premise_matches(dependency, instance)
+    operations = active_operations()
+    if operations is not None:
+        # Same matches, same order — from the kernel's semi-naive
+        # lattice or a premise join in SQLite.
+        return operations.premise_matches(dependency, instance)
     variables = dependency.premise_variables()
     matches = list(
         all_homomorphisms(
@@ -118,6 +115,17 @@ def _apply(
     for variable in dependency.existential_variables(0):
         assignment[variable] = factory.fresh(hint=variable.name)
     return tuple(atom.substitute(assignment) for atom in dependency.disjuncts[0])
+
+
+def _fire(dependency, match, null_factory, facts, steps, budget, max_steps) -> None:
+    """One firing: charge the budget, add its facts, record the step."""
+    if budget is not None:
+        budget.charge_chase_steps()
+    added = _apply(dependency, match, null_factory)
+    facts.update(added)
+    steps.append(_record(dependency, match, added))
+    if len(steps) > max_steps:
+        raise ChaseError.step_overflow(max_steps)
 
 
 def chase(
@@ -196,26 +204,17 @@ def chase(
                     "inequality premises"
                 )
             for match in _sorted_matches(dependency, current):
-                if budget is not None:
-                    budget.charge_chase_steps()
-                added = _apply(dependency, match, null_factory)
-                facts.update(added)
-                steps.append(_record(dependency, match, added))
-                if len(steps) > max_steps:
-                    raise ChaseError(
-                        f"chase exceeded {max_steps} steps",
-                        kind="chase_steps",
-                        limit=max_steps,
-                    )
+                _fire(dependency, match, null_factory, facts, steps, budget, max_steps)
         final = Instance(frozenset(facts))
         return ChaseResult(final, final.difference(instance), tuple(steps))
 
     if stratified:
-        if sql_active():
-            # The whole stratified chase as SQL rounds; None means a
-            # premise was too wide for one join — fall through to the
-            # interpreted loop (whose match lists still come from SQL).
-            result = sql_stratified_chase(
+        operations = active_operations()
+        if operations is not None:
+            # A whole-chase plan (SQL rounds); None means the backend
+            # has none for this input — fall through to the interpreted
+            # loop, whose match lists still come from the backend.
+            result = operations.stratified_chase(
                 instance,
                 dependencies,
                 null_factory=null_factory,
@@ -235,17 +234,7 @@ def chase(
                     working = Instance(frozenset(facts))
                 if _conclusion_satisfied(dependency, match, working):
                     continue
-                if budget is not None:
-                    budget.charge_chase_steps()
-                added = _apply(dependency, match, null_factory)
-                facts.update(added)
-                steps.append(_record(dependency, match, added))
-                if len(steps) > max_steps:
-                    raise ChaseError(
-                        f"chase exceeded {max_steps} steps",
-                        kind="chase_steps",
-                        limit=max_steps,
-                    )
+                _fire(dependency, match, null_factory, facts, steps, budget, max_steps)
         final = Instance(frozenset(facts)) if len(facts) != len(working) else working
         return ChaseResult(final, final.difference(instance), tuple(steps))
 
@@ -259,17 +248,7 @@ def chase(
                     budget.check()
                 if _conclusion_satisfied(dependency, match, working):
                     continue
-                if budget is not None:
-                    budget.charge_chase_steps()
-                added = _apply(dependency, match, null_factory)
-                facts.update(added)
-                steps.append(_record(dependency, match, added))
-                if len(steps) > max_steps:
-                    raise ChaseError(
-                        f"chase exceeded {max_steps} steps",
-                        kind="chase_steps",
-                        limit=max_steps,
-                    )
+                _fire(dependency, match, null_factory, facts, steps, budget, max_steps)
                 fired = True
                 break
             if fired:

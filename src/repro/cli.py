@@ -69,6 +69,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.engine import BACKEND_MODES
 from repro.experiments import all_experiment_ids, run_all, run_experiment
 from repro.experiments.base import ExperimentReport
 
@@ -353,7 +354,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("object", "kernel", "sql"),
+        choices=BACKEND_MODES,
         default=None,
         help="execution backend for bounded checks: interpret the object "
         "datamodel directly (object, the default), run compiled joins "

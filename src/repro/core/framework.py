@@ -244,11 +244,11 @@ def subset_property(
     in a mapping, a non-closed universe) silently fall back to the
     full sweep.
 
-    *backend* (default: ``REPRO_BACKEND``, else ``"object"``): with
-    ``"kernel"``, homomorphism probes, premise matching, and verdict
-    keys run on the compiled integer kernel
-    (:mod:`repro.engine.kernel`); with ``"sql"``, the chase and the
-    homomorphism joins execute inside SQLite
+    *backend* (a backend name, see :func:`repro.engine.resolve_backend`;
+    default ``REPRO_BACKEND``, else the object backend): on the kernel backend
+    homomorphism probes, premise matching, and verdict keys run on the
+    compiled integer kernel (:mod:`repro.engine.kernel`); on the sql
+    backend the chase and the homomorphism joins execute inside SQLite
     (:mod:`repro.engine.sqlbackend`, scratch file via
     ``REPRO_SQL_DB``) — identical verdicts and witnesses either way,
     installed before the fan-out so forked workers inherit it.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.chase.homomorphism import (
     all_homomorphisms,
@@ -38,14 +38,7 @@ from repro.engine.cache import (
     verdict_cache,
 )
 from repro.engine.instrumentation import PhaseStats, engine_stats
-from repro.engine.kernel import (
-    kernel_active,
-    kernel_hom_exists,
-    kernel_instance,
-    small_id,
-    sql_active,
-    use_backend,
-)
+from repro.engine.kernel import active_operations, small_id
 from repro.errors import MappingError
 
 
@@ -142,18 +135,13 @@ class StagedMapping(SchemaMapping):
     ``data_exchange_equivalent``, the sweep framework) in place of the
     MinGen-materialized composition and produce identical verdicts —
     without ever paying ``compose_full``'s blow-up.
-
-    ``stage_backends`` optionally pins an execution backend per stage
-    (``None`` inherits the ambient backend).
     """
 
     stages: Tuple[SchemaMapping, ...] = ()
-    stage_backends: Tuple[Optional[str], ...] = ()
 
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "stage_backends", tuple(self.stage_backends))
         if not self.stages:
             raise MappingError("a staged mapping needs at least one stage")
         if self.dependencies:
@@ -161,8 +149,6 @@ class StagedMapping(SchemaMapping):
                 "a staged mapping carries no dependencies of its own; "
                 "its stages do"
             )
-        if self.stage_backends and len(self.stage_backends) != len(self.stages):
-            raise MappingError("stage_backends must match stages in length")
         if self.stages[0].source != self.source:
             raise MappingError("first stage's source must match the pipeline's")
         if self.stages[-1].target != self.target:
@@ -218,16 +204,11 @@ def _staged_compute(mapping: StagedMapping):
     cache under the *stage's* mapping key — a pipeline sharing a
     prefix with another reuses the prefix's chases for free.
     """
-    backends = mapping.stage_backends or (None,) * len(mapping.stages)
 
     def compute(source: Instance) -> Instance:
         current = source
-        for stage, backend in zip(mapping.stages, backends):
-            if backend is None:
-                current = universal_solution(stage, current)
-            else:
-                with use_backend(backend):
-                    current = universal_solution(stage, current)
+        for stage in mapping.stages:
+            current = universal_solution(stage, current)
         return current.restrict_to(mapping.target)
 
     return compute
@@ -268,27 +249,16 @@ def _chase_compute(mapping: SchemaMapping):
     return compute
 
 
-def _kernel_chase(mapping: SchemaMapping, instance: Instance, kinst):
-    """Chase-memo miss path for the kernel backend.
-
-    Computes the same cached value the object path would — the kernel
-    instance just carries a per-mapping pointer to it (paired with the
-    result's own kernel instance), so repeat lookups are one dict
-    probe instead of a canonical-key construction plus an LRU
-    round-trip."""
+def _cached_chase(mapping: SchemaMapping, instance: Instance) -> Instance:
     _require_tgds(mapping, "universal_solution")
     if getattr(mapping, "stages", None):
         compute = _staged_compute(mapping)
     else:
         compute = _chase_compute(mapping)
-    if kinst.is_ground:
-        result = cached_chase_result(mapping, instance, compute)
-    else:
-        key = ("exact", mapping_key(mapping), instance.facts)
-        result = chase_cache.memoize(key, lambda: compute(instance))
-    entry = (result, kernel_instance(result))
-    kinst.chase_memo[small_id(mapping)] = entry
-    return entry
+    if instance.is_ground():
+        return cached_chase_result(mapping, instance, compute)
+    key = ("exact", mapping_key(mapping), instance.facts)
+    return chase_cache.memoize(key, lambda: compute(instance))
 
 
 def universal_solution(mapping: SchemaMapping, instance: Instance) -> Instance:
@@ -299,22 +269,20 @@ def universal_solution(mapping: SchemaMapping, instance: Instance) -> Instance:
     form (so isomorphic inputs share an entry), while instances
     already containing nulls or variables key by their exact facts,
     preserving the historical fresh-null naming of a direct chase.
+    An operand the active backend lowers to a kernel instance also
+    carries a per-mapping pointer to its cached solution, so a repeat
+    lookup is one dict probe instead of a canonical-key construction
+    plus an LRU round-trip.
     """
-    if kernel_active():
-        kinst = kernel_instance(instance)
-        entry = kinst.chase_memo.get(small_id(mapping))
-        if entry is None:
-            entry = _kernel_chase(mapping, instance, kinst)
-        return entry[0]
-    _require_tgds(mapping, "universal_solution")
-    if getattr(mapping, "stages", None):
-        compute = _staged_compute(mapping)
-    else:
-        compute = _chase_compute(mapping)
-    if instance.is_ground():
-        return cached_chase_result(mapping, instance, compute)
-    key = ("exact", mapping_key(mapping), instance.facts)
-    return chase_cache.memoize(key, lambda: compute(instance))
+    operations = active_operations()
+    kinst = None if operations is None else operations.lower(instance)
+    if kinst is None:
+        return _cached_chase(mapping, instance)
+    mid = small_id(mapping)
+    solution = kinst.chase_memo.get(mid)
+    if solution is None:
+        solution = kinst.chase_memo[mid] = _cached_chase(mapping, instance)
+    return solution
 
 
 @lru_cache(maxsize=2048)
@@ -374,65 +342,33 @@ def solutions_contained(
     canonicalization costs.  Orbit-level sharing happens one layer
     down, in the symmetry-keyed chase cache the verdicts build on
     (:func:`repro.engine.cache.cached_chase_result`).
+
+    When the active backend lowers both operands to ground kernel
+    instances, the verdict memoizes on the outer one instead (one dict
+    probe keyed by dense ids: a ground instance's canonical key is its
+    fact set, so no sharing is lost).
     """
-    if kernel_active():
-        return _kernel_solutions_contained(
-            mapping, kernel_instance(inner), kernel_instance(outer), inner, outer
-        )
-    key = (
-        "sol-contained",
-        mapping_key(mapping),
-        canonical_key(outer),
-        canonical_key(inner),
-    )
-    hit, verdict = verdict_cache.get(key)
-    if hit:
-        return verdict
-    with engine_stats().phase("homomorphism"):
-        if sql_active():
-            # Existence decomposed into per-relation subset probes and
-            # per-component EXISTS queries; same verdict, same cache key.
-            from repro.engine.sqlbackend import sql_has_homomorphism
-
-            verdict = sql_has_homomorphism(
-                universal_solution(mapping, outer),
-                universal_solution(mapping, inner),
-            )
-        else:
-            verdict = (
-                instance_homomorphism(
-                    universal_solution(mapping, outer),
-                    universal_solution(mapping, inner),
-                )
-                is not None
-            )
-    verdict_cache.put(key, verdict)
-    return verdict
+    operations = active_operations()
+    kinner, kouter = _lowered(operations, inner, outer)
+    return _contained(mapping, operations, inner, outer, kinner, kouter)
 
 
-def _kernel_solutions_contained(
-    mapping: SchemaMapping, kinner, kouter, inner: Instance, outer: Instance
-) -> bool:
-    """Kernel twin of the :func:`solutions_contained` miss path.
+def _lowered(operations, left: Instance, right: Instance):
+    """Both operands' kernel instances, None where the backend keeps one."""
+    if operations is None:
+        return None, None
+    return operations.lower(left), operations.lower(right)
 
-    Interned-id keys: for ground instances the canonical key IS the
-    exact fact set, so keying by the kernel instances' dense ids loses
-    no sharing — it only replaces two frozenset hashes with two ints
-    per probe.  The chase-memo probes and the id-native homomorphism
-    test return exactly what the object path computes."""
-    mid = small_id(mapping)
-    if kouter.is_ground and kinner.is_ground:
-        # Ground pairs memoize on the outer kernel instance itself
-        # (one dict probe) rather than through the LRU verdict cache.
-        memo = kouter.sol_memo
-        skey = (mid, kinner.kid)
-        verdict = memo.get(skey)
+
+def _contained(mapping, operations, inner, outer, kinner, kouter) -> bool:
+    """The body of :func:`solutions_contained`, operands already lowered."""
+    if kinner is not None and kouter is not None and kouter.is_ground and kinner.is_ground:
+        memo, key = kouter.sol_memo, (small_id(mapping), kinner.kid)
+        verdict = memo.get(key)
         if verdict is not None:
             return verdict
-        key = None
     else:
         memo = None
-        skey = None
         key = (
             "sol-contained",
             mapping_key(mapping),
@@ -443,26 +379,23 @@ def _kernel_solutions_contained(
         if hit:
             return verdict
     # Inlined engine_stats().phase("homomorphism") — same counters,
-    # minus the contextmanager machinery this hot path can feel.
-    stats = engine_stats()
+    # minus the context-manager machinery this hot path can feel.
     started = time.perf_counter()
     try:
-        souter = kouter.chase_memo.get(mid)
-        if souter is None:
-            souter = _kernel_chase(mapping, outer, kouter)
-        sinner = kinner.chase_memo.get(mid)
-        if sinner is None:
-            sinner = _kernel_chase(mapping, inner, kinner)
-        verdict = kernel_hom_exists(souter[1], souter[0], sinner[1])
+        source = universal_solution(mapping, outer)
+        target = universal_solution(mapping, inner)
+        if operations is None:
+            verdict = instance_homomorphism(source, target) is not None
+        else:
+            verdict = operations.has_homomorphism(source, target)
     finally:
-        phase = stats.phases.get("homomorphism")
-        if phase is None:
-            phase = stats.phases.setdefault("homomorphism", PhaseStats())
+        phases = engine_stats().phases
+        phase = phases.get("homomorphism") or phases.setdefault("homomorphism", PhaseStats())
         phase.record(time.perf_counter() - started)
-    if memo is not None:
-        memo[skey] = verdict
-    else:
+    if memo is None:
         verdict_cache.put(key, verdict)
+    else:
+        memo[key] = verdict
     return verdict
 
 
@@ -472,30 +405,10 @@ def data_exchange_equivalent(
     """The paper's I1 ∼M I2: equal solution spaces.
 
     Equivalent to homomorphic equivalence of the two chase results.
+    Both directions share one lowering of the operands.
     """
-    if kernel_active():
-        kleft = kernel_instance(left)
-        kright = kernel_instance(right)
-        if kleft.is_ground and kright.is_ground:
-            # ∼M is symmetric, so one verdict serves both argument
-            # orders: stored on each side's kernel instance keyed by
-            # the other's id, making the repeat probe one dict get.
-            mid = small_id(mapping)
-            ekey = (mid, kright.kid)
-            verdict = kleft.eq_memo.get(ekey)
-            if verdict is not None:
-                return verdict
-            verdict = _kernel_solutions_contained(
-                mapping, kleft, kright, left, right
-            ) and _kernel_solutions_contained(
-                mapping, kright, kleft, right, left
-            )
-            kleft.eq_memo[ekey] = verdict
-            kright.eq_memo[(mid, kleft.kid)] = verdict
-            return verdict
-        return _kernel_solutions_contained(
-            mapping, kleft, kright, left, right
-        ) and _kernel_solutions_contained(mapping, kright, kleft, right, left)
-    return solutions_contained(mapping, left, right) and solutions_contained(
-        mapping, right, left
+    operations = active_operations()
+    kleft, kright = _lowered(operations, left, right)
+    return _contained(mapping, operations, left, right, kleft, kright) and (
+        _contained(mapping, operations, right, left, kright, kleft)
     )

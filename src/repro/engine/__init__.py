@@ -53,6 +53,14 @@ fast:
   violation, degrades governed errors to partial coverage, weights
   orbits, and claims and merges shards.
 
+A backend is a chase plus a homomorphism test: ``KernelBackend`` and
+``SqlBackend`` implement ``premise_matches``, ``stratified_chase``,
+``all_homomorphisms`` and ``has_homomorphism``, the sql one running
+operands below ``REPRO_SQL_MIN_FACTS`` facts as the kernel does, memos
+included.  ``kernel.active_operations()`` returns them, or None on the
+object backend, whose reference code stays inline in
+:mod:`repro.chase` and :mod:`repro.core.mapping`.
+
 Ambient engine state that a sweep scopes — the budget, the backend,
 and the ground-key flag — is per-thread, so concurrent service jobs
 never see each other's choices; pool workers install the sweeping
@@ -124,10 +132,8 @@ from repro.engine.kernel import (
     default_backend,
     install_backend,
     intern_table,
-    kernel_active,
     kernel_instance,
     resolve_backend,
-    sql_active,
     use_backend,
 )
 from repro.engine.sqlbackend import (
@@ -260,7 +266,6 @@ __all__ = [
     "install_backend",
     "install_store",
     "intern_table",
-    "kernel_active",
     "kernel_instance",
     "mapping_key",
     "mapping_permutation_invariant",
@@ -283,7 +288,6 @@ __all__ = [
     "shard_entry_key",
     "shard_of_facts",
     "shard_of_instance",
-    "sql_active",
     "sql_all_homomorphisms",
     "sql_has_homomorphism",
     "sql_instance",

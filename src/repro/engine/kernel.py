@@ -27,6 +27,13 @@ env ``REPRO_BACKEND``) executes the same searches over dense integers:
 Everything here is exact acceleration: verdicts, witnesses, chase
 results, and their deterministic order are identical across backends;
 only the representation the work happens in changes.
+
+:class:`KernelBackend` is the backend interface: ``premise_matches``
+(the chase's sorted match list), ``stratified_chase`` (a whole-chase
+plan, or None to run the interpreted loop), ``all_homomorphisms`` and
+``has_homomorphism``, plus ``lower``, which picks the operands whose
+per-instance memos (``chase_memo``, ``sol_memo``) serve the checks of
+:mod:`repro.core.mapping` — every operand, here.
 """
 
 from __future__ import annotations
@@ -98,34 +105,17 @@ class _BackendScope(threading.local):
 
 _BACKEND = _BackendScope()
 
+#: The operations each backend name selects (None: the object backend's
+#: inline reference code); :mod:`repro.engine.sqlbackend` adds sql.
+BACKEND_OPERATIONS: Dict[str, Optional["KernelBackend"]] = {BACKEND_OBJECT: None}
 
-def kernel_active() -> bool:
-    """Is the kernel backend active for the current (sweep) context?
 
-    True inside ``use_backend("kernel")``, or — with no ambient
-    context — when ``REPRO_BACKEND=kernel``.  Pool workers install the
-    sweep's backend in their initializer, so a sweep runs on one
-    backend end to end.
-    """
+def active_operations() -> Optional["KernelBackend"]:
+    """The operations of this thread's backend (:func:`active_backend`),
+    or None on the object backend.  Pool workers install the sweep's
+    backend in their initializer, so a sweep runs on one end to end."""
     active = _BACKEND.active
-    if active is not None:
-        return active == BACKEND_KERNEL
-    return default_backend() == BACKEND_KERNEL
-
-
-def sql_active() -> bool:
-    """Is the SQL backend active for the current (sweep) context?
-
-    True inside ``use_backend("sql")``, or — with no ambient context —
-    when ``REPRO_BACKEND=sql``.  The SQL backend
-    (:mod:`repro.engine.sqlbackend`) runs the chase and homomorphism
-    joins inside SQLite; like the kernel it is exact acceleration, so
-    verdicts and their order are identical across backends.
-    """
-    active = _BACKEND.active
-    if active is not None:
-        return active == BACKEND_SQL
-    return default_backend() == BACKEND_SQL
+    return BACKEND_OPERATIONS[active if active is not None else default_backend()]
 
 
 @contextmanager
@@ -248,7 +238,6 @@ class KernelInstance:
         "hom_premise",
         "hom_memo",
         "sol_memo",
-        "eq_memo",
         "__weakref__",
     )
 
@@ -284,16 +273,15 @@ class KernelInstance:
         self.kid = next(_KID_COUNTER)
         # Per-instance verdict memos, all dying with the kernel
         # instance (and cleared with the caches via the reset hook):
-        # chase_memo maps a mapping's small id to its cached
-        # (universal solution, solution's kernel instance) pair;
-        # hom_memo maps a target kid to hom-existence out of this
-        # instance; sol_memo/eq_memo map (mapping small id, other kid)
-        # to solution-containment / ∼M verdicts.  Plain dict probes —
-        # the verdict hot loop runs on these instead of the LRU caches.
-        self.chase_memo: Dict[int, Any] = {}
+        # chase_memo maps a mapping's small id to its cached universal
+        # solution; hom_memo maps a target kid to hom-existence out of
+        # this instance; sol_memo maps (mapping small id, inner kid) to
+        # the solution-containment verdict with this instance outer.
+        # Plain dict probes — the verdict hot loop runs on these
+        # instead of the LRU caches.
+        self.chase_memo: Dict[int, Instance] = {}
         self.hom_memo: Dict[int, bool] = {}
         self.sol_memo: Dict[Tuple[int, int], bool] = {}
-        self.eq_memo: Dict[Tuple[int, int], bool] = {}
         # the instance's own facts compiled as a match pattern, for
         # homomorphism-existence probes with this instance as source
         self.hom_premise: Optional[CompiledPremise] = None
@@ -448,17 +436,11 @@ def kernel_has_homomorphism(source: Instance, target: Instance) -> bool:
     distinct sources chase to the same universal solution, so verdict
     pairs that are new at the solution-space layer often reduce to a
     hom-existence question already answered here."""
-    return kernel_hom_exists(kernel_instance(source), source, kernel_instance(target))
-
-
-def kernel_hom_exists(
-    ksrc: KernelInstance, source: Instance, ktgt: KernelInstance
-) -> bool:
-    """:func:`kernel_has_homomorphism` for callers that already hold
-    the kernel instances (the verdict hot loop)."""
     budget = current_budget()
     if budget is not None:
         budget.check()
+    ksrc = kernel_instance(source)
+    ktgt = kernel_instance(target)
     verdict = ksrc.hom_memo.get(ktgt.kid)
     if verdict is not None:
         return verdict
@@ -749,27 +731,51 @@ def _clear_kernel_memos() -> None:
 register_reset_hook(_clear_kernel_memos)
 
 
+# -- the backend interface ------------------------------------------------
+
+
+class KernelBackend:
+    """The kernel backend's operations; each returns exactly what the
+    object backend's reference code returns, in the same order.  They
+    are this module's functions, bound without a wrapper because the
+    verdict hot loop calls them."""
+
+    #: The operand's kernel instance (a subclass may return None: the
+    #: LRU caches then serve the operation).
+    lower = staticmethod(kernel_instance)
+    premise_matches = staticmethod(sorted_premise_matches)
+    all_homomorphisms = staticmethod(kernel_all_homomorphisms)
+    has_homomorphism = staticmethod(kernel_has_homomorphism)
+
+    def stratified_chase(self, instance: Instance, dependencies, **options):
+        """A whole-chase plan, or None: run the interpreted loop."""
+        return None
+
+
+BACKEND_OPERATIONS[BACKEND_KERNEL] = KernelBackend()
+
+
 __all__ = [
     "BACKEND_KERNEL",
     "BACKEND_MODES",
     "BACKEND_OBJECT",
+    "BACKEND_OPERATIONS",
     "BACKEND_SQL",
     "InternTable",
+    "KernelBackend",
     "KernelInstance",
     "active_backend",
+    "active_operations",
     "compiled_premise",
     "default_backend",
     "install_backend",
     "intern_table",
-    "kernel_active",
     "kernel_all_homomorphisms",
     "kernel_has_homomorphism",
-    "kernel_hom_exists",
     "kernel_instance",
     "kernel_instance_for_facts",
     "resolve_backend",
     "small_id",
     "sorted_premise_matches",
-    "sql_active",
     "use_backend",
 ]

@@ -44,6 +44,12 @@ SQLite tables and runs the hot loops as SQL:
   round-trips dominate tiny searches, and sweeps run millions of
   them.
 
+* **One interface.**  :class:`SqlBackend`'s four operations are the
+  ``sql_*`` functions below, and it lowers to kernel instances exactly
+  the operands under ``REPRO_SQL_MIN_FACTS`` facts: below it the sql
+  backend *is* the kernel backend, memos included; at or above it an
+  operation runs in SQLite over the shared LRU caches.
+
 * **Governance.**  A SQLite progress handler polls the ambient
   :class:`~repro.engine.budget.Budget` every few thousand VM ops, so
   deadlines interrupt mid-statement; chase-step caps are charged from
@@ -88,11 +94,15 @@ from repro.engine.cache import register_reset_hook
 from repro.engine.compile import CompiledPremise
 from repro.engine.instrumentation import engine_stats
 from repro.engine.kernel import (
+    BACKEND_OPERATIONS,
+    BACKEND_SQL,
     InternTable,
+    KernelBackend,
     compiled_premise,
     intern_table,
     kernel_all_homomorphisms,
     kernel_has_homomorphism,
+    kernel_instance,
     small_id,
     sorted_premise_matches,
 )
@@ -732,22 +742,12 @@ def sql_sorted_premise_matches(dependency, instance: Instance):
         compiled = compiled_premise(
             premise.atoms, premise.constant_vars, premise.inequalities
         )
-        variables = dependency.premise_variables()
-        matches = _fetch_matches(rt, compiled, sinst, variables)
+        parts = _premise_query(compiled, sinst, {})
+        matches = () if parts is None else _fetch_matches_from_parts(
+            rt, compiled, parts, dependency.premise_variables()
+        )
         rt.match_memo[memo_key] = matches
         return matches
-
-
-def _fetch_matches(
-    rt: _SqlRuntime,
-    compiled: CompiledPremise,
-    sinst: SqlInstance,
-    variables,
-) -> Tuple[Dict[Term, Term], ...]:
-    parts = _premise_query(compiled, sinst, {})
-    if parts is None:
-        return ()
-    return _fetch_matches_from_parts(rt, compiled, parts, variables)
 
 
 # -- homomorphism existence (containment checks) ---------------------------
@@ -885,7 +885,7 @@ def sql_stratified_chase(
     sorted order so fresh nulls are invented — and earlier firings
     satisfy later matches — exactly as the interpreter would.
     """
-    from repro.chase.standard import ChaseResult, _apply, _record
+    from repro.chase.standard import ChaseResult
 
     for dependency in dependencies:
         if len(dependency.premise.atoms) > _MAX_JOIN_ATOMS:
@@ -961,8 +961,6 @@ def sql_stratified_chase(
                         budget,
                         trace,
                         steps,
-                        _apply,
-                        _record,
                     )
                 stats.bump("sql_chase_rounds")
             facts = set(instance.facts)
@@ -979,14 +977,6 @@ def sql_stratified_chase(
                 rt.release_table(table, arity)
         final = Instance(frozenset(facts))
         return ChaseResult(final, final.difference(instance), tuple(steps))
-
-
-def _step_overflow(max_steps: int) -> ChaseError:
-    return ChaseError(
-        f"chase exceeded {max_steps} steps",
-        kind="chase_steps",
-        limit=max_steps,
-    )
 
 
 def _bulk_fire(
@@ -1086,7 +1076,7 @@ def _bulk_fire(
             fired_total += fired
             engine_stats().bump("sql_chase_firings", fired)
             if fired_total > max_steps:
-                raise _step_overflow(max_steps)
+                raise ChaseError.step_overflow(max_steps)
             for atom in dependency.disjuncts[0]:
                 table = working[(atom.relation, atom.arity)]
                 exprs = value_exprs(atom)
@@ -1121,12 +1111,12 @@ def _match_fire(
     budget,
     trace: bool,
     steps: List,
-    apply_step,
-    record_step,
 ) -> int:
     """Per-match processing for existential (or traced) dependencies:
     the interpreter's loop, with SQL doing the match enumeration and
     the conclusion-satisfaction probes."""
+    from repro.chase.standard import _apply, _record
+
     variables = dependency.premise_variables()
     sinst_matches = _fetch_matches_from_parts(rt, compiled, parts, variables)
     disjunct = dependency.disjuncts[0]
@@ -1137,7 +1127,7 @@ def _match_fire(
             continue
         if budget is not None:
             budget.charge_chase_steps()
-        added = apply_step(dependency, match, null_factory)
+        added = _apply(dependency, match, null_factory)
         for atom in added:
             table = working.get((atom.relation, atom.arity))
             if table is None:
@@ -1154,9 +1144,9 @@ def _match_fire(
         fired_total += 1
         engine_stats().bump("sql_chase_firings")
         if trace:
-            steps.append(record_step(dependency, match, added))
+            steps.append(_record(dependency, match, added))
         if fired_total > max_steps:
-            raise _step_overflow(max_steps)
+            raise ChaseError.step_overflow(max_steps)
     return fired_total
 
 
@@ -1228,7 +1218,35 @@ def _conclusion_exists(
     return rt.execute(sql).fetchone() is not None
 
 
+# -- the backend interface -------------------------------------------------
+
+
+class SqlBackend(KernelBackend):
+    """The sql backend's operations (see "One interface" above)."""
+
+    def lower(self, instance: Instance):
+        if len(instance.facts) < sql_min_facts():
+            return kernel_instance(instance)
+        return None
+
+    def premise_matches(self, dependency, instance: Instance):
+        return sql_sorted_premise_matches(dependency, instance)
+
+    def stratified_chase(self, instance: Instance, dependencies, **options):
+        return sql_stratified_chase(instance, dependencies, **options)
+
+    def all_homomorphisms(self, *search):
+        return sql_all_homomorphisms(*search)
+
+    def has_homomorphism(self, source: Instance, target: Instance) -> bool:
+        return sql_has_homomorphism(source, target)
+
+
+BACKEND_OPERATIONS[BACKEND_SQL] = SqlBackend()
+
+
 __all__ = [
+    "SqlBackend",
     "SqlInstance",
     "decode_id",
     "default_sql_db",

@@ -35,7 +35,10 @@ Layering contract:
   timeout, ``INSERT OR REPLACE`` upserts in short transactions) plus a
   fork guard: a connection is never used across a ``fork`` — workers
   detect the pid change, drop the parent's pending buffer (the parent
-  flushes its own), and reopen;
+  flushes its own) and lock, and reopen;
+* thread safety (the service daemon's concurrent jobs share the
+  installed store) comes from one lock serializing the connection —
+  opened with ``check_same_thread=False`` — and the pending buffer;
 * every store carries an **engine version** (:data:`ENGINE_VERSION`).
   Opening a store written by a different engine version atomically
   drops its entries — canonical forms, key layouts, and value codecs
@@ -61,6 +64,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
@@ -279,6 +283,8 @@ class VerdictStore:
         self._pending: Dict[Tuple[str, str], str] = {}
         self._connection: Optional[sqlite3.Connection] = None
         self._pid = os.getpid()
+        # Reentrant: flush runs inside save, _connect inside every call.
+        self._lock = threading.RLock()
 
     # -- connection management ----------------------------------------
 
@@ -286,11 +292,13 @@ class VerdictStore:
         """Drop state inherited across a ``fork``: the parent's
         connection must never be used by the child, and the parent's
         pending buffer belongs to the parent (which flushes it
-        itself).  Runs at every store entry point — not only when a
-        connection is first needed — so entries the *child* buffers
-        before its first ``_connect`` are never discarded with the
-        inherited ones."""
+        itself).  Runs at every store entry point, before the lock is
+        taken — not only when a connection is first needed — so entries
+        the *child* buffers before its first ``_connect`` are never
+        discarded with the inherited ones, and a lock some other parent
+        thread held at the fork is replaced, never waited on."""
         if os.getpid() != self._pid:
+            self._lock = threading.RLock()
             self._connection = None
             self._pending = {}
             self._pid = os.getpid()
@@ -304,7 +312,7 @@ class VerdictStore:
             return self._connection
         try:
             connection = sqlite3.connect(
-                self.path, timeout=_BUSY_TIMEOUT_SECONDS
+                self.path, timeout=_BUSY_TIMEOUT_SECONDS, check_same_thread=False
             )
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
@@ -380,50 +388,51 @@ class VerdictStore:
             return False, None
         self._fork_guard()
         digest = stable_digest(key)
-        payload = self._pending.get((cache_name, digest))
-        from_disk = False
-        checksum = engine = ""
-        if payload is None:
-            if faults.fire("store.read") is not None:
-                self.read_errors += 1
+        with self._lock:
+            payload = self._pending.get((cache_name, digest))
+            from_disk = False
+            checksum = engine = ""
+            if payload is None:
+                if faults.fire("store.read") is not None:
+                    self.read_errors += 1
+                    return False, None
+                connection = self._connect()
+                if connection is None:
+                    self.read_errors += 1
+                    return False, None
+                try:
+                    row = connection.execute(
+                        "SELECT value, checksum, engine FROM entries"
+                        " WHERE cache = ? AND key = ?",
+                        (cache_name, digest),
+                    ).fetchone()
+                except sqlite3.Error:
+                    self.read_errors += 1
+                    return False, None
+                if row is not None:
+                    payload, checksum, engine = row
+                    from_disk = True
+            if payload is None:
+                self.misses += 1
                 return False, None
-            connection = self._connect()
-            if connection is None:
-                self.read_errors += 1
+            if from_disk and checksum != entry_checksum(
+                cache_name, digest, payload, engine
+            ):
+                self._degrade_corrupt(cache_name, digest, payload, "checksum mismatch")
                 return False, None
             try:
-                row = connection.execute(
-                    "SELECT value, checksum, engine FROM entries"
-                    " WHERE cache = ? AND key = ?",
-                    (cache_name, digest),
-                ).fetchone()
-            except sqlite3.Error:
-                self.read_errors += 1
+                value = codec[1](payload)
+            except Exception:
+                # A corrupt entry is a miss, not a crash.
+                if from_disk:
+                    self._degrade_corrupt(
+                        cache_name, digest, payload, "undecodable payload"
+                    )
+                else:
+                    self.misses += 1
                 return False, None
-            if row is not None:
-                payload, checksum, engine = row
-                from_disk = True
-        if payload is None:
-            self.misses += 1
-            return False, None
-        if from_disk and checksum != entry_checksum(
-            cache_name, digest, payload, engine
-        ):
-            self._degrade_corrupt(cache_name, digest, payload, "checksum mismatch")
-            return False, None
-        try:
-            value = codec[1](payload)
-        except Exception:
-            # A corrupt entry is a miss, not a crash.
-            if from_disk:
-                self._degrade_corrupt(
-                    cache_name, digest, payload, "undecodable payload"
-                )
-            else:
-                self.misses += 1
-            return False, None
-        self.hits += 1
-        return True, value
+            self.hits += 1
+            return True, value
 
     def _degrade_corrupt(
         self, cache_name: str, digest: str, payload: str, reason: str
@@ -463,81 +472,89 @@ class VerdictStore:
         if codec is None:
             return
         self._fork_guard()
-        self._pending[(cache_name, stable_digest(key))] = codec[0](value)
-        if len(self._pending) >= self.flush_interval:
-            self.flush()
+        with self._lock:
+            self._pending[(cache_name, stable_digest(key))] = codec[0](value)
+            if len(self._pending) >= self.flush_interval:
+                self.flush()
 
     def flush(self) -> None:
         """Write pending entries in one transaction (best effort)."""
         self._fork_guard()
-        if not self._pending:
-            return
-        connection = None
-        if faults.fire("store.write") is None:
-            connection = self._connect()
-        if connection is None:
-            self.write_errors += 1
-            # Keep the buffer bounded even when the disk is gone.
-            if len(self._pending) >= 4 * self.flush_interval:
-                self._pending.clear()
-            return
-        batch = [
-            (
-                cache_name,
-                digest,
-                payload,
-                entry_checksum(cache_name, digest, payload, self.engine_version),
-                self.engine_version,
-            )
-            for (cache_name, digest), payload in self._pending.items()
-        ]
-        try:
-            with connection:
-                connection.executemany(
-                    "INSERT OR REPLACE INTO entries"
-                    " (cache, key, value, checksum, engine)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    batch,
+        with self._lock:
+            if not self._pending:
+                return
+            connection = None
+            if faults.fire("store.write") is None:
+                connection = self._connect()
+            if connection is None:
+                self.write_errors += 1
+                # Keep the buffer bounded even when the disk is gone.
+                if len(self._pending) >= 4 * self.flush_interval:
+                    self._pending.clear()
+                return
+            batch = [
+                (
+                    cache_name,
+                    digest,
+                    payload,
+                    entry_checksum(cache_name, digest, payload, self.engine_version),
+                    self.engine_version,
                 )
-        except sqlite3.Error:
-            self.write_errors += 1
-            return
-        self.writes += len(batch)
-        self._pending.clear()
+                for (cache_name, digest), payload in self._pending.items()
+            ]
+            try:
+                with connection:
+                    connection.executemany(
+                        "INSERT OR REPLACE INTO entries"
+                        " (cache, key, value, checksum, engine)"
+                        " VALUES (?, ?, ?, ?, ?)",
+                        batch,
+                    )
+            except sqlite3.Error:
+                self.write_errors += 1
+                return
+            self.writes += len(batch)
+            self._pending.clear()
 
     def close(self) -> None:
-        self.flush()
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            except sqlite3.Error:
-                pass
-            self._connection = None
+        self._fork_guard()
+        with self._lock:
+            self.flush()
+            if self._connection is not None:
+                try:
+                    self._connection.close()
+                except sqlite3.Error:
+                    pass
+                self._connection = None
 
     # -- introspection -------------------------------------------------
 
     def entry_count(self) -> int:
-        connection = self._connect()
-        if connection is None:
-            return 0
-        try:
-            row = connection.execute("SELECT COUNT(*) FROM entries").fetchone()
-        except sqlite3.Error:
-            return 0
-        return int(row[0]) + len(self._pending)
+        self._fork_guard()
+        with self._lock:
+            connection = self._connect()
+            if connection is None:
+                return 0
+            try:
+                row = connection.execute("SELECT COUNT(*) FROM entries").fetchone()
+            except sqlite3.Error:
+                return 0
+            return int(row[0]) + len(self._pending)
 
     def quarantine_count(self) -> int:
         """Rows moved to the quarantine table (by loads or ``fsck``)."""
-        connection = self._connect()
-        if connection is None:
-            return 0
-        try:
-            row = connection.execute(
-                "SELECT COUNT(*) FROM quarantine"
-            ).fetchone()
-        except sqlite3.Error:
-            return 0
-        return int(row[0])
+        self._fork_guard()
+        with self._lock:
+            connection = self._connect()
+            if connection is None:
+                return 0
+            try:
+                row = connection.execute(
+                    "SELECT COUNT(*) FROM quarantine"
+                ).fetchone()
+            except sqlite3.Error:
+                return 0
+            return int(row[0])
 
     def stats(self) -> StoreStats:
         return StoreStats(

@@ -65,6 +65,11 @@ class ParseError(ReproError, ValueError):
 class ChaseError(ReproError, RuntimeError):
     """Raised when the chase cannot proceed (disjunctions, step bound)."""
 
+    @classmethod
+    def step_overflow(cls, max_steps: int) -> "ChaseError":
+        """The error past *max_steps* firings, on every backend."""
+        return cls(f"chase exceeded {max_steps} steps", kind="chase_steps", limit=max_steps)
+
 
 class BudgetExceeded(ReproError, RuntimeError):
     """A resource limit was hit before the computation finished.

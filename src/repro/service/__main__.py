@@ -26,6 +26,7 @@ import signal
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.engine import BACKEND_MODES
 from repro.errors import ServiceError
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, discover_endpoint, state_dir
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None, metavar="N")
     serve.add_argument("--cache-size", type=int, default=None, metavar="N")
     serve.add_argument("--store", default=None, metavar="PATH")
-    serve.add_argument("--backend", choices=("object", "kernel", "sql"), default=None)
+    serve.add_argument("--backend", choices=BACKEND_MODES, default=None)
     serve.add_argument("--symmetry", choices=("full", "orbits"), default=None)
 
     submit = subparsers.add_parser("submit", help="submit one checking job")
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--max-facts", type=int, default=None)
     submit.add_argument("--workers", type=int, default=None)
     submit.add_argument("--symmetry", choices=("full", "orbits"), default=None)
-    submit.add_argument("--backend", choices=("object", "kernel", "sql"), default=None)
+    submit.add_argument("--backend", choices=BACKEND_MODES, default=None)
     submit.add_argument("--shards", type=int, default=None)
     submit.add_argument("--shard-id", type=int, default=None, dest="shard_id")
     submit.add_argument("--deadline", type=float, default=None)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.engine import BACKEND_MODES
 from repro.errors import ParseError, ServiceProtocolError
 
 #: Checking request kinds the daemon accepts.
@@ -272,9 +273,10 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
             )
         if option == "symmetry" and value not in ("full", "orbits"):
             raise ServiceProtocolError("symmetry must be 'full' or 'orbits'")
-        if option == "backend" and value not in ("object", "kernel", "sql"):
+        if option == "backend" and value not in BACKEND_MODES:
+            *names, last = map(repr, BACKEND_MODES)
             raise ServiceProtocolError(
-                "backend must be 'object', 'kernel', or 'sql'"
+                f"backend must be {', '.join(names)}, or {last}"
             )
         if option == "plan" and value not in ("auto", "materialize", "membership"):
             raise ServiceProtocolError(

@@ -18,12 +18,13 @@ from repro.engine.kernel import (
     BACKEND_KERNEL,
     BACKEND_OBJECT,
     InternTable,
+    KernelBackend,
     KernelInstance,
     active_backend,
+    active_operations,
     default_backend,
     install_backend,
     intern_table,
-    kernel_active,
     kernel_has_homomorphism,
     kernel_instance,
     resolve_backend,
@@ -101,26 +102,36 @@ class TestBackendSelection:
     def test_environment_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "kernel")
         assert default_backend() == BACKEND_KERNEL
-        assert kernel_active()
+        assert active_backend() == BACKEND_KERNEL
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         assert default_backend() == BACKEND_OBJECT
 
     def test_use_backend_nests_and_restores(self):
-        assert not kernel_active()
+        assert active_backend() != BACKEND_KERNEL
         with use_backend("kernel"):
-            assert kernel_active() and active_backend() == BACKEND_KERNEL
+            assert active_backend() == BACKEND_KERNEL
             with use_backend("object"):
-                assert not kernel_active()
-            assert kernel_active()
-        assert not kernel_active()
+                assert active_backend() != BACKEND_KERNEL
+            assert active_backend() == BACKEND_KERNEL
+        assert active_backend() != BACKEND_KERNEL
 
     def test_install_backend_is_process_lifetime(self):
         install_backend("kernel")
         try:
-            assert kernel_active()
+            assert active_backend() == BACKEND_KERNEL
         finally:
             install_backend(None)
-        assert not kernel_active()
+        assert active_backend() != BACKEND_KERNEL
+
+    def test_each_backend_selects_its_operations(self):
+        from repro.engine.sqlbackend import SqlBackend
+
+        with use_backend("object"):
+            assert active_operations() is None
+        with use_backend("kernel"):
+            assert type(active_operations()) is KernelBackend
+        with use_backend("sql"):
+            assert type(active_operations()) is SqlBackend
 
     def test_concurrent_scopes_are_per_thread(self):
         # Two daemon jobs hold their own backend and ground-key scopes

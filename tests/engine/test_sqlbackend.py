@@ -13,7 +13,7 @@ import sqlite3
 import pytest
 
 from repro.chase.standard import chase
-from repro.core.mapping import universal_solution
+from repro.core.mapping import solutions_contained, universal_solution
 from repro.datamodel.atoms import atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Variable
@@ -25,7 +25,7 @@ from repro.engine import (
 )
 from repro.engine.budget import Budget, use_budget
 from repro.engine.faults import fault_scope
-from repro.engine.kernel import intern_table
+from repro.engine.kernel import intern_table, kernel_instance, small_id
 from repro.engine.sqlbackend import (
     _MAX_JOIN_ATOMS,
     decode_id,
@@ -169,6 +169,53 @@ class TestRoutingAndFallbacks:
             )
         assert result is None
         assert engine_stats().counter("sql_fallbacks") > before
+
+
+class TestThresholdRule:
+    """Below ``REPRO_SQL_MIN_FACTS`` the sql backend runs an operation
+    exactly as the kernel backend does, per-instance memos included;
+    at or above it the operation lowers its operands into SQLite."""
+
+    def _contained(self):
+        import repro.engine.sqlbackend as sb
+
+        mapping = _mapping()
+        outer = random_ground_instance(
+            mapping.source, seed=5, n_facts=3, domain_size=2
+        )
+        inner = random_ground_instance(
+            mapping.source, seed=6, n_facts=3, domain_size=2
+        )
+        kouter = kernel_instance(outer)
+        before = engine_stats().counter("sql_instances_loaded")
+        with use_backend("sql"):
+            verdict = solutions_contained(mapping, inner, outer)
+            solutions = (
+                universal_solution(mapping, outer),
+                universal_solution(mapping, inner),
+            )
+            lowered = [
+                solution.facts in sb._runtime().instances
+                for solution in solutions
+            ]
+        loaded = engine_stats().counter("sql_instances_loaded") - before
+        memo_key = (small_id(mapping), kernel_instance(inner).kid)
+        return verdict, kouter.sol_memo, memo_key, lowered, loaded
+
+    def test_small_operands_use_the_kernel_memos(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SQL_MIN_FACTS")
+        assert sql_min_facts() > 3
+        verdict, sol_memo, memo_key, lowered, loaded = self._contained()
+        assert sol_memo == {memo_key: verdict}
+        assert lowered == [False, False]
+        assert loaded == 0
+
+    def test_operands_at_the_threshold_lower_into_sqlite(self):
+        assert sql_min_facts() == 0  # the module fixture
+        _verdict, sol_memo, _key, lowered, loaded = self._contained()
+        assert sol_memo == {}
+        assert lowered == [True, True]
+        assert loaded >= 2
 
 
 class TestFaultsAndScratchFile:

@@ -6,6 +6,8 @@ import glob
 import itertools
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -215,6 +217,79 @@ class TestVerdictStore:
         assert store.load("verdict", ("child",)) == (True, True)
         hit, _ = store.load("verdict", ("parent",))
         assert not hit  # the parent flushes its own buffer itself
+
+    def test_threads_read_each_others_flushed_entries(self, tmp_path):
+        # The service daemon runs jobs on threads that share the
+        # installed store: a thread other than the one that opened the
+        # connection must read and write without counted errors.  Both
+        # threads stay alive throughout, so neither can inherit the
+        # other's thread identity.
+        store = VerdictStore(tmp_path / "s.sqlite", flush_interval=4)
+        a_flushed, b_flushed = threading.Event(), threading.Event()
+        loads = {}
+
+        def thread_a():
+            for index in range(3):
+                store.save("verdict", ("a", index), True)
+            store.flush()
+            a_flushed.set()
+            if b_flushed.wait(timeout=30):
+                loads["a"] = [store.load("verdict", ("b", i)) for i in range(10)]
+
+        def thread_b():
+            if a_flushed.wait(timeout=30):
+                loads["b"] = store.load("verdict", ("a", 1))
+                for index in range(10):
+                    store.save("verdict", ("b", index), False)
+                store.flush()
+            b_flushed.set()
+
+        threads = [threading.Thread(target=body) for body in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert loads["b"] == (True, True)
+        assert loads["a"] == [(True, False)] * 10
+        assert store.read_errors == 0 and store.write_errors == 0
+        assert store.writes == 13 and not store._pending
+
+    def test_concurrent_threads_lose_no_entries(self, tmp_path):
+        # More threads than cores, switching as often as the
+        # interpreter allows: a save racing a flush's batch would drop
+        # or re-raise, and a second thread on the connection would
+        # count errors.
+        store = VerdictStore(tmp_path / "s.sqlite", flush_interval=4)
+        tags = "abcdef"
+        barrier = threading.Barrier(len(tags), timeout=10)
+        failures = []
+
+        def hammer(tag):
+            try:
+                barrier.wait()
+                for index in range(100):
+                    store.save("verdict", (tag, index), index % 2 == 0)
+                    store.load("verdict", (tag, index // 2))
+                store.flush()
+            except Exception as error:  # surfaced below, not swallowed
+                failures.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in tags]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert failures == []
+        assert store.read_errors == 0 and store.write_errors == 0
+        assert store.entry_count() == 100 * len(tags)
+        assert store.load("verdict", ("f", 98)) == (True, True)
 
 
 class TestIntegrityFuzz:

@@ -35,10 +35,10 @@ from repro.core.mapping import (
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Variable
-from repro.engine import reset_all_caches, use_backend
+from repro.engine import BACKEND_MODES, BACKEND_OBJECT, reset_all_caches, use_backend
 from repro.workloads import random_ground_instance, random_lav_mapping
 
-ACCELERATED = ("kernel", "sql")
+ACCELERATED = tuple(mode for mode in BACKEND_MODES if mode != BACKEND_OBJECT)
 
 
 @pytest.fixture(scope="module", autouse=True)

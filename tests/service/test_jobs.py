@@ -149,6 +149,45 @@ class TestCoverageIsolation:
         assert not outcomes["clean"].coverage_events
 
 
+class TestConcurrentBackends:
+    def test_sql_and_kernel_jobs_render_like_the_object_job(self):
+        # Two daemon jobs pinned to different backends run at once and
+        # share the process's memo caches; each must render exactly
+        # what the object backend renders alone.
+        import threading
+
+        def sweep(backend):
+            return _spec(
+                kind="subset",
+                mapping="Example5.4",
+                domain=["a", "b", "c"],
+                max_facts=2,
+                symmetry="orbits",
+                backend=backend,
+            )
+
+        reset_all_caches()
+        expected = execute_job(sweep("object")).rendering
+        reset_all_caches()
+        barrier = threading.Barrier(2, timeout=10)
+        renderings = {}
+
+        def run(backend):
+            barrier.wait()
+            renderings[backend] = execute_job(sweep(backend)).rendering
+
+        threads = [
+            threading.Thread(target=run, args=(backend,))
+            for backend in ("sql", "kernel")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert renderings == {"sql": expected, "kernel": expected}
+
+
 class TestRoundtripJobs:
     def test_roundtrip_done_with_inline_mappings(self):
         copy = {
