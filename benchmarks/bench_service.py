@@ -46,8 +46,8 @@ from repro.service.client import ServiceClient  # noqa: E402
 def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    for knob in ("REPRO_FAULT_KILL_TASK", "REPRO_FAULT_DELAY_TASK",
-                 "REPRO_ON_FAULT", "REPRO_STORE", "REPRO_CHECKPOINT"):
+    for knob in ("REPRO_FAULTS", "REPRO_ON_FAULT", "REPRO_STORE",
+                 "REPRO_CHECKPOINT"):
         env.pop(knob, None)
     return env
 

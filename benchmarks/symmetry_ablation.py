@@ -2,15 +2,18 @@
 
 Runs the bounded checkers over a tiny universe in both symmetry modes
 — serially, parallel, and parallel under deterministic fault injection
-(``REPRO_FAULT_KILL_TASK``) — and fails loudly when any pair of runs
-disagrees.  This is the cheap end-to-end guard for the soundness of
-the orbit reduction: whatever else changes in the engine, ``full`` and
-``orbits`` must remain observationally identical.
+(``REPRO_FAULTS="worker.kill:task=1"``) — and fails loudly when any
+pair of runs disagrees.  This is the cheap end-to-end guard for the
+soundness of the orbit reduction: whatever else changes in the engine,
+``full`` and ``orbits`` must remain observationally identical.  Under a
+``worker.kill`` rule with ``--workers`` above 1 it also fails unless a
+worker really died (``engine_stats().worker_faults``), so the fault
+run proves recovery rather than a run that injected nothing.
 
 Usage (CI runs both)::
 
     PYTHONPATH=src python benchmarks/symmetry_ablation.py
-    REPRO_FAULT_KILL_TASK=1 PYTHONPATH=src python benchmarks/symmetry_ablation.py --workers 2
+    REPRO_FAULTS=worker.kill:task=1 PYTHONPATH=src python benchmarks/symmetry_ablation.py --workers 2
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from repro.core.framework import (
 from repro.core.quasi_inverse import quasi_inverse
 from repro.core.framework import is_quasi_inverse
 from repro.engine.cache import reset_all_caches
+from repro.engine.faults import active_plane
+from repro.engine.instrumentation import engine_stats
 from repro.workloads.universes import instance_universe
 
 
@@ -83,14 +88,10 @@ def main(argv=None) -> int:
     mapping = decomposition()
     domain = [f"c{index}" for index in range(arguments.domain_size)]
     universe = instance_universe(mapping.source, domain, max_facts=2)
-    fault_knobs = {
-        knob: value
-        for knob, value in os.environ.items()
-        if knob.startswith("REPRO_FAULT_")
-    }
     print(
         f"symmetry ablation: |universe|={len(universe)} "
-        f"workers={arguments.workers} faults={fault_knobs or 'none'}"
+        f"workers={arguments.workers} "
+        f"faults={os.environ.get('REPRO_FAULTS') or 'none'}"
     )
 
     full = _verdicts(mapping, universe, "full", arguments.workers)
@@ -108,6 +109,12 @@ def main(argv=None) -> int:
     if disagreements:
         print(f"\nFAIL: {len(disagreements)} verdict disagreement(s)")
         return 1
+    worker_faults = engine_stats().worker_faults
+    if arguments.workers > 1 and active_plane().rule("worker.kill") is not None:
+        print(f"\nworker faults recovered: {worker_faults}")
+        if worker_faults == 0:
+            print("FAIL: a worker.kill rule is active but no worker died")
+            return 1
     print("\nOK: full and orbit sweeps agree")
     return 0
 

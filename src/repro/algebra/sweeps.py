@@ -27,7 +27,7 @@ from repro.core.mapping import MappingError, SchemaMapping
 from repro.engine.budget import Budget
 from repro.engine.checkpoint import CheckpointJournal
 from repro.engine.instrumentation import engine_stats
-from repro.errors import governed_kinds_scope
+from repro.engine.context import CONTEXT, scope
 from repro.algebra.evaluate import (
     ExpressionPairTest,
     MaterializedPairTest,
@@ -404,7 +404,7 @@ def _run_inverse(
         test = ExpressionPairTest(expr=composed_expr)
     else:
         test = MaterializedPairTest(composed=materialize(composed_expr))
-    with governed_kinds_scope("composition_nulls"):
+    with scope(governed=CONTEXT.governed | {"composition_nulls"}):
         report = is_inverse(
             forward,
             reverse_mapping,

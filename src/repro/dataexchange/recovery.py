@@ -29,7 +29,7 @@ from repro.engine.budget import (
     Budget,
     COVERAGE_EXHAUSTIVE,
     SweepVerdict,
-    current_budget,
+    governed_coverage,
     record_coverage,
     use_budget,
 )
@@ -38,7 +38,7 @@ from repro.engine.checkpoint import CheckpointJournal, default_journal, sweep_ke
 from repro.engine.parallel import get_shared
 from repro.engine.sweep import Fold, run_sweep, sweep_fingerprint
 from repro.engine.symmetry import plan_sweep
-from repro.errors import BudgetExceeded, governed_coverage
+from repro.errors import BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,6 @@ def analyze_round_trip(
     mid-flow the report comes back with ``trip=None`` and a partial
     ``coverage`` instead of raising.
     """
-    if budget is None:
-        budget = current_budget()
     try:
         with use_budget(budget):
             trip = round_trip(mapping, reverse_mapping, instance)

@@ -48,7 +48,8 @@ fast:
   checker runs on.  A checker hands :func:`run_sweep` its sweep plan,
   a per-item task with its shared payload, and a fold that turns each
   task result into passing pairs and violations; ``run_sweep`` resolves
-  the budget, opens the budget/ground-key/backend scopes, fans out,
+  the budget, opens one context scope for the budget, ground-key flag
+  and backend, fans out,
   resumes from and records to the journal, stops at the first
   violation, degrades governed errors to partial coverage, weights
   orbits, and claims and merges shards.
@@ -61,10 +62,15 @@ included.  ``kernel.active_operations()`` returns them, or None on the
 object backend, whose reference code stays inline in
 :mod:`repro.chase` and :mod:`repro.core.mapping`.
 
-Ambient engine state that a sweep scopes — the budget, the backend,
-and the ground-key flag — is per-thread, so concurrent service jobs
-never see each other's choices; pool workers install the sweeping
-thread's values in their initializer.
+All ambient engine state lives in :mod:`repro.engine.context`: one
+per-thread ``EngineContext`` holds the budget and coverage events, the
+backend, the ground-key flag, the governed-kind widening, the runner's
+shared payload and task, and the sql backend's connection, so
+concurrent service jobs never see each other's choices.
+``context.scope(**fields)`` sets fields for a block and restores them
+on exit, and pool workers install a snapshot of the sweeping thread's
+budget, backend, ground-key flag and governed kinds in their
+initializer.
 
 The package depends only on :mod:`repro.datamodel` and
 :mod:`repro.errors`; the chase, core, analysis, and data-exchange
@@ -130,7 +136,6 @@ from repro.engine.kernel import (
     KernelInstance,
     active_backend,
     default_backend,
-    install_backend,
     intern_table,
     kernel_instance,
     resolve_backend,
@@ -191,7 +196,6 @@ from repro.engine.symmetry import (
     set_symmetry_memo_limit,
     shard_of_facts,
     shard_of_instance,
-    use_ground_keys,
 )
 
 __all__ = [
@@ -263,7 +267,6 @@ __all__ = [
     "ground_keys_active",
     "ground_pair_key",
     "index_build_count",
-    "install_backend",
     "install_store",
     "intern_table",
     "kernel_instance",
@@ -298,7 +301,6 @@ __all__ = [
     "uninstall_store",
     "use_backend",
     "use_budget",
-    "use_ground_keys",
     "use_store",
     "verdict_cache",
     "worst_coverage",

@@ -21,14 +21,15 @@ verdict* whose ``coverage`` field records why the sweep stopped.
 
 The module also hosts the ambient-budget plumbing (workers inherit the
 budget through the pool initializer, the chase reads it through
-:func:`current_budget`), the process-wide *coverage event* registry the
-CLI maps to exit codes, and :class:`SweepVerdict`, a tuple-compatible
-verdict that lets legacy ``ok, violators = sweep(...)`` callers coexist
-with coverage-aware ones.
+:func:`current_budget`), the per-thread *coverage event* registry the
+CLI maps to exit codes, the rule for which errors degrade to partial
+verdicts (:func:`governed_coverage`), and :class:`SweepVerdict`, a
+tuple-compatible verdict that lets legacy ``ok, violators = sweep(...)``
+callers coexist with coverage-aware ones.
 
 Deterministic fault injection (for tests): the ``budget.expire`` point
-of the unified fault plane (:mod:`repro.engine.faults`) — or its legacy
-``REPRO_FAULT_EXPIRE_AFTER="<instances|chase_steps>:N"`` alias — makes
+of the unified fault plane (:mod:`repro.engine.faults`), e.g.
+``REPRO_FAULTS="budget.expire:resource=chase_steps,after=N"``, makes
 the budget behave as if its deadline passed after exactly N charges of
 that resource, regardless of wall-clock time.
 """
@@ -36,14 +37,14 @@ that resource, regardless of wall-clock time.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.engine import faults
-from repro.errors import BudgetExceeded, DeadlineExceeded
+from repro.engine.context import CONTEXT, scope
+from repro.errors import BudgetExceeded, DeadlineExceeded, WorkerFault
 
 _RSS_CHECK_PERIOD = 256
 
@@ -248,30 +249,15 @@ class Budget:
 
 # -- the ambient budget ---------------------------------------------------
 #
-# Both the ambient budget and the coverage-event registry are scoped
-# per *thread*: the service daemon runs concurrent jobs on worker
-# threads, each with its own budget, and one job's partial verdict must
-# not leak into another job's exit code.  Single-threaded callers (the
-# CLI, forked pool workers) see the exact pre-thread-local behaviour.
-
-
-class _ThreadState(threading.local):
-    def __init__(self) -> None:
-        self.budget: Optional[Budget] = None
-        self.events: List["CoverageEvent"] = []
-
-
-_STATE = _ThreadState()
+# The ambient budget and the coverage-event registry are fields of the
+# per-thread engine context (:mod:`repro.engine.context`): the service
+# daemon runs concurrent jobs on threads, each with its own budget, and
+# one job's partial verdict must not leak into another job's exit code.
 
 
 def current_budget() -> Optional[Budget]:
     """The budget installed by the innermost checker (or pool worker)."""
-    return _STATE.budget
-
-
-def install_budget(budget: Optional[Budget]) -> None:
-    """Set the ambient budget unconditionally (pool worker startup)."""
-    _STATE.budget = budget
+    return CONTEXT.budget
 
 
 @contextmanager
@@ -282,14 +268,10 @@ def use_budget(budget: Optional[Budget]) -> Iterator[Optional[Budget]]:
     checkers inherit their caller's budget by default.
     """
     if budget is None:
-        yield _STATE.budget
+        yield CONTEXT.budget
         return
-    previous = _STATE.budget
-    _STATE.budget = budget
-    try:
+    with scope(budget=budget):
         yield budget
-    finally:
-        _STATE.budget = previous
 
 
 # -- coverage events (partial-verdict registry) ---------------------------
@@ -318,18 +300,18 @@ def record_coverage(
 ) -> None:
     """Register a partial verdict (no-op for exhaustive coverage)."""
     if coverage != COVERAGE_EXHAUSTIVE:
-        _STATE.events.append(
+        CONTEXT.events.append(
             CoverageEvent(phase, coverage, detail, instances_checked)
         )
 
 
 def coverage_events() -> Tuple[CoverageEvent, ...]:
     """This thread's coverage events, in recording order."""
-    return tuple(_STATE.events)
+    return tuple(CONTEXT.events)
 
 
 def reset_coverage_events() -> None:
-    _STATE.events.clear()
+    CONTEXT.events.clear()
 
 
 @contextmanager
@@ -341,12 +323,34 @@ def coverage_scope() -> Iterator[List[CoverageEvent]]:
     nested scopes on the same thread) never see each other's partial
     verdicts.
     """
-    previous = _STATE.events
-    _STATE.events = []
-    try:
-        yield _STATE.events
-    finally:
-        _STATE.events = previous
+    events: List[CoverageEvent] = []
+    with scope(events=events):
+        yield events
+
+
+#: Budget kinds raised by the governance layer (:class:`Budget`).  Only
+#: these are degraded into partial verdicts by the checkers;
+#: algorithm-parameter budgets (``max_nulls``, MinGen candidate caps)
+#: remain hard errors because the caller asked for that exact bound.
+#: A planner that *chose* a bounded algorithm on the caller's behalf
+#: (e.g. a membership-mode composition plan) owes the caller a partial
+#: verdict instead, so it widens the set for its sweep through the
+#: context's ``governed`` field.
+GOVERNED_KINDS = frozenset({"deadline", "instances", "chase_steps", "rss"})
+
+
+def governed_coverage(error: BaseException) -> Optional[str]:
+    """The partial-verdict ``coverage`` a checker should degrade to
+    for *error*, or None when the error must propagate."""
+    if isinstance(error, DeadlineExceeded):
+        return "deadline"
+    if isinstance(error, WorkerFault):
+        return "faulted"
+    if isinstance(error, BudgetExceeded) and (
+        error.kind in GOVERNED_KINDS or error.kind in CONTEXT.governed
+    ):
+        return "budget"
+    return None
 
 
 # -- tuple-compatible sweep verdicts --------------------------------------
@@ -439,11 +443,12 @@ __all__ = [
     "COVERAGE_EXHAUSTIVE",
     "COVERAGE_ORDER",
     "CoverageEvent",
+    "GOVERNED_KINDS",
     "SweepVerdict",
     "coverage_events",
     "coverage_scope",
     "current_budget",
-    "install_budget",
+    "governed_coverage",
     "record_coverage",
     "reset_coverage_events",
     "use_budget",

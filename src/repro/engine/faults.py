@@ -1,12 +1,9 @@
 """The unified fault-injection plane.
 
 Fault tolerance you cannot rehearse is fault tolerance you do not
-have.  Earlier PRs grew three ad-hoc injection knobs in three parsers
-(``REPRO_FAULT_KILL_TASK`` / ``REPRO_FAULT_DELAY_TASK`` in
-:mod:`repro.engine.parallel`, ``REPRO_FAULT_EXPIRE_AFTER`` in
-:mod:`repro.engine.budget`); this module replaces them with one
-registry of named **fault points** — places in the engine and the
-service that agree to ask "should I fail here?" — driven by one spec.
+have.  This module is one registry of named **fault points** — places
+in the engine and the service that agree to ask "should I fail
+here?" — driven by one spec.
 
 Fault points (see :data:`FAULT_POINTS`)::
 
@@ -46,7 +43,7 @@ Trigger parameters (all optional; a bare point always fires):
     stop after N injections regardless of trigger.
 
 Point-specific parameters: ``task=I|*`` restricts ``worker.*`` points
-to one dispatch index (the legacy kill/delay semantics), ``seconds=F``
+to one dispatch index (or any, with ``*``), ``seconds=F``
 sets the ``worker.delay`` sleep, and ``resource=instances|chase_steps``
 names the counter ``budget.expire`` watches (with ``after=N`` as its
 threshold).
@@ -54,9 +51,7 @@ threshold).
 Malformed specs — unknown points or keys, bad numbers, probabilities
 outside [0, 1] — raise :class:`~repro.errors.FaultSpecError` the first
 time the plane is consulted, so a typo in a chaos schedule aborts the
-run instead of silently injecting nothing.  The legacy env vars keep
-working as aliases (and are now validated just as strictly); a
-``REPRO_FAULTS`` clause for the same point overrides its alias.
+run instead of silently injecting nothing.
 
 Every injection bumps ``faults_injected`` and a per-point
 ``fault_<point>`` counter on :func:`~repro.engine.instrumentation.engine_stats`,
@@ -93,12 +88,7 @@ _PARAM_KEYS = frozenset(
 _RESOURCES = ("instances", "chase_steps")
 
 #: Env vars the plane is built from; a change to any rebuilds it.
-ENV_VARS = (
-    "REPRO_FAULTS",
-    "REPRO_FAULT_KILL_TASK",
-    "REPRO_FAULT_DELAY_TASK",
-    "REPRO_FAULT_EXPIRE_AFTER",
-)
+ENV_VARS = ("REPRO_FAULTS",)
 
 
 def _bad(spec: str, clause: str, why: str, **context: object) -> FaultSpecError:
@@ -282,52 +272,6 @@ def parse_spec(spec: str) -> Dict[str, FaultRule]:
     return rules
 
 
-def _legacy_rules() -> Dict[str, FaultRule]:
-    """Rules from the pre-plane ``REPRO_FAULT_*`` aliases, validated."""
-    rules: Dict[str, FaultRule] = {}
-    kill = os.environ.get("REPRO_FAULT_KILL_TASK", "").strip()
-    if kill:
-        try:
-            rules["worker.kill"] = FaultRule("worker.kill", task=int(kill))
-        except ValueError:
-            raise FaultSpecError(
-                f"REPRO_FAULT_KILL_TASK={kill!r} is not a task index",
-                spec=kill,
-                point="worker.kill",
-            )
-    delay = os.environ.get("REPRO_FAULT_DELAY_TASK", "").strip()
-    if delay:
-        task_raw, sep, seconds_raw = delay.partition(":")
-        try:
-            if not sep:
-                raise ValueError(delay)
-            task: Union[int, str] = "*" if task_raw == "*" else int(task_raw)
-            seconds = float(seconds_raw)
-            if seconds < 0:
-                raise ValueError(seconds_raw)
-        except ValueError:
-            raise FaultSpecError(
-                f"REPRO_FAULT_DELAY_TASK={delay!r} is not '<index|*>:<seconds>'",
-                spec=delay,
-                point="worker.delay",
-            )
-        rules["worker.delay"] = FaultRule("worker.delay", task=task, seconds=seconds)
-    expire = os.environ.get("REPRO_FAULT_EXPIRE_AFTER", "").strip()
-    if expire:
-        resource, sep, count = expire.partition(":")
-        if not sep or resource not in _RESOURCES or not count.isdigit():
-            raise FaultSpecError(
-                f"REPRO_FAULT_EXPIRE_AFTER={expire!r} is not "
-                f"'<instances|chase_steps>:<count>'",
-                spec=expire,
-                point="budget.expire",
-            )
-        rules["budget.expire"] = FaultRule(
-            "budget.expire", resource=resource, after=int(count)
-        )
-    return rules
-
-
 class FaultPlane:
     """An installed set of fault rules, one per configured point."""
 
@@ -338,12 +282,8 @@ class FaultPlane:
 
     @classmethod
     def from_env(cls) -> "FaultPlane":
-        """Legacy aliases first, then ``REPRO_FAULTS`` clauses on top."""
-        rules = _legacy_rules()
-        spec = os.environ.get("REPRO_FAULTS", "")
-        if spec.strip():
-            rules.update(parse_spec(spec))
-        return cls(rules)
+        """The plane the ``REPRO_FAULTS`` spec describes."""
+        return cls(parse_spec(os.environ.get("REPRO_FAULTS", "")))
 
     @classmethod
     def from_spec(

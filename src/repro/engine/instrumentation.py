@@ -13,10 +13,23 @@ fan-out wall-clock) are reported.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
+
+# Concurrent daemon jobs bump the named counters from several threads,
+# and a thread switch inside the read-modify-write would lose an
+# increment.  Pool workers fork from daemon threads, so a fork taken
+# mid-bump must not leave the child's copy of the lock held.
+_BUMP_LOCK = threading.Lock()
+os.register_at_fork(
+    before=_BUMP_LOCK.acquire,
+    after_in_parent=_BUMP_LOCK.release,
+    after_in_child=_BUMP_LOCK.release,
+)
 
 
 @dataclass
@@ -61,7 +74,8 @@ class EngineStats:
         """Increment an ad-hoc named counter (e.g. the service layer's
         ``service_dedup_hits``); surfaced by :meth:`counters` and
         :meth:`render` alongside the built-in ones."""
-        self.named[name] = self.named.get(name, 0) + n
+        with _BUMP_LOCK:
+            self.named[name] = self.named.get(name, 0) + n
 
     def counter(self, name: str) -> int:
         return self.named.get(name, 0)

@@ -60,6 +60,7 @@ from repro.datamodel.terms import Constant, Term
 from repro.engine.budget import current_budget
 from repro.engine.cache import MemoCache, register_reset_hook
 from repro.engine.compile import CompiledPremise, compile_premise
+from repro.engine.context import CONTEXT, scope
 
 BACKEND_OBJECT = "object"
 BACKEND_KERNEL = "kernel"
@@ -94,17 +95,6 @@ def resolve_backend(backend: Optional[str]) -> str:
     return backend
 
 
-class _BackendScope(threading.local):
-    """The ambient backend of the current thread (``None``: follow the
-    environment).  Per-thread because the service daemon runs jobs on
-    concurrent threads, each with its own ``backend`` option; the
-    class-level default keeps every read a single attribute lookup."""
-
-    active: Optional[str] = None
-
-
-_BACKEND = _BackendScope()
-
 #: The operations each backend name selects (None: the object backend's
 #: inline reference code); :mod:`repro.engine.sqlbackend` adds sql.
 BACKEND_OPERATIONS: Dict[str, Optional["KernelBackend"]] = {BACKEND_OBJECT: None}
@@ -114,7 +104,7 @@ def active_operations() -> Optional["KernelBackend"]:
     """The operations of this thread's backend (:func:`active_backend`),
     or None on the object backend.  Pool workers install the sweep's
     backend in their initializer, so a sweep runs on one end to end."""
-    active = _BACKEND.active
+    active = CONTEXT.backend
     return BACKEND_OPERATIONS[active if active is not None else default_backend()]
 
 
@@ -123,28 +113,16 @@ def use_backend(backend: Optional[str]) -> Iterator[None]:
     """Install *backend* (resolved against ``REPRO_BACKEND``) for the
     enclosed scope on this thread.  Nesting restores the previous
     choice on exit."""
-    previous = _BACKEND.active
-    _BACKEND.active = resolve_backend(backend)
-    try:
+    with scope(backend=resolve_backend(backend)):
         yield
-    finally:
-        _BACKEND.active = previous
 
 
 def active_backend() -> str:
-    """The backend in effect right now (ambient context, else the
-    environment default).  The parallel runner captures this at pool
-    creation and re-installs it in each worker."""
-    active = _BACKEND.active
+    """The backend in effect right now (this thread's context, else the
+    environment default).  The parallel runner hands it to each worker
+    with the rest of the context."""
+    active = CONTEXT.backend
     return active if active is not None else default_backend()
-
-
-def install_backend(backend: Optional[str]) -> None:
-    """Thread-lifetime backend install (pool worker initializer).
-
-    Unlike :func:`use_backend` there is no scope to restore — workers
-    are born into the sweep's backend and die with it."""
-    _BACKEND.active = None if backend is None else resolve_backend(backend)
 
 
 # -- term interning -------------------------------------------------------
@@ -768,7 +746,6 @@ __all__ = [
     "active_operations",
     "compiled_premise",
     "default_backend",
-    "install_backend",
     "intern_table",
     "kernel_all_homomorphisms",
     "kernel_has_homomorphism",

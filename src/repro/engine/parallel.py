@@ -38,13 +38,13 @@ Deterministic fault injection (tests only; the ``worker.kill`` and
 :mod:`repro.engine.faults` — act **inside workers only**, so
 parent-side recovery is never itself faulted):
 
-* ``worker.kill`` (legacy alias ``REPRO_FAULT_KILL_TASK=<i>``) — the
+* ``worker.kill`` (e.g. ``REPRO_FAULTS="worker.kill:task=<i>"``) — the
   worker that picks up the matching task SIGKILLs itself first
   (simulates the OOM killer);
-* ``worker.delay`` (legacy alias ``REPRO_FAULT_DELAY_TASK=<i>:<s>`` or
-  ``*:<s>``) — the worker sleeps before running the task (simulates a
-  straggler; pair with a small ``REPRO_TASK_TIMEOUT`` to exercise
-  timeout recovery).
+* ``worker.delay`` (e.g. ``REPRO_FAULTS="worker.delay:task=<i|*>,seconds=<s>"``)
+  — the worker sleeps before running the task (simulates a straggler;
+  pair with a small ``REPRO_TASK_TIMEOUT`` to exercise timeout
+  recovery).
 """
 
 from __future__ import annotations
@@ -55,37 +55,18 @@ import signal
 import threading
 import time
 import warnings
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine import faults
-from repro.engine.budget import Budget, current_budget, install_budget
+from repro.engine.budget import Budget, current_budget
 from repro.engine.cache import flush_active_store
+from repro.engine.context import CONTEXT, scope, snapshot
 from repro.engine.instrumentation import engine_stats
-from repro.engine.kernel import active_backend, install_backend
-from repro.engine.symmetry import ground_keys_active, install_ground_keys
 from repro.errors import WorkerFault
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
-
-class _RunnerState(threading.local):
-    """Per-thread dispatch state.
-
-    Thread-scoped (not process-global) because the service daemon runs
-    concurrent jobs on worker threads: each job's fan-out publishes its
-    own shared context, and pool tasks always execute on the thread
-    that installed theirs (the pool worker's main thread, after
-    :func:`_worker_init`), so nothing is ever read across threads.
-    """
-
-    def __init__(self) -> None:
-        self.shared: Any = None
-        self.in_worker = False
-        self.task: Optional[Callable[[Any], Any]] = None
-
-
-_STATE = _RunnerState()
 
 # Forking from a multi-threaded daemon while another thread is mid-way
 # through creating its own pool is the classic fork/threads hazard;
@@ -101,15 +82,11 @@ _POLL_INTERVAL = 0.02
 def get_shared() -> Any:
     """The context published by the current :meth:`map` call (task
     functions running in workers read their big arguments here)."""
-    return _STATE.shared
+    return CONTEXT.shared
 
 
 def _worker_init(
-    shared: Any,
-    task: Optional[Callable[[Any], Any]] = None,
-    budget: Optional[Budget] = None,
-    backend: Optional[str] = None,
-    ground_keys: bool = False,
+    shared: Any, task: Callable[[Any], Any], inherited: Dict[str, Any]
 ) -> None:
     # Forked workers inherit the parent's signal dispositions.  A host
     # that traps SIGTERM (the service daemon's graceful-drain handler)
@@ -122,16 +99,11 @@ def _worker_init(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # non-main thread or exotic platform
         pass
-    _STATE.shared = shared
-    _STATE.in_worker = True
-    _STATE.task = task
-    install_budget(budget)
-    # The backend and ground-key scopes are per-thread, and a pool may
-    # fork replacement workers from its own handler thread, so every
-    # worker installs the sweep's choices explicitly (the intern table
-    # is inherited with the fork).
-    install_backend(backend)
-    install_ground_keys(ground_keys)
+    # The context is per-thread, and a pool may fork replacement
+    # workers from its own handler thread, so every worker installs
+    # the sweeping thread's snapshot for its lifetime (the intern
+    # table is inherited with the fork).
+    vars(CONTEXT).update(inherited, shared=shared, task=task, in_worker=True)
 
 
 def fork_available() -> bool:
@@ -192,7 +164,7 @@ def _apply_fault_hooks(index: int) -> None:
 
 def _supervised_call(batch: Sequence[Tuple[int, Any]]) -> List[Any]:
     """Pool entry point: run the installed task over one chunk."""
-    task = _STATE.task
+    task = CONTEXT.task
     assert task is not None
     results: List[Any] = []
     for index, item in batch:
@@ -234,7 +206,7 @@ class ParallelUniverseRunner:
 
     @property
     def parallel(self) -> bool:
-        return self.workers > 1 and fork_available() and not _STATE.in_worker
+        return self.workers > 1 and fork_available() and not CONTEXT.in_worker
 
     def map(
         self,
@@ -276,31 +248,29 @@ class ParallelUniverseRunner:
         stats = engine_stats()
         if budget is None:
             budget = current_budget()
-        previous = _STATE.shared
-        _STATE.shared = shared
         count = 0
         try:
-            if not self.parallel:
-                with stats.phase("universe.serial"):
-                    for item in items:
+            with scope(shared=shared):
+                if not self.parallel:
+                    with stats.phase("universe.serial"):
+                        for item in items:
+                            if budget is not None:
+                                budget.charge_instances()
+                            yield task(item)
+                            count += 1
+                    return
+                materialized: Sequence[Item] = (
+                    items if isinstance(items, (list, tuple)) else list(items)
+                )
+                with stats.phase("universe.parallel"):
+                    for result in self._supervised_map(
+                        task, materialized, shared, budget
+                    ):
                         if budget is not None:
                             budget.charge_instances()
-                        yield task(item)
+                        yield result
                         count += 1
-                return
-            materialized: Sequence[Item] = (
-                items if isinstance(items, (list, tuple)) else list(items)
-            )
-            with stats.phase("universe.parallel"):
-                for result in self._supervised_map(
-                    task, materialized, shared, budget
-                ):
-                    if budget is not None:
-                        budget.charge_instances()
-                    yield result
-                    count += 1
         finally:
-            _STATE.shared = previous
             stats.count_instances(count)
             flush_active_store()
 
@@ -326,9 +296,7 @@ class ParallelUniverseRunner:
             pool = context.Pool(
                 processes=self.workers,
                 initializer=_worker_init,
-                initargs=(
-                    shared, task, budget, active_backend(), ground_keys_active()
-                ),
+                initargs=(shared, task, dict(snapshot(), budget=budget)),
             )
         pool_alive = True
         condemned = False

@@ -71,7 +71,6 @@ from __future__ import annotations
 import itertools
 import os
 import sqlite3
-import threading
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -92,6 +91,7 @@ from repro.engine import faults
 from repro.engine.budget import current_budget
 from repro.engine.cache import register_reset_hook
 from repro.engine.compile import CompiledPremise
+from repro.engine.context import CONTEXT
 from repro.engine.instrumentation import engine_stats
 from repro.engine.kernel import (
     BACKEND_OPERATIONS,
@@ -179,7 +179,6 @@ def decode_id(tagged: int, intern: InternTable) -> Term:
 
 # -- the per-thread runtime ------------------------------------------------
 
-_LOCAL = threading.local()
 _GENERATION = 0
 _RUNTIME_SEQ = itertools.count()
 
@@ -420,7 +419,7 @@ class _SqlRuntime:
 
 
 def _runtime() -> _SqlRuntime:
-    rt: Optional[_SqlRuntime] = getattr(_LOCAL, "runtime", None)
+    rt: Optional[_SqlRuntime] = CONTEXT.sql_runtime
     if (
         rt is None
         or rt.pid != os.getpid()
@@ -432,7 +431,7 @@ def _runtime() -> _SqlRuntime:
             # a forked child must NOT close the inherited connection
             rt.close()
         rt = _SqlRuntime()
-        _LOCAL.runtime = rt
+        CONTEXT.sql_runtime = rt
     return rt
 
 
@@ -445,10 +444,10 @@ def _reset_sql_runtime() -> None:
     a benchmark's cold run after ``reset_all_caches()`` is cold."""
     global _GENERATION
     _GENERATION += 1
-    rt: Optional[_SqlRuntime] = getattr(_LOCAL, "runtime", None)
+    rt: Optional[_SqlRuntime] = CONTEXT.sql_runtime
     if rt is not None and rt.pid == os.getpid():
         rt.close()
-        _LOCAL.runtime = None
+        CONTEXT.sql_runtime = None
 
 
 register_reset_hook(_reset_sql_runtime)

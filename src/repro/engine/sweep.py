@@ -18,13 +18,14 @@ is specific to it:
   an error its task handed back in-band, after the pairs before it.
 
 :func:`run_sweep` does the rest, once for every checker: it resolves
-the budget, opens the budget, ground-key and backend scopes, fans the
-task out through :class:`~repro.engine.parallel.ParallelUniverseRunner`,
-resumes from and records to the checkpoint journal, stops at the first
-violation when asked, degrades governed errors (deadline, budget caps,
-worker faults) to a partial ``coverage``, weights orbit
-representatives by their orbit sizes, and claims shards and merges
-them back into the unsharded result.
+the budget, opens one engine-context scope for the budget, the
+ground-key flag and the backend, fans the task out through
+:class:`~repro.engine.parallel.ParallelUniverseRunner`, resumes from
+and records to the checkpoint journal, stops at the first violation
+when asked, degrades governed errors (deadline, budget caps, worker
+faults) to a partial ``coverage``, weights orbit representatives by
+their orbit sizes, and claims shards and merges them back into the
+unsharded result.
 """
 
 from __future__ import annotations
@@ -39,17 +40,18 @@ from repro.engine.budget import (
     COVERAGE_EXHAUSTIVE,
     SweepVerdict,
     current_budget,
+    governed_coverage,
     record_coverage,
-    use_budget,
     worst_coverage,
 )
 from repro.engine.checkpoint import CheckpointJournal, claim_shards, shard_entry_key
+from repro.engine.context import scope
 from repro.engine.instrumentation import engine_stats
-from repro.engine.kernel import use_backend
+from repro.engine.kernel import resolve_backend
 from repro.engine.parallel import ParallelUniverseRunner
 from repro.engine.store import stable_digest
-from repro.engine.symmetry import SweepPlan, resolve_shards, use_ground_keys
-from repro.errors import BudgetExceeded, WorkerFault, governed_coverage
+from repro.engine.symmetry import SweepPlan, resolve_shards
+from repro.errors import BudgetExceeded, WorkerFault
 
 #: ``fold(outer_instance, task_result)`` yields one item per examined
 #: pair: ``None`` when it passed, else the violation entry.
@@ -209,9 +211,11 @@ def run_sweep(
             done if plan.reduced else 0,
         )
 
-    with engine_stats().phase(label), use_budget(budget), use_ground_keys(
-        plan.ground_keys
-    ), use_backend(backend):
+    with engine_stats().phase(label), scope(
+        budget=budget,
+        ground_keys=plan.ground_keys,
+        backend=resolve_backend(backend),
+    ):
         if shards <= 1:
             result = sweep(range(len(outer)), key)
         elif shard_id is not None:

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -64,6 +62,7 @@ from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Constant
+from repro.engine.context import CONTEXT
 
 SYMMETRY_FULL = "full"
 SYMMETRY_ORBITS = "orbits"
@@ -948,45 +947,17 @@ def resolve_shards(
     return shards, shard_id
 
 
-# -- ambient ground-cache-key context -------------------------------------
-
-class _GroundKeyScope(threading.local):
-    """The current thread's ground-key flag (per-thread like the
-    ambient backend; the class-level default keeps reads a single
-    attribute lookup)."""
-
-    active = False
-
-
-_GROUND_KEYS = _GroundKeyScope()
+# -- ambient ground-cache-key flag ----------------------------------------
 
 
 def ground_keys_active() -> bool:
     """Should the memo caches key ground instances by their canonical
-    form under constant permutation?  Enabled by orbit-mode sweeps on
-    the sweeping thread (pool workers install it in their
-    initializer)."""
-    return _GROUND_KEYS.active
-
-
-def install_ground_keys(active: bool) -> None:
-    """Thread-lifetime install of the flag (pool worker initializer)."""
-    _GROUND_KEYS.active = bool(active)
-
-
-@contextmanager
-def use_ground_keys(active: bool) -> Iterator[None]:
-    """Enable (or explicitly disable) ground-canonical cache keys for
-    the enclosed sweep on this thread.  Sound whenever every mapping
-    involved passes :func:`mapping_permutation_invariant` — the caches
-    re-check that per call, so enabling this around a sweep is always
-    safe."""
-    previous = _GROUND_KEYS.active
-    _GROUND_KEYS.active = bool(active)
-    try:
-        yield
-    finally:
-        _GROUND_KEYS.active = previous
+    form under constant permutation?  Set by orbit-mode sweeps on the
+    sweeping thread (a field of the engine context, which pool workers
+    inherit).  Sound whenever every mapping involved passes
+    :func:`mapping_permutation_invariant` — the caches re-check that
+    per call."""
+    return CONTEXT.ground_keys
 
 
 __all__ = [
@@ -1006,7 +977,6 @@ __all__ = [
     "ground_canonical_form",
     "ground_keys_active",
     "ground_pair_key",
-    "install_ground_keys",
     "mapping_permutation_invariant",
     "orbit_count_estimate",
     "orbit_reduce",
@@ -1018,5 +988,4 @@ __all__ = [
     "shard_of_facts",
     "shard_of_instance",
     "SweepPlan",
-    "use_ground_keys",
 ]

@@ -25,9 +25,7 @@ working unchanged.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 
 def _rebuild_error(cls: type, message: str, context: Dict[str, Any]) -> "ReproError":
@@ -119,8 +117,8 @@ class CompositionBudgetError(BudgetExceeded):
 
 
 class FaultSpecError(ReproError, ValueError):
-    """A fault-injection spec (``REPRO_FAULTS`` or a legacy
-    ``REPRO_FAULT_*`` knob) is malformed.
+    """A fault-injection spec (``REPRO_FAULTS`` or a
+    :func:`~repro.engine.faults.fault_scope` argument) is malformed.
 
     Raised eagerly — when the fault plane is first consulted — so a
     typo in a chaos schedule aborts the run at startup instead of
@@ -152,81 +150,12 @@ class ServiceUnavailable(ServiceError, ConnectionError):
     or no endpoint file in the state directory)."""
 
 
-#: Budget kinds raised by the governance layer (:mod:`repro.engine.budget`).
-#: Only these are degraded into partial verdicts by the checkers;
-#: algorithm-parameter budgets (``max_nulls``, MinGen candidate caps)
-#: remain hard errors because the caller asked for that exact bound.
-GOVERNED_KINDS = frozenset({"deadline", "instances", "chase_steps", "rss"})
-
-#: Per-thread widening of :data:`GOVERNED_KINDS` (see
-#: :func:`governed_kinds_scope`).
-_GOVERNED_SCOPE = threading.local()
-
-
-def _extra_governed_kinds() -> frozenset:
-    return getattr(_GOVERNED_SCOPE, "kinds", frozenset())
-
-
-@contextmanager
-def governed_kinds_scope(*kinds: str) -> Iterator[None]:
-    """Treat the named budget kinds as governed inside the scope.
-
-    Algorithm-parameter budgets (``"composition_nulls"``, ``"mingen"``)
-    are hard errors by default — the caller asked for that exact bound.
-    A planner that *chose* a bounded algorithm on the caller's behalf
-    (e.g. a membership-mode composition plan) owes the caller a partial
-    verdict instead: wrapping the sweep in
-    ``governed_kinds_scope("composition_nulls")`` makes
-    :func:`governed_coverage` degrade those trips to ``"budget"``
-    coverage, so exit codes 3/4 and coverage fields apply.  The scope
-    is per-thread and restores the previous widening on exit.
-    """
-    previous = _extra_governed_kinds()
-    _GOVERNED_SCOPE.kinds = previous | frozenset(kinds)
-    try:
-        yield
-    finally:
-        _GOVERNED_SCOPE.kinds = previous
-
-
-def governed_coverage(error: BaseException) -> Optional[str]:
-    """The partial-verdict ``coverage`` a checker should degrade to
-    for *error*, or None when the error must propagate."""
-    if isinstance(error, DeadlineExceeded):
-        return "deadline"
-    if isinstance(error, WorkerFault):
-        return "faulted"
-    if isinstance(error, BudgetExceeded) and (
-        error.kind in GOVERNED_KINDS or error.kind in _extra_governed_kinds()
-    ):
-        return "budget"
-    return None
-
-
-def coverage_of(error: BaseException) -> Optional[str]:
-    """The report ``coverage`` status a trapped *error* maps to.
-
-    ``"deadline"`` for wall-clock expiry, ``"budget"`` for every other
-    resource cap, ``"faulted"`` for an unrecovered worker fault, and
-    ``None`` for exceptions the fault-tolerance layer should not
-    swallow.
-    """
-    if isinstance(error, DeadlineExceeded):
-        return "deadline"
-    if isinstance(error, BudgetExceeded):
-        return "budget"
-    if isinstance(error, WorkerFault):
-        return "faulted"
-    return None
-
-
 __all__ = [
     "BudgetExceeded",
     "ChaseError",
     "CompositionBudgetError",
     "DeadlineExceeded",
     "FaultSpecError",
-    "GOVERNED_KINDS",
     "JobNotFound",
     "MappingError",
     "MinGenBudgetError",
@@ -237,7 +166,4 @@ __all__ = [
     "ServiceUnavailable",
     "UniverseTooLarge",
     "WorkerFault",
-    "coverage_of",
-    "governed_coverage",
-    "governed_kinds_scope",
 ]

@@ -253,8 +253,6 @@ def _spawn_raw(state_dir, env_extra):
     env["PYTHONPATH"] = os.path.abspath(REPO_SRC)
     for name in (
         "REPRO_FAULTS",
-        "REPRO_FAULT_KILL_TASK",
-        "REPRO_FAULT_DELAY_TASK",
         "REPRO_ON_FAULT",
     ):
         env.pop(name, None)
@@ -360,7 +358,7 @@ class TestClientChaosAgainstLiveDaemon:
             tmp_path / "state",
             # Slow pool tasks: the job must still be in flight when the
             # retried duplicate submit arrives.
-            env_extra={"REPRO_FAULT_DELAY_TASK": "*:0.2"},
+            env_extra={"REPRO_FAULTS": "worker.delay:task=*,seconds=0.2"},
         )
         try:
             payload = {

@@ -4,8 +4,7 @@ Companion to ``test_faults.py`` (which exercises what happens *after*
 a fault fires — recovery, budgets, partial verdicts): these tests pin
 down the plane itself — every malformed spec shape raises
 :class:`~repro.errors.FaultSpecError`, deterministic schedules replay,
-legacy ``REPRO_FAULT_*`` aliases keep their semantics, and injections
-land on the engine counters.
+and injections land on the engine counters.
 """
 
 import pytest
@@ -26,13 +25,7 @@ from repro.errors import FaultSpecError, ReproError
 
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
-    for name in (
-        "REPRO_FAULTS",
-        "REPRO_FAULT_KILL_TASK",
-        "REPRO_FAULT_DELAY_TASK",
-        "REPRO_FAULT_EXPIRE_AFTER",
-    ):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     reset_engine_stats()
     yield
     reset_engine_stats()
@@ -168,68 +161,59 @@ class TestEnvPlane:
         monkeypatch.setenv("REPRO_FAULTS", "   ")
         assert not active_plane().rules
 
-
-class TestLegacyAliases:
-    def test_kill_task_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "5")
+    def test_task_scoped_kill_fires_on_every_matching_dispatch(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=5")
         plane = active_plane()
         rule = plane.rule("worker.kill")
         assert rule is not None and rule.task == 5
         assert plane.fire("worker.kill", index=4) is None
         assert plane.fire("worker.kill", index=5) is not None
-        # legacy semantics: fires on *every* matching dispatch
         assert plane.fire("worker.kill", index=5) is not None
 
     def test_negative_kill_task_parses_but_never_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "-1")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=-1")
         assert fire("worker.kill", index=0) is None
 
-    def test_delay_task_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_DELAY_TASK", "*:0.25")
+    def test_delay_task_from_env_spec(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "worker.delay:task=*,seconds=0.25")
         rule = active_plane().rule("worker.delay")
         assert rule is not None
         assert rule.task == "*" and rule.seconds == 0.25
 
-    def test_expire_after_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_EXPIRE_AFTER", "chase_steps:12")
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "worker.kill:task=soon",
+            "worker.delay:task=3,seconds=",  # seconds without a value
+            "worker.delay:task=*,seconds=fast",
+            "worker.delay:task=*,seconds=-1",
+            "budget.expire:resource=instances,after",  # after without a value
+            "budget.expire:resource=disk,after=3",
+            "budget.expire:resource=instances,after=many",
+        ],
+    )
+    def test_malformed_env_clauses_raise_when_consulted(self, monkeypatch, spec):
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        with pytest.raises(FaultSpecError):
+            active_plane()
+
+    def test_later_env_clause_overrides_earlier_for_same_point(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=5;worker.kill:task=9")
+        rule = active_plane().rule("worker.kill")
+        assert rule is not None and rule.task == 9
+
+    def test_env_clauses_for_different_points_combine(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=5;journal.flush:every=2")
+        plane = active_plane()
+        assert plane.rule("worker.kill") is not None
+        assert plane.rule("journal.flush") is not None
+
+    def test_expire_rule_from_env_spec(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "budget.expire:resource=chase_steps,after=12")
         assert expire_rule() == ("chase_steps", 12)
 
     def test_expire_rule_default(self):
         assert expire_rule() == (None, 0)
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("REPRO_FAULT_KILL_TASK", "soon"),
-            ("REPRO_FAULT_DELAY_TASK", "3"),  # missing :seconds
-            ("REPRO_FAULT_DELAY_TASK", "*:fast"),
-            ("REPRO_FAULT_DELAY_TASK", "*:-1"),
-            ("REPRO_FAULT_EXPIRE_AFTER", "instances"),
-            ("REPRO_FAULT_EXPIRE_AFTER", "disk:3"),
-            ("REPRO_FAULT_EXPIRE_AFTER", "instances:many"),
-        ],
-    )
-    def test_malformed_legacy_knobs_raise(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(FaultSpecError):
-            active_plane()
-
-    def test_empty_legacy_value_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "")
-        assert active_plane().rule("worker.kill") is None
-
-    def test_repro_faults_overrides_alias_for_same_point(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "5")
-        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=9")
-        rule = active_plane().rule("worker.kill")
-        assert rule is not None and rule.task == 9
-
-    def test_alias_survives_unrelated_repro_faults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "5")
-        monkeypatch.setenv("REPRO_FAULTS", "journal.flush:every=2")
-        plane = active_plane()
-        assert plane.rule("worker.kill") is not None
-        assert plane.rule("journal.flush") is not None
 
 
 class TestFaultScope:

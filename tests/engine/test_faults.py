@@ -1,8 +1,8 @@
 """Fault tolerance: worker supervision, budgets, and partial verdicts.
 
-Every scenario here is deterministic: faults are injected through the
-``REPRO_FAULT_*`` environment knobs (which act only inside forked
-workers, never in the parent's recovery path) or through explicit
+Every scenario here is deterministic: faults are injected through
+``REPRO_FAULTS`` clauses (whose ``worker.*`` points act only inside
+forked workers, never in the parent's recovery path) or through explicit
 :class:`~repro.engine.budget.Budget` objects whose fault-expiry knob
 counts charges instead of reading the clock.
 """
@@ -81,7 +81,7 @@ class TestWorkerDeath:
     def test_sigkilled_worker_is_recovered(self, monkeypatch):
         """A worker SIGKILLed mid-map must not hang the sweep, and the
         merged results must equal a serial run's exactly."""
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "5")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=5")
         runner = ParallelUniverseRunner(workers=2, chunk_size=2)
         assert runner.map(_square, range(12)) == [i * i for i in range(12)]
         assert engine_stats().worker_faults >= 1
@@ -94,7 +94,7 @@ class TestWorkerDeath:
         reset_all_caches()
         serial = sound_on(mapping, reverse, universe, workers=1)
 
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=1")
         reset_all_caches()
         parallel = sound_on(mapping, reverse, universe, workers=2)
         assert tuple(parallel) == tuple(serial)
@@ -104,14 +104,14 @@ class TestWorkerDeath:
         assert coverage_events() == ()  # recovery is not a partial verdict
 
     def test_on_fault_raise_surfaces_worker_fault(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "0")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=0")
         runner = ParallelUniverseRunner(workers=2, chunk_size=2, on_fault="raise")
         with pytest.raises(WorkerFault) as excinfo:
             runner.map(_square, range(8))
         assert excinfo.value.context["kind"] in ("died", "timeout")
 
     def test_on_fault_raise_degrades_checker_to_faulted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "0")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=0")
         monkeypatch.setenv("REPRO_ON_FAULT", "raise")
         mapping, universe = _decomposition_universe()
         reverse = decomposition_quasi_inverse_join()
@@ -122,7 +122,7 @@ class TestWorkerDeath:
         assert events and worst_coverage(*(e.coverage for e in events)) == "faulted"
 
     def test_stuck_worker_times_out_and_recovers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_DELAY_TASK", "*:30")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.delay:task=*,seconds=30")
         runner = ParallelUniverseRunner(
             workers=2, chunk_size=2, task_timeout=0.2
         )
@@ -177,7 +177,8 @@ class TestBudgets:
         reset_all_caches()
 
         monkeypatch.setenv(
-            "REPRO_FAULT_EXPIRE_AFTER", f"chase_steps:{probe.chase_steps + 1}"
+            "REPRO_FAULTS",
+            f"budget.expire:resource=chase_steps,after={probe.chase_steps + 1}",
         )
         verdict = sound_on(
             mapping, reverse, universe, workers=1, budget=Budget(deadline=3600.0)
@@ -256,7 +257,8 @@ class TestBudgets:
     def test_algorithm_budget_errors_still_propagate(self):
         """Caller-specified algorithm bounds (max_nulls &c.) are hard
         errors — the governance layer must not swallow them."""
-        from repro.errors import CompositionBudgetError, governed_coverage
+        from repro.engine.budget import governed_coverage
+        from repro.errors import CompositionBudgetError
 
         error = CompositionBudgetError("too many nulls", kind="composition_nulls")
         assert governed_coverage(error) is None

@@ -1,5 +1,8 @@
 """Tests for the engine's counter naming and machine-readable stats."""
 
+import sys
+import threading
+
 from repro.engine.cache import MemoCache, all_cache_stats
 from repro.engine.instrumentation import EngineStats, engine_stats
 
@@ -43,3 +46,31 @@ class TestCounterNaming:
         assert counters["chase_seconds"] >= 0.0
         assert counters["instances_processed"] == 0
         assert counters["worker_faults"] == 0
+
+
+class TestConcurrentBumps:
+    def test_concurrent_bumps_lose_no_increments(self):
+        # Daemon jobs bump the process-global counters from several
+        # threads at once; a read-modify-write that a thread switch can
+        # split loses increments.
+        stats = EngineStats()
+        threads, bumps = 8, 50_000
+        start = threading.Barrier(threads, timeout=10)
+
+        def bump_all():
+            start.wait()
+            for _ in range(bumps):
+                stats.bump("service_dedup_hits")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=bump_all) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert stats.counter("service_dedup_hits") == threads * bumps

@@ -14,6 +14,16 @@ from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Constant, Null, Variable
 from repro.dependencies.parser import parse_dependency
 from repro.engine import reset_all_caches, use_backend
+from repro.engine.budget import (
+    Budget,
+    coverage_events,
+    coverage_scope,
+    current_budget,
+    governed_coverage,
+    record_coverage,
+    use_budget,
+)
+from repro.engine.context import scope
 from repro.engine.kernel import (
     BACKEND_KERNEL,
     BACKEND_OBJECT,
@@ -23,14 +33,14 @@ from repro.engine.kernel import (
     active_backend,
     active_operations,
     default_backend,
-    install_backend,
     intern_table,
     kernel_has_homomorphism,
     kernel_instance,
     resolve_backend,
     sorted_premise_matches,
 )
-from repro.engine.symmetry import ground_keys_active, use_ground_keys
+from repro.engine.symmetry import ground_keys_active
+from repro.errors import CompositionBudgetError
 
 X, Y = Variable("x"), Variable("y")
 
@@ -115,14 +125,6 @@ class TestBackendSelection:
             assert active_backend() == BACKEND_KERNEL
         assert active_backend() != BACKEND_KERNEL
 
-    def test_install_backend_is_process_lifetime(self):
-        install_backend("kernel")
-        try:
-            assert active_backend() == BACKEND_KERNEL
-        finally:
-            install_backend(None)
-        assert active_backend() != BACKEND_KERNEL
-
     def test_each_backend_selects_its_operations(self):
         from repro.engine.sqlbackend import SqlBackend
 
@@ -134,20 +136,33 @@ class TestBackendSelection:
             assert type(active_operations()) is SqlBackend
 
     def test_concurrent_scopes_are_per_thread(self):
-        # Two daemon jobs hold their own backend and ground-key scopes
-        # at the same time; each must see only its own, and the
-        # process must be back on the defaults once both are gone.
-        # Thread "a" exits first, so a process-global scope would be
-        # restored to a stale value by "b".
+        # Two daemon jobs hold their own backend, ground-key, budget,
+        # governed-kind and coverage-event scopes at the same time;
+        # each must see only its own, and the process must be back on
+        # the defaults once both are gone.  Thread "a" exits first, so
+        # a process-global scope would be restored to a stale value by
+        # "b".
         both_inside = threading.Barrier(2, timeout=10)
         both_read = threading.Barrier(2, timeout=10)
         a_exited = threading.Event()
+        budgets = {"a": Budget(deadline=3600.0), "b": Budget(max_instances=9)}
+        trip = CompositionBudgetError("too many nulls", kind="composition_nulls")
+        main_events = coverage_events()
         seen = {}
 
-        def job(name, backend, ground_keys):
-            with use_backend(backend), use_ground_keys(ground_keys):
+        def job(name, backend, ground_keys, governed):
+            with use_backend(backend), scope(
+                ground_keys=ground_keys, governed=governed
+            ), use_budget(budgets[name]), coverage_scope():
+                record_coverage(f"check.{name}", "budget")
                 both_inside.wait()
-                seen[name] = (active_backend(), ground_keys_active())
+                seen[name] = (
+                    active_backend(),
+                    ground_keys_active(),
+                    current_budget() is budgets[name],
+                    governed_coverage(trip),
+                    [event.phase for event in coverage_events()],
+                )
                 both_read.wait()
                 if name == "b":
                     assert a_exited.wait(timeout=10)
@@ -155,17 +170,26 @@ class TestBackendSelection:
                 a_exited.set()
 
         threads = [
-            threading.Thread(target=job, args=("a", "sql", True)),
-            threading.Thread(target=job, args=("b", "kernel", False)),
+            threading.Thread(
+                target=job,
+                args=("a", "sql", True, frozenset({"composition_nulls"})),
+            ),
+            threading.Thread(target=job, args=("b", "kernel", False, frozenset())),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
             assert not thread.is_alive()
-        assert seen == {"a": ("sql", True), "b": ("kernel", False)}
+        assert seen == {
+            "a": ("sql", True, True, "budget", ["check.a"]),
+            "b": ("kernel", False, True, None, ["check.b"]),
+        }
         assert active_backend() == default_backend()
         assert not ground_keys_active()
+        assert current_budget() is None
+        assert governed_coverage(trip) is None
+        assert coverage_events() == main_events
 
 
 class TestInternTableConcurrency:

@@ -7,11 +7,22 @@ examined pair; an exception in a row is an error the task handed back
 in-band, and an exception in ``raising`` is one the task raises.
 """
 
+import os
+import threading
+
 import pytest
 
 from repro.datamodel.instances import Instance
-from repro.engine.budget import Budget, coverage_events, reset_coverage_events
+from repro.engine.budget import (
+    Budget,
+    coverage_events,
+    coverage_scope,
+    current_budget,
+    record_coverage,
+    reset_coverage_events,
+)
 from repro.engine.checkpoint import CheckpointJournal
+from repro.engine.context import CONTEXT, scope, snapshot
 from repro.engine.parallel import fork_available, get_shared
 from repro.engine.sweep import SweepResult, run_sweep, sweep_fingerprint
 from repro.engine.symmetry import SweepPlan
@@ -216,3 +227,53 @@ class TestShards:
         )
         assert merged.coverage == "deadline"
         assert len(coverage_events()) == 2
+
+
+def _context_task(position):
+    """Report the worker's engine context, then record a coverage event
+    that must stay in the worker."""
+    report = (os.getpid(), CONTEXT.in_worker, repr(current_budget()), snapshot())
+    record_coverage("check.worker", "budget")
+    return report
+
+
+@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
+def test_pool_workers_inherit_the_sweeping_threads_context():
+    # A daemon job sweeps from a non-main thread; the pool forks its
+    # workers from there (and may fork replacements from its handler
+    # thread), so each worker must run on the snapshot installed by
+    # its initializer.
+    reports, parent = [], {}
+
+    def fold(left, report):
+        reports.append(report)
+        yield None
+
+    def job():
+        with scope(
+            budget=Budget(deadline=3600.0), governed=frozenset({"composition_nulls"})
+        ), coverage_scope() as events:
+            record_coverage("check.parent", "budget")
+            plan = SweepPlan("orbits", _plan().outer, None, True)
+            parent["result"] = run_sweep(
+                plan, _context_task, None, fold, label="check.context",
+                workers=2, backend="sql",
+            )
+            parent["events"] = [event.phase for event in events]
+
+    thread = threading.Thread(target=job)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert parent["result"].ok and parent["result"].checked == len(ROWS)
+    assert len(reports) == len(ROWS)
+    for pid, in_worker, budget, inherited in reports:
+        assert pid != os.getpid() and in_worker
+        assert budget == "Budget(deadline=3600.0)"
+        assert inherited["backend"] == "sql"
+        assert inherited["ground_keys"] is True
+        assert inherited["governed"] == frozenset({"composition_nulls"})
+        assert set(inherited) == {"budget", "backend", "ground_keys", "governed"}
+    assert parent["events"] == ["check.parent"]
+    assert coverage_events() == ()
+    assert not CONTEXT.in_worker

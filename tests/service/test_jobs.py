@@ -96,7 +96,7 @@ class TestTerminalOutcomes:
 
     @needs_fork
     def test_faulted_on_unrecovered_worker_death(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "0")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=0")
         monkeypatch.setenv("REPRO_ON_FAULT", "raise")
         reset_all_caches()
         outcome = execute_job(

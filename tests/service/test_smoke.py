@@ -24,8 +24,6 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 def _spawn_daemon(state_dir, *, env_extra=None, max_jobs=2):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(REPO_SRC)
-    env.pop("REPRO_FAULT_KILL_TASK", None)
-    env.pop("REPRO_FAULT_DELAY_TASK", None)
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_ON_FAULT", None)
     env.update(env_extra or {})
@@ -132,7 +130,7 @@ class TestFaultedParity:
         process, client = _spawn_daemon(
             tmp_path / "state",
             env_extra={
-                "REPRO_FAULT_KILL_TASK": "0",
+                "REPRO_FAULTS": "worker.kill:task=0",
                 "REPRO_ON_FAULT": "raise",
             },
         )
@@ -158,7 +156,7 @@ class TestDeduplication:
             tmp_path / "state",
             # Slow every pool task down so the duplicate submission
             # arrives while the first job is still in flight.
-            env_extra={"REPRO_FAULT_DELAY_TASK": "*:0.2"},
+            env_extra={"REPRO_FAULTS": "worker.delay:task=*,seconds=0.2"},
         )
         try:
             payload = {
@@ -204,8 +202,6 @@ class TestByteIdentity:
             argv += ["--max-facts", str(payload["max_facts"])]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.abspath(REPO_SRC)
-        env.pop("REPRO_FAULT_KILL_TASK", None)
-        env.pop("REPRO_FAULT_DELAY_TASK", None)
         env.pop("REPRO_FAULTS", None)
         completed = subprocess.run(
             argv, capture_output=True, text=True, env=env, timeout=300
@@ -218,7 +214,7 @@ class TestDrainResume:
     def test_sigterm_checkpoints_and_restart_resumes(self, tmp_path):
         state = tmp_path / "state"
         process, client = _spawn_daemon(
-            state, env_extra={"REPRO_FAULT_DELAY_TASK": "*:0.3"}
+            state, env_extra={"REPRO_FAULTS": "worker.delay:task=*,seconds=0.3"}
         )
         job_id = None
         try:
@@ -252,7 +248,7 @@ class TestDrainResume:
         assert persisted["jobs"][0]["state"] == "queued"
 
         process, client = _spawn_daemon(
-            state, env_extra={"REPRO_FAULT_DELAY_TASK": "*:0.05"}
+            state, env_extra={"REPRO_FAULTS": "worker.delay:task=*,seconds=0.05"}
         )
         try:
             status, body = client.result(job_id, wait=120)
