@@ -79,8 +79,8 @@ def _sorted_matches(
     """Premise matches in a deterministic order (by matched images)."""
     operations = active_operations()
     if operations is not None:
-        # Same matches, same order — from the kernel's semi-naive
-        # lattice or a premise join in SQLite.
+        # Same matches, same order — from the kernel's compiled
+        # search or a premise join in SQLite.
         return operations.premise_matches(dependency, instance)
     variables = dependency.premise_variables()
     matches = list(

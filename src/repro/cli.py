@@ -38,8 +38,8 @@ universes not closed under permutation).
 
 ``--backend kernel`` (the ``REPRO_BACKEND`` knob) runs homomorphism
 searches, premise matching, and verdict caching on the compiled
-integer kernel (term interning + array join plans + a delta-driven
-chase) instead of interpreting the object datamodel — same verdicts,
+integer kernel (term interning + array join plans compiled once per
+premise) instead of interpreting the object datamodel — same verdicts,
 witnesses, and counters, typically several times faster on sweeps.
 
 ``--store PATH`` (the ``REPRO_STORE`` knob) persists the

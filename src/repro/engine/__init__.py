@@ -36,8 +36,8 @@ fast:
 * :mod:`repro.engine.compile` / :mod:`repro.engine.kernel` — the
   opt-in compiled backend (the ``--backend kernel`` mode): term
   interning, premises compiled once into ordered array join plans,
-  and a delta-driven (semi-naive) chase for sweep enumeration, all
-  byte-identical to the object backend's results;
+  and one compiled premise search per chase step, all byte-identical
+  to the object backend's results;
 * :mod:`repro.engine.sqlbackend` — the SQL backend (the ``--backend
   sql`` mode): instances lowered into SQLite over the intern table
   with labeled nulls in a tagged id-space, the chase run as bulk
@@ -57,7 +57,7 @@ fast:
 A backend is a chase plus a homomorphism test: ``KernelBackend`` and
 ``SqlBackend`` implement ``premise_matches``, ``stratified_chase``,
 ``all_homomorphisms`` and ``has_homomorphism``, the sql one running
-operands below ``REPRO_SQL_MIN_FACTS`` facts as the kernel does, memos
+operands below its fixed 128-fact threshold as the kernel does, memos
 included.  ``kernel.active_operations()`` returns them, or None on the
 object backend, whose reference code stays inline in
 :mod:`repro.chase` and :mod:`repro.core.mapping`.
@@ -175,10 +175,7 @@ from repro.engine.symmetry import (
     SYMMETRY_ORBITS,
     GroundCanonicalForm,
     OrbitClass,
-    OrbitRepresentative,
     SweepPlan,
-    canonical_instances,
-    canonical_representative,
     count_orbits,
     decanonicalize,
     default_shards,
@@ -220,7 +217,6 @@ __all__ = [
     "KernelInstance",
     "MemoCache",
     "OrbitClass",
-    "OrbitRepresentative",
     "ParallelUniverseRunner",
     "SYMMETRY_FULL",
     "SYMMETRY_MODES",
@@ -235,9 +231,7 @@ __all__ = [
     "active_store",
     "all_cache_stats",
     "cached_chase_result",
-    "canonical_instances",
     "canonical_key",
-    "canonical_representative",
     "canonicalize_instance",
     "chase_cache",
     "claim_shards",

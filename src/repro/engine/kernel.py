@@ -16,13 +16,9 @@ env ``REPRO_BACKEND``) executes the same searches over dense integers:
   plans whose atom order matches the object backend's greedy order
   exactly, so results — and result *order* — are byte-identical after
   de-interning;
-* premise-match lists for the chase are computed *semi-naively* on the
-  sub-instance lattice: the matches of a ground instance are its
-  parent's matches (the instance minus its maximal fact) plus the
-  matches that use the added fact, enumerated by pinning each premise
-  atom to the new fact in turn.  Non-ground instances, and instances
-  too large for the parent chain, fall back to a full (still
-  compiled) search.
+* the chase's premise-match list is one compiled search over the
+  instance's kernel form, sorted by the per-variable key the object
+  backend sorts by.
 
 Everything here is exact acceleration: verdicts, witnesses, chase
 results, and their deterministic order are identical across backends;
@@ -66,11 +62,6 @@ BACKEND_OBJECT = "object"
 BACKEND_KERNEL = "kernel"
 BACKEND_SQL = "sql"
 BACKEND_MODES = (BACKEND_OBJECT, BACKEND_KERNEL, BACKEND_SQL)
-
-#: Above this many facts the delta match chain would recurse too deep
-#: (and the lattice sharing it exploits no longer applies); fall back
-#: to a one-shot full search.
-_DELTA_MAX_FACTS = 64
 
 
 # -- backend selection ----------------------------------------------------
@@ -200,9 +191,9 @@ class KernelInstance:
     sorted-fact order (the order the object backend scans);
     ``postings[(relation, position, id)]`` is an ``array('q')`` of row
     indexes into ``rows[relation]``, ascending.  ``kid`` is a dense
-    process-local identity used as a cheap content key by the match
-    and verdict memos (two live :class:`KernelInstance` objects never
-    share a fact set, so within a process ``kid`` is content-exact).
+    process-local identity used as a cheap content key by the verdict
+    memos (two live :class:`KernelInstance` objects never share a fact
+    set, so within a process ``kid`` is content-exact).
     """
 
     __slots__ = (
@@ -267,15 +258,13 @@ class KernelInstance:
 
 # Kernel instances are memoized two ways: object identity first (the
 # common repeat probe in a sweep's inner loop), then fact content, so
-# copies of an instance — and parents synthesized by the delta chain
-# that never existed as Instance objects — share one build.  Identity
-# memoization uses a plain dict keyed by ``id(instance)`` — a hashless
-# probe, roughly 2x cheaper than a WeakKeyDictionary lookup in the
-# verdict hot loop — with a weakref finalizer evicting the entry when
-# the instance dies so a recycled id can never alias a dead one.
+# copies of an instance share one build.  Identity memoization uses a
+# plain dict keyed by ``id(instance)`` — a hashless probe, roughly 2x
+# cheaper than a WeakKeyDictionary lookup in the verdict hot loop —
+# with a weakref finalizer evicting the entry when the instance dies
+# so a recycled id can never alias a dead one.
 _BY_INSTANCE: Dict[int, Tuple["weakref.ref[Instance]", KernelInstance]] = {}
 kinstance_cache = MemoCache("kinstance", maxsize=65_536)
-match_cache = MemoCache("matches", maxsize=65_536)
 
 
 def kernel_instance(instance: Instance) -> KernelInstance:
@@ -283,19 +272,14 @@ def kernel_instance(instance: Instance) -> KernelInstance:
     entry = _BY_INSTANCE.get(id(instance))
     if entry is not None:
         return entry[1]
-    kinst = kernel_instance_for_facts(instance.facts)
-    key = id(instance)
-    ref = weakref.ref(instance, lambda _r, _k=key: _BY_INSTANCE.pop(_k, None))
-    _BY_INSTANCE[key] = (ref, kinst)
-    return kinst
-
-
-def kernel_instance_for_facts(facts: FrozenSet[Atom]) -> KernelInstance:
-    """A kernel instance for a bare fact set (no Instance required)."""
+    facts = instance.facts
     hit, kinst = kinstance_cache.get(facts)
     if not hit:
         kinst = KernelInstance(facts)
         kinstance_cache.put(facts, kinst)
+    key = id(instance)
+    ref = weakref.ref(instance, lambda _r, _k=key: _BY_INSTANCE.pop(_k, None))
+    _BY_INSTANCE[key] = (ref, kinst)
     return kinst
 
 
@@ -515,20 +499,14 @@ def _search(
     return search(0)
 
 
-# -- delta-driven premise matching (the semi-naive chase) -----------------
+# -- premise matching for the chase ---------------------------------------
 
 
 def sorted_premise_matches(dependency, instance: Instance):
-    """The chase's sorted premise-match list, computed semi-naively.
-
-    Content-addressed per ``(dependency, instance)``: a ground
-    instance's matches are its parent's matches (remove the maximal
-    fact) plus the matches using that fact, merged and re-sorted by
-    the total per-variable key the object backend sorts by — so the
-    returned list is element- and order-identical to
-    :func:`repro.chase.standard._sorted_matches`.  Non-ground
-    instances and instances beyond the chain bound fall back to a full
-    compiled search (still memoized).
+    """The chase's sorted premise-match list: one compiled search over
+    the instance's kernel form, sorted by the total per-variable key
+    the object backend sorts by — element- and order-identical to
+    :func:`repro.chase.standard._sorted_matches`.
     """
     budget = current_budget()
     if budget is not None:
@@ -537,10 +515,10 @@ def sorted_premise_matches(dependency, instance: Instance):
     compiled = compiled_premise(
         premise.atoms, premise.constant_vars, premise.inequalities
     )
-    variables = dependency.premise_variables()
-    dep_id = small_id(dependency)
-    kinst = kernel_instance(instance)
-    return _matches_for(dep_id, compiled, variables, kinst)
+    return sorted(
+        _search(compiled, kernel_instance(instance), {}),
+        key=_sort_key(dependency.premise_variables()),
+    )
 
 
 def _sort_key(variables):
@@ -550,158 +528,13 @@ def _sort_key(variables):
     return key
 
 
-def _matches_for(
-    dep_id: int,
-    compiled: CompiledPremise,
-    variables,
-    kinst: KernelInstance,
-):
-    key = (dep_id, kinst.kid)
-    hit, matches = match_cache.get(key)
-    if hit:
-        return matches
-    if (
-        not kinst.is_ground
-        or kinst.nfacts == 0
-        or kinst.nfacts > _DELTA_MAX_FACTS
-    ):
-        matches = tuple(
-            sorted(_search(compiled, kinst, {}), key=_sort_key(variables))
-        )
-        match_cache.put(key, matches)
-        return matches
-    added = max(kinst.facts)
-    parent = kernel_instance_for_facts(kinst.facts - {added})
-    parent_matches = _matches_for(dep_id, compiled, variables, parent)
-    delta = _delta_matches(compiled, kinst, added)
-    if delta:
-        matches = tuple(
-            sorted(
-                itertools.chain(parent_matches, delta),
-                key=_sort_key(variables),
-            )
-        )
-    else:
-        matches = parent_matches
-    match_cache.put(key, matches)
-    return matches
-
-
-def _delta_matches(
-    compiled: CompiledPremise, kinst: KernelInstance, added: Atom
-) -> List[Dict[Term, Term]]:
-    """Premise matches that use the fact *added*.
-
-    Pinned decomposition over the compiled atom order: for each atom
-    index i, enumerate assignments where atom i maps to *added* and no
-    earlier atom does — disjoint by the least atom mapped to the new
-    fact, so the union is exact and duplicate-free.  Enumeration order
-    here is irrelevant: the caller re-sorts by the total match key.
-    """
-    relation = added.relation
-    relation_rows = kinst.rows.get(relation, ())
-    # the added fact is the instance's maximal fact, hence the maximal
-    # — last — row of its relation (atoms sort relation-major)
-    added_index = len(relation_rows) - 1
-    added_row = relation_rows[added_index]
-    terms = _INTERN._terms
-    is_const = _INTERN._is_const
-    catoms = compiled.catoms
-    const_slot_set = compiled.const_slot_set
-    ineq_of = compiled.ineq_of
-    slot_terms = compiled.slot_terms
-    count = len(catoms)
-    results: List[Dict[Term, Term]] = []
-
-    for pin in range(count):
-        pinned = catoms[pin]
-        if pinned.relation != relation or pinned.arity != len(added_row):
-            continue
-        assign = [-1] * compiled.nslots
-        trail: List[int] = []
-        if not _bind_row(
-            pinned, added_row, assign, trail, is_const, const_slot_set, ineq_of
-        ):
-            for slot in trail:
-                assign[slot] = -1
-            continue
-        remaining = [index for index in range(count) if index != pin]
-
-        def expand(position: int) -> None:
-            if position == len(remaining):
-                results.append(
-                    {slot_terms[slot]: terms[assign[slot]] for slot in trail}
-                )
-                return
-            atom_index = remaining[position]
-            catom = catoms[atom_index]
-            rows = kinst.rows.get(catom.relation, ())
-            exclude = (
-                added_index
-                if atom_index < pin and catom.relation == relation
-                else -1
-            )
-            for row_index in _candidate_rows(kinst, catom, assign):
-                if row_index == exclude:
-                    continue
-                row = rows[row_index]
-                if len(row) != catom.arity:
-                    continue
-                mark = len(trail)
-                if _bind_row(
-                    catom, row, assign, trail, is_const, const_slot_set, ineq_of
-                ):
-                    expand(position + 1)
-                while len(trail) > mark:
-                    assign[trail.pop()] = -1
-
-        expand(0)
-    return results
-
-
-def _bind_row(
-    catom,
-    row: Tuple[int, ...],
-    assign: List[int],
-    trail: List[int],
-    is_const: List[bool],
-    const_slot_set,
-    ineq_of,
-) -> bool:
-    """Match *catom* onto *row*, extending *assign*/*trail* in place.
-
-    Returns False on mismatch or constraint violation; the caller
-    unwinds the trail past its mark either way."""
-    mark = len(trail)
-    for position, op_const, value in catom.ops:
-        tid = row[position]
-        if op_const:
-            if tid != value:
-                return False
-        else:
-            current = assign[value]
-            if current < 0:
-                assign[value] = tid
-                trail.append(value)
-            elif current != tid:
-                return False
-    for slot in trail[mark:]:
-        if slot in const_slot_set and not is_const[assign[slot]]:
-            return False
-        for other in ineq_of.get(slot, ()):
-            image = assign[other]
-            if image >= 0 and image == assign[slot]:
-                return False
-    return True
-
-
 def _clear_kernel_memos() -> None:
     """Reset-hook body: drop instance-attached kernel state.
 
     The intern table is deliberately *not* cleared — ids are
     append-only for the life of the process and compiled premises
-    embed them.  Everything content-derived (kernel instances, their
-    chase memos, match lists) goes, so a benchmark's cold run after
+    embed them.  Everything content-derived (kernel instances and
+    their memos) goes, so a benchmark's cold run after
     ``reset_all_caches()`` is genuinely cold."""
     _BY_INSTANCE.clear()
 
@@ -750,7 +583,6 @@ __all__ = [
     "kernel_all_homomorphisms",
     "kernel_has_homomorphism",
     "kernel_instance",
-    "kernel_instance_for_facts",
     "resolve_backend",
     "small_id",
     "sorted_premise_matches",

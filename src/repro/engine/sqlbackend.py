@@ -40,13 +40,13 @@ SQLite tables and runs the hot loops as SQL:
   become one ``EXCEPT``-subset probe per relation, each component an
   ``EXISTS`` query.  Patterns beyond SQLite's join width fall back to
   the (order-identical) kernel search, and so do operations whose
-  operands hold fewer than ``REPRO_SQL_MIN_FACTS`` facts — statement
+  operands hold fewer than ``_SQL_MIN_FACTS`` (128) facts — statement
   round-trips dominate tiny searches, and sweeps run millions of
   them.
 
 * **One interface.**  :class:`SqlBackend`'s four operations are the
   ``sql_*`` functions below, and it lowers to kernel instances exactly
-  the operands under ``REPRO_SQL_MIN_FACTS`` facts: below it the sql
+  the operands under ``_SQL_MIN_FACTS`` facts: below it the sql
   backend *is* the kernel backend, memos included; at or above it an
   operation runs in SQLite over the shared LRU caches.
 
@@ -139,8 +139,9 @@ _MAX_LIVE_INSTANCES = 1_024
 #: Below this many instance facts the SQL plan cannot win: lowering
 #: the instance and round-tripping a handful of statements costs more
 #: than the whole in-memory search, so tiny operands route to the
-#: (order-identical) kernel.  ``REPRO_SQL_MIN_FACTS`` overrides; 0
-#: forces every operation through SQL (the property suite does this).
+#: (order-identical) kernel.  Call sites read the module global when
+#: they run, so the test suites patch it to 0 to force every operation
+#: through SQL.
 _SQL_MIN_FACTS = 128
 
 
@@ -152,13 +153,7 @@ def default_sql_db() -> Optional[str]:
 
 
 def sql_min_facts() -> int:
-    """The small-operand routing threshold (``REPRO_SQL_MIN_FACTS``)."""
-    raw = os.environ.get("REPRO_SQL_MIN_FACTS", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
+    """The small-operand routing threshold (``_SQL_MIN_FACTS``)."""
     return _SQL_MIN_FACTS
 
 
@@ -645,7 +640,7 @@ def sql_all_homomorphisms(
             atoms, target, base, constant_vars, inequalities
         )
         return
-    if len(target.facts) < sql_min_facts():
+    if len(target.facts) < _SQL_MIN_FACTS:
         engine_stats().bump("sql_small_routed")
         yield from kernel_all_homomorphisms(
             atoms, target, base, constant_vars, inequalities
@@ -728,7 +723,7 @@ def sql_sorted_premise_matches(dependency, instance: Instance):
     if len(premise.atoms) > _MAX_JOIN_ATOMS:
         engine_stats().bump("sql_fallbacks")
         return sorted_premise_matches(dependency, instance)
-    if len(instance.facts) < sql_min_facts():
+    if len(instance.facts) < _SQL_MIN_FACTS:
         engine_stats().bump("sql_small_routed")
         return sorted_premise_matches(dependency, instance)
     rt = _runtime()
@@ -765,7 +760,7 @@ def sql_has_homomorphism(source: Instance, target: Instance) -> bool:
     budget = current_budget()
     if budget is not None:
         budget.check()
-    if max(len(source.facts), len(target.facts)) < sql_min_facts():
+    if max(len(source.facts), len(target.facts)) < _SQL_MIN_FACTS:
         engine_stats().bump("sql_small_routed")
         return kernel_has_homomorphism(source, target)
     rt = _runtime()
@@ -890,7 +885,7 @@ def sql_stratified_chase(
         if len(dependency.premise.atoms) > _MAX_JOIN_ATOMS:
             engine_stats().bump("sql_fallbacks")
             return None
-    if len(instance.facts) < sql_min_facts():
+    if len(instance.facts) < _SQL_MIN_FACTS:
         # Tiny chases run faster in the interpreted loop (whose match
         # enumeration routes through the same size check).
         engine_stats().bump("sql_small_routed")
@@ -1224,7 +1219,7 @@ class SqlBackend(KernelBackend):
     """The sql backend's operations (see "One interface" above)."""
 
     def lower(self, instance: Instance):
-        if len(instance.facts) < sql_min_facts():
+        if len(instance.facts) < _SQL_MIN_FACTS:
             return kernel_instance(instance)
         return None
 

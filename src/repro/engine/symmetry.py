@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, factorial
 from typing import (
     Any,
@@ -60,7 +60,6 @@ from typing import (
 
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
-from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Constant
 from repro.engine.context import CONTEXT
 
@@ -299,27 +298,17 @@ def _canonical_ordering_ids(
     return best[0][1]
 
 
-def _automorphism_count(
-    facts: Sequence[_RawFact], constants: Sequence[Constant]
+def _automorphism_count_ids(
+    encoded: Sequence[_EncodedFact], size: int
 ) -> int:
-    """|Aut|: permutations of the active constants fixing the fact set.
+    """|Aut|: permutations of the active constants fixing the
+    encoded fact set.
 
     Brute force within the refined colour classes — automorphisms
     preserve refinement colours, so only colour-respecting bijections
     need testing.  Cells are tiny for the bounded universes the
     checkers sweep (|active| ≤ |domain| ≤ ~6).
     """
-    if not constants:
-        return 1
-    return _automorphism_count_ids(
-        _encode_facts(facts, constants), len(constants)
-    )
-
-
-def _automorphism_count_ids(
-    encoded: Sequence[_EncodedFact], size: int
-) -> int:
-    """:func:`_automorphism_count` on encoded facts."""
     occurrences = _occurrence_table(encoded, size)
     colors = _refine([0] * size, occurrences)
     cells = _cells(colors)
@@ -400,39 +389,31 @@ class GroundCanonicalForm:
 
 # Canonicalization is called once per cache-key construction, i.e. on
 # the hot path of every chase / verdict lookup in an orbit-mode sweep;
-# the same few hundred universe instances (and their pairings) recur
-# thousands of times, so both entry points memoize by exact fact sets.
+# the same few hundred universe instances recur thousands of times, so
+# the canonical form is memoized by exact fact set.
 _FORM_MEMO: Dict[FrozenSet[Atom], GroundCanonicalForm] = {}
-_PAIR_MEMO: Dict[Tuple[FrozenSet[Atom], FrozenSet[Atom]], Tuple] = {}
 _FORM_MEMO_DEFAULT = 65_536
-_PAIR_MEMO_DEFAULT = 262_144
 _FORM_MEMO_MAX = _FORM_MEMO_DEFAULT
-_PAIR_MEMO_MAX = _PAIR_MEMO_DEFAULT
 
 
 def set_symmetry_memo_limit(maxsize: Optional[int]) -> None:
-    """Bound the canonical-form memo tables (pushed down from
+    """Bound the canonical-form memo table (pushed down from
     :func:`repro.engine.cache.resize_caches`, so the CLI's
-    --cache-size knob governs these memos too).  ``None`` restores
-    the construction defaults."""
-    global _FORM_MEMO_MAX, _PAIR_MEMO_MAX
+    --cache-size knob governs this memo too).  ``None`` restores
+    the construction default."""
+    global _FORM_MEMO_MAX
     if maxsize is None:
         _FORM_MEMO_MAX = _FORM_MEMO_DEFAULT
-        _PAIR_MEMO_MAX = _PAIR_MEMO_DEFAULT
     else:
         _FORM_MEMO_MAX = max(1, int(maxsize))
-        _PAIR_MEMO_MAX = max(1, int(maxsize))
     if len(_FORM_MEMO) > _FORM_MEMO_MAX:
         _FORM_MEMO.clear()
-    if len(_PAIR_MEMO) > _PAIR_MEMO_MAX:
-        _PAIR_MEMO.clear()
 
 
 def clear_symmetry_memos() -> None:
-    """Drop the canonical-form memo tables (joined into
+    """Drop the canonical-form memo table (joined into
     :func:`repro.engine.cache.reset_all_caches`)."""
     _FORM_MEMO.clear()
-    _PAIR_MEMO.clear()
 
 
 def ground_canonical_form(instance: Instance) -> GroundCanonicalForm:
@@ -485,10 +466,6 @@ def ground_pair_key(
     the *same* permutation — the two instances must be canonicalized
     jointly, with facts tagged by side.
     """
-    memo_key = (left.facts, right.facts)
-    cached = _PAIR_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
     facts: List[_RawFact] = [
         (("L", fact.relation), fact.args) for fact in left.sorted_facts()
     ]
@@ -503,11 +480,7 @@ def ground_pair_key(
         constant: Constant(f"{_ORBIT_PREFIX}{index}")
         for constant, index in ordering.items()
     }
-    key = (left.substitute(forward).facts, right.substitute(forward).facts)
-    if len(_PAIR_MEMO) >= _PAIR_MEMO_MAX:
-        _PAIR_MEMO.clear()
-    _PAIR_MEMO[memo_key] = key
-    return key
+    return left.substitute(forward).facts, right.substitute(forward).facts
 
 
 # -- witness de-canonicalization ------------------------------------------
@@ -547,33 +520,7 @@ def orbit_transport(
     }
 
 
-# -- orbit-aware enumeration ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrbitRepresentative:
-    """One orbit of the bounded universe: a concrete representative
-    instance, the number of universe members in the orbit, and the
-    order of the representative's stabilizer in S_D."""
-
-    instance: Instance
-    orbit_size: int
-    stabilizer_order: int
-
-
-def canonical_representative(
-    instance: Instance, domain: Sequence[Constant]
-) -> Instance:
-    """The designated orbit member: the canonical form relabeled onto
-    the lexicographically-first constants of *domain*.  Equal for
-    every member of an orbit, and itself a member of the orbit."""
-    form = ground_canonical_form(instance)
-    ordered = sorted(domain)
-    relabel = {
-        Constant(f"{_ORBIT_PREFIX}{index}"): ordered[index]
-        for index in range(form.active)
-    }
-    return form.canonical.substitute(relabel)
+# -- orbit counting --------------------------------------------------------
 
 
 def _coerce_domain(
@@ -583,40 +530,6 @@ def _coerce_domain(
         value if isinstance(value, Constant) else Constant(value)
         for value in domain
     )
-
-
-def canonical_instances(
-    schema: Schema,
-    domain: Sequence[Union[str, int, Constant]],
-    *,
-    max_facts: int,
-    include_empty: bool = True,
-) -> Iterator[OrbitRepresentative]:
-    """One representative per orbit of the ≤*max_facts* universe.
-
-    Yields, lazily and in the universe's deterministic order, the
-    instances that are their own orbit's canonical representative,
-    together with the orbit's size (so that
-    ``sum(rep.orbit_size) == |universe|``) and the representative's
-    stabilizer order in S_domain.
-    """
-    from repro.workloads.universes import all_possible_facts
-
-    constants = _coerce_domain(domain)
-    facts = all_possible_facts(schema, constants)
-    sizes = range(0 if include_empty else 1, max_facts + 1)
-    domain_size = len(set(constants))
-    for size in sizes:
-        for chosen in combinations(facts, size):
-            instance = Instance.of(chosen)
-            if canonical_representative(instance, constants) != instance:
-                continue
-            form = ground_canonical_form(instance)
-            yield OrbitRepresentative(
-                instance,
-                form.orbit_size(domain_size),
-                form.stabilizer_order(domain_size),
-            )
 
 
 def count_orbits(
@@ -963,12 +876,9 @@ def ground_keys_active() -> bool:
 __all__ = [
     "GroundCanonicalForm",
     "OrbitClass",
-    "OrbitRepresentative",
     "SYMMETRY_FULL",
     "SYMMETRY_MODES",
     "SYMMETRY_ORBITS",
-    "canonical_instances",
-    "canonical_representative",
     "clear_symmetry_memos",
     "count_orbits",
     "decanonicalize",

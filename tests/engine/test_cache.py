@@ -86,11 +86,9 @@ class TestMemoCache:
         resize_caches(7)
         try:
             assert symmetry._FORM_MEMO_MAX == 7
-            assert symmetry._PAIR_MEMO_MAX == 7
         finally:
             resize_caches(None)
         assert symmetry._FORM_MEMO_MAX == symmetry._FORM_MEMO_DEFAULT
-        assert symmetry._PAIR_MEMO_MAX == symmetry._PAIR_MEMO_DEFAULT
 
 
 class TestCanonicalization:

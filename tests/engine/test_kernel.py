@@ -29,18 +29,19 @@ from repro.engine.kernel import (
     BACKEND_OBJECT,
     InternTable,
     KernelBackend,
-    KernelInstance,
     active_backend,
     active_operations,
     default_backend,
     intern_table,
     kernel_has_homomorphism,
     kernel_instance,
+    kinstance_cache,
     resolve_backend,
     sorted_premise_matches,
 )
 from repro.engine.symmetry import ground_keys_active
 from repro.errors import CompositionBudgetError
+from repro.workloads import random_ground_instance
 
 X, Y = Variable("x"), Variable("y")
 
@@ -229,18 +230,26 @@ def _projection_mapping():
     )
 
 
+def _edges(n_facts):
+    """A seeded random ground ``E`` instance of exactly *n_facts* facts."""
+    instance = random_ground_instance(
+        Schema.of({"E": 2}), seed=n_facts, n_facts=n_facts, domain_size=12
+    )
+    assert len(instance.facts) == n_facts
+    return instance
+
+
 class TestSortedPremiseMatches:
-    def test_delta_matches_equal_object_backend(self):
-        dependency = parse_dependency("R(x, y), R(y, z) -> S(x, z)")
-        instance = Instance.build(
-            {"R": [("a", "b"), ("b", "c"), ("b", "a"), ("c", "c")]}
-        )
+    @pytest.mark.parametrize("n_facts", [1, 8, 32, 70])
+    def test_ground_matches_equal_object_backend(self, n_facts):
+        dependency = parse_dependency("E(x, y), E(y, z) -> F(x, z)")
+        instance = _edges(n_facts)
         expected = _sorted_matches(dependency, instance)
         with use_backend("kernel"):
             actual = _sorted_matches(dependency, instance)
         assert list(actual) == list(expected)
 
-    def test_non_ground_instances_fall_back_to_full_search(self):
+    def test_non_ground_matches_equal_object_backend(self):
         dependency = parse_dependency("R(x, y) -> S(x)")
         instance = Instance.build({"R": [(Null("n"), Constant("b"))]})
         expected = _sorted_matches(dependency, instance)
@@ -248,9 +257,9 @@ class TestSortedPremiseMatches:
             actual = sorted_premise_matches(dependency, instance)
         assert list(actual) == list(expected)
 
-    def test_matches_grow_with_the_sub_instance_chain(self):
-        # every prefix of the lattice chain gets its own cached match
-        # list; the final list equals a from-scratch object search
+    def test_growing_instances_match_like_object_backend(self):
+        # each instance is searched on its own; every list equals a
+        # from-scratch object search
         dependency = parse_dependency("R(x, y) -> S(x)")
         facts = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]
         for size in range(1, len(facts) + 1):
@@ -259,6 +268,15 @@ class TestSortedPremiseMatches:
             with use_backend("kernel"):
                 actual = _sorted_matches(dependency, instance)
             assert list(actual) == list(expected)
+
+    def test_cold_search_builds_one_kernel_instance(self):
+        # the search runs over the operand alone: no sub-instance of it
+        # is lowered along the way
+        dependency = parse_dependency("E(x, y), E(y, z) -> F(x, z)")
+        instance = _edges(8)
+        reset_all_caches()
+        sorted_premise_matches(dependency, instance)
+        assert kinstance_cache.misses == 1
 
 
 class TestKernelVerdicts:

@@ -7,7 +7,6 @@ routing, budget and ``max_steps`` parity, scratch-file mode, and the
 ``sql.exec`` fault point.
 """
 
-import os
 import sqlite3
 
 import pytest
@@ -21,6 +20,7 @@ from repro.dependencies.parser import parse_dependency
 from repro.engine import (
     engine_stats,
     reset_all_caches,
+    sqlbackend,
     use_backend,
 )
 from repro.engine.budget import Budget, use_budget
@@ -37,10 +37,14 @@ from repro.errors import BudgetExceeded, ChaseError
 from repro.workloads import random_ground_instance, random_lav_mapping
 
 
+#: The shipped small-operand threshold, read before any test patches it.
+DEFAULT_MIN_FACTS = sql_min_facts()
+
+
 @pytest.fixture(autouse=True)
 def _sql_everything(monkeypatch):
     """Force every operation through the SQL plans (threshold 0)."""
-    monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
+    monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", 0)
     reset_all_caches()
     yield
     reset_all_caches()
@@ -141,8 +145,7 @@ class TestChaseEquivalence:
 
 class TestRoutingAndFallbacks:
     def test_small_operands_route_to_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "1000")
-        assert sql_min_facts() == 1000
+        monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", 1000)
         mapping = _mapping()
         source = random_ground_instance(
             mapping.source, seed=5, n_facts=3, domain_size=2
@@ -172,13 +175,11 @@ class TestRoutingAndFallbacks:
 
 
 class TestThresholdRule:
-    """Below ``REPRO_SQL_MIN_FACTS`` the sql backend runs an operation
+    """Below ``_SQL_MIN_FACTS`` the sql backend runs an operation
     exactly as the kernel backend does, per-instance memos included;
     at or above it the operation lowers its operands into SQLite."""
 
     def _contained(self):
-        import repro.engine.sqlbackend as sb
-
         mapping = _mapping()
         outer = random_ground_instance(
             mapping.source, seed=5, n_facts=3, domain_size=2
@@ -195,7 +196,7 @@ class TestThresholdRule:
                 universal_solution(mapping, inner),
             )
             lowered = [
-                solution.facts in sb._runtime().instances
+                solution.facts in sqlbackend._runtime().instances
                 for solution in solutions
             ]
         loaded = engine_stats().counter("sql_instances_loaded") - before
@@ -203,7 +204,7 @@ class TestThresholdRule:
         return verdict, kouter.sol_memo, memo_key, lowered, loaded
 
     def test_small_operands_use_the_kernel_memos(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SQL_MIN_FACTS")
+        monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", DEFAULT_MIN_FACTS)
         assert sql_min_facts() > 3
         verdict, sol_memo, memo_key, lowered, loaded = self._contained()
         assert sol_memo == {memo_key: verdict}

@@ -1,6 +1,8 @@
 """Unit tests for the symmetry engine: canonical forms, orbit
 enumeration, sweep planning, and the soundness fallbacks."""
 
+from itertools import permutations
+
 import pytest
 
 from repro.datamodel.atoms import Atom
@@ -11,8 +13,6 @@ from repro.core.mapping import SchemaMapping
 from repro.engine.symmetry import (
     SYMMETRY_FULL,
     SYMMETRY_ORBITS,
-    canonical_instances,
-    canonical_representative,
     count_orbits,
     decanonicalize,
     ground_canonical_form,
@@ -103,25 +103,29 @@ class TestPairKey:
 
 
 class TestOrbitEnumeration:
-    def test_orbit_sizes_sum_to_full_universe(self):
+    def test_representatives_are_first_orbit_members_in_order(self):
+        # orbit_reduce's rule: each class's representative is the first
+        # universe member of its orbit, and classes come in the order
+        # their orbits first occur in the universe (orbits computed
+        # here by brute force over every permutation of the domain)
         universe = instance_universe(SCHEMA, DOMAIN, max_facts=2)
-        representatives = list(
-            canonical_instances(SCHEMA, DOMAIN, max_facts=2)
-        )
-        assert sum(rep.orbit_size for rep in representatives) == len(universe)
-        assert len(representatives) < len(universe)
-
-    def test_representatives_are_canonical_members(self):
-        for rep in canonical_instances(SCHEMA, DOMAIN, max_facts=2):
-            assert canonical_representative(rep.instance, DOMAIN) == rep.instance
+        expected, seen = [], set()
+        for instance in universe:
+            if instance.facts in seen:
+                continue
+            expected.append(instance)
+            seen.update(
+                instance.substitute(dict(zip(DOMAIN, image))).facts
+                for image in permutations(DOMAIN)
+            )
+        classes = orbit_reduce(universe)
+        assert [cls.representative for cls in classes] == expected
 
     def test_count_orbits_matches_enumeration(self):
         facts = all_possible_facts(SCHEMA, DOMAIN)
         exact = count_orbits(facts, DOMAIN, max_facts=2)
-        representatives = list(
-            canonical_instances(SCHEMA, DOMAIN, max_facts=2)
-        )
-        assert exact == len(representatives)
+        universe = instance_universe(SCHEMA, DOMAIN, max_facts=2)
+        assert exact == len(orbit_reduce(universe))
 
     def test_orbit_count_estimate_falls_back_to_lower_bound(self):
         big_domain = [Constant(f"c{index}") for index in range(9)]

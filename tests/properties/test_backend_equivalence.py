@@ -9,13 +9,10 @@ drive all three backends over randomly drawn premises — including
 random LAV mappings (whose tgds include *existential* conclusions),
 asserting byte-identical answers.
 
-The SQL backend normally routes operands below
-``REPRO_SQL_MIN_FACTS`` facts to the kernel; the module fixture pins
-the threshold to 0 so these tiny hypothesis instances exercise the
-actual SQL plans.
+The SQL backend normally routes operands below ``_SQL_MIN_FACTS``
+facts to the kernel; the module fixture pins the threshold to 0 so
+these tiny hypothesis instances exercise the actual SQL plans.
 """
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,7 +32,13 @@ from repro.core.mapping import (
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Variable
-from repro.engine import BACKEND_MODES, BACKEND_OBJECT, reset_all_caches, use_backend
+from repro.engine import (
+    BACKEND_MODES,
+    BACKEND_OBJECT,
+    reset_all_caches,
+    sqlbackend,
+    use_backend,
+)
 from repro.workloads import random_ground_instance, random_lav_mapping
 
 ACCELERATED = tuple(mode for mode in BACKEND_MODES if mode != BACKEND_OBJECT)
@@ -44,14 +47,10 @@ ACCELERATED = tuple(mode for mode in BACKEND_MODES if mode != BACKEND_OBJECT)
 @pytest.fixture(scope="module", autouse=True)
 def _force_sql_path():
     """Pin the SQL small-operand threshold to 0 for this module."""
-    previous = os.environ.get("REPRO_SQL_MIN_FACTS")
-    os.environ["REPRO_SQL_MIN_FACTS"] = "0"
-    reset_all_caches()
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_SQL_MIN_FACTS", None)
-    else:
-        os.environ["REPRO_SQL_MIN_FACTS"] = previous
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sqlbackend, "_SQL_MIN_FACTS", 0)
+        reset_all_caches()
+        yield
     reset_all_caches()
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
