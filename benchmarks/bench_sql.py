@@ -15,6 +15,8 @@ Two workloads, two claims:
   of that, the whole experiment catalog is rendered under every
   backend x worker-count combination and the reports must be
   byte-identical — the backend is an execution detail, never a result.
+  Each leg picks its backend with ``use_backend``, and the serial sql
+  leg must show that it reached the sql backend.
 
 The chain workload is deliberately join-heavy: the transitive
 one-step/two-step dependencies make every round a self-join of ``E``
@@ -33,7 +35,7 @@ from benchmarks.conftest import QUICK
 from repro.chase.standard import chase
 from repro.datamodel.instances import Instance
 from repro.dependencies.parser import parse_dependency
-from repro.engine import use_backend
+from repro.engine import engine_stats, reset_engine_stats, use_backend
 from repro.engine.budget import Budget, use_budget
 from repro.engine.cache import reset_all_caches
 from repro.engine.parallel import fork_available
@@ -133,13 +135,13 @@ def test_sql_speedup_acceptance(benchmark):
 
 
 def _catalog_text(backend: str, workers: int) -> str:
-    os.environ["REPRO_BACKEND"] = backend
     if workers:
         os.environ["REPRO_WORKERS"] = str(workers)
     else:
         os.environ.pop("REPRO_WORKERS", None)
-    reset_all_caches()
-    return "\n\n".join(report.render() for report in run_all())
+    reset_engine_stats()  # clears the caches too
+    with use_backend(backend):
+        return "\n\n".join(report.render() for report in run_all())
 
 
 def test_catalog_reports_byte_identical(benchmark):
@@ -151,27 +153,29 @@ def test_catalog_reports_byte_identical(benchmark):
     BENCH_QUICK — a reduced catalog would gate a weaker claim.
     """
     worker_counts = (0, 2) if fork_available() else (0,)
-    saved = {
-        knob: os.environ.get(knob)
-        for knob in ("REPRO_BACKEND", "REPRO_WORKERS")
-    }
+    saved = os.environ.get("REPRO_WORKERS")
 
     def all_modes():
+        texts, routed = {}, 0
         try:
-            return {
-                (backend, workers): _catalog_text(backend, workers)
-                for backend in ("object", "kernel", "sql")
-                for workers in worker_counts
-            }
+            for backend in ("object", "kernel", "sql"):
+                for workers in worker_counts:
+                    texts[backend, workers] = _catalog_text(backend, workers)
+                    if (backend, workers) == ("sql", 0):
+                        routed = engine_stats().counter("sql_small_routed")
+            return texts, routed
         finally:
-            for knob, value in saved.items():
-                if value is None:
-                    os.environ.pop(knob, None)
-                else:
-                    os.environ[knob] = value
+            if saved is None:
+                os.environ.pop("REPRO_WORKERS", None)
+            else:
+                os.environ["REPRO_WORKERS"] = saved
             reset_all_caches()
 
-    texts = benchmark.pedantic(all_modes, rounds=1, iterations=1)
+    texts, routed = benchmark.pedantic(all_modes, rounds=1, iterations=1)
+    # The sql backend counts every chase it hands to the interpreted
+    # loop; a leg that never reached it would pass the identity check
+    # vacuously.
+    assert routed > 0, "the serial sql leg never ran on the sql backend"
     baseline = texts[("object", 0)]
     assert baseline  # the catalog rendered something
     divergent = [key for key, text in texts.items() if text != baseline]

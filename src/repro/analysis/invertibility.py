@@ -116,9 +116,11 @@ def invertibility_report(
     the report's ``coverage`` instead of raising.  *symmetry*
     (default: ``REPRO_SYMMETRY``) selects full or orbit-reduced sweeps
     for both bounded checks; ``orbits_checked`` aggregates their orbit
-    counters.  *backend* (default: ``REPRO_BACKEND``) selects the
-    object, compiled-kernel, or SQL (SQLite-hosted) execution backend
-    for both sweeps; the report is identical in each case.  *shards* / *shard_id* (default:
+    counters.  *backend* (default: the calling thread's
+    :func:`~repro.engine.use_backend` scope, else ``REPRO_BACKEND``)
+    selects the object, compiled-kernel, or SQL (SQLite-hosted)
+    execution backend for both sweeps; the report is identical in each
+    case.  *shards* / *shard_id* (default:
     ``REPRO_SHARDS`` / ``REPRO_SHARD_ID``) partition both bounded
     sweeps by content digest; with a fixed *shard_id* the report
     covers that shard alone, merged shard reports reproduce the

@@ -158,9 +158,9 @@ def all_homomorphisms(
         return
     operations = active_operations()
     if operations is not None:
-        # The kernel replays this search's atom order over interned ids;
-        # SQL re-sorts one query's rows into its DFS yield order.  Same
-        # results, same order (tests/properties/test_backend_equivalence).
+        # The kernel (the sql backend's search too) replays this
+        # search's atom order over interned ids.  Same results, same
+        # order (tests/properties/test_backend_equivalence).
         yield from operations.all_homomorphisms(
             tuple(atoms), target, base, constant_vars, inequalities
         )

@@ -358,9 +358,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="execution backend for bounded checks: interpret the object "
         "datamodel directly (object, the default), run compiled joins "
-        "over interned integer ids (kernel), or execute the chase and "
-        "homomorphism joins inside SQLite (sql); verdicts and witnesses "
-        "are identical either way",
+        "over interned integer ids (kernel), or run the kernel with "
+        "chases of 128 facts or more inside SQLite (sql); verdicts and "
+        "witnesses are identical either way",
     )
     parser.add_argument(
         "--sql-db",

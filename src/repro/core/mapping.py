@@ -354,7 +354,7 @@ def solutions_contained(
 
 
 def _lowered(operations, left: Instance, right: Instance):
-    """Both operands' kernel instances, None where the backend keeps one."""
+    """Both operands' kernel instances, or Nones on the object backend."""
     if operations is None:
         return None, None
     return operations.lower(left), operations.lower(right)

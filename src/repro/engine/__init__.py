@@ -39,10 +39,10 @@ fast:
   and one compiled premise search per chase step, all byte-identical
   to the object backend's results;
 * :mod:`repro.engine.sqlbackend` — the SQL backend (the ``--backend
-  sql`` mode): instances lowered into SQLite over the intern table
-  with labeled nulls in a tagged id-space, the chase run as bulk
-  ``INSERT … SELECT … EXCEPT`` rounds, and homomorphism checks
-  evaluated as conjunctive queries — the scaling path past what
+  sql`` mode): the kernel backend with the stratified chase of large
+  inputs run inside SQLite — instances lowered over the intern table
+  with labeled nulls in a tagged id-space, full tgds fired as bulk
+  ``INSERT … SELECT … EXCEPT`` rounds — the scaling path past what
   in-memory backends can chase, still byte-identical;
 * :mod:`repro.engine.sweep` — the one sweep loop every bounded
   checker runs on.  A checker hands :func:`run_sweep` its sweep plan,
@@ -54,13 +54,14 @@ fast:
   violation, degrades governed errors to partial coverage, weights
   orbits, and claims and merges shards.
 
-A backend is a chase plus a homomorphism test: ``KernelBackend`` and
-``SqlBackend`` implement ``premise_matches``, ``stratified_chase``,
-``all_homomorphisms`` and ``has_homomorphism``, the sql one running
-operands below its fixed 128-fact threshold as the kernel does, memos
-included.  ``kernel.active_operations()`` returns them, or None on the
-object backend, whose reference code stays inline in
-:mod:`repro.chase` and :mod:`repro.core.mapping`.
+A backend is a chase plus a homomorphism test: ``KernelBackend``
+implements ``premise_matches``, ``stratified_chase``,
+``all_homomorphisms`` and ``has_homomorphism``, and ``SqlBackend``
+inherits them all, memos included, except ``stratified_chase``, which
+runs inputs of 128 facts or more in SQLite.
+``kernel.active_operations()`` returns them, or None on the object
+backend, whose reference code stays inline in :mod:`repro.chase` and
+:mod:`repro.core.mapping`.
 
 All ambient engine state lives in :mod:`repro.engine.context`: one
 per-thread ``EngineContext`` holds the budget and coverage events, the
@@ -144,8 +145,6 @@ from repro.engine.kernel import (
 from repro.engine.sqlbackend import (
     SqlInstance,
     default_sql_db,
-    sql_all_homomorphisms,
-    sql_has_homomorphism,
     sql_instance,
     sql_stratified_chase,
 )
@@ -285,8 +284,6 @@ __all__ = [
     "shard_entry_key",
     "shard_of_facts",
     "shard_of_instance",
-    "sql_all_homomorphisms",
-    "sql_has_homomorphism",
     "sql_instance",
     "sql_stratified_chase",
     "stable_digest",

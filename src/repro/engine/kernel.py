@@ -27,9 +27,10 @@ only the representation the work happens in changes.
 :class:`KernelBackend` is the backend interface: ``premise_matches``
 (the chase's sorted match list), ``stratified_chase`` (a whole-chase
 plan, or None to run the interpreted loop), ``all_homomorphisms`` and
-``has_homomorphism``, plus ``lower``, which picks the operands whose
-per-instance memos (``chase_memo``, ``sol_memo``) serve the checks of
-:mod:`repro.core.mapping` — every operand, here.
+``has_homomorphism``, plus ``lower``, the operand's kernel instance,
+whose per-instance memos (``chase_memo``, ``sol_memo``) serve the
+checks of :mod:`repro.core.mapping`.  The sql backend
+(:mod:`repro.engine.sqlbackend`) inherits all of it but the chase.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ def default_backend() -> str:
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """An explicit backend, else the environment-configured default."""
+    """An explicit backend, else the one in effect on this thread
+    (:func:`active_backend`)."""
     if backend is None:
-        return default_backend()
+        return active_backend()
     if backend not in BACKEND_MODES:
         raise ValueError(
             f"backend must be one of {BACKEND_MODES}, got {backend!r}"
@@ -101,9 +103,9 @@ def active_operations() -> Optional["KernelBackend"]:
 
 @contextmanager
 def use_backend(backend: Optional[str]) -> Iterator[None]:
-    """Install *backend* (resolved against ``REPRO_BACKEND``) for the
-    enclosed scope on this thread.  Nesting restores the previous
-    choice on exit."""
+    """Install *backend* for the enclosed scope on this thread (None
+    keeps the backend in effect, see :func:`resolve_backend`).
+    Nesting restores the previous choice on exit."""
     with scope(backend=resolve_backend(backend)):
         yield
 
@@ -551,8 +553,7 @@ class KernelBackend:
     are this module's functions, bound without a wrapper because the
     verdict hot loop calls them."""
 
-    #: The operand's kernel instance (a subclass may return None: the
-    #: LRU caches then serve the operation).
+    #: The operand's kernel instance, whose memos serve the checks.
     lower = staticmethod(kernel_instance)
     premise_matches = staticmethod(sorted_premise_matches)
     all_homomorphisms = staticmethod(kernel_all_homomorphisms)

@@ -6,7 +6,9 @@ from array import array
 
 import pytest
 
+from repro.catalog import example_5_4
 from repro.chase.standard import _sorted_matches
+from repro.core import SolutionEquivalence, subset_property
 from repro.core.mapping import SchemaMapping, universal_solution
 from repro.datamodel.atoms import atom
 from repro.datamodel.instances import Instance
@@ -41,7 +43,7 @@ from repro.engine.kernel import (
 )
 from repro.engine.symmetry import ground_keys_active
 from repro.errors import CompositionBudgetError
-from repro.workloads import random_ground_instance
+from repro.workloads import instance_universe, random_ground_instance
 
 X, Y = Variable("x"), Variable("y")
 
@@ -125,6 +127,17 @@ class TestBackendSelection:
                 assert active_backend() != BACKEND_KERNEL
             assert active_backend() == BACKEND_KERNEL
         assert active_backend() != BACKEND_KERNEL
+
+    def test_sweep_runs_on_the_scoped_backend(self):
+        # A sweep given no backend= runs on the thread's backend, not
+        # on REPRO_BACKEND's default.
+        mapping = example_5_4()
+        relation = SolutionEquivalence(mapping)
+        universe = instance_universe(mapping.source, ["a", "b"], max_facts=1)
+        reset_all_caches()
+        with use_backend("kernel"):
+            subset_property(mapping, relation, relation, universe)
+        assert kinstance_cache.stats().misses > 0
 
     def test_each_backend_selects_its_operations(self):
         from repro.engine.sqlbackend import SqlBackend

@@ -2,8 +2,8 @@
 
 The cross-backend property suite (``tests/properties``) establishes
 equivalence statistically; these tests pin the mechanisms — the tagged
-id encoding, table pooling and instance eviction, small-operand
-routing, budget and ``max_steps`` parity, scratch-file mode, and the
+id encoding, the table pool, chase routing, containment on the kernel
+memos, budget and ``max_steps`` parity, scratch-file mode, and the
 ``sql.exec`` fault point.
 """
 
@@ -37,13 +37,13 @@ from repro.errors import BudgetExceeded, ChaseError
 from repro.workloads import random_ground_instance, random_lav_mapping
 
 
-#: The shipped small-operand threshold, read before any test patches it.
+#: The shipped chase threshold, read before any test patches it.
 DEFAULT_MIN_FACTS = sql_min_facts()
 
 
 @pytest.fixture(autouse=True)
 def _sql_everything(monkeypatch):
-    """Force every operation through the SQL plans (threshold 0)."""
+    """Force every stratified chase through SQL (threshold 0)."""
     monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", 0)
     reset_all_caches()
     yield
@@ -110,7 +110,10 @@ class TestChaseEquivalence:
         source = Instance.of([atom("P", "a")])
         with use_backend("sql"):
             result = chase(source, deps, trace=False)
+            # the input's nullary fact seeds the working table
+            again = chase(result.instance, deps, trace=False)
         assert atom("Flag") in result.instance.facts
+        assert again.instance.facts == result.instance.facts
 
     def test_budget_trip_is_byte_identical(self):
         mapping = _mapping(11)
@@ -175,11 +178,13 @@ class TestRoutingAndFallbacks:
 
 
 class TestThresholdRule:
-    """Below ``_SQL_MIN_FACTS`` the sql backend runs an operation
-    exactly as the kernel backend does, per-instance memos included;
-    at or above it the operation lowers its operands into SQLite."""
+    """The sql backend checks containment exactly as the kernel backend
+    does, per-instance memos included, at any chase threshold: only the
+    chase lowers instances into SQLite."""
 
-    def _contained(self):
+    @pytest.mark.parametrize("min_facts", [DEFAULT_MIN_FACTS, 0])
+    def test_containment_uses_the_kernel_memos(self, monkeypatch, min_facts):
+        monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", min_facts)
         mapping = _mapping()
         outer = random_ground_instance(
             mapping.source, seed=5, n_facts=3, domain_size=2
@@ -187,36 +192,16 @@ class TestThresholdRule:
         inner = random_ground_instance(
             mapping.source, seed=6, n_facts=3, domain_size=2
         )
-        kouter = kernel_instance(outer)
-        before = engine_stats().counter("sql_instances_loaded")
+        start = engine_stats().counter("sql_instances_loaded")
         with use_backend("sql"):
+            universal_solution(mapping, outer)
+            universal_solution(mapping, inner)
+            before = engine_stats().counter("sql_instances_loaded")
             verdict = solutions_contained(mapping, inner, outer)
-            solutions = (
-                universal_solution(mapping, outer),
-                universal_solution(mapping, inner),
-            )
-            lowered = [
-                solution.facts in sqlbackend._runtime().instances
-                for solution in solutions
-            ]
-        loaded = engine_stats().counter("sql_instances_loaded") - before
+        assert (before > start) == (min_facts == 0)  # the chases' inputs
+        assert engine_stats().counter("sql_instances_loaded") == before
         memo_key = (small_id(mapping), kernel_instance(inner).kid)
-        return verdict, kouter.sol_memo, memo_key, lowered, loaded
-
-    def test_small_operands_use_the_kernel_memos(self, monkeypatch):
-        monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", DEFAULT_MIN_FACTS)
-        assert sql_min_facts() > 3
-        verdict, sol_memo, memo_key, lowered, loaded = self._contained()
-        assert sol_memo == {memo_key: verdict}
-        assert lowered == [False, False]
-        assert loaded == 0
-
-    def test_operands_at_the_threshold_lower_into_sqlite(self):
-        assert sql_min_facts() == 0  # the module fixture
-        _verdict, sol_memo, _key, lowered, loaded = self._contained()
-        assert sol_memo == {}
-        assert lowered == [True, True]
-        assert loaded >= 2
+        assert kernel_instance(outer).sol_memo == {memo_key: verdict}
 
 
 class TestFaultsAndScratchFile:
@@ -252,53 +237,40 @@ class TestFaultsAndScratchFile:
         assert actual.facts == expected.facts
 
 
-class TestPoolingAndEviction:
-    def test_instances_past_capacity_are_evicted(self, monkeypatch):
-        import repro.engine.sqlbackend as sb
-
-        monkeypatch.setattr(sb, "_MAX_LIVE_INSTANCES", 4)
-        before = engine_stats().counter("sql_evictions")
-        with use_backend("sql"):
-            for seed in range(12):
-                target = random_ground_instance(
-                    _mapping().target, seed=seed, n_facts=3, domain_size=3
-                )
-                # one pinned operation per instance; older ones go cold
-                from repro.chase.homomorphism import instance_homomorphism
-
-                instance_homomorphism(target, target)
-        assert engine_stats().counter("sql_evictions") > before
-
-    def test_evicted_instance_is_relowered_transparently(self, monkeypatch):
-        import repro.engine.sqlbackend as sb
-        from repro.chase.homomorphism import instance_homomorphism
-
-        monkeypatch.setattr(sb, "_MAX_LIVE_INSTANCES", 1)
-        keep = Instance.build({"P": [("a", "b")]})
-        with use_backend("sql"):
-            first = instance_homomorphism(keep, keep)
-            for seed in range(6):
-                other = random_ground_instance(
-                    _mapping().target, seed=seed, n_facts=2, domain_size=2
-                )
-                instance_homomorphism(other, other)
-            again = instance_homomorphism(keep, keep)
-        assert again == first
+class TestTablePool:
+    DEPS = (
+        parse_dependency("E(x, y) -> F(x, y)"),
+        parse_dependency("E(x, y) & E(y, z) -> F(x, z)"),
+    )
 
     def test_runtime_reuses_pooled_tables(self):
-        import repro.engine.sqlbackend as sb
-        from repro.chase.homomorphism import instance_homomorphism
+        source = Instance.build({"E": [("a", "b"), ("b", "c")]})
+        with use_backend("sql"):
+            chase(source, self.DEPS, trace=False)
+            rt = sqlbackend._runtime()
+            created = rt.ntables
+            # input and working tables come from — and return to — the pool
+            for _ in range(5):
+                chase(source, self.DEPS, trace=False)
+            assert rt.ntables == created
+
+    def test_chase_returns_every_table_to_the_pool(self):
+        path = Instance.build({"E": [("a", "b"), ("b", "c"), ("c", "d")]})
+        longer = Instance.build(
+            {"E": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]}
+        )
+
+        def pooled(rt):
+            return sum(len(tables) for tables in rt.pool.values())
 
         with use_backend("sql"):
-            seed_instance = Instance.build({"P": [("a", "b")]})
-            instance_homomorphism(seed_instance, seed_instance)
-            rt = sb._runtime()
-            created = rt.ntables
-            # chase working tables come from — and return to — the pool
-            deps = (parse_dependency("P(x, y) -> Q(y, x)"),)
-            for _ in range(5):
-                chase(seed_instance, deps, trace=False)
-            assert rt.ntables <= created + 2
+            chase(path, self.DEPS, trace=False)
+            rt = sqlbackend._runtime()
+            assert pooled(rt) == rt.ntables > 0
+            with use_budget(Budget(max_chase_steps=1)):
+                with pytest.raises(BudgetExceeded):
+                    chase(longer, self.DEPS, trace=False)
+            assert pooled(rt) == rt.ntables
 
 
 class TestExportParity:

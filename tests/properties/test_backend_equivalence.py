@@ -9,9 +9,11 @@ drive all three backends over randomly drawn premises — including
 random LAV mappings (whose tgds include *existential* conclusions),
 asserting byte-identical answers.
 
-The SQL backend normally routes operands below ``_SQL_MIN_FACTS``
-facts to the kernel; the module fixture pins the threshold to 0 so
-these tiny hypothesis instances exercise the actual SQL plans.
+The SQL backend runs homomorphism search, premise matching and
+containment on the kernel, and chases inputs of ``_SQL_MIN_FACTS``
+facts or more inside SQLite; the module fixture pins that threshold to
+0 so these tiny hypothesis instances exercise the SQL chase, traced
+chases included.
 """
 
 import pytest
@@ -46,7 +48,7 @@ ACCELERATED = tuple(mode for mode in BACKEND_MODES if mode != BACKEND_OBJECT)
 
 @pytest.fixture(scope="module", autouse=True)
 def _force_sql_path():
-    """Pin the SQL small-operand threshold to 0 for this module."""
+    """Pin the SQL chase threshold to 0 for this module."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sqlbackend, "_SQL_MIN_FACTS", 0)
         reset_all_caches()
