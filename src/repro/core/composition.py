@@ -12,12 +12,37 @@ J ranges over an infinite set, a finite candidate set suffices:
   superinstance, and a dependency's conclusion constrains I2 only).
   Hence if any J works, the homomorphic image h(chase(I1)) ⊆ J works
   as well.
-* It therefore suffices to try every image of chase(I1) under maps
-  sending each null to: itself, another null of the chase, an
-  active-domain constant of I1 or I2, or one of k fresh constants
-  (k = number of nulls) — fresh constants beyond the equality pattern
-  they realize are interchangeable because dependencies contain no
-  constant symbols.
+* It therefore suffices to try the images of chase(I1) under maps
+  sending each of its k nulls to a null of the chase, to an
+  active-domain constant of I1 or I2, or to one of k fresh constants
+  — and only one such image per isomorphism class.  Each null, taken
+  in sorted order, goes to an active-domain constant, to a null block
+  already opened or one new block, or to a fresh constant already used
+  or one new fresh constant.  The first block to open is labelled with
+  the chase's first null, the second with its second, and so on; fresh
+  constants are taken from the k in the same way.  This
+  restricted-growth enumeration yields
+  sum over i + j + l = k of multinomial(k; i, j, l) * B_i * B_j * a^l
+  candidates (B the Bell numbers, a the number of active-domain
+  constants) instead of the (2k + a)^k images of the plain product.
+
+Why one image per class is enough:
+
+* ``is_solution(M', J, I2)`` does not change under a bijective
+  renaming of J's nulls among nulls, or of J's constants outside
+  adom(I1 ∪ I2) among themselves: dependencies contain no constant
+  symbols, ``Constant()`` only tells a null from a constant, and
+  inequalities only see equality.
+* Every product image is isomorphic to exactly one restricted-growth
+  image under such a renaming.  That image is the first member of its
+  class in the product's order (nulls, then active-domain constants,
+  then fresh constants), so the search is the product with the
+  repeats left out: it stops on the same class, with the same verdict
+  or budget error.
+* For ``compose`` nested in an algebra expression,
+  ``expression_membership`` recurses on the second leg with each
+  candidate.  The verdict at every level is invariant under the same
+  renamings, so the argument applies level by level, by induction.
 
 This makes the membership test a decision procedure (no approximation),
 at a cost exponential in the number of nulls of chase(I1); the
@@ -32,12 +57,10 @@ first mapping's conclusions — a direct reuse of MinGen.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.datamodel.atoms import Atom, atoms_variables
 from repro.datamodel.instances import Instance
-from repro.datamodel.terms import Constant, Null, Term, Variable
+from repro.datamodel.terms import Constant, Term
 from repro.dependencies.dependency import Dependency, Premise
 from repro.core.generators import MinGenConfig, minimal_generators
 from repro.core.mapping import (
@@ -56,7 +79,17 @@ def _candidate_intermediates(
     right: Instance,
     max_nulls: int,
 ) -> Iterator[Instance]:
-    """All sufficient candidate intermediate instances J (see module doc)."""
+    """One candidate intermediate J per isomorphism class (module doc).
+
+    A restricted-growth search assigns the chase's nulls in sorted
+    order.  Each null joins a null block already opened, opens the next
+    block, becomes an active-domain constant of *left* ∪ *right*,
+    reuses a fresh constant, or takes the next unused one.  Choices are
+    tried in that order, so each candidate is the first of its class in
+    the (2k + a)^k product over nulls + adom + fresh, and the
+    candidates keep the product's order.  The ``max_nulls`` guard runs
+    before any candidate is built.
+    """
     chased = universal_solution(mapping, left)
     chase_nulls = sorted(chased.nulls())
     if len(chase_nulls) > max_nulls:
@@ -77,13 +110,26 @@ def _candidate_intermediates(
         counter += 1
         if candidate not in taken:
             fresh_constants.append(Constant(candidate))
-    targets: List[Term] = list(chase_nulls) + adom_constants + fresh_constants
     if not chase_nulls:
         yield chased
         return
-    for images in product(targets, repeat=len(chase_nulls)):
-        mapping_dict: Dict[Term, Term] = dict(zip(chase_nulls, images))
-        yield chased.substitute(mapping_dict)
+
+    def images(
+        prefix: Tuple[Term, ...], blocks: int, fresh: int
+    ) -> Iterator[Tuple[Term, ...]]:
+        if len(prefix) == len(chase_nulls):
+            yield prefix
+            return
+        choices = [(null, blocks, fresh) for null in chase_nulls[:blocks]]
+        choices.append((chase_nulls[blocks], blocks + 1, fresh))
+        choices.extend((c, blocks, fresh) for c in adom_constants)
+        choices.extend((c, blocks, fresh) for c in fresh_constants[:fresh])
+        choices.append((fresh_constants[fresh], blocks, fresh + 1))
+        for image, next_blocks, next_fresh in choices:
+            yield from images(prefix + (image,), next_blocks, next_fresh)
+
+    for image in images((), 0, 0):
+        yield chased.substitute(dict(zip(chase_nulls, image)))
 
 
 def composition_membership(
