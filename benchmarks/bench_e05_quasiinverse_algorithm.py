@@ -2,8 +2,6 @@
 algorithm trace, plus the proof-based-vs-exhaustive MinGen contrast
 that shows why the backward-chaining search is the default."""
 
-import pytest
-
 from benchmarks.conftest import run_and_verify
 from repro.catalog import example_4_5
 from repro.core import MinGenConfig, minimal_generators, quasi_inverse

@@ -7,10 +7,9 @@
 
 import pytest
 
-from repro.catalog import decomposition, thm_4_8
+from repro.catalog import thm_4_8
 from repro.core.mapping import SchemaMapping
 from repro.core.skolem import compose_skolem, skolem_exchange
-from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.dataexchange.exchange import exchange
 from repro.workloads import random_ground_instance

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.experiments import run_experiment
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")

@@ -117,7 +117,8 @@ def invertibility_report(
     (default: ``REPRO_SYMMETRY``) selects full or orbit-reduced sweeps
     for both bounded checks; ``orbits_checked`` aggregates their orbit
     counters.  *backend* (default: the calling thread's
-    :func:`~repro.engine.use_backend` scope, else ``REPRO_BACKEND``)
+    :func:`~repro.engine.use_backend` scope, else the process default,
+    :func:`~repro.engine.default_backend`)
     selects the object, compiled-kernel, or SQL (SQLite-hosted)
     execution backend for both sweeps; the report is identical in each
     case.  *shards* / *shard_id* (default:

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chase.standard import ChaseResult, ChaseStep
 from repro.datamodel.atoms import Atom
-from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Term
 
 

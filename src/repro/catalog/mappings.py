@@ -9,12 +9,12 @@ compare conjunct-for-conjunct) and the worked-example instances
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.dependencies.dependency import Dependency
-from repro.dependencies.parser import parse_dependencies, parse_dependency
+from repro.dependencies.parser import parse_dependency
 from repro.core.mapping import SchemaMapping
 
 

@@ -8,7 +8,10 @@ respects ``Constant(x)`` conjuncts and inequalities.
 The search is a deterministic backtracking join: atoms are ordered
 greedily (most-bound first, smallest relation first) and candidate
 facts are scanned in sorted order, so the first homomorphism found is
-stable across runs.  Candidates come from the engine's per-instance
+stable across runs.  The greedy order is a function of the atoms, the
+pre-bound terms and each atom's relation extent in the target, so it
+is computed once per such signature and memoized, as the kernel's
+compiled plans are.  Candidates come from the engine's per-instance
 fact index — a hash probe on the most selective (relation, position,
 term) posting list — which skips facts a linear scan would only
 reject, without changing which homomorphisms are found or their
@@ -26,7 +29,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -34,6 +36,7 @@ from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Term, Variable
 from repro.engine.budget import current_budget
+from repro.engine.cache import register_reset_hook
 from repro.engine.indexing import fact_index
 from repro.engine.kernel import active_operations
 
@@ -45,9 +48,38 @@ def _is_mappable(term: Term) -> bool:
     return isinstance(term, (Null, Variable))
 
 
+# Join orders by (atoms, pre-bound terms, per-atom relation extents),
+# the whole input of the greedy order; cleared when full and with the
+# caches, like the fact-index memos.  No lock: an entry is a function
+# of its key, so racing threads can only store the same order twice.
+_ORDERS: Dict[Tuple, Tuple[Atom, ...]] = {}
+_ORDERS_MAX = 16_384
+register_reset_hook(_ORDERS.clear)
+
+
 def _order_atoms(
-    atoms: Sequence[Atom], target: Instance, bound: Set[Term]
-) -> List[Atom]:
+    atoms: Sequence[Atom], target: Instance, bound: Iterable[Term]
+) -> Tuple[Atom, ...]:
+    """The greedy join order of :func:`_greedy_order`, memoized."""
+    atoms = tuple(atoms)
+    facts_for = target.facts_for
+    key = (
+        atoms,
+        frozenset(bound),
+        tuple([len(facts_for(atom.relation)) for atom in atoms]),
+    )
+    ordered = _ORDERS.get(key)
+    if ordered is None:
+        ordered = _greedy_order(atoms, target, bound)
+        if len(_ORDERS) >= _ORDERS_MAX:
+            _ORDERS.clear()
+        _ORDERS[key] = ordered
+    return ordered
+
+
+def _greedy_order(
+    atoms: Sequence[Atom], target: Instance, bound: Iterable[Term]
+) -> Tuple[Atom, ...]:
     """Greedy join order: prefer atoms with more bound positions, then
     atoms over smaller relations, then lexicographic, for determinism.
 
@@ -88,7 +120,7 @@ def _order_atoms(
                 for position in occurrences[arg]:
                     if alive[position]:
                         unbound_counts[position] -= 1
-    return ordered
+    return tuple(ordered)
 
 
 def _check_constraints(
@@ -165,7 +197,7 @@ def all_homomorphisms(
             tuple(atoms), target, base, constant_vars, inequalities
         )
         return
-    ordered = _order_atoms(atoms, target, set(base))
+    ordered = _order_atoms(atoms, target, base)
     target_index = fact_index(target)
 
     def search(index: int, assignment: Assignment) -> Iterator[Assignment]:

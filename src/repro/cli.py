@@ -36,7 +36,8 @@ orbit instead of every universe instance — same verdicts, up to
 reduction would be unsound (mappings mentioning literal constants,
 universes not closed under permutation).
 
-``--backend kernel`` (the ``REPRO_BACKEND`` knob) runs homomorphism
+``--backend kernel`` (``REPRO_BACKEND``, read once at process start;
+the flag sets the process default) runs homomorphism
 searches, premise matching, and verdict caching on the compiled
 integer kernel (term interning + array join plans compiled once per
 premise) instead of interpreting the object datamodel — same verdicts,
@@ -408,10 +409,16 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_engine(arguments: argparse.Namespace) -> None:
-    from repro.engine import resize_caches, set_default_workers
+    from repro.engine import (
+        resize_caches,
+        set_default_backend,
+        set_default_workers,
+    )
 
     if getattr(arguments, "workers", None):
         set_default_workers(arguments.workers)
+    if getattr(arguments, "backend", None) is not None:
+        set_default_backend(arguments.backend)
     if getattr(arguments, "cache_size", None):
         resize_caches(arguments.cache_size)
     # Governance flags travel as environment knobs so forked workers
@@ -424,7 +431,6 @@ def _configure_engine(arguments: argparse.Namespace) -> None:
         ("max_rss_mb", "REPRO_MAX_RSS_MB"),
         ("checkpoint", "REPRO_CHECKPOINT"),
         ("symmetry", "REPRO_SYMMETRY"),
-        ("backend", "REPRO_BACKEND"),
         ("sql_db", "REPRO_SQL_DB"),
         ("store", "REPRO_STORE"),
         ("shards", "REPRO_SHARDS"),

@@ -246,7 +246,8 @@ def subset_property(
 
     *backend* (a backend name, see :func:`repro.engine.resolve_backend`;
     default: the calling thread's :func:`~repro.engine.use_backend`
-    scope, else ``REPRO_BACKEND``, else the object backend): on the
+    scope, else the process default :func:`~repro.engine.default_backend`,
+    which starts as ``REPRO_BACKEND`` or the object backend): on the
     kernel backend homomorphism probes, premise matching, and verdict
     keys run on the compiled integer kernel (:mod:`repro.engine.kernel`);
     the sql backend runs the same kernel code and chases instances of

@@ -41,6 +41,7 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -53,7 +54,7 @@ from repro.chase.homomorphism import all_homomorphisms, find_homomorphism
 from repro.chase.standard import chase
 from repro.datamodel.atoms import Atom, atoms_variables
 from repro.datamodel.instances import Instance
-from repro.datamodel.terms import Constant, Term, Variable
+from repro.datamodel.terms import Constant, Null, Term, Variable
 from repro.dependencies.descriptions import set_partitions
 from repro.core.mapping import MappingError, SchemaMapping
 from repro.errors import MinGenBudgetError
@@ -142,6 +143,13 @@ def _fresh_prefix(
     return prefix
 
 
+def _relation_counts(atoms: Iterable[Atom]) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for current in atoms:
+        counts[current.relation] = counts.get(current.relation, 0) + 1
+    return counts
+
+
 def embeds_into(
     smaller: Generator, larger_atoms: FrozenSet[Atom], frontier: Sequence[Variable]
 ) -> bool:
@@ -150,10 +158,29 @@ def embeds_into(
     Implements the paper's Step 3 subset check: an injective renaming
     of smaller's fresh variables (frontier fixed) carrying every
     conjunct of smaller into the larger conjunction.
+
+    Before searching, the relation counts must fit: no relation may
+    occur more often among smaller's distinct atoms than in
+    *larger_atoms*.  The renaming fixes each frontier variable and
+    constant and maps z injectively to variables outside the frontier,
+    so it is injective on smaller's terms and carries distinct atoms
+    to distinct atoms of the same relation.  That argument needs every
+    term it may move to be a z, so the test is skipped when smaller
+    holds a null (mappable, but not in ``fresh_variables()``: it may
+    collapse atoms) or a variable of its own frontier outside
+    *frontier*.
     """
+    frontier_set = set(frontier)
+    distinct = set(smaller.atoms)
+    if frontier_set.issuperset(smaller.frontier) and not any(
+        isinstance(arg, Null) for current in distinct for arg in current.args
+    ):
+        available = _relation_counts(larger_atoms)
+        for relation, needed in _relation_counts(distinct).items():
+            if needed > available.get(relation, 0):
+                return False
     target = Instance.of(larger_atoms)
     fixed: Dict[Term, Term] = {v: v for v in frontier}
-    frontier_set = set(frontier)
     fresh = smaller.fresh_variables()
     for assignment in all_homomorphisms(smaller.atoms, target, fixed=fixed):
         images = [assignment[v] for v in fresh]

@@ -26,12 +26,12 @@ inverse: any other inverse's dependency set logically implies Sigma'.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.chase.standard import chase
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
-from repro.datamodel.terms import Null, Term, Variable
+from repro.datamodel.terms import Term, Variable
 from repro.dependencies.dependency import Dependency, Premise
 from repro.core.mapping import MappingError, SchemaMapping
 

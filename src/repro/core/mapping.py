@@ -16,14 +16,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 from repro.chase.homomorphism import (
     all_homomorphisms,
     find_homomorphism,
     instance_homomorphism,
 )
-from repro.chase.standard import NullFactory, chase
+from repro.chase.standard import chase
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema

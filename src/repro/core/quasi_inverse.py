@@ -31,10 +31,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.chase.homomorphism import all_homomorphisms, find_homomorphism
+from repro.chase.homomorphism import find_homomorphism
 from repro.datamodel.atoms import Atom, atoms_variables
 from repro.datamodel.instances import Instance
-from repro.datamodel.terms import Term, Variable  # noqa: F401 (Variable in annotations)
+from repro.datamodel.terms import Term, Variable
 from repro.dependencies.dependency import Dependency, Premise
 from repro.dependencies.descriptions import sigma_star
 from repro.core.generators import Generator, MinGenConfig, minimal_generators

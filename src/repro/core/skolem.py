@@ -35,15 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.chase.homomorphism import all_homomorphisms
 from repro.chase.standard import NullFactory
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
-from repro.datamodel.terms import Constant, Null, Term, Variable
-from repro.dependencies.dependency import Dependency
+from repro.datamodel.terms import Null, Term, Variable
 from repro.core.mapping import MappingError, SchemaMapping
 
 

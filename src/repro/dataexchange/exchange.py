@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from repro.chase.disjunctive import disjunctive_chase
-from repro.chase.standard import NullFactory, chase
 from repro.datamodel.instances import Instance
 from repro.core.mapping import MappingError, SchemaMapping, universal_solution
 from repro.engine.parallel import ParallelUniverseRunner, get_shared

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.chase.homomorphism import all_homomorphisms
 from repro.datamodel.atoms import Atom, atoms_variables

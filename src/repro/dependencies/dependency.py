@@ -16,13 +16,12 @@ in the premise is existentially quantified in that disjunct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )

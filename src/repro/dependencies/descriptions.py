@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.datamodel.terms import Term, Variable
+from repro.datamodel.terms import Variable
 from repro.dependencies.dependency import Dependency
 
 

@@ -140,6 +140,7 @@ from repro.engine.kernel import (
     intern_table,
     kernel_instance,
     resolve_backend,
+    set_default_backend,
     use_backend,
 )
 from repro.engine.sqlbackend import (
@@ -279,6 +280,7 @@ __all__ = [
     "resolve_shards",
     "resolve_symmetry",
     "run_sweep",
+    "set_default_backend",
     "set_default_workers",
     "set_symmetry_memo_limit",
     "shard_entry_key",

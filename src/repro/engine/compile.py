@@ -1,10 +1,11 @@
 """Premise compilation: conjunctive patterns as ordered array join plans.
 
-The object-backend homomorphism search re-derives the same facts about
-a premise on every call: which terms are mappable, where each occurs,
-how the atoms should be ordered.  A :class:`CompiledPremise` does that
-analysis exactly once per distinct ``(atoms, constant_vars,
-inequalities)`` pattern and lowers it to integer form:
+The object-backend homomorphism search works on terms: on every call
+it re-checks which terms are mappable as it matches them, and it
+memoizes its join order keyed by the atoms themselves.  A
+:class:`CompiledPremise` analyses a premise exactly once per distinct
+``(atoms, constant_vars, inequalities)`` pattern and lowers it to
+integer form:
 
 * every mappable term (null or logic variable) becomes a dense *slot*
   index, so a partial assignment is a flat ``list[int]`` (``-1`` =
@@ -16,7 +17,7 @@ inequalities)`` pattern and lowers it to integer form:
   lists evaluated at bind time;
 * the greedy join order (most-bound first, then smallest relation,
   then lexicographic — byte-for-byte the order
-  :func:`repro.chase.homomorphism._order_atoms` produces) is computed
+  :func:`repro.chase.homomorphism._greedy_order` produces) is computed
   per ``(relation extents, bound-slot mask)`` signature and cached, so
   repeated searches against same-shaped targets skip the ordering
   entirely.
@@ -150,7 +151,7 @@ class CompiledPremise:
         """The join order (indices into ``catoms``) for targets with
         the given relation *extents* and pre-bound slot mask.
 
-        Replicates :func:`repro.chase.homomorphism._order_atoms`
+        Replicates :func:`repro.chase.homomorphism._greedy_order`
         exactly — greedy minimum of ``(unbound count, extent,
         sort key)`` with incremental unbound maintenance — so the
         kernel search visits atoms in the object backend's order.

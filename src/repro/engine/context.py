@@ -34,7 +34,7 @@ class EngineContext(threading.local):
     """This thread's engine fields (see the module docstring)."""
 
     budget: Any = None  # the ambient Budget; None: unlimited
-    backend: Optional[str] = None  # None: follow REPRO_BACKEND
+    backend: Optional[str] = None  # None: follow the process default
     ground_keys: bool = False  # key ground instances by canonical form
     governed: FrozenSet[str] = frozenset()  # kinds governed beyond GOVERNED_KINDS
     shared: Any = None  # the payload the runner's current map publishes

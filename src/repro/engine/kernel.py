@@ -2,9 +2,10 @@
 
 The object backend interprets the datamodel in the hot loop: every
 homomorphism probe hashes :class:`~repro.datamodel.terms.Term` objects,
-every candidate scan compares them, and every premise is re-analysed
-per call.  The kernel backend (``backend="kernel"``, CLI ``--backend``,
-env ``REPRO_BACKEND``) executes the same searches over dense integers:
+every candidate scan compares them, and every premise's terms are
+re-examined per call (only its join order is memoized).  The kernel
+backend (``backend="kernel"``, CLI ``--backend``, env
+``REPRO_BACKEND``) executes the same searches over dense integers:
 
 * an engine-wide :class:`InternTable` maps every term to a dense id
   (append-only for the life of the process, so ids are stable and
@@ -68,12 +69,32 @@ BACKEND_MODES = (BACKEND_OBJECT, BACKEND_KERNEL, BACKEND_SQL)
 # -- backend selection ----------------------------------------------------
 
 
+# Read once, when the engine is first imported: the backend dispatch
+# runs on every homomorphism search, and a later write to os.environ
+# is not a way to switch backends (use set_default_backend).
+_DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", BACKEND_OBJECT).strip().lower()
+if _DEFAULT_BACKEND not in BACKEND_MODES:
+    _DEFAULT_BACKEND = BACKEND_OBJECT
+
+
 def default_backend() -> str:
-    """The engine-wide backend (``REPRO_BACKEND``; the CLI's
-    ``--backend`` flag sets it).  Defaults to ``"object"`` — the
-    kernel is opt-in.  Unknown values fall back to ``"object"``."""
-    value = os.environ.get("REPRO_BACKEND", BACKEND_OBJECT).strip().lower()
-    return value if value in BACKEND_MODES else BACKEND_OBJECT
+    """The process default backend, which a thread follows outside any
+    :func:`use_backend` scope.  It starts as ``REPRO_BACKEND``, read
+    once at import (``"object"`` when unset or unknown — the kernel is
+    opt-in); the CLI's and the daemon's ``--backend`` flag move it
+    through :func:`set_default_backend`."""
+    return _DEFAULT_BACKEND
+
+
+def set_default_backend(backend: str) -> None:
+    """Make *backend* the process default (see :func:`default_backend`).
+    Threads already inside a :func:`use_backend` scope keep theirs."""
+    global _DEFAULT_BACKEND
+    if backend not in BACKEND_MODES:
+        raise ValueError(
+            f"backend must be one of {BACKEND_MODES}, got {backend!r}"
+        )
+    _DEFAULT_BACKEND = backend
 
 
 def resolve_backend(backend: Optional[str]) -> str:
@@ -98,7 +119,7 @@ def active_operations() -> Optional["KernelBackend"]:
     or None on the object backend.  Pool workers install the sweep's
     backend in their initializer, so a sweep runs on one end to end."""
     active = CONTEXT.backend
-    return BACKEND_OPERATIONS[active if active is not None else default_backend()]
+    return BACKEND_OPERATIONS[active if active is not None else _DEFAULT_BACKEND]
 
 
 @contextmanager
@@ -112,10 +133,10 @@ def use_backend(backend: Optional[str]) -> Iterator[None]:
 
 def active_backend() -> str:
     """The backend in effect right now (this thread's context, else the
-    environment default).  The parallel runner hands it to each worker
+    process default).  The parallel runner hands it to each worker
     with the rest of the context."""
     active = CONTEXT.backend
-    return active if active is not None else default_backend()
+    return active if active is not None else _DEFAULT_BACKEND
 
 
 # -- term interning -------------------------------------------------------
@@ -585,6 +606,7 @@ __all__ = [
     "kernel_has_homomorphism",
     "kernel_instance",
     "resolve_backend",
+    "set_default_backend",
     "small_id",
     "sorted_premise_matches",
     "use_backend",

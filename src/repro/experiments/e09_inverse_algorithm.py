@@ -17,7 +17,6 @@ from repro.core import (
     is_inverse,
     logically_implies,
 )
-from repro.datamodel.schemas import Schema
 from repro.experiments.base import ExperimentReport, ReportBuilder
 from repro.workloads import instance_universe
 

@@ -10,7 +10,7 @@ invert them exactly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict
 
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance

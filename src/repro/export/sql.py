@@ -34,7 +34,7 @@ from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Constant, Null, Term, Variable
-from repro.dependencies.dependency import Dependency, Premise
+from repro.dependencies.dependency import Dependency
 from repro.dataexchange.queries import ConjunctiveQuery
 from repro.core.mapping import SchemaMapping
 

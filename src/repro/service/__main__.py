@@ -53,15 +53,20 @@ def _env_float(name: str) -> Optional[float]:
 def _configure_daemon_engine(arguments: argparse.Namespace) -> None:
     """Install the daemon-wide engine defaults (jobs may override the
     per-sweep ones in their specs)."""
-    from repro.engine import resize_caches, set_default_workers
+    from repro.engine import (
+        resize_caches,
+        set_default_backend,
+        set_default_workers,
+    )
 
     if arguments.workers:
         set_default_workers(arguments.workers)
     if arguments.cache_size:
         resize_caches(arguments.cache_size)
+    if getattr(arguments, "backend", None) is not None:
+        set_default_backend(arguments.backend)
     for flag, knob in (
         ("store", "REPRO_STORE"),
-        ("backend", "REPRO_BACKEND"),
         ("symmetry", "REPRO_SYMMETRY"),
     ):
         value = getattr(arguments, flag, None)

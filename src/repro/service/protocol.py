@@ -27,7 +27,7 @@ Terminal states map exactly onto the CLI's exit codes
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.engine import BACKEND_MODES
 from repro.errors import ParseError, ServiceProtocolError

@@ -9,7 +9,7 @@ deterministically and verify the statements instance by instance.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance

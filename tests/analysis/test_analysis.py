@@ -1,7 +1,5 @@
 """Unit tests for classification and invertibility analysis."""
 
-import pytest
-
 from repro.analysis import classify_mapping, invertibility_report
 from repro.catalog import (
     decomposition,

@@ -1,7 +1,5 @@
 """Tests pinning the catalog to the paper's definitions."""
 
-import pytest
-
 from repro.catalog import (
     all_catalog_mappings,
     decomposition,
@@ -14,10 +12,7 @@ from repro.catalog import (
     projection,
     projection_quasi_inverse,
     prop_3_12,
-    thm_4_8,
-    thm_4_9,
     thm_4_10,
-    thm_4_11,
     union_mapping,
     union_quasi_inverse,
 )

@@ -1,7 +1,5 @@
 """Unit tests for the homomorphism engine."""
 
-import pytest
-
 from repro.chase.homomorphism import (
     all_homomorphisms,
     core,

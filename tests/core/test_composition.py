@@ -8,7 +8,6 @@ import pytest
 from repro.catalog import (
     decomposition,
     decomposition_quasi_inverse_join,
-    example_5_4,
     projection,
     thm_4_8,
     thm_4_8_inverse,
@@ -21,7 +20,6 @@ from repro.core.composition import (
     compose_full,
     composition_membership,
 )
-from repro.core.inverse import inverse
 from repro.core.mapping import MappingError, SchemaMapping, is_solution, universal_solution
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema

@@ -1,7 +1,5 @@
 """Unit tests for the (∼1,∼2)-inverse framework (Section 3)."""
 
-import pytest
-
 from repro.catalog import (
     decomposition,
     decomposition_quasi_inverse_join,

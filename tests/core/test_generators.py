@@ -3,6 +3,7 @@
 import pytest
 
 from repro.catalog import decomposition, example_4_5, projection, union_mapping
+from repro.core import generators
 from repro.core.generators import (
     Generator,
     MinGenBudgetError,
@@ -14,7 +15,8 @@ from repro.core.generators import (
     minimal_generators,
     minimal_generators_exhaustive,
 )
-from repro.datamodel.terms import Variable
+from repro.datamodel.atoms import atom
+from repro.datamodel.terms import Null, Variable
 from repro.dependencies.parser import parse_dependency
 
 X1, X2 = Variable("x1"), Variable("x2")
@@ -134,6 +136,42 @@ class TestEmbedsInto:
             + parse_dependency("Q2(x1) -> Q(x1)").premise.atoms
         )
         assert not embeds_into(small, frozenset(merged), (X1,))
+
+    def test_relation_count_violation_skips_the_search(self, monkeypatch):
+        class NoInstances:
+            @staticmethod
+            def of(atoms):
+                raise AssertionError("built an instance")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(generators, "Instance", NoInstances)
+        monkeypatch.setattr(generators, "all_homomorphisms", no_search)
+        small = Generator(
+            parse_dependency("R(x1, z1) & R(z1, z2) -> Q(x1)").premise.atoms,
+            (X1,),
+        )
+        large = parse_dependency("R(x1, w) & T(w) -> Q(x1)").premise.atoms
+        assert not embeds_into(small, frozenset(large), (X1,))
+
+    def test_a_null_may_collapse_atoms(self):
+        # The null is mappable but no z, so R(x1, n) and R(x1, z1) may
+        # land on one atom: the count test must not reject this.
+        small = Generator(
+            (atom("R", X1, Null("n")), atom("R", X1, Variable("z1"))), (X1,)
+        )
+        large = frozenset({atom("R", X1, Variable("w"))})
+        assert embeds_into(small, large, (X1,))
+
+    def test_a_frontier_variable_outside_the_call_frontier_may_collapse_atoms(self):
+        # x2 is no z of small and is not fixed by the call: it moves
+        # freely, so R(x1, x2) and R(x1, z1) may land on one atom.
+        small = Generator(
+            (atom("R", X1, X2), atom("R", X1, Variable("z1"))), (X1, X2)
+        )
+        large = frozenset({atom("R", X1, Variable("w"))})
+        assert embeds_into(small, large, (X1,))
 
 
 class TestMethodsAgree:

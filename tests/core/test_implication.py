@@ -1,7 +1,5 @@
 """Unit tests for logical implication between dependencies."""
 
-import pytest
-
 from repro.core.implication import logically_equivalent, logically_implies
 from repro.dependencies.parser import parse_dependencies, parse_dependency
 

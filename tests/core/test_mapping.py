@@ -12,11 +12,9 @@ from repro.core.mapping import (
     solutions_contained,
     universal_solution,
 )
-from repro.datamodel.atoms import atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.dependencies.dependency import DependencyError
-from repro.dependencies.parser import parse_dependencies
 
 
 class TestConstruction:

@@ -6,7 +6,6 @@ from repro.catalog import decomposition, projection, thm_4_8, union_mapping
 from repro.chase.homomorphism import is_homomorphically_equivalent
 from repro.core.mapping import MappingError, SchemaMapping, universal_solution
 from repro.core.skolem import (
-    SkolemMapping,
     SkolemTerm,
     compose_skolem,
     skolem_exchange,
@@ -14,7 +13,6 @@ from repro.core.skolem import (
 )
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
-from repro.datamodel.terms import Variable
 from repro.dataexchange.exchange import exchange
 from repro.workloads import random_ground_instance, random_lav_mapping
 

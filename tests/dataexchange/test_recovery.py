@@ -1,7 +1,5 @@
 """Unit tests for soundness, faithfulness, and recovery (Section 6)."""
 
-import pytest
-
 from repro.catalog import (
     decomposition,
     decomposition_quasi_inverse_join,

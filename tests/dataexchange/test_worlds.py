@@ -1,7 +1,5 @@
 """Unit tests for possible-worlds query answering."""
 
-import pytest
-
 from repro.catalog import (
     decomposition,
     decomposition_quasi_inverse_join,

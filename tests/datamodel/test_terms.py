@@ -1,7 +1,5 @@
 """Unit tests for terms: the three disjoint kinds and their order."""
 
-import pytest
-
 from repro.datamodel.terms import (
     Constant,
     Null,

@@ -1,5 +1,7 @@
 """Unit tests for the compiled relational kernel backend."""
 
+import os
+import subprocess
 import sys
 import threading
 from array import array
@@ -39,6 +41,7 @@ from repro.engine.kernel import (
     kernel_instance,
     kinstance_cache,
     resolve_backend,
+    set_default_backend,
     sorted_premise_matches,
 )
 from repro.engine.symmetry import ground_keys_active
@@ -46,6 +49,10 @@ from repro.errors import CompositionBudgetError
 from repro.workloads import instance_universe, random_ground_instance
 
 X, Y = Variable("x"), Variable("y")
+
+REPO_SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src")
+)
 
 
 class TestInternTable:
@@ -112,12 +119,59 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             resolve_backend("gpu")
 
-    def test_environment_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "kernel")
-        assert default_backend() == BACKEND_KERNEL
-        assert active_backend() == BACKEND_KERNEL
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        assert default_backend() == BACKEND_OBJECT
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("kernel", BACKEND_KERNEL), (" SQL ", "sql"), ("bogus", BACKEND_OBJECT)],
+        ids=["kernel", "padded-uppercase-sql", "unknown-falls-back-to-object"],
+    )
+    def test_environment_sets_the_default_at_start(self, value, expected):
+        env = dict(os.environ, REPRO_BACKEND=value, PYTHONPATH=REPO_SRC)
+        printed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.engine import active_backend, default_backend\n"
+                "print(default_backend(), active_backend())",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout.split()
+        assert printed == [expected, expected]
+
+    def test_environment_edits_after_start_do_not_move_the_default(
+        self, monkeypatch
+    ):
+        before = default_backend()
+        other = BACKEND_KERNEL if before != BACKEND_KERNEL else BACKEND_OBJECT
+        monkeypatch.setenv("REPRO_BACKEND", other)
+        assert default_backend() == before
+        assert active_backend() == before
+
+    def test_setter_rejects_an_unknown_backend(self):
+        before = default_backend()
+        with pytest.raises(ValueError):
+            set_default_backend("gpu")
+        assert default_backend() == before
+
+    def test_setter_moves_the_default_after_a_scope_exits(self):
+        # scope() restores a field by writing the old value into the
+        # thread's own dict: the None written back must still follow a
+        # default set afterwards.
+        before = default_backend()
+        try:
+            with use_backend("sql"):
+                assert active_backend() == "sql"
+            set_default_backend(BACKEND_KERNEL)
+            assert active_backend() == BACKEND_KERNEL
+            assert type(active_operations()) is KernelBackend
+            with use_backend("object"):
+                assert active_operations() is None
+            assert active_backend() == BACKEND_KERNEL
+        finally:
+            set_default_backend(before)
 
     def test_use_backend_nests_and_restores(self):
         assert active_backend() != BACKEND_KERNEL
@@ -130,7 +184,7 @@ class TestBackendSelection:
 
     def test_sweep_runs_on_the_scoped_backend(self):
         # A sweep given no backend= runs on the thread's backend, not
-        # on REPRO_BACKEND's default.
+        # on the process default.
         mapping = example_5_4()
         relation = SolutionEquivalence(mapping)
         universe = instance_universe(mapping.source, ["a", "b"], max_facts=1)

@@ -1,6 +1,6 @@
 """Unit tests for the experiment report machinery."""
 
-from repro.experiments.base import Check, ExperimentReport, ReportBuilder
+from repro.experiments.base import Check, ReportBuilder
 
 
 class TestCheck:

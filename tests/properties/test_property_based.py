@@ -20,7 +20,6 @@ from repro.core.mapping import (
     universal_solution,
 )
 from repro.core.quasi_inverse import lav_quasi_inverse, quasi_inverse
-from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant
 from repro.dataexchange.recovery import analyze_round_trip
 from repro.dependencies.parser import parse_dependency

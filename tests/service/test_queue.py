@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.engine.budget import Budget
 from repro.engine.instrumentation import engine_stats
 from repro.errors import DeadlineExceeded, JobNotFound, ServiceProtocolError
 from repro.service.jobs import JobOutcome

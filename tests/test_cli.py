@@ -62,19 +62,20 @@ def test_export_sql_refuses_existential_mapping(capsys):
     assert main(["export", "Example4.5", "--format", "sql"]) == 2
 
 
-def test_backend_flag_sets_environment_knob(capsys):
-    import os
+def test_backend_flag_reaches_the_engine(capsys):
+    from repro.engine import default_backend, reset_all_caches, set_default_backend
+    from repro.engine.kernel import kinstance_cache
 
-    previous = os.environ.pop("REPRO_BACKEND", None)
+    previous = default_backend()
     try:
+        reset_all_caches()
         assert main(["run", "E4", "--backend", "kernel"]) == 0
-        assert os.environ.get("REPRO_BACKEND") == "kernel"
+        assert default_backend() == "kernel"
+        # the run built kernel instances, so it ran on the kernel
+        assert kinstance_cache.stats().misses > 0
         assert "ALL CHECKS PASS" in capsys.readouterr().out
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = previous
+        set_default_backend(previous)
 
 
 def test_backend_flag_rejects_unknown_value():
