@@ -1,6 +1,6 @@
 """Acceptance gate for the checking service's warm-state promise.
 
-Two promises, checked against a real daemon subprocess:
+Three promises, checked against a real daemon subprocess:
 
 1. **Warm-over-cold latency** — the daemon's reason to exist is that
    N checks cost N× the engine work but only 1× the process state
@@ -20,6 +20,11 @@ Two promises, checked against a real daemon subprocess:
    fresh process — and the HTTP-carried exit code must equal the
    CLI's.  The experiment kind is additionally checked against the
    ``python -m repro.cli run`` report body it embeds.
+3. **Restart survival** — after the warm pass the daemon is shut down
+   and a new one started on the same state directory; every job id of
+   both passes must come back from the queue journal with the same
+   state, exit code and rendering ("terminal reports survive restarts
+   verbatim").
 
 Usage (CI runs this)::
 
@@ -86,6 +91,20 @@ def _submit_and_wait(client: ServiceClient, payload: dict):
     return body
 
 
+def _verdict(body: dict):
+    """What a restart must preserve of a terminal job."""
+    return body["state"], body["exit_code"], body["outcome"]["rendering"]
+
+
+def _stop_daemon(process, client: ServiceClient) -> None:
+    try:
+        client.shutdown()
+        process.wait(timeout=15)
+    except Exception:
+        process.kill()
+        process.wait()
+
+
 def _cli_argv(payload: dict):
     argv = [sys.executable, "-m", "repro.cli", "check", payload["kind"]]
     argv.append(payload.get("experiment") or payload["mapping"])
@@ -136,14 +155,17 @@ def main(argv=None) -> int:
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as tmp:
-        process, client = _spawn_daemon(os.path.join(tmp, "state"))
+        state_dir = os.path.join(tmp, "state")
+        process, client = _spawn_daemon(state_dir)
         try:
             # -- pass 1: prime the daemon; gate byte-identity --------
             cold_wall = 0.0
             renderings = {}
+            verdicts = {}  # job id -> what a restart must preserve
             print(f"{'job':<30} {'cli(cold)':>10} {'daemon(prime)':>14}")
             for payload in CATALOG:
                 body = _submit_and_wait(client, payload)
+                verdicts[body["id"]] = _verdict(body)
                 rendering = body["outcome"]["rendering"]
                 renderings[_label(payload)] = rendering
                 stdout, code, wall = _cli_check(payload)
@@ -182,6 +204,7 @@ def main(argv=None) -> int:
                     failures.append(f"{_label(payload)}: warm run was not "
                                     f"a fresh execution")
                 primed_ids.add(body["id"])
+                verdicts[body["id"]] = _verdict(body)
                 warm_seconds += body["outcome"]["seconds"]
                 if body["outcome"]["rendering"] != renderings[_label(payload)]:
                     failures.append(
@@ -207,12 +230,20 @@ def main(argv=None) -> int:
                     f"speedup {speedup:.2f}x below the "
                     f"{args.min_speedup}x gate"
                 )
+
+            # -- restart: both passes come back from the journal -----
+            _stop_daemon(process, client)
+            process, client = _spawn_daemon(state_dir)
+            for job_id, expected in verdicts.items():
+                _status, body = client.result(job_id)
+                if body.get("outcome") is None or _verdict(body) != expected:
+                    failures.append(
+                        f"{job_id}: state, exit code or rendering changed "
+                        f"across a daemon restart"
+                    )
+            print(f"restart: {len(verdicts)} terminal jobs restored")
         finally:
-            try:
-                client.shutdown()
-                process.wait(timeout=15)
-            except Exception:
-                process.kill()
+            _stop_daemon(process, client)
 
     if failures:
         for failure in failures:

@@ -449,26 +449,12 @@ def _tokenize(text: str):
 
 
 def default_resolver() -> Dict[str, SchemaMapping]:
-    """Catalog mappings plus the paper's named (quasi-)inverses."""
-    from repro.catalog.mappings import (
-        all_catalog_mappings,
-        decomposition_quasi_inverse_join,
-        decomposition_quasi_inverse_split,
-        projection_quasi_inverse,
-        thm_4_8_inverse,
-        union_quasi_inverse,
-    )
+    """Catalog mappings plus the paper's named (quasi-)inverses: a
+    fresh dict (callers may extend it) over the process's shared
+    mapping objects (:func:`repro.catalog.named_mappings`)."""
+    from repro.catalog import named_mappings
 
-    table = {mapping.name: mapping for mapping in all_catalog_mappings()}
-    for extra in (
-        projection_quasi_inverse(),
-        union_quasi_inverse(),
-        decomposition_quasi_inverse_join(),
-        decomposition_quasi_inverse_split(),
-        thm_4_8_inverse(),
-    ):
-        table[extra.name] = extra
-    return table
+    return dict(named_mappings())
 
 
 class _Parser:

@@ -1,4 +1,10 @@
-"""Every named schema mapping in the paper, ready-made."""
+"""Every named schema mapping in the paper, ready-made.
+
+The constructors build fresh objects; :func:`catalog_by_name` and
+:func:`named_mappings` resolve names to the one shared, immutable
+mapping per name that each process holds (see
+:mod:`repro.catalog.mappings`).
+"""
 
 from repro.catalog.mappings import (
     decomposition,
@@ -24,10 +30,13 @@ from repro.catalog.mappings import (
     unique_solutions_separation,
     unique_solutions_separation_witnesses,
     all_catalog_mappings,
+    catalog_by_name,
+    named_mappings,
 )
 
 __all__ = [
     "all_catalog_mappings",
+    "catalog_by_name",
     "decomposition",
     "decomposition_quasi_inverse_join",
     "decomposition_quasi_inverse_split",
@@ -38,6 +47,7 @@ __all__ = [
     "example_5_4",
     "example_5_4_expected_inverse",
     "figure_1_instance",
+    "named_mappings",
     "projection",
     "projection_quasi_inverse",
     "prop_3_12",

@@ -5,11 +5,22 @@ here as a ready-made object, together with the formulas the paper
 states as expected algorithm outputs (used by the experiments to
 compare conjunct-for-conjunct) and the worked-example instances
 (Example 3.10's witnesses, Figure 1's instance I).
+
+Each constructor builds a fresh object.  Lookups *by name* — the
+service's catalog names, the algebra parser's default table, ``repro.cli
+export`` — go through :func:`catalog_by_name` and
+:func:`named_mappings` instead: each process holds one shared,
+immutable mapping per name, built on the first lookup.  Mappings are
+frozen, so daemon threads share them safely, and the memos keyed on a
+mapping object (``mapping_key``'s weak table, ``kernel.small_id``)
+stay warm from one request to the next.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import threading
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
@@ -325,3 +336,43 @@ def all_catalog_mappings() -> Tuple[SchemaMapping, ...]:
         example_5_4(),
         unique_solutions_separation(),
     )
+
+
+_Table = Mapping[str, SchemaMapping]
+
+_SHARED_LOCK = threading.Lock()
+_SHARED: Optional[Tuple[_Table, _Table]] = None
+
+
+def _shared_tables() -> Tuple[_Table, _Table]:
+    """(catalog, catalog + named inverses), built once under a lock so
+    that concurrent first lookups still get one object per name."""
+    global _SHARED
+    if _SHARED is None:
+        with _SHARED_LOCK:
+            if _SHARED is None:
+                catalog = {mapping.name: mapping for mapping in all_catalog_mappings()}
+                named = dict(catalog)
+                for inverse in (
+                    projection_quasi_inverse(),
+                    union_quasi_inverse(),
+                    decomposition_quasi_inverse_join(),
+                    decomposition_quasi_inverse_split(),
+                    thm_4_8_inverse(),
+                ):
+                    named[inverse.name] = inverse
+                _SHARED = (MappingProxyType(catalog), MappingProxyType(named))
+    return _SHARED
+
+
+def catalog_by_name() -> Mapping[str, SchemaMapping]:
+    """:func:`all_catalog_mappings` by name, as the process's one
+    read-only table: every lookup of a name returns the same object."""
+    return _shared_tables()[0]
+
+
+def named_mappings() -> Mapping[str, SchemaMapping]:
+    """:func:`catalog_by_name` plus the paper's named (quasi-)inverses
+    that mapping expressions may mention (``Projection'``, ...): the
+    same shared objects, read-only."""
+    return _shared_tables()[1]

@@ -179,9 +179,9 @@ def _command_all(as_json: bool) -> int:
 
 
 def _command_export(mapping_name: str, output_format: str) -> int:
-    from repro.catalog import all_catalog_mappings
+    from repro.catalog import catalog_by_name
 
-    by_name = {mapping.name: mapping for mapping in all_catalog_mappings()}
+    by_name = catalog_by_name()
     if mapping_name not in by_name:
         print(
             f"unknown mapping {mapping_name!r}; known: {', '.join(sorted(by_name))}",

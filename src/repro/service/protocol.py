@@ -111,21 +111,19 @@ _DEFAULT_DOMAIN = ("a", "b")
 _DEFAULT_MAX_FACTS = 1
 
 
-def _catalog_names() -> Dict[str, Any]:
-    from repro.catalog import all_catalog_mappings
-
-    return {mapping.name: mapping for mapping in all_catalog_mappings()}
-
-
 def resolve_mapping(spec: Any):
     """The :class:`~repro.core.mapping.SchemaMapping` a job's mapping
     spec denotes: a catalog name, or an inline ``{source, target,
-    dependencies}`` description parsed through the text front end."""
+    dependencies}`` description parsed through the text front end.  A
+    catalog name resolves to the process's one shared mapping object
+    (:func:`repro.catalog.catalog_by_name`), so every job on it hits
+    the same warm per-mapping memos."""
+    from repro.catalog import catalog_by_name
     from repro.core.mapping import SchemaMapping
     from repro.datamodel.schemas import Schema
 
     if isinstance(spec, str):
-        catalog = _catalog_names()
+        catalog = catalog_by_name()
         if spec not in catalog:
             raise ServiceProtocolError(
                 f"unknown catalog mapping {spec!r}; "

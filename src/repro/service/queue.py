@@ -18,7 +18,12 @@ per-key checkpoint journal in the state directory.
 Lifecycle around restarts:
 
 * the queue journal (``jobs.json``) persists every record — terminal
-  jobs with their full outcome, non-terminal jobs as ``queued``;
+  jobs with their full outcome, non-terminal jobs as ``queued``.  A
+  record turns terminal once (in :meth:`JobQueue._finalize`, or when
+  :meth:`JobQueue.load` restores it) and never changes after, so its
+  journal entry is JSON-encoded once and kept; each write encodes only
+  the queued and running records afresh, streams every entry into a
+  temp file and still lands as one whole-file atomic ``os.replace``;
 * SIGTERM drains by calling :meth:`Budget.expire_now` on every
   running job: the sweep trips its deadline at the next probe,
   flushes its checkpoint journal, and the partial result is *not*
@@ -193,6 +198,7 @@ class JobQueue:
         )
         self.started_at = _now()
         self._jobs: Dict[str, JobRecord] = {}
+        self._terminal_entries: Dict[str, str] = {}
         self._active_by_key: Dict[str, JobRecord] = {}
         self._pending: asyncio.Queue = asyncio.Queue()
         self._workers: List[asyncio.Task] = []
@@ -215,34 +221,38 @@ class JobQueue:
         return os.path.join(self.state_dir, f"job-{key[:32]}.ckpt.json")
 
     def _persist(self, *, clean: bool = False) -> None:
-        entries = []
-        for record in self._jobs.values():
-            entry: Dict[str, Any] = {
-                "id": record.job_id,
-                "key": record.key,
-                "spec": record.spec,
-                "state": record.state if record.terminal else STATE_QUEUED,
-                "submitted_at": record.submitted_at,
-                "dedup_count": record.dedup_count,
-                "attempts": record.attempts,
-                "quarantined": record.quarantined,
-            }
-            if record.outcome is not None and record.terminal:
-                entry["outcome"] = record.outcome.to_json()
-            entries.append(entry)
+        # The bytes are exactly json.dump({"jobs": [...], "clean": clean}),
+        # written entry by entry: terminal entries come pre-encoded by
+        # ``_seal``, only queued and running ones are encoded here.
         temp = self.journal_path + ".tmp"
         try:
             with open(temp, "w", encoding="utf-8") as handle:
+                handle.write('{"jobs": [')
+                for index, record in enumerate(self._jobs.values()):
+                    if index:
+                        handle.write(", ")
+                    if record.terminal:
+                        handle.write(self._terminal_entries[record.job_id])
+                    else:
+                        handle.write(json.dumps(_journal_entry(record)))
                 # ``clean`` is True only for the drain-path write; a
                 # journal found without it was left by a crash, and
                 # every requeued job is charged an attempt on load.
-                json.dump({"jobs": entries, "clean": clean}, handle)
+                handle.write(f'], "clean": {json.dumps(clean)}}}')
             os.replace(temp, self.journal_path)
         except OSError:
+            # The daemon keeps serving, but nothing since the last good
+            # write would survive a crash: count it where stats() shows.
+            engine_stats().bump("service_journal_write_errors")
             try:
                 os.unlink(temp)
             except OSError:
                 pass
+
+    def _seal(self, record: JobRecord) -> None:
+        """Encode a record that just became terminal, once: it never
+        changes again, so every later write reuses these bytes."""
+        self._terminal_entries[record.job_id] = json.dumps(_journal_entry(record))
 
     def load(self) -> int:
         """Restore records from a previous daemon's queue journal.
@@ -288,6 +298,7 @@ class JobQueue:
                     )
                 record.done.set()
                 record.add_event("restored", state=record.state)
+                self._seal(record)
             else:
                 if not was_clean:
                     record.attempts += 1
@@ -419,6 +430,7 @@ class JobQueue:
             "jobs_executed": stats.counter("service_jobs_executed"),
             "job_retries": stats.counter("service_job_retries"),
             "jobs_quarantined": stats.counter("service_jobs_quarantined"),
+            "journal_write_errors": stats.counter("service_journal_write_errors"),
             "max_retries": self.max_retries,
             "engine": stats.counters(),
         }
@@ -521,6 +533,7 @@ class JobQueue:
         record.state = state
         record.finished_at = _now()
         record.add_event("finished", state=state)
+        self._seal(record)
         if self._active_by_key.get(record.key) is record:
             del self._active_by_key[record.key]
         record.done.set()
@@ -534,6 +547,25 @@ class JobQueue:
             pass
         flush_active_store()
         self._persist()
+
+
+def _journal_entry(record: JobRecord) -> Dict[str, Any]:
+    """A record as ``jobs.json`` stores it: non-terminal records as
+    ``queued`` (a restart re-runs them), terminal ones with their
+    outcome."""
+    entry: Dict[str, Any] = {
+        "id": record.job_id,
+        "key": record.key,
+        "spec": record.spec,
+        "state": record.state if record.terminal else STATE_QUEUED,
+        "submitted_at": record.submitted_at,
+        "dedup_count": record.dedup_count,
+        "attempts": record.attempts,
+        "quarantined": record.quarantined,
+    }
+    if record.outcome is not None and record.terminal:
+        entry["outcome"] = record.outcome.to_json()
+    return entry
 
 
 def _id_counter(job_id: str) -> int:

@@ -8,6 +8,7 @@ from repro.algebra.expr import (
     Rename,
     Restrict,
     UnionOf,
+    default_resolver,
     materializable,
     parse_expression,
     producible_relations,
@@ -129,6 +130,20 @@ class TestParser:
     def test_explicit_resolver(self):
         table = {"M": projection()}
         assert parse_expression("M", table).mapping.name == "Projection"
+
+    def test_default_resolver_is_a_fresh_dict_over_shared_mappings(self):
+        from repro.algebra.scenarios import scenario_resolver
+
+        extended = scenario_resolver()
+        scenario_names = set(extended) - set(default_resolver())
+        assert scenario_names  # the scenario mappings were added...
+        fresh = default_resolver()
+        assert not scenario_names & set(fresh)  # ...to that copy only
+        assert fresh is not default_resolver()
+        for name, mapping in fresh.items():
+            assert default_resolver()[name] is mapping
+            assert extended[name] is mapping
+        assert parse_expression("Decomposition'").mapping is fresh["Decomposition'"]
 
 
 class TestSurgery:

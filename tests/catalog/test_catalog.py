@@ -1,7 +1,13 @@
 """Tests pinning the catalog to the paper's definitions."""
 
+import threading
+import time
+
+import pytest
+
 from repro.catalog import (
     all_catalog_mappings,
+    catalog_by_name,
     decomposition,
     decomposition_quasi_inverse_join,
     decomposition_quasi_inverse_split,
@@ -9,6 +15,7 @@ from repro.catalog import (
     example_4_5,
     example_5_4,
     figure_1_instance,
+    named_mappings,
     projection,
     projection_quasi_inverse,
     prop_3_12,
@@ -86,3 +93,50 @@ class TestInstances:
         assert mapping.source.arity("E") == 2
         assert mapping.target.arity("F") == 2
         assert mapping.target.arity("M") == 1
+
+
+class TestSharedTables:
+    def test_tables_hold_the_catalog_and_its_named_inverses(self):
+        assert set(catalog_by_name()) == {m.name for m in all_catalog_mappings()}
+        inverses = {"Projection'", "Union'", "Decomposition'", "Decomposition''", "Thm4.8'"}
+        assert set(named_mappings()) == set(catalog_by_name()) | inverses
+        for name, mapping in catalog_by_name().items():
+            assert named_mappings()[name] is mapping
+            assert mapping.name == name
+
+    def test_shared_objects_equal_fresh_constructions(self):
+        assert catalog_by_name()["Projection"] == projection()
+        assert catalog_by_name()["Example5.4"] == example_5_4()
+        assert named_mappings()["Union'"] == union_quasi_inverse()
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(TypeError):
+            catalog_by_name()["Projection"] = union_mapping()
+        with pytest.raises(TypeError):
+            named_mappings()["Extra"] = union_mapping()
+
+    def test_concurrent_first_lookups_see_one_object_per_name(self, monkeypatch):
+        import repro.catalog.mappings as catalog_module
+
+        build = catalog_module.all_catalog_mappings
+
+        def slow_build():
+            time.sleep(0.05)  # widen the window two builders could race in
+            return build()
+
+        monkeypatch.setattr(catalog_module, "_SHARED", None)
+        monkeypatch.setattr(catalog_module, "all_catalog_mappings", slow_build)
+        barrier = threading.Barrier(4, timeout=10)
+        seen = []
+
+        def lookup():
+            barrier.wait()
+            seen.append(catalog_by_name()["Decomposition"])
+
+        threads = [threading.Thread(target=lookup) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(seen) == 4
+        assert all(mapping is seen[0] for mapping in seen)

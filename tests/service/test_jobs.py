@@ -188,6 +188,37 @@ class TestConcurrentBackends:
         assert renderings == {"sql": expected, "kernel": expected}
 
 
+class TestSharedCatalogMapping:
+    def test_two_threads_on_one_mapping_render_like_a_serial_run(self):
+        # Catalog names resolve to one mapping object per process, so
+        # concurrent jobs on the same name share it and its memos.
+        import threading
+
+        from repro.service.protocol import resolve_mapping
+
+        spec = _spec(kind="subset", mapping="Decomposition", max_facts=2)
+        reset_all_caches()
+        expected = execute_job(spec).rendering
+        reset_all_caches()
+        barrier = threading.Barrier(2, timeout=10)
+        renderings = [None, None]
+        mappings = [None, None]
+
+        def run(slot):
+            mappings[slot] = resolve_mapping(spec["mapping"])
+            barrier.wait()
+            renderings[slot] = execute_job(spec).rendering
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert mappings[0] is mappings[1]
+        assert renderings == [expected, expected]
+
+
 class TestRoundtripJobs:
     def test_roundtrip_done_with_inline_mappings(self):
         copy = {

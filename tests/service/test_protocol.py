@@ -101,6 +101,21 @@ class TestNormalizeJob:
             )
 
 
+class TestCatalogNames:
+    def test_a_name_resolves_to_one_shared_mapping(self):
+        assert resolve_mapping("Example5.4") is resolve_mapping("Example5.4")
+
+    def test_unknown_name_lists_the_known_names(self):
+        with pytest.raises(ServiceProtocolError) as raised:
+            resolve_mapping("NoSuchMapping")
+        message = str(raised.value)
+        assert "'NoSuchMapping'" in message
+        assert "known: Decomposition, Example4.5, Example5.4, Projection," in message
+        # The named inverses are parser names, not job mapping names.
+        with pytest.raises(ServiceProtocolError):
+            resolve_mapping("Projection'")
+
+
 class TestJobKey:
     def test_equal_questions_equal_keys(self):
         left = normalize_job(

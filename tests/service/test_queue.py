@@ -7,7 +7,9 @@ the real engine end to end.
 """
 
 import asyncio
+import io
 import json
+import os
 import threading
 import time
 
@@ -362,6 +364,160 @@ class TestQueries:
             assert stats["jobs"] == {"done": 1}
             assert stats["jobs_executed"] == 1
             assert "engine" in stats
+            await queue.drain(timeout=1)
+
+        asyncio.run(scenario())
+
+
+def _reference_journal(records, clean):
+    """The journal bytes of the writer that re-encoded every record on
+    each write through ``json.dump`` (its body, kept as the oracle)."""
+    from repro.service.protocol import STATE_QUEUED
+
+    entries = []
+    for record in records:
+        entry = {
+            "id": record.job_id,
+            "key": record.key,
+            "spec": record.spec,
+            "state": record.state if record.terminal else STATE_QUEUED,
+            "submitted_at": record.submitted_at,
+            "dedup_count": record.dedup_count,
+            "attempts": record.attempts,
+            "quarantined": record.quarantined,
+        }
+        if record.outcome is not None and record.terminal:
+            entry["outcome"] = record.outcome.to_json()
+        entries.append(entry)
+    buffer = io.StringIO()
+    json.dump({"jobs": entries, "clean": clean}, buffer)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestJournal:
+    def test_bytes_match_the_reference_writer(self, tmp_path, monkeypatch):
+        """Queued, running, done, violated, cancelled and quarantined
+        records, with ``clean`` False and True, and again after load."""
+        import repro.service.queue as queue_module
+
+        hold = threading.Event()
+        started = threading.Event()
+
+        def fake(spec, *, budget=None, checkpoint=None):
+            mapping = spec["mapping"]
+            if mapping == "Decomposition":
+                raise RuntimeError("synthetic executor crash")
+            if mapping == "Thm4.9":
+                started.set()
+                hold.wait(10)
+            if mapping == "Union":
+                # Non-ASCII, quotes and newlines exercise the escaping.
+                return _outcome("violated", 'violated: "Σ ⊆ Σ\'"\n  P(a, b) ✗')
+            return _outcome("done")
+
+        monkeypatch.setattr(queue_module, "execute_job", fake)
+        path = tmp_path / "jobs.json"
+
+        async def scenario():
+            queue = JobQueue(str(tmp_path), max_jobs=1, max_retries=0)
+            await queue.start()
+            for mapping in ("Projection", "Union", "Decomposition"):
+                record, _ = queue.submit({**SPEC, "mapping": mapping})
+                await queue.wait(record.job_id, timeout=5)
+            running, _ = queue.submit({**SPEC, "mapping": "Thm4.9"})
+            await _until(started.is_set)
+            queued, _ = queue.submit({**SPEC, "mapping": "Thm4.10"})
+            victim, _ = queue.submit({**SPEC, "mapping": "Thm4.11"})
+            assert queue.cancel(victim.job_id)
+            states = [(r.state, r.quarantined) for r in queue.records()]
+            assert states == [
+                ("done", False),
+                ("violated", False),
+                ("faulted", True),
+                ("running", False),
+                ("queued", False),
+                ("cancelled", False),
+            ]
+            written = {}
+            for clean in (False, True):
+                queue._persist(clean=clean)
+                written[clean] = path.read_bytes()
+                assert written[clean] == _reference_journal(queue.records(), clean)
+
+            # A restarted queue writes the same bytes for what it loaded.
+            restarted = JobQueue(str(tmp_path), max_jobs=1)
+            assert restarted.load() == 2  # the running and queued jobs
+            assert path.read_bytes() == _reference_journal(restarted.records(), False)
+            restarted._persist(clean=True)
+            assert path.read_bytes() == written[True]
+
+            hold.set()
+            await queue.wait(running.job_id, timeout=5)
+            await queue.drain(timeout=1)
+
+        asyncio.run(scenario())
+
+    def test_terminal_entries_are_encoded_once(self, tmp_path, monkeypatch):
+        """N terminal records and M further writes cost N outcome
+        encodings, not N x M."""
+        calls = []
+        original = JobOutcome.to_json
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(JobOutcome, "to_json", counting)
+        terminal, writes = 4, 6
+        path = tmp_path / "jobs.json"
+
+        async def scenario():
+            _fake_executor(monkeypatch, _outcome("done"))
+            queue = JobQueue(str(tmp_path), max_jobs=1)
+            await queue.start()
+            for facts in range(1, terminal + 1):
+                record, _ = queue.submit({**SPEC, "max_facts": facts})
+                await queue.wait(record.job_id, timeout=5)
+            for _ in range(writes):
+                queue._persist()
+            await queue.drain(timeout=1)
+            persisted = json.loads(path.read_text(encoding="utf-8"))
+            assert [job["state"] for job in persisted["jobs"]] == ["done"] * terminal
+
+        asyncio.run(scenario())
+        assert len(calls) == terminal
+
+    def test_write_failure_is_counted_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A journal write that fails (full or read-only state dir) must
+        not pass silently: it is counted, and the job still finishes."""
+        real_replace = os.replace
+        failed = []
+
+        def replace_failing_once(src, dst, *args, **kwargs):
+            if str(dst).endswith("jobs.json") and not failed:
+                failed.append(dst)
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace_failing_once)
+
+        async def scenario():
+            _fake_executor(monkeypatch, _outcome("done"))
+            queue = JobQueue(str(tmp_path), max_jobs=1)
+            await queue.start()
+            record, _ = queue.submit(dict(SPEC))  # this write fails
+            assert queue.stats()["journal_write_errors"] == 1
+            assert engine_stats().counter("service_journal_write_errors") == 1
+            assert not (tmp_path / "jobs.json.tmp").exists()
+            assert not (tmp_path / "jobs.json").exists()
+            await queue.wait(record.job_id, timeout=5)
+            assert record.state == "done"
+            # The finalize write landed; nothing else failed.
+            assert queue.stats()["journal_write_errors"] == 1
+            persisted = json.loads((tmp_path / "jobs.json").read_text(encoding="utf-8"))
+            assert [job["state"] for job in persisted["jobs"]] == ["done"]
             await queue.drain(timeout=1)
 
         asyncio.run(scenario())
