@@ -15,8 +15,9 @@ Two workloads, two claims:
   of that, the whole experiment catalog is rendered under every
   backend x worker-count combination and the reports must be
   byte-identical — the backend is an execution detail, never a result.
-  Each leg picks its backend with ``use_backend``, and the serial sql
-  leg must show that it reached the sql backend.
+  Each leg picks its backend with ``use_backend`` and its worker count
+  with ``set_defaults``; the serial sql leg must show that it reached
+  the sql backend, and each ``workers=2`` leg that it forked a pool.
 
 The chain workload is deliberately join-heavy: the transitive
 one-step/two-step dependencies make every round a self-join of ``E``
@@ -26,7 +27,6 @@ evaluation is good at and per-match interpretation is not.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 
@@ -35,7 +35,7 @@ from benchmarks.conftest import QUICK
 from repro.chase.standard import chase
 from repro.datamodel.instances import Instance
 from repro.dependencies.parser import parse_dependency
-from repro.engine import engine_stats, reset_engine_stats, use_backend
+from repro.engine import engine_stats, reset_engine_stats, set_defaults, use_backend
 from repro.engine.budget import Budget, use_budget
 from repro.engine.cache import reset_all_caches
 from repro.engine.parallel import fork_available
@@ -135,13 +135,13 @@ def test_sql_speedup_acceptance(benchmark):
 
 
 def _catalog_text(backend: str, workers: int) -> str:
-    if workers:
-        os.environ["REPRO_WORKERS"] = str(workers)
-    else:
-        os.environ.pop("REPRO_WORKERS", None)
-    reset_engine_stats()  # clears the caches too
-    with use_backend(backend):
-        return "\n\n".join(report.render() for report in run_all())
+    previous = set_defaults(workers=workers or 1)
+    try:
+        reset_engine_stats()  # clears the caches too
+        with use_backend(backend):
+            return "\n\n".join(report.render() for report in run_all())
+    finally:
+        set_defaults(**previous)
 
 
 def test_catalog_reports_byte_identical(benchmark):
@@ -153,29 +153,31 @@ def test_catalog_reports_byte_identical(benchmark):
     BENCH_QUICK — a reduced catalog would gate a weaker claim.
     """
     worker_counts = (0, 2) if fork_available() else (0,)
-    saved = os.environ.get("REPRO_WORKERS")
 
     def all_modes():
-        texts, routed = {}, 0
+        texts, routed, forked = {}, 0, {}
         try:
             for backend in ("object", "kernel", "sql"):
                 for workers in worker_counts:
                     texts[backend, workers] = _catalog_text(backend, workers)
                     if (backend, workers) == ("sql", 0):
                         routed = engine_stats().counter("sql_small_routed")
-            return texts, routed
+                    if workers:
+                        forked[backend] = engine_stats().snapshot().get(
+                            "universe.parallel", (0, 0.0)
+                        )[0]
+            return texts, routed, forked
         finally:
-            if saved is None:
-                os.environ.pop("REPRO_WORKERS", None)
-            else:
-                os.environ["REPRO_WORKERS"] = saved
             reset_all_caches()
 
-    texts, routed = benchmark.pedantic(all_modes, rounds=1, iterations=1)
+    texts, routed, forked = benchmark.pedantic(all_modes, rounds=1, iterations=1)
     # The sql backend counts every chase it hands to the interpreted
-    # loop; a leg that never reached it would pass the identity check
+    # loop, and the runner times every map it fans out to a pool; a leg
+    # that never reached either would pass the identity check
     # vacuously.
     assert routed > 0, "the serial sql leg never ran on the sql backend"
+    idle = [backend for backend, calls in forked.items() if not calls]
+    assert not idle, f"the workers=2 legs never forked a pool: {idle}"
     baseline = texts[("object", 0)]
     assert baseline  # the catalog rendered something
     divergent = [key for key, text in texts.items() if text != baseline]

@@ -16,11 +16,11 @@ falling back is always safe).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.mapping import MappingError
+from repro.engine.context import CONTEXT
 from repro.engine.instrumentation import engine_stats
 from repro.algebra.cost import CostEstimate, CostModel
 from repro.algebra.evaluate import staged_mapping
@@ -36,8 +36,9 @@ PAIR_KINDS = ("inverse",)
 
 
 def default_plan_mode() -> str:
-    """The ambient plan mode (``REPRO_PLAN``, default ``auto``)."""
-    return os.environ.get("REPRO_PLAN", "auto")
+    """The engine-wide plan mode (``REPRO_PLAN``, or the CLI's
+    ``--plan``; default ``auto``)."""
+    return CONTEXT.plan
 
 
 def resolve_plan_mode(mode: Optional[str]) -> str:

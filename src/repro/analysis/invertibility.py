@@ -112,7 +112,7 @@ def invertibility_report(
     *workers* fans the bounded checkers out through the engine's
     :class:`~repro.engine.parallel.ParallelUniverseRunner`; the report
     is identical for every worker count.  *budget* (default: ambient,
-    else environment) is shared by the bounded sweeps; a trip degrades
+    else the default limits) is shared by the bounded sweeps; a trip degrades
     the report's ``coverage`` instead of raising.  *symmetry*
     (default: ``REPRO_SYMMETRY``) selects full or orbit-reduced sweeps
     for both bounded checks; ``orbits_checked`` aggregates their orbit

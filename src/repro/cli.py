@@ -15,11 +15,14 @@ Usage::
     python -m repro.cli check subset Decomposition --max-facts 2 \
         --server http://127.0.0.1:8642   # same job via a running daemon
 
-Engine knobs (also settable via the ``REPRO_WORKERS`` environment
-variable): ``--workers`` fans bounded checks across a process pool,
+Engine knobs: ``--workers`` fans bounded checks across a process pool,
 ``--cache-size`` bounds the chase/verdict memo caches, and
 ``--engine-stats`` prints per-phase timings and cache hit rates to
-stderr after the run.
+stderr after the run.  Every engine flag below but ``--cache-size``
+also has a ``REPRO_*`` environment knob, read once at process start
+(:mod:`repro.engine.context`); a flag wins, for its own call:
+:func:`main` makes the flags the engine's process defaults through
+``set_defaults`` and puts the previous defaults back on return.
 
 Governance knobs: ``--deadline`` / ``--max-instances`` /
 ``--max-chase-steps`` / ``--max-rss-mb`` bound every sweep (the
@@ -36,8 +39,7 @@ orbit instead of every universe instance — same verdicts, up to
 reduction would be unsound (mappings mentioning literal constants,
 universes not closed under permutation).
 
-``--backend kernel`` (``REPRO_BACKEND``, read once at process start;
-the flag sets the process default) runs homomorphism
+``--backend kernel`` (``REPRO_BACKEND``) runs homomorphism
 searches, premise matching, and verdict caching on the compiled
 integer kernel (term interning + array join plans compiled once per
 premise) instead of interpreting the object datamodel — same verdicts,
@@ -68,9 +70,9 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.engine import BACKEND_MODES
+from repro.engine import BACKEND_MODES, coverage_scope, resize_caches, set_defaults
 from repro.experiments import all_experiment_ids, run_all, run_experiment
 from repro.experiments.base import ExperimentReport
 
@@ -204,44 +206,6 @@ def _command_export(mapping_name: str, output_format: str) -> int:
     return 0
 
 
-def _check_payload(arguments: argparse.Namespace) -> dict:
-    """The job payload a ``check`` invocation describes (the same
-    canonical shape ``python -m repro.service submit`` produces)."""
-    payload: dict = {"kind": arguments.kind}
-    if arguments.kind == "experiment":
-        payload["experiment"] = arguments.target
-        return payload
-    if arguments.kind == "algebra":
-        payload["expression"] = arguments.target
-        if getattr(arguments, "check", None):
-            payload["check"] = arguments.check
-        if getattr(arguments, "explain_plan", False):
-            payload["explain_plan"] = True
-    else:
-        payload["mapping"] = arguments.target
-    if arguments.reverse:
-        payload["reverse"] = arguments.reverse
-    if arguments.domain:
-        payload["domain"] = arguments.domain
-    if arguments.max_facts is not None:
-        payload["max_facts"] = arguments.max_facts
-    for option in (
-        "workers",
-        "symmetry",
-        "backend",
-        "shards",
-        "shard_id",
-        "deadline",
-        "max_instances",
-        "max_chase_steps",
-        "plan",
-    ):
-        value = getattr(arguments, option, None)
-        if value is not None:
-            payload[option] = value
-    return payload
-
-
 def _command_check(arguments: argparse.Namespace) -> int:
     """One mapping-checking job, printed and exited exactly as the
     service daemon would report it.
@@ -254,8 +218,9 @@ def _command_check(arguments: argparse.Namespace) -> int:
     rendering is produced.
     """
     from repro.errors import ServiceError
+    from repro.service.protocol import build_payload
 
-    payload = _check_payload(arguments)
+    payload = build_payload(arguments)
     try:
         if arguments.server:
             from repro.service.client import ServiceClient
@@ -267,17 +232,12 @@ def _command_check(arguments: argparse.Namespace) -> int:
             print(outcome.get("rendering", f"job {job['id']}: {job['state']}"))
             code = job.get("exit_code")
             return int(code) if code is not None else EXIT_PARTIAL
-        from repro.engine.checkpoint import CheckpointJournal
         from repro.service.jobs import budget_for, execute_job
         from repro.service.protocol import normalize_job
 
+        # --checkpoint / --resume reach the checkers as the default journal.
         spec = normalize_job(payload)
-        checkpoint = None
-        if arguments.checkpoint:
-            checkpoint = CheckpointJournal(
-                arguments.checkpoint, resume=arguments.resume
-            )
-        outcome = execute_job(spec, budget=budget_for(spec), checkpoint=checkpoint)
+        outcome = execute_job(spec, budget=budget_for(spec))
         print(outcome.rendering)
         return outcome.exit_code
     except ServiceError as error:
@@ -408,40 +368,27 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _configure_engine(arguments: argparse.Namespace) -> None:
-    from repro.engine import (
-        resize_caches,
-        set_default_backend,
-        set_default_workers,
-    )
+#: The engine flags that are process defaults, named as their fields.
+_DEFAULT_FLAGS = (
+    "workers", "backend", "deadline", "max_instances", "max_chase_steps", "max_rss_mb",
+    "checkpoint", "symmetry", "sql_db", "store", "shards", "shard_id", "plan",
+)
 
-    if getattr(arguments, "workers", None):
-        set_default_workers(arguments.workers)
-    if getattr(arguments, "backend", None) is not None:
-        set_default_backend(arguments.backend)
+
+def _configure_engine(arguments: argparse.Namespace) -> Dict[str, Any]:
+    """Make the given engine flags the process defaults, which forked
+    workers and nested checkers all follow; returns the previous
+    defaults, for :func:`main` to put back."""
     if getattr(arguments, "cache_size", None):
         resize_caches(arguments.cache_size)
-    # Governance flags travel as environment knobs so forked workers
-    # and nested checker entry points (Budget.from_env / default_journal)
-    # all see them without further plumbing.
-    for flag, knob in (
-        ("deadline", "REPRO_DEADLINE"),
-        ("max_instances", "REPRO_MAX_INSTANCES"),
-        ("max_chase_steps", "REPRO_MAX_CHASE_STEPS"),
-        ("max_rss_mb", "REPRO_MAX_RSS_MB"),
-        ("checkpoint", "REPRO_CHECKPOINT"),
-        ("symmetry", "REPRO_SYMMETRY"),
-        ("sql_db", "REPRO_SQL_DB"),
-        ("store", "REPRO_STORE"),
-        ("shards", "REPRO_SHARDS"),
-        ("shard_id", "REPRO_SHARD_ID"),
-        ("plan", "REPRO_PLAN"),
-    ):
-        value = getattr(arguments, flag, None)
-        if value is not None:
-            os.environ[knob] = str(value)
+    fields = {
+        flag: getattr(arguments, flag)
+        for flag in _DEFAULT_FLAGS
+        if getattr(arguments, flag, None) is not None
+    }
     if getattr(arguments, "resume", False):
-        os.environ["REPRO_RESUME"] = "1"
+        fields["resume"] = True
+    return set_defaults(**fields)
 
 
 def _coverage_exit(code: int) -> int:
@@ -640,17 +587,20 @@ def main(argv: List[str] | None = None) -> int:
         return _command_export(arguments.mapping, arguments.output_format)
     if arguments.command == "fsck":
         return _command_fsck(arguments)
-    _configure_engine(arguments)
+    previous = _configure_engine(arguments)
     try:
-        if arguments.command == "check":
-            return _command_check(arguments)
-        if arguments.command == "run":
-            return _coverage_exit(
-                _command_run(arguments.experiments, arguments.json)
-            )
-        return _coverage_exit(_command_all(arguments.json))
+        # Only this call's partial verdicts decide its exit code.
+        with coverage_scope():
+            if arguments.command == "check":
+                return _command_check(arguments)
+            if arguments.command == "run":
+                return _coverage_exit(
+                    _command_run(arguments.experiments, arguments.json)
+                )
+            return _coverage_exit(_command_all(arguments.json))
     finally:
         _report_engine(arguments)
+        set_defaults(**previous)
 
 
 if __name__ == "__main__":

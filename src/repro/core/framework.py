@@ -35,7 +35,6 @@ from repro.engine.budget import Budget, COVERAGE_EXHAUSTIVE
 from repro.engine.cache import mapping_key
 from repro.engine.checkpoint import CheckpointJournal, default_journal, sweep_key
 from repro.engine.parallel import get_shared
-from repro.engine.store import default_store
 from repro.engine.sweep import run_sweep, sweep_fingerprint
 from repro.engine.symmetry import (
     SweepPlan,
@@ -227,10 +226,11 @@ def subset_property(
     engine-wide setting); results merge in input order, so the report
     is identical for every worker count.
 
-    *budget* (default: ambient, else from the ``REPRO_*`` environment
-    knobs) bounds the sweep; when it trips, the report comes back with
-    partial ``coverage`` instead of an exception.  *checkpoint*
-    (default: the ``REPRO_CHECKPOINT`` journal) records the verified
+    *budget* (default: ambient, else the process default limits,
+    ``REPRO_DEADLINE`` & co.) bounds the sweep; when it trips, the
+    report comes back with partial ``coverage`` instead of an
+    exception.  *checkpoint* (default: the process default journal,
+    ``REPRO_CHECKPOINT``) records the verified
     prefix so an interrupted sweep resumes where it stopped; every
     entry carries the sweep fingerprint, so a journal written for a
     different mapping or universe is discarded, never honoured.
@@ -271,7 +271,6 @@ def subset_property(
     stops at its own first violation, so only the verdict — not the
     pair counts — matches the serial run).
     """
-    default_store()  # honour REPRO_STORE before any cache traffic
     universe = list(universe)
     witnesses = (
         list(witness_universe)
@@ -383,7 +382,7 @@ def unique_solutions_property(
     The return value is a :class:`~repro.engine.budget.SweepVerdict`:
     it unpacks as the historical 2-tuple and additionally carries
     ``coverage`` / ``instances_checked`` when a *budget* (explicit,
-    ambient, or environment-configured) cuts the sweep short.
+    ambient, or a process default) cuts the sweep short.
 
     In ``symmetry="orbits"`` mode only orbit representatives drive the
     outer loop (the inner loop still ranges over the full universe, so
@@ -396,7 +395,6 @@ def unique_solutions_property(
     shards here and merges the slices back into exactly the unsharded
     verdict.
     """
-    default_store()
     ordered = list(universe)
     plan = _plan_sweep(symmetry, ordered, mappings=(mapping,))
     return run_sweep(
@@ -512,7 +510,7 @@ def is_generalized_inverse(
     mismatch of kind ``"comp_only"`` is a definite refutation; one of
     kind ``"id_only"`` refutes up to the witness pool.
 
-    *budget* (default: ambient, else environment) governs the sweep;
+    *budget* (default: ambient, else the default limits) governs the sweep;
     when it trips, the report carries partial ``coverage``.
     ``symmetry="orbits"`` reduces the outer (I1) loop to orbit
     representatives when both mappings and both relations are
@@ -521,7 +519,6 @@ def is_generalized_inverse(
     :func:`subset_property` (merged reports reproduce the serial one
     under ``stop_at_first_mismatch=False``).
     """
-    default_store()
     universe = list(universe)
     witnesses = (
         list(witness_universe)
@@ -704,7 +701,7 @@ def is_inverse(
     relations is checked pairwise over *universe*; both membership
     tests are exact, so any mismatch is a definite refutation.
 
-    *budget* (default: ambient, else environment) governs the sweep;
+    *budget* (default: ambient, else the default limits) governs the sweep;
     when it trips, the report carries partial ``coverage``.
     ``symmetry="orbits"`` reduces the outer loop to orbit
     representatives when both mappings are permutation-invariant.
@@ -715,7 +712,6 @@ def is_inverse(
     (the algebra layer passes materialized or expression-directed
     tests), so the report is identical for every choice.
     """
-    default_store()
     universe = list(universe)
     plan = _plan_sweep(symmetry, universe, mappings=(mapping, candidate))
     shared = (mapping, candidate, plan.outer, universe, max_nulls, composition_test)

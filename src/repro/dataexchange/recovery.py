@@ -173,9 +173,9 @@ def _sweep_round_trips(
     Returns a :class:`~repro.engine.budget.SweepVerdict` — unpacks as
     the historical ``(ok, violators)`` pair and carries ``coverage`` /
     ``instances_checked``.  A governing *budget* (default: ambient,
-    else environment) that trips mid-sweep yields a partial verdict
+    else the default limits) that trips mid-sweep yields a partial verdict
     over the instances already judged; *checkpoint* (default: the
-    ``REPRO_CHECKPOINT`` journal) lets an interrupted sweep resume
+    process default journal) lets an interrupted sweep resume
     from the verified prefix.
 
     The per-instance verdict is invariant under constant permutation

@@ -70,8 +70,11 @@ shared payload and task, and the sql backend's connection, so
 concurrent service jobs never see each other's choices.
 ``context.scope(**fields)`` sets fields for a block and restores them
 on exit, and pool workers install a snapshot of the sweeping thread's
-budget, backend, ground-key flag and governed kinds in their
-initializer.
+budget, backend, ground-key flag, governed kinds and store in their
+initializer.  The same class holds the process-wide engine defaults
+(workers, budget limits, journal, store, symmetry, shards, plan,
+backend, ...): each ``REPRO_*`` knob is parsed once, at import, and
+:func:`set_defaults` is the one setter the CLI and the daemon call.
 
 The package depends only on :mod:`repro.datamodel` and
 :mod:`repro.errors`; the chase, core, analysis, and data-exchange
@@ -85,6 +88,7 @@ from repro.engine.budget import (
     coverage_events,
     coverage_scope,
     current_budget,
+    default_budget,
     record_coverage,
     reset_coverage_events,
     use_budget,
@@ -101,12 +105,9 @@ from repro.engine.cache import (
     chase_cache,
     configured_maxsize,
     flush_active_store,
-    install_store,
     mapping_key,
     reset_all_caches,
     resize_caches,
-    store_installed,
-    uninstall_store,
     verdict_cache,
 )
 from repro.engine.checkpoint import (
@@ -119,6 +120,7 @@ from repro.engine.checkpoint import (
     sweep_key,
 )
 from repro.engine.compile import CompiledPremise
+from repro.engine.context import set_defaults
 from repro.engine.faults import (
     FAULT_POINTS,
     FaultPlane,
@@ -140,7 +142,6 @@ from repro.engine.kernel import (
     intern_table,
     kernel_instance,
     resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.engine.sqlbackend import (
@@ -159,12 +160,10 @@ from repro.engine.parallel import (
     default_task_timeout,
     default_workers,
     fork_available,
-    set_default_workers,
 )
 from repro.engine.store import (
     ENGINE_VERSION,
     VerdictStore,
-    default_store,
     stable_digest,
     use_store,
 )
@@ -242,10 +241,10 @@ __all__ = [
     "current_budget",
     "decanonicalize",
     "default_backend",
+    "default_budget",
     "default_journal",
     "default_shards",
     "default_sql_db",
-    "default_store",
     "default_symmetry",
     "default_task_timeout",
     "default_workers",
@@ -261,7 +260,6 @@ __all__ = [
     "ground_keys_active",
     "ground_pair_key",
     "index_build_count",
-    "install_store",
     "intern_table",
     "kernel_instance",
     "mapping_key",
@@ -280,8 +278,7 @@ __all__ = [
     "resolve_shards",
     "resolve_symmetry",
     "run_sweep",
-    "set_default_backend",
-    "set_default_workers",
+    "set_defaults",
     "set_symmetry_memo_limit",
     "shard_entry_key",
     "shard_of_facts",
@@ -289,9 +286,7 @@ __all__ = [
     "sql_instance",
     "sql_stratified_chase",
     "stable_digest",
-    "store_installed",
     "sweep_key",
-    "uninstall_store",
     "use_backend",
     "use_budget",
     "use_store",

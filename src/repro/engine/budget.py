@@ -36,7 +36,6 @@ that resource, regardless of wall-clock time.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -104,41 +103,6 @@ class Budget:
         self.chase_steps = 0
         self._checks = 0
         self._expire_resource, self._expire_after = faults.expire_rule()
-
-    @classmethod
-    def from_env(cls) -> Optional["Budget"]:
-        """A budget from ``REPRO_DEADLINE`` / ``REPRO_MAX_INSTANCES`` /
-        ``REPRO_MAX_CHASE_STEPS`` / ``REPRO_MAX_RSS_MB``, or None when
-        no knob is set (the CLI's ``--deadline`` etc. set these)."""
-
-        def _float(name: str) -> Optional[float]:
-            raw = os.environ.get(name)
-            if not raw:
-                return None
-            try:
-                return float(raw)
-            except ValueError:
-                return None
-
-        def _int(name: str) -> Optional[int]:
-            value = _float(name)
-            return int(value) if value is not None else None
-
-        deadline = _float("REPRO_DEADLINE")
-        max_instances = _int("REPRO_MAX_INSTANCES")
-        max_chase_steps = _int("REPRO_MAX_CHASE_STEPS")
-        max_rss_mb = _float("REPRO_MAX_RSS_MB")
-        if all(
-            knob is None
-            for knob in (deadline, max_instances, max_chase_steps, max_rss_mb)
-        ):
-            return None
-        return cls(
-            deadline=deadline,
-            max_instances=max_instances,
-            max_chase_steps=max_chase_steps,
-            max_rss_mb=max_rss_mb,
-        )
 
     # -- probes ------------------------------------------------------
 
@@ -258,6 +222,20 @@ class Budget:
 def current_budget() -> Optional[Budget]:
     """The budget installed by the innermost checker (or pool worker)."""
     return CONTEXT.budget
+
+
+def default_budget() -> Optional[Budget]:
+    """A fresh budget with the process default limits (``REPRO_DEADLINE``
+    & co., or the CLI's ``--deadline`` & co. through
+    :func:`~repro.engine.context.set_defaults`), or None when none is
+    set.  A sweep with no ambient budget runs under one of these."""
+    limits = {
+        name: getattr(CONTEXT, name)
+        for name in ("deadline", "max_instances", "max_chase_steps", "max_rss_mb")
+    }
+    if all(value is None for value in limits.values()):
+        return None
+    return Budget(**limits)
 
 
 @contextmanager
@@ -448,6 +426,7 @@ __all__ = [
     "coverage_events",
     "coverage_scope",
     "current_budget",
+    "default_budget",
     "governed_coverage",
     "record_coverage",
     "reset_coverage_events",

@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tup
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Term, Variable
+from repro.engine.context import CONTEXT
 from repro.engine.symmetry import (
     clear_symmetry_memos,
     ground_canonical_form,
@@ -96,58 +97,25 @@ def configured_maxsize(fallback: int) -> int:
     return fallback if _CONFIGURED_MAXSIZE is None else _CONFIGURED_MAXSIZE
 
 
-# The on-disk second level (a repro.engine.store.VerdictStore) behind
-# every persistent MemoCache.  Held here — not in store.py — so this
-# module never imports the store (which imports serialization, which
-# imports the core layers built on these caches).
-_STORE: Optional[Any] = None
-
-# Distinguishes the pristine state (no install_store call yet — the
-# REPRO_STORE environment knob may install a store) from an explicit
-# ``install_store(None)``, which pins the caches store-free and must
-# not be overridden by the environment (use_store(None)'s
-# guaranteed-cold contract).
-_STORE_SET: bool = False
-
-
-def install_store(store: Optional[Any]) -> None:
-    """Install (or with ``None`` remove) the ambient on-disk store the
-    memo caches consult as their second level.  Either way the choice
-    is *pinned*: ``default_store`` will not override it from the
-    ``REPRO_STORE`` environment knob (see :func:`uninstall_store`)."""
-    global _STORE, _STORE_SET
-    _STORE = store
-    _STORE_SET = True
-
-
-def uninstall_store() -> None:
-    """Forget any installed store, returning to the pristine state in
-    which ``REPRO_STORE`` (via ``default_store``) may install one."""
-    global _STORE, _STORE_SET
-    _STORE = None
-    _STORE_SET = False
-
-
-def store_installed() -> bool:
-    """Has a store (possibly an explicit ``None``) been installed?"""
-    return _STORE_SET
-
-
 def active_store() -> Optional[Any]:
-    """The installed on-disk store, or ``None``."""
-    return _STORE
+    """The on-disk second level (a :class:`~repro.engine.store.VerdictStore`)
+    behind every persistent MemoCache on this thread, or ``None``: the
+    process default (``REPRO_STORE``, ``--store``), unless a
+    :func:`~repro.engine.store.use_store` block overrides it."""
+    return CONTEXT.store
 
 
 def flush_active_store() -> None:
     """Flush the ambient store's buffered writes (no-op without one)."""
-    if _STORE is not None:
-        _STORE.flush()
+    store = CONTEXT.store
+    if store is not None:
+        store.flush()
 
 
 class MemoCache:
     """A bounded LRU map with hit/miss/eviction counters.
 
-    When an on-disk store is installed (:func:`install_store`), a
+    When an on-disk store is active (:func:`active_store`), a
     memory miss falls through to the store: a store hit is promoted
     back into memory and returned as a hit (the memory ``misses``
     counter still advances; the store keeps its own counters), and
@@ -170,8 +138,9 @@ class MemoCache:
             value = self._data[key]
         except KeyError:
             self.misses += 1
-            if _STORE is not None:
-                hit, value = _STORE.load(self.name, key)
+            store = CONTEXT.store
+            if store is not None:
+                hit, value = store.load(self.name, key)
                 if hit:
                     self._insert(key, value)
                     return True, value
@@ -191,8 +160,9 @@ class MemoCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         self._insert(key, value)
-        if _STORE is not None:
-            _STORE.save(self.name, key, value)
+        store = CONTEXT.store
+        if store is not None:
+            store.save(self.name, key, value)
 
     def memoize(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         hit, value = self.get(key)

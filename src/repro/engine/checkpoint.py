@@ -45,9 +45,10 @@ re-run by whoever notices — re-running is safe because shard sweeps
 are deterministic and their chase/verdict traffic is deduplicated by
 the content-addressed store.
 
-The CLI wires this up through ``REPRO_CHECKPOINT`` (journal path) and
-``REPRO_RESUME`` (honour previous entries instead of restarting);
-checkers pick the ambient journal up via :func:`default_journal`.
+The process default journal comes from ``REPRO_CHECKPOINT`` (journal
+path) and ``REPRO_RESUME`` (honour previous entries instead of
+restarting), or the CLI's ``--checkpoint`` / ``--resume``; checkers
+pick it up via :func:`default_journal`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import time
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.engine import faults
+from repro.engine.context import CONTEXT
 
 #: Reserved journal key for the file-level integrity record; never a
 #: sweep entry.  Readers (including the service's journal_progress)
@@ -552,23 +554,14 @@ def claim_shards(
 
 # -- the ambient journal --------------------------------------------------
 
-_DEFAULT: Optional[CheckpointJournal] = None
-_DEFAULT_PATH: Optional[str] = None
-
 
 def default_journal() -> Optional[CheckpointJournal]:
-    """The journal named by ``REPRO_CHECKPOINT``, honouring previous
-    entries only when ``REPRO_RESUME`` is truthy; None when unset."""
-    global _DEFAULT, _DEFAULT_PATH
-    path = os.environ.get("REPRO_CHECKPOINT")
-    if not path:
-        _DEFAULT, _DEFAULT_PATH = None, None
-        return None
-    resume = os.environ.get("REPRO_RESUME", "") not in ("", "0", "false")
-    if _DEFAULT is None or _DEFAULT_PATH != path or _DEFAULT.resume != resume:
-        _DEFAULT = CheckpointJournal(path, resume=resume)
-        _DEFAULT_PATH = path
-    return _DEFAULT
+    """The process default journal: the one ``REPRO_CHECKPOINT`` (or
+    the CLI's ``--checkpoint``) names, honouring earlier entries only
+    under ``REPRO_RESUME`` (``--resume``); None when unset.  Opened
+    once, by :func:`~repro.engine.context.set_defaults`, so every
+    checker of a run records into the same object."""
+    return CONTEXT.journal
 
 
 __all__ = [

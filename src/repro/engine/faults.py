@@ -320,8 +320,8 @@ class FaultPlane:
 # -- the active plane ------------------------------------------------------
 #
 # Programmatic scopes (a module-level stack, inherited by forked
-# workers) win over the env-built plane, mirroring how programmatic
-# store installs beat REPRO_STORE.  The env plane is cached on a
+# workers) win over the env-built plane, mirroring how use_store beats
+# the default store.  The env plane is cached on a
 # fingerprint of the fault env vars so per-rule occurrence counters
 # survive across fire() calls within one schedule, yet monkeypatched
 # env changes in tests rebuild (and so reset) it immediately.

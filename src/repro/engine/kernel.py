@@ -58,7 +58,7 @@ from repro.datamodel.terms import Constant, Term
 from repro.engine.budget import current_budget
 from repro.engine.cache import MemoCache, register_reset_hook
 from repro.engine.compile import CompiledPremise, compile_premise
-from repro.engine.context import CONTEXT, scope
+from repro.engine.context import CONTEXT, EngineContext, scope
 
 BACKEND_OBJECT = "object"
 BACKEND_KERNEL = "kernel"
@@ -69,32 +69,13 @@ BACKEND_MODES = (BACKEND_OBJECT, BACKEND_KERNEL, BACKEND_SQL)
 # -- backend selection ----------------------------------------------------
 
 
-# Read once, when the engine is first imported: the backend dispatch
-# runs on every homomorphism search, and a later write to os.environ
-# is not a way to switch backends (use set_default_backend).
-_DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", BACKEND_OBJECT).strip().lower()
-if _DEFAULT_BACKEND not in BACKEND_MODES:
-    _DEFAULT_BACKEND = BACKEND_OBJECT
-
-
 def default_backend() -> str:
     """The process default backend, which a thread follows outside any
     :func:`use_backend` scope.  It starts as ``REPRO_BACKEND``, read
-    once at import (``"object"`` when unset or unknown — the kernel is
-    opt-in); the CLI's and the daemon's ``--backend`` flag move it
-    through :func:`set_default_backend`."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(backend: str) -> None:
-    """Make *backend* the process default (see :func:`default_backend`).
-    Threads already inside a :func:`use_backend` scope keep theirs."""
-    global _DEFAULT_BACKEND
-    if backend not in BACKEND_MODES:
-        raise ValueError(
-            f"backend must be one of {BACKEND_MODES}, got {backend!r}"
-        )
-    _DEFAULT_BACKEND = backend
+    once at import (``"object"`` when unset — the kernel is opt-in);
+    the CLI's and the daemon's ``--backend`` flag move it through
+    :func:`~repro.engine.context.set_defaults`."""
+    return EngineContext.backend
 
 
 def resolve_backend(backend: Optional[str]) -> str:
@@ -118,8 +99,7 @@ def active_operations() -> Optional["KernelBackend"]:
     """The operations of this thread's backend (:func:`active_backend`),
     or None on the object backend.  Pool workers install the sweep's
     backend in their initializer, so a sweep runs on one end to end."""
-    active = CONTEXT.backend
-    return BACKEND_OPERATIONS[active if active is not None else _DEFAULT_BACKEND]
+    return BACKEND_OPERATIONS[CONTEXT.backend]
 
 
 @contextmanager
@@ -135,8 +115,7 @@ def active_backend() -> str:
     """The backend in effect right now (this thread's context, else the
     process default).  The parallel runner hands it to each worker
     with the rest of the context."""
-    active = CONTEXT.backend
-    return active if active is not None else _DEFAULT_BACKEND
+    return CONTEXT.backend
 
 
 # -- term interning -------------------------------------------------------
@@ -606,7 +585,6 @@ __all__ = [
     "kernel_has_homomorphism",
     "kernel_instance",
     "resolve_backend",
-    "set_default_backend",
     "small_id",
     "sorted_premise_matches",
     "use_backend",

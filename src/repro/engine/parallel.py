@@ -54,7 +54,6 @@ import os
 import signal
 import threading
 import time
-import warnings
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine import faults
@@ -75,7 +74,6 @@ Result = TypeVar("Result")
 # of the workers, never while chunks run.
 _POOL_CREATE_LOCK = threading.Lock()
 
-_DEFAULT_TASK_TIMEOUT = 300.0
 _POLL_INTERVAL = 0.02
 
 
@@ -110,47 +108,18 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-_WARNED_WORKER_VALUES: set = set()
-
-
 def default_workers() -> int:
-    """The engine-wide default worker count.
-
-    Controlled by ``REPRO_WORKERS`` (the CLI's ``--workers`` flag sets
-    it); defaults to 1 — parallelism is opt-in because fork-based
-    fan-out only pays off on universes large enough to amortize it.
-    An unparsable value falls back to 1 with a one-time warning.
-    """
-    value = os.environ.get("REPRO_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        if value not in _WARNED_WORKER_VALUES:
-            _WARNED_WORKER_VALUES.add(value)
-            warnings.warn(
-                f"REPRO_WORKERS={value!r} is not an integer; "
-                "falling back to 1 worker",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return 1
-
-
-def set_default_workers(workers: int) -> None:
-    os.environ["REPRO_WORKERS"] = str(max(1, int(workers)))
+    """The worker count of a runner given none: ``REPRO_WORKERS`` or
+    the CLI's ``--workers`` (see :mod:`repro.engine.context`), else 1
+    — parallelism is opt-in because fork-based fan-out only pays off
+    on universes large enough to amortize it."""
+    return CONTEXT.workers
 
 
 def default_task_timeout() -> Optional[float]:
-    """Per-chunk supervision timeout (``REPRO_TASK_TIMEOUT`` seconds;
-    0 or unparsable disables the timeout)."""
-    raw = os.environ.get("REPRO_TASK_TIMEOUT")
-    if not raw:
-        return _DEFAULT_TASK_TIMEOUT
-    try:
-        value = float(raw)
-    except ValueError:
-        return _DEFAULT_TASK_TIMEOUT
-    return value if value > 0 else None
+    """Per-chunk supervision timeout: ``REPRO_TASK_TIMEOUT`` seconds,
+    else 300; None (set as 0) disables it."""
+    return CONTEXT.task_timeout
 
 
 def _apply_fault_hooks(index: int) -> None:
@@ -200,7 +169,7 @@ class ParallelUniverseRunner:
             default_task_timeout() if task_timeout is None else
             (task_timeout if task_timeout > 0 else None)
         )
-        self.on_fault = on_fault or os.environ.get("REPRO_ON_FAULT", "retry")
+        self.on_fault = on_fault or CONTEXT.on_fault
         if self.on_fault not in ("retry", "raise"):
             raise ValueError(f"on_fault must be 'retry' or 'raise', got {self.on_fault!r}")
 

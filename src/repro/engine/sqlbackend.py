@@ -116,10 +116,9 @@ _SQL_MIN_FACTS = 128
 
 
 def default_sql_db() -> Optional[str]:
-    """The scratch database path (``REPRO_SQL_DB``; the CLI's
-    ``--sql-db`` flag sets it), or None for per-process ``:memory:``."""
-    value = os.environ.get("REPRO_SQL_DB", "").strip()
-    return value or None
+    """The scratch database path (``REPRO_SQL_DB``, or the CLI's
+    ``--sql-db`` flag), or None for per-process ``:memory:``."""
+    return CONTEXT.sql_db
 
 
 def sql_min_facts() -> int:
@@ -360,7 +359,7 @@ def _runtime() -> _SqlRuntime:
         or rt.path != default_sql_db()
     ):
         if rt is not None and rt.pid == os.getpid():
-            # same process, stale generation or retargeted REPRO_SQL_DB;
+            # same process, stale generation or retargeted scratch db;
             # a forked child must NOT close the inherited connection
             rt.close()
         rt = _SqlRuntime()

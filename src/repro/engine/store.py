@@ -50,12 +50,13 @@ are :class:`~repro.datamodel.instances.Instance`, serialized with
 kernel backend's interned-object caches are process-local by nature
 and are deliberately not persisted.
 
-The CLI wires this up through ``--store PATH`` / ``REPRO_STORE``;
-checkers install the ambient store via :func:`default_store`, and
-benchmarks use the :func:`use_store` context manager.  Programmatic
-installs always win over the environment: inside ``use_store(path)``
-(or after ``install_store``) the ambient ``REPRO_STORE`` is ignored,
-and ``use_store(None)`` is guaranteed cold even when it is set.
+The process default store comes from ``REPRO_STORE``, read once at
+import, or the CLI's and the daemon's ``--store PATH`` through
+:func:`~repro.engine.context.set_defaults`; every memo cache in the
+process writes through to it.  The :func:`use_store` context manager
+overrides it on one thread for a block: inside ``use_store(path)`` the
+default is ignored, and ``use_store(None)`` is guaranteed cold even
+when one is set.
 """
 
 from __future__ import annotations
@@ -70,12 +71,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.engine import faults
-from repro.engine.cache import (
-    active_store,
-    install_store,
-    store_installed,
-    uninstall_store,
-)
+from repro.engine.context import scope
 
 #: Bump whenever cache key derivation, canonical forms, or value
 #: codecs change semantics: a store written by another engine version
@@ -572,70 +568,33 @@ class VerdictStore:
 
 # -- ambient store ---------------------------------------------------------
 
-_DEFAULT: Optional[VerdictStore] = None
-_DEFAULT_PATH: Optional[str] = None
-
-
-def default_store() -> Optional[VerdictStore]:
-    """Install (and return) the store named by ``REPRO_STORE``.
-
-    Memoized per path; checkers call this on entry so the environment
-    knob takes effect without explicit plumbing.  A store installed
-    programmatically (:func:`use_store` / ``install_store``) always
-    wins over the environment — including an explicit ``None``, whose
-    guaranteed-cold contract an ambient ``REPRO_STORE`` must not
-    silently override."""
-    global _DEFAULT, _DEFAULT_PATH
-    if store_installed() and (
-        _DEFAULT is None or active_store() is not _DEFAULT
-    ):
-        return active_store()
-    path = os.environ.get("REPRO_STORE")
-    if not path:
-        if _DEFAULT is not None and active_store() is _DEFAULT:
-            uninstall_store()
-        _DEFAULT, _DEFAULT_PATH = None, None
-        return active_store()
-    if _DEFAULT is None or _DEFAULT_PATH != path:
-        _DEFAULT = VerdictStore(path)
-        _DEFAULT_PATH = path
-    if active_store() is not _DEFAULT:
-        install_store(_DEFAULT)
-    return _DEFAULT
-
 
 @contextmanager
 def use_store(
     store: Union[VerdictStore, str, os.PathLike, None]
 ) -> Iterator[Optional[VerdictStore]]:
-    """Install *store* (a :class:`VerdictStore` or a path) as the
-    memo caches' second level for the enclosed block; flushes and
-    restores the previous store on exit.  ``None`` disables the store
-    for the block — guaranteed cold even under an ambient
-    ``REPRO_STORE``, which programmatic installs always override."""
+    """Make *store* (a :class:`VerdictStore` or a path) the memo
+    caches' second level on this thread, and in the pool workers its
+    sweeps fork, for the enclosed block; flushes it on exit.  ``None``
+    disables the store for the block — guaranteed cold even when a
+    process default store is set."""
     opened: Optional[VerdictStore]
     if store is None or isinstance(store, VerdictStore):
         opened = store
     else:
         opened = VerdictStore(store)
-    previous, previous_set = active_store(), store_installed()
-    install_store(opened)
     try:
-        yield opened
+        with scope(store=opened):
+            yield opened
     finally:
         if opened is not None:
             opened.flush()
-        if previous_set:
-            install_store(previous)
-        else:
-            uninstall_store()
 
 
 __all__ = [
     "ENGINE_VERSION",
     "StoreStats",
     "VerdictStore",
-    "default_store",
     "entry_checksum",
     "stable_digest",
     "use_store",

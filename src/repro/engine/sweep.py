@@ -40,6 +40,7 @@ from repro.engine.budget import (
     COVERAGE_EXHAUSTIVE,
     SweepVerdict,
     current_budget,
+    default_budget,
     governed_coverage,
     record_coverage,
     worst_coverage,
@@ -123,17 +124,16 @@ def run_sweep(
     """Sweep *plan*'s outer stream with *task* and *fold*.
 
     *label* names the engine-stats phase and the coverage event of a
-    partial sweep.  *budget* defaults to the ambient one, else to
-    whatever the environment knobs (``REPRO_DEADLINE`` & friends, set
-    by the CLI) configure.
+    partial sweep.  *budget* defaults to the ambient one, else to a
+    fresh :func:`~repro.engine.budget.default_budget`.
 
     With a *journal*, progress is recorded under *key* (guarded by
     *fingerprint*) and a matching verified prefix is skipped, its
     verdict folded into ``ok``; stopping at the first violation marks
     the entry complete.
 
-    *shards* / *shard_id* default to ``REPRO_SHARDS`` /
-    ``REPRO_SHARD_ID``.  A fixed *shard_id* sweeps that shard alone;
+    *shards* / *shard_id* default to the process defaults
+    (``REPRO_SHARDS`` / ``REPRO_SHARD_ID``).  A fixed *shard_id* sweeps that shard alone;
     otherwise every shard this process claims (all of them without a
     journal) is swept under its own journal entry and the results
     merge back in serial order — exactly the unsharded result when no
@@ -142,9 +142,7 @@ def run_sweep(
     degraded shard's.
     """
     if budget is None:
-        budget = current_budget()
-        if budget is None:
-            budget = Budget.from_env()
+        budget = current_budget() or default_budget()
     shards, shard_id = resolve_shards(shards, shard_id)
     runner = ParallelUniverseRunner(workers)
     outer = plan.outer

@@ -41,7 +41,6 @@ hit the memo caches once per orbit across *all* sweeps of a run.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial
@@ -80,15 +79,14 @@ _EXACT_BURNSIDE_MAX_DOMAIN = 6
 
 
 def default_symmetry() -> str:
-    """The engine-wide symmetry mode (``REPRO_SYMMETRY``; the CLI's
-    ``--symmetry`` flag sets it).  Defaults to ``"full"`` — orbit
-    sweeps are opt-in.  Unknown values fall back to ``"full"``."""
-    value = os.environ.get("REPRO_SYMMETRY", SYMMETRY_FULL).strip().lower()
-    return value if value in SYMMETRY_MODES else SYMMETRY_FULL
+    """The engine-wide symmetry mode (``REPRO_SYMMETRY``, or the CLI's
+    ``--symmetry`` flag).  Defaults to ``"full"`` — orbit sweeps are
+    opt-in."""
+    return CONTEXT.symmetry
 
 
 def resolve_symmetry(symmetry: Optional[str]) -> str:
-    """An explicit mode, else the environment-configured default."""
+    """An explicit mode, else the engine-wide default."""
     if symmetry is None:
         return default_symmetry()
     if symmetry not in SYMMETRY_MODES:
@@ -822,36 +820,25 @@ def shard_of_instance(instance: Instance, shards: int) -> int:
 
 
 def default_shards() -> Tuple[int, Optional[int]]:
-    """The environment-configured sharding: ``(REPRO_SHARDS,
-    REPRO_SHARD_ID)``, defaulting to ``(1, None)`` — sharding is
-    opt-in.  Unparsable values fall back to the default."""
-    try:
-        shards = max(1, int(os.environ.get("REPRO_SHARDS", "1")))
-    except ValueError:
-        shards = 1
-    raw_id = os.environ.get("REPRO_SHARD_ID", "")
-    shard_id: Optional[int]
-    try:
-        shard_id = int(raw_id) if raw_id != "" else None
-    except ValueError:
-        shard_id = None
-    return shards, shard_id
+    """The engine-wide sharding: ``(REPRO_SHARDS, REPRO_SHARD_ID)``, or
+    the CLI's ``--shards`` / ``--shard-id``, defaulting to ``(1,
+    None)`` — sharding is opt-in."""
+    return CONTEXT.shards, CONTEXT.shard_id
 
 
 def resolve_shards(
     shards: Optional[int], shard_id: Optional[int]
 ) -> Tuple[int, Optional[int]]:
-    """Explicit sharding arguments, else the environment defaults.
+    """Explicit sharding arguments, else the engine-wide defaults.
 
     Returns ``(shards, shard_id)`` with ``shards >= 1``; ``shard_id``
     is ``None`` when this process should run (or claim) every shard
     itself, or a fixed shard index in ``[0, shards)``.
     """
-    env_shards, env_shard_id = default_shards()
     if shards is None:
-        shards = env_shards
+        shards, default_id = default_shards()
         if shard_id is None:
-            shard_id = env_shard_id
+            shard_id = default_id
     shards = max(1, int(shards))
     if shard_id is not None and not 0 <= shard_id < shards:
         raise ValueError(

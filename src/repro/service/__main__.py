@@ -26,10 +26,11 @@ import signal
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.engine import BACKEND_MODES
+from repro.engine import BACKEND_MODES, resize_caches, set_defaults
 from repro.errors import ServiceError
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, discover_endpoint, state_dir
+from repro.service.protocol import JOB_KINDS, build_payload
 from repro.service.queue import JobQueue
 
 
@@ -50,28 +51,17 @@ def _env_float(name: str) -> Optional[float]:
 # -- serve -----------------------------------------------------------------
 
 
-def _configure_daemon_engine(arguments: argparse.Namespace) -> None:
+def _configure_daemon_engine(arguments: argparse.Namespace) -> Dict[str, Any]:
     """Install the daemon-wide engine defaults (jobs may override the
-    per-sweep ones in their specs)."""
-    from repro.engine import (
-        resize_caches,
-        set_default_backend,
-        set_default_workers,
-    )
-
-    if arguments.workers:
-        set_default_workers(arguments.workers)
+    per-sweep ones in their specs); returns the previous defaults."""
     if arguments.cache_size:
         resize_caches(arguments.cache_size)
-    if getattr(arguments, "backend", None) is not None:
-        set_default_backend(arguments.backend)
-    for flag, knob in (
-        ("store", "REPRO_STORE"),
-        ("symmetry", "REPRO_SYMMETRY"),
-    ):
-        value = getattr(arguments, flag, None)
-        if value is not None:
-            os.environ[knob] = str(value)
+    fields = {
+        flag: getattr(arguments, flag)
+        for flag in ("workers", "backend", "store", "symmetry")
+        if getattr(arguments, flag, None) is not None
+    }
+    return set_defaults(**fields)
 
 
 async def _serve(arguments: argparse.Namespace) -> int:
@@ -136,31 +126,7 @@ def _build_payload(arguments: argparse.Namespace) -> Dict[str, Any]:
         if not isinstance(payload, dict):
             raise SystemExit("--payload must be a JSON object")
         return payload
-    payload: Dict[str, Any] = {"kind": arguments.kind}
-    if arguments.kind == "experiment":
-        payload["experiment"] = arguments.target
-        return payload
-    payload["mapping"] = arguments.target
-    if arguments.reverse:
-        payload["reverse"] = arguments.reverse
-    if arguments.domain:
-        payload["domain"] = arguments.domain
-    if arguments.max_facts is not None:
-        payload["max_facts"] = arguments.max_facts
-    for option in (
-        "workers",
-        "symmetry",
-        "backend",
-        "shards",
-        "shard_id",
-        "deadline",
-        "max_instances",
-        "max_chase_steps",
-    ):
-        value = getattr(arguments, option, None)
-        if value is not None:
-            payload[option] = value
-    return payload
+    return build_payload(arguments)
 
 
 def _print_job(job: Dict[str, Any], as_json: bool) -> None:
@@ -320,15 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--symmetry", choices=("full", "orbits"), default=None)
 
     submit = subparsers.add_parser("submit", help="submit one checking job")
-    submit.add_argument(
-        "kind",
-        choices=("experiment", "invertibility", "subset", "unique", "roundtrip"),
-    )
+    submit.add_argument("kind", choices=JOB_KINDS)
     submit.add_argument(
         "target",
         nargs="?",
         default=None,
-        help="experiment id (experiment) or catalog mapping name",
+        help="experiment id (experiment), catalog mapping name, or a "
+        "mapping expression (algebra)",
     )
     submit.add_argument("--reverse", default=None, help="reverse mapping (roundtrip)")
     submit.add_argument(

@@ -66,7 +66,8 @@ def budget_for(
     spec: Dict[str, Any], default_deadline: Optional[float] = None
 ) -> Optional[Budget]:
     """The per-job budget a canonical spec asks for, or None when the
-    spec carries no limit (callers then inherit ambient/env budgets)."""
+    spec carries no limit (sweeps then run under the ambient budget, else
+    the process default limits)."""
     deadline = spec.get("deadline", default_deadline)
     max_instances = spec.get("max_instances")
     max_chase_steps = spec.get("max_chase_steps")

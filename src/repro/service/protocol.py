@@ -113,17 +113,18 @@ _DEFAULT_MAX_FACTS = 1
 
 def resolve_mapping(spec: Any):
     """The :class:`~repro.core.mapping.SchemaMapping` a job's mapping
-    spec denotes: a catalog name, or an inline ``{source, target,
-    dependencies}`` description parsed through the text front end.  A
-    catalog name resolves to the process's one shared mapping object
-    (:func:`repro.catalog.catalog_by_name`), so every job on it hits
-    the same warm per-mapping memos."""
-    from repro.catalog import catalog_by_name
+    spec denotes: a catalog name (the paper's named inverses such as
+    ``Decomposition'`` included, as in mapping expressions), or an
+    inline ``{source, target, dependencies}`` description parsed
+    through the text front end.  A name resolves to the process's one
+    shared mapping object (:func:`repro.catalog.named_mappings`), so
+    every job on it hits the same warm per-mapping memos."""
+    from repro.catalog import named_mappings
     from repro.core.mapping import SchemaMapping
     from repro.datamodel.schemas import Schema
 
     if isinstance(spec, str):
-        catalog = catalog_by_name()
+        catalog = named_mappings()
         if spec not in catalog:
             raise ServiceProtocolError(
                 f"unknown catalog mapping {spec!r}; "
@@ -143,10 +144,11 @@ def resolve_mapping(spec: Any):
         raise ServiceProtocolError(f"bad inline mapping spec: {error}") from error
 
 
-def _normalize_mapping_spec(raw: Any, field: str) -> Any:
+def _normalize_mapping_spec(raw: Any, field: str) -> Tuple[Any, Any]:
+    """The canonical form of a mapping spec and the mapping it denotes
+    (resolving it rejects unknown names and parse errors at submit)."""
     if isinstance(raw, str):
-        resolve_mapping(raw)  # reject unknown catalog names at submit
-        return raw
+        return raw, resolve_mapping(raw)
     if isinstance(raw, dict):
         for key in ("source", "target", "dependencies"):
             if key not in raw:
@@ -162,8 +164,7 @@ def _normalize_mapping_spec(raw: Any, field: str) -> Any:
         }
         if raw.get("name"):
             canonical["name"] = str(raw["name"])
-        resolve_mapping(canonical)  # reject parse errors at submit
-        return canonical
+        return canonical, resolve_mapping(canonical)
     raise ServiceProtocolError(
         f"{field} must be a catalog name or an inline spec, got {type(raw).__name__}"
     )
@@ -238,9 +239,19 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
         if payload.get("explain_plan"):
             spec["explain_plan"] = True
     else:
-        spec["mapping"] = _normalize_mapping_spec(payload.get("mapping"), "mapping")
+        spec["mapping"], mapping = _normalize_mapping_spec(
+            payload.get("mapping"), "mapping"
+        )
         if kind == "roundtrip":
-            spec["reverse"] = _normalize_mapping_spec(payload.get("reverse"), "reverse")
+            spec["reverse"], reverse = _normalize_mapping_spec(
+                payload.get("reverse"), "reverse"
+            )
+            if reverse.source != mapping.target:
+                raise ServiceProtocolError(
+                    f"reverse mapping {reverse.name or 'inline'} reads "
+                    f"{reverse.source}, not the target schema "
+                    f"{mapping.target} of {mapping.name or 'inline'}"
+                )
 
     domain = payload.get("domain", list(_DEFAULT_DOMAIN))
     if isinstance(domain, str):
@@ -284,6 +295,43 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
     return spec
 
 
+#: Engine options a front end's arguments may carry into a payload.
+_PAYLOAD_OPTIONS = (
+    "workers", "symmetry", "backend", "shards", "shard_id", "deadline",
+    "max_instances", "max_chase_steps", "plan",
+)
+
+
+def build_payload(arguments: Any) -> Dict[str, Any]:
+    """The job payload a ``repro.cli check`` or ``repro.service submit``
+    command line describes: its parsed *arguments* (``kind``,
+    ``target``, ``reverse``, ``domain``, ``max_facts``, plus whichever
+    engine options and algebra flags that parser defines)."""
+    payload: Dict[str, Any] = {"kind": arguments.kind}
+    if arguments.kind == "experiment":
+        payload["experiment"] = arguments.target
+        return payload
+    if arguments.kind == "algebra":
+        payload["expression"] = arguments.target
+        if getattr(arguments, "check", None):
+            payload["check"] = arguments.check
+        if getattr(arguments, "explain_plan", False):
+            payload["explain_plan"] = True
+    else:
+        payload["mapping"] = arguments.target
+    if arguments.reverse:
+        payload["reverse"] = arguments.reverse
+    if arguments.domain:
+        payload["domain"] = arguments.domain
+    if arguments.max_facts is not None:
+        payload["max_facts"] = arguments.max_facts
+    for option in _PAYLOAD_OPTIONS:
+        value = getattr(arguments, option, None)
+        if value is not None:
+            payload[option] = value
+    return payload
+
+
 def _canonical_items(value: Any) -> Any:
     if isinstance(value, dict):
         return tuple((k, _canonical_items(value[k])) for k in sorted(value))
@@ -318,6 +366,7 @@ __all__ = [
     "STATE_RUNNING",
     "STATE_VIOLATED",
     "TERMINAL_STATES",
+    "build_payload",
     "exit_code_for",
     "job_key",
     "normalize_job",

@@ -304,7 +304,7 @@ class JobQueue:
                     record.attempts += 1
                 if record.attempts > self.max_retries:
                     self._quarantine(
-                        record, f"crashed the daemon {record.attempts} time(s)"
+                        record, f"crashed the daemon {record.attempts} time(s)", persist=False
                     )
                 else:
                     record.state = STATE_QUEUED
@@ -315,9 +315,10 @@ class JobQueue:
             self._counter = max(self._counter, _id_counter(record.job_id))
         if self._jobs:
             # Land the charged attempts (and any load-time quarantines)
-            # back on disk *now*: if the requeued job kills the daemon
-            # again before anything else persists, the next restart
-            # must see the higher count or the crash loop never ends.
+            # back on disk *now*, in one write of every record: if the
+            # requeued job kills the daemon again before anything else
+            # persists, the next restart must see the higher count or
+            # the crash loop never ends.
             self._persist()
         return requeued
 
@@ -513,7 +514,7 @@ class JobQueue:
             record.outcome = outcome
             self._finalize(record, outcome.state)
 
-    def _quarantine(self, record: JobRecord, reason: str) -> None:
+    def _quarantine(self, record: JobRecord, reason: str, *, persist: bool = True) -> None:
         """Poison-job exit: finalize ``faulted`` with the quarantine
         flag set so restarts and operators can tell it apart from an
         ordinary fault."""
@@ -527,9 +528,11 @@ class JobQueue:
                 coverage="faulted",
             )
         engine_stats().bump("service_jobs_quarantined")
-        self._finalize(record, STATE_FAULTED)
+        self._finalize(record, STATE_FAULTED, persist=persist)
 
-    def _finalize(self, record: JobRecord, state: str) -> None:
+    def _finalize(self, record: JobRecord, state: str, *, persist: bool = True) -> None:
+        """Make *record* terminal; ``load`` passes *persist* False and
+        writes the journal once, with every record."""
         record.state = state
         record.finished_at = _now()
         record.add_event("finished", state=state)
@@ -546,7 +549,8 @@ class JobQueue:
         except OSError:
             pass
         flush_active_store()
-        self._persist()
+        if persist:
+            self._persist()
 
 
 def _journal_entry(record: JobRecord) -> Dict[str, Any]:

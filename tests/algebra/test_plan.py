@@ -16,15 +16,25 @@ from repro.algebra.rewrite import normalize
 from repro.algebra.scenarios import fan_in_chain_expression
 from repro.catalog.mappings import union_mapping, union_quasi_inverse
 from repro.core.mapping import MappingError
+from repro.engine.context import set_defaults
 from repro.engine.instrumentation import engine_stats
 
 
 class TestModes:
-    def test_default_mode_reads_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLAN", raising=False)
-        assert default_plan_mode() == "auto"
-        monkeypatch.setenv("REPRO_PLAN", "materialize")
-        assert default_plan_mode() == "materialize"
+    def test_default_mode_follows_set_defaults(self):
+        previous = set_defaults(plan="materialize")
+        try:
+            assert default_plan_mode() == "materialize"
+            assert resolve_plan_mode(None) == "materialize"
+        finally:
+            set_defaults(**previous)
+        assert default_plan_mode() == previous["plan"]
+
+    def test_setting_an_unknown_default_mode_is_refused(self):
+        before = default_plan_mode()
+        with pytest.raises(ValueError, match="plan"):
+            set_defaults(plan="bogus")
+        assert default_plan_mode() == before
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(MappingError, match="unknown plan mode"):

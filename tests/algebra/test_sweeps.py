@@ -260,13 +260,22 @@ class TestCliIntegration:
         assert "unique solutions" in out
         assert "plan: mode=auto" in out
 
-    def test_plan_flag_exports_env(self, monkeypatch):
+    def test_plan_flag_sets_the_default_for_its_call(self, monkeypatch):
         import os
 
+        import repro.service.jobs as jobs_module
+        from repro.algebra.plan import default_plan_mode
         from repro.cli import main
 
-        monkeypatch.delenv("REPRO_PLAN", raising=False)
-        main(
+        seen = []
+
+        def probe(spec, checkpoint):
+            seen.append(default_plan_mode())
+            return "probed", True
+
+        monkeypatch.setitem(jobs_module._EXECUTORS, "algebra", probe)
+        before_mode, before_env = default_plan_mode(), dict(os.environ)
+        code = main(
             [
                 "check",
                 "algebra",
@@ -277,4 +286,7 @@ class TestCliIntegration:
                 "materialize",
             ]
         )
-        assert os.environ.get("REPRO_PLAN") == "materialize"
+        assert code == 0
+        assert seen == ["materialize"]
+        assert default_plan_mode() == before_mode
+        assert dict(os.environ) == before_env

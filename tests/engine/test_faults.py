@@ -32,6 +32,7 @@ from repro.engine.budget import (
     worst_coverage,
 )
 from repro.engine.checkpoint import CheckpointJournal
+from repro.engine.context import environment_defaults, set_defaults
 from repro.engine.parallel import default_workers
 from repro import errors
 from repro.errors import (
@@ -112,11 +113,14 @@ class TestWorkerDeath:
 
     def test_on_fault_raise_degrades_checker_to_faulted(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=0")
-        monkeypatch.setenv("REPRO_ON_FAULT", "raise")
         mapping, universe = _decomposition_universe()
         reverse = decomposition_quasi_inverse_join()
         reset_all_caches()
-        verdict = sound_on(mapping, reverse, universe, workers=2)
+        previous = set_defaults(on_fault="raise")
+        try:
+            verdict = sound_on(mapping, reverse, universe, workers=2)
+        finally:
+            set_defaults(**previous)
         assert verdict.coverage == "faulted"
         events = coverage_events()
         assert events and worst_coverage(*(e.coverage for e in events)) == "faulted"
@@ -328,13 +332,14 @@ class TestCheckpointResume:
 
 
 class TestWorkerKnobs:
-    def test_invalid_repro_workers_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "a-very-bogus-count")
-        with pytest.warns(RuntimeWarning, match="a-very-bogus-count"):
-            assert default_workers() == 1
+    def test_invalid_repro_workers_warns_once_and_falls_back(self):
+        with pytest.warns(RuntimeWarning, match="a-very-bogus-count") as caught:
+            found = environment_defaults({"REPRO_WORKERS": "a-very-bogus-count"})
+        assert found == {}  # the worker count keeps its default
+        assert len(caught) == 1
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call must stay silent
-            assert default_workers() == 1
+            warnings.simplefilter("error")  # reading the default stays silent
+            default_workers()
 
 
 class TestErrorHierarchy:

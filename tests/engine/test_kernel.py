@@ -27,7 +27,7 @@ from repro.engine.budget import (
     record_coverage,
     use_budget,
 )
-from repro.engine.context import scope
+from repro.engine.context import scope, set_defaults
 from repro.engine.kernel import (
     BACKEND_KERNEL,
     BACKEND_OBJECT,
@@ -41,7 +41,6 @@ from repro.engine.kernel import (
     kernel_instance,
     kinstance_cache,
     resolve_backend,
-    set_default_backend,
     sorted_premise_matches,
 )
 from repro.engine.symmetry import ground_keys_active
@@ -153,25 +152,48 @@ class TestBackendSelection:
     def test_setter_rejects_an_unknown_backend(self):
         before = default_backend()
         with pytest.raises(ValueError):
-            set_default_backend("gpu")
+            set_defaults(backend="gpu")
         assert default_backend() == before
 
     def test_setter_moves_the_default_after_a_scope_exits(self):
-        # scope() restores a field by writing the old value into the
-        # thread's own dict: the None written back must still follow a
-        # default set afterwards.
-        before = default_backend()
+        # scope() deletes a field the thread had not set, so a thread
+        # that left use_backend follows a default set afterwards.
+        previous = {}
         try:
             with use_backend("sql"):
                 assert active_backend() == "sql"
-            set_default_backend(BACKEND_KERNEL)
+            previous = set_defaults(backend=BACKEND_KERNEL)
             assert active_backend() == BACKEND_KERNEL
             assert type(active_operations()) is KernelBackend
             with use_backend("object"):
                 assert active_operations() is None
             assert active_backend() == BACKEND_KERNEL
         finally:
-            set_default_backend(before)
+            set_defaults(**previous)
+
+    def test_another_thread_follows_a_default_set_after_its_scope(self):
+        left_scope = threading.Event()
+        default_moved = threading.Event()
+        seen = []
+
+        def job():
+            with use_backend("sql"):
+                seen.append(active_backend())
+            left_scope.set()
+            assert default_moved.wait(timeout=10)
+            seen.append(active_backend())
+
+        thread = threading.Thread(target=job)
+        thread.start()
+        previous = {}
+        try:
+            assert left_scope.wait(timeout=10)
+            previous = set_defaults(backend=BACKEND_KERNEL)
+            default_moved.set()
+            thread.join(timeout=30)
+        finally:
+            set_defaults(**previous)
+        assert seen == ["sql", BACKEND_KERNEL]
 
     def test_use_backend_nests_and_restores(self):
         assert active_backend() != BACKEND_KERNEL

@@ -15,7 +15,7 @@ from repro.engine import (
     default_workers,
     fork_available,
     reset_all_caches,
-    set_default_workers,
+    set_defaults,
 )
 from repro.workloads import instance_universe
 
@@ -55,12 +55,14 @@ class TestRunner:
 
     def test_default_workers_round_trip(self):
         original = default_workers()
+        previous = set_defaults(workers=3)
         try:
-            set_default_workers(3)
+            assert previous == {"workers": original}
             assert default_workers() == 3
             assert ParallelUniverseRunner().workers == 3
         finally:
-            set_default_workers(original)
+            set_defaults(**previous)
+        assert default_workers() == original
 
 
 @needs_fork

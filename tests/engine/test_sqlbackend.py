@@ -20,6 +20,7 @@ from repro.dependencies.parser import parse_dependency
 from repro.engine import (
     engine_stats,
     reset_all_caches,
+    set_defaults,
     sqlbackend,
     use_backend,
 )
@@ -219,18 +220,20 @@ class TestFaultsAndScratchFile:
         assert actual.facts == expected.facts
         assert engine_stats().counter("sql_retries") > before
 
-    def test_scratch_file_mode(self, tmp_path, monkeypatch):
+    def test_scratch_file_mode(self, tmp_path):
         db = tmp_path / "scratch.db"
-        monkeypatch.setenv("REPRO_SQL_DB", str(db))
-        reset_all_caches()
-        mapping = _mapping(13)
-        source = random_ground_instance(
-            mapping.source, seed=1, n_facts=3, domain_size=2
-        )
-        with use_backend("sql"):
-            actual = universal_solution(mapping, source)
-        assert db.exists()
-        monkeypatch.delenv("REPRO_SQL_DB")
+        previous = set_defaults(sql_db=str(db))
+        try:
+            reset_all_caches()
+            mapping = _mapping(13)
+            source = random_ground_instance(
+                mapping.source, seed=1, n_facts=3, domain_size=2
+            )
+            with use_backend("sql"):
+                actual = universal_solution(mapping, source)
+            assert db.exists()
+        finally:
+            set_defaults(**previous)
         reset_all_caches()
         with use_backend("object"):
             expected = universal_solution(mapping, source)

@@ -25,15 +25,15 @@ from repro.engine import (
     VerdictStore,
     cached_chase_result,
     canonical_key,
-    default_store,
     engine_stats,
     reset_all_caches,
+    set_defaults,
     shard_of_instance,
     stable_digest,
     use_store,
 )
 from repro.engine.budget import Budget
-from repro.engine.cache import active_store, uninstall_store, verdict_cache
+from repro.engine.cache import active_store, verdict_cache
 from repro.engine.checkpoint import (
     CheckpointJournal,
     claim_shards,
@@ -517,56 +517,58 @@ class TestStoreBackedCaches:
 
 
 class TestDefaultStore:
-    """``REPRO_STORE`` never overrides a programmatic install."""
+    """A ``use_store`` block overrides the process default store, on
+    its own thread only."""
 
-    @pytest.fixture(autouse=True)
-    def _pristine(self, monkeypatch):
-        import repro.engine.store as store_module
+    @pytest.fixture
+    def default(self, tmp_path):
+        previous = set_defaults(store=str(tmp_path / "default.sqlite"))
+        yield active_store()
+        set_defaults(**previous)
 
-        monkeypatch.setattr(store_module, "_DEFAULT", None)
-        monkeypatch.setattr(store_module, "_DEFAULT_PATH", None)
-        uninstall_store()
-        yield
-        uninstall_store()
+    def test_default_store_is_active_on_every_thread(self, default, tmp_path):
+        assert default is not None
+        assert default.path == str(tmp_path / "default.sqlite")
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(active_store()))
+        thread.start()
+        thread.join(timeout=30)
+        assert seen == [default]
 
-    def test_env_store_installed_when_nothing_pinned(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
-        store = default_store()
-        assert store is not None and active_store() is store
-        assert store.path == str(tmp_path / "env.sqlite")
-
-    def test_no_env_no_install_means_no_store(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert default_store() is None
-        assert active_store() is None
-
-    def test_use_store_none_is_cold_under_ambient_env(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
-        with use_store(None):
-            # the guaranteed-cold contract: default_store (called at
-            # every checker entry) must not re-install the env store
-            assert default_store() is None
+    def test_no_default_means_no_store(self, default):
+        previous = set_defaults(store=None)
+        try:
+            assert previous == {"store": default}
             assert active_store() is None
-        # outside the block the environment knob applies again
-        assert default_store() is not None
+        finally:
+            set_defaults(**previous)
+        assert active_store() is default
 
-    def test_programmatic_store_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
+    def test_use_store_none_is_cold_under_a_default(self, default):
+        with use_store(None):
+            # the guaranteed-cold contract
+            assert active_store() is None
+        assert active_store() is default
+
+    def test_programmatic_store_wins_over_the_default(self, default, tmp_path):
         mine = VerdictStore(tmp_path / "mine.sqlite")
         with use_store(mine):
-            assert default_store() is mine
             assert active_store() is mine
+            seen = []
+            thread = threading.Thread(target=lambda: seen.append(active_store()))
+            thread.start()
+            thread.join(timeout=30)
+            assert seen == [default]  # the block is this thread's alone
+        assert active_store() is default
 
-    def test_env_unset_removes_only_the_env_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
-        assert default_store() is not None
-        monkeypatch.delenv("REPRO_STORE")
-        assert default_store() is None
-        assert active_store() is None
+    def test_default_store_set_after_a_block_is_followed(self, tmp_path):
+        with use_store(None):
+            pass
+        previous = set_defaults(store=str(tmp_path / "later.sqlite"))
+        try:
+            assert active_store().path == str(tmp_path / "later.sqlite")
+        finally:
+            set_defaults(**previous)
 
 
 class TestSharding:

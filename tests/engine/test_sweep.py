@@ -24,6 +24,7 @@ from repro.engine.budget import (
 from repro.engine.checkpoint import CheckpointJournal
 from repro.engine.context import CONTEXT, scope, snapshot
 from repro.engine.parallel import fork_available, get_shared
+from repro.engine.store import use_store
 from repro.engine.sweep import SweepResult, run_sweep, sweep_fingerprint
 from repro.engine.symmetry import SweepPlan
 from repro.errors import BudgetExceeded, DeadlineExceeded
@@ -232,13 +233,14 @@ class TestShards:
 def _context_task(position):
     """Report the worker's engine context, then record a coverage event
     that must stay in the worker."""
-    report = (os.getpid(), CONTEXT.in_worker, repr(current_budget()), snapshot())
+    inherited = dict(snapshot(), store=getattr(CONTEXT.store, "path", None))
+    report = (os.getpid(), CONTEXT.in_worker, repr(current_budget()), inherited)
     record_coverage("check.worker", "budget")
     return report
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-def test_pool_workers_inherit_the_sweeping_threads_context():
+def test_pool_workers_inherit_the_sweeping_threads_context(tmp_path):
     # A daemon job sweeps from a non-main thread; the pool forks its
     # workers from there (and may fork replacements from its handler
     # thread), so each worker must run on the snapshot installed by
@@ -252,7 +254,7 @@ def test_pool_workers_inherit_the_sweeping_threads_context():
     def job():
         with scope(
             budget=Budget(deadline=3600.0), governed=frozenset({"composition_nulls"})
-        ), coverage_scope() as events:
+        ), use_store(tmp_path / "s.sqlite"), coverage_scope() as events:
             record_coverage("check.parent", "budget")
             plan = SweepPlan("orbits", _plan().outer, None, True)
             parent["result"] = run_sweep(
@@ -273,7 +275,10 @@ def test_pool_workers_inherit_the_sweeping_threads_context():
         assert inherited["backend"] == "sql"
         assert inherited["ground_keys"] is True
         assert inherited["governed"] == frozenset({"composition_nulls"})
-        assert set(inherited) == {"budget", "backend", "ground_keys", "governed"}
+        assert inherited["store"] == str(tmp_path / "s.sqlite")
+        assert set(inherited) == {
+            "budget", "backend", "ground_keys", "governed", "store"
+        }
     assert parent["events"] == ["check.parent"]
     assert coverage_events() == ()
     assert not CONTEXT.in_worker

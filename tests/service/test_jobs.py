@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import fork_available, reset_all_caches
+from repro.engine import fork_available, reset_all_caches, set_defaults
 from repro.engine.budget import Budget, coverage_events, reset_coverage_events
 from repro.service.jobs import budget_for, execute_job
 from repro.service.protocol import normalize_job
@@ -97,11 +97,14 @@ class TestTerminalOutcomes:
     @needs_fork
     def test_faulted_on_unrecovered_worker_death(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=0")
-        monkeypatch.setenv("REPRO_ON_FAULT", "raise")
         reset_all_caches()
-        outcome = execute_job(
-            _spec(kind="subset", mapping="Decomposition", max_facts=2, workers=2)
-        )
+        previous = set_defaults(on_fault="raise")
+        try:
+            outcome = execute_job(
+                _spec(kind="subset", mapping="Decomposition", max_facts=2, workers=2)
+            )
+        finally:
+            set_defaults(**previous)
         assert outcome.state == "faulted"
         assert outcome.exit_code == 4
         assert outcome.coverage == "faulted"

@@ -110,10 +110,22 @@ class TestCatalogNames:
             resolve_mapping("NoSuchMapping")
         message = str(raised.value)
         assert "'NoSuchMapping'" in message
-        assert "known: Decomposition, Example4.5, Example5.4, Projection," in message
-        # The named inverses are parser names, not job mapping names.
-        with pytest.raises(ServiceProtocolError):
-            resolve_mapping("Projection'")
+        assert "known: Decomposition, Decomposition', Decomposition''," in message
+
+    def test_named_inverses_resolve_as_in_expressions(self):
+        from repro.catalog import named_mappings
+
+        assert resolve_mapping("Decomposition'") is named_mappings()["Decomposition'"]
+        spec = normalize_job(
+            {"kind": "roundtrip", "mapping": "Decomposition", "reverse": "Decomposition'"}
+        )
+        assert spec["reverse"] == "Decomposition'"
+
+    def test_roundtrip_reverse_must_read_the_forward_target(self):
+        with pytest.raises(ServiceProtocolError, match="target schema"):
+            normalize_job(
+                {"kind": "roundtrip", "mapping": "Projection", "reverse": "Projection"}
+            )
 
 
 class TestJobKey:
@@ -161,3 +173,19 @@ class TestStateMaps:
             assert STATE_HTTP_STATUS[state] == 202
             with pytest.raises(ServiceProtocolError):
                 exit_code_for(state)
+
+
+class TestBuildPayload:
+    def test_submit_builds_algebra_jobs_like_check(self):
+        from repro.service.__main__ import _build_payload, build_parser
+
+        arguments = build_parser().parse_args(
+            ["submit", "algebra", "compose(Decomposition, Decomposition')", "--max-facts", "2"]
+        )
+        payload = _build_payload(arguments)
+        assert payload == {
+            "kind": "algebra",
+            "expression": "compose(Decomposition, Decomposition')",
+            "max_facts": 2,
+        }
+        assert normalize_job(payload)["check"] == "invertibility"

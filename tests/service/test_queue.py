@@ -243,6 +243,47 @@ class TestTransitions:
 
         asyncio.run(scenario())
 
+    def test_load_writes_the_journal_once_with_every_record(
+        self, tmp_path, monkeypatch
+    ):
+        """Quarantining a record on load must not write a journal that
+        lacks the records not yet loaded: a SIGKILL right after such a
+        write would lose them."""
+        journal = tmp_path / "jobs.json"
+        entries = [
+            {
+                "id": f"j00000{n}-{key}",
+                "key": key,
+                "spec": dict(SPEC, max_facts=n),
+                "state": "queued",
+                "attempts": attempts,
+            }
+            for n, key, attempts in ((1, "deadbeef", 2), (2, "cafef00d", 0))
+        ]
+        journal.write_text(
+            json.dumps({"jobs": entries, "clean": False}), encoding="utf-8"
+        )
+        real_replace = os.replace
+        written = []
+
+        def spy(src, dst, *args, **kwargs):
+            if str(dst).endswith("jobs.json"):
+                with open(src, encoding="utf-8") as handle:
+                    written.append(json.load(handle))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", spy)
+        queue = JobQueue(str(tmp_path), max_jobs=1, max_retries=2)
+        assert queue.load() == 1  # the first is over budget, the second requeued
+        assert len(written) == 1
+        [(first, second)] = [data["jobs"] for data in written]
+        assert (first["id"], first["state"], first["quarantined"]) == (
+            "j000001-deadbeef", "faulted", True
+        )
+        assert (second["id"], second["state"], second["attempts"]) == (
+            "j000002-cafef00d", "queued", 1
+        )
+
 
 class TestDeduplication:
     def test_in_flight_duplicates_join_the_same_record(self, tmp_path, monkeypatch):

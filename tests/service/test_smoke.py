@@ -123,6 +123,12 @@ class TestParity:
 
         with pytest.raises(ServiceProtocolError):
             daemon.submit({"kind": "subset", "mapping": "NoSuchMapping"})
+        # a reverse mapping that cannot read the forward target is
+        # refused at submit, not retried and quarantined as poison
+        with pytest.raises(ServiceProtocolError, match="target schema"):
+            daemon.submit(
+                {"kind": "roundtrip", "mapping": "Projection", "reverse": "Projection"}
+            )
 
 
 class TestFaultedParity:

@@ -63,19 +63,54 @@ def test_export_sql_refuses_existential_mapping(capsys):
 
 
 def test_backend_flag_reaches_the_engine(capsys):
-    from repro.engine import default_backend, reset_all_caches, set_default_backend
+    from repro.engine import default_backend, reset_all_caches
     from repro.engine.kernel import kinstance_cache
 
     previous = default_backend()
-    try:
-        reset_all_caches()
-        assert main(["run", "E4", "--backend", "kernel"]) == 0
-        assert default_backend() == "kernel"
-        # the run built kernel instances, so it ran on the kernel
-        assert kinstance_cache.stats().misses > 0
-        assert "ALL CHECKS PASS" in capsys.readouterr().out
-    finally:
-        set_default_backend(previous)
+    reset_all_caches()
+    assert main(["run", "E4", "--backend", "kernel"]) == 0
+    # the run built kernel instances, so it ran on the kernel
+    assert kinstance_cache.stats().misses > 0
+    assert "ALL CHECKS PASS" in capsys.readouterr().out
+    # and the flag held for that call only
+    assert default_backend() == previous
+
+
+def test_store_flag_reaches_every_checker(tmp_path, capsys):
+    # E12's soundness and faithfulness sweeps are not among the
+    # checkers that used to install the store themselves.
+    from repro.engine import active_store, reset_all_caches
+
+    path = tmp_path / "s.sqlite"
+    reset_all_caches()
+    assert main(["run", "E12", "--store", str(path), "--engine-stats"]) == 0
+    assert path.exists()
+    store_lines = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.strip().startswith("store ")
+    ]
+    assert len(store_lines) == 1
+    writes = int(store_lines[0].split(" writes")[0].split()[-1])
+    assert writes > 0
+    assert active_store() is None or active_store().path != str(path)
+
+
+def test_engine_flags_hold_for_their_own_call_only(capsys):
+    import os
+
+    before = dict(os.environ)
+    assert main(["run", "E3", "--max-instances", "1"]) == 3
+    assert main(["run", "E3"]) == 0
+    assert dict(os.environ) == before
+
+
+def test_partial_verdicts_of_earlier_checks_do_not_change_the_exit_code(capsys):
+    from repro.engine.budget import coverage_scope, record_coverage
+
+    with coverage_scope():
+        record_coverage("check.earlier", "budget", instances_checked=1)
+        assert main(["run", "E4"]) == 0
+    assert "partial verdicts" not in capsys.readouterr().err
 
 
 def test_backend_flag_rejects_unknown_value():
@@ -107,6 +142,20 @@ def test_check_partial_exit_3(capsys):
 def test_check_unknown_mapping_exit_2(capsys):
     assert main(["check", "subset", "Nope"]) == 2
     assert "unknown catalog mapping" in capsys.readouterr().err
+
+
+def test_check_roundtrip_reverse_of_the_wrong_schema_exit_2(capsys):
+    code = main(["check", "roundtrip", "Projection", "--reverse", "Projection"])
+    assert code == 2
+    assert "target schema" in capsys.readouterr().err
+
+
+def test_check_roundtrip_accepts_a_named_inverse(capsys):
+    code = main(
+        ["check", "roundtrip", "Decomposition", "--reverse", "Decomposition'"]
+    )
+    assert code == 0
+    assert "round trip via Decomposition'" in capsys.readouterr().out
 
 
 def test_check_unreachable_server_exit_2(capsys):
