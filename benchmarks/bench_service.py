@@ -25,6 +25,11 @@ Three promises, checked against a real daemon subprocess:
    both passes must come back from the queue journal with the same
    state, exit code and rendering ("terminal reports survive restarts
    verbatim").
+4. **One command line, two front ends** — ``python -m repro.service
+   submit ARGV --server URL --wait 600`` against the restarted daemon
+   must print what ``python -m repro.cli check ARGV`` prints and exit
+   with its code, for a plain job and for an algebra job that uses
+   ``--check`` and ``--plan`` (:data:`SUBMIT_ARGVS`).
 
 Usage (CI runs this)::
 
@@ -145,6 +150,37 @@ CATALOG = [
 ]
 
 
+#: Job command lines that ``submit`` and ``check`` must answer alike.
+SUBMIT_ARGVS = [
+    ["unique", "Projection"],
+    ["algebra", "compose(Decomposition, Decomposition')",
+     "--check", "subset", "--plan", "membership", "--max-facts", "2"],
+]
+
+
+def _submit_matches_check(url: str, job_argv) -> list:
+    """Failures of one ``submit`` vs ``check`` comparison."""
+    submitted = subprocess.run(
+        [sys.executable, "-m", "repro.service", "submit", *job_argv,
+         "--server", url, "--wait", "600"],
+        capture_output=True, text=True, env=_env(), timeout=660,
+    )
+    checked = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "check", *job_argv],
+        capture_output=True, text=True, env=_env(), timeout=600,
+    )
+    label = " ".join(job_argv[:2])
+    failures = []
+    if submitted.stdout != checked.stdout or not checked.stdout:
+        failures.append(f"submit {label}: stdout differs from `repro.cli check`")
+    if submitted.returncode != checked.returncode:
+        failures.append(
+            f"submit {label}: exit codes differ (submit "
+            f"{submitted.returncode}, check {checked.returncode})"
+        )
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -242,6 +278,12 @@ def main(argv=None) -> int:
                         f"across a daemon restart"
                     )
             print(f"restart: {len(verdicts)} terminal jobs restored")
+
+            # -- submit: the check command line, through the daemon --
+            for job_argv in SUBMIT_ARGVS:
+                failures += _submit_matches_check(client.base_url, job_argv)
+            print(f"submit: {len(SUBMIT_ARGVS)} command lines compared "
+                  f"with `repro.cli check`")
         finally:
             _stop_daemon(process, client)
 

@@ -63,8 +63,12 @@ def materialize(
     ``compose`` nodes run MinGen (:func:`compose_full`); ``union``
     nodes concatenate constraint sets; ``restrict``/``rename`` apply
     relation surgery.  Results are memoized by content key, so
-    repeated sweeps over the same expression pay MinGen once.
+    repeated sweeps over the same expression pay MinGen once.  A leaf
+    is its own mapping, unmemoized: a job's one-atom expression runs on
+    that job's mapping, and a daemon keeps no entry per inline mapping.
     """
+    if isinstance(expr, MappingAtom):
+        return expr.mapping
     key = expr.key()
     cached = _MATERIALIZE_MEMO.get(key)
     if cached is not None:
@@ -79,8 +83,6 @@ def materialize(
 def _materialize(
     expr: MappingExpr, mingen_config: Optional[MinGenConfig]
 ) -> SchemaMapping:
-    if isinstance(expr, MappingAtom):
-        return expr.mapping
     if isinstance(expr, Compose):
         first = materialize(expr.first, mingen_config=mingen_config)
         second = materialize(expr.second, mingen_config=mingen_config)

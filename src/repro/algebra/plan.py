@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.mapping import MappingError
-from repro.engine.context import CONTEXT
+from repro.engine.context import CONTEXT, PLAN_MODES
 from repro.engine.instrumentation import engine_stats
 from repro.algebra.cost import CostEstimate, CostModel
 from repro.algebra.evaluate import staged_mapping
 from repro.algebra.expr import Compose, MappingExpr, materializable
 from repro.algebra.rewrite import RewriteStep
-
-PLAN_MODES = ("auto", "materialize", "membership")
 
 # sweep kinds check whole universes against one mapping; the inverse
 # kind checks (left, right) pairs for composition membership

@@ -6,11 +6,14 @@ the planner pick an evaluation strategy, run the requested bounded
 check, and render a report that is byte-identical for every plan
 mode, backend, and worker count.
 
-The report renderers live here and nowhere else: the service's plain
-``unique`` / ``subset`` / ``invertibility`` jobs (:mod:`repro.service.jobs`)
-call the same functions, so an expression job and a plain job over one
-mapping print one report byte for byte.  Report text derives only from
-the *title* (the original expression label) and sweep verdicts, never
+The service's plain ``unique`` / ``subset`` / ``invertibility`` jobs
+(:mod:`repro.service.jobs`) are checks of the one-atom expression over
+their mapping: they call :func:`check_expression` with the job's label
+as *title*, so an expression job and a plain job over one mapping run
+one code path and print one report.  The report renderers live here
+and nowhere else; the service's ``roundtrip`` job builds its report
+from the same line helpers.  Report text derives only from the *title*
+(by default the original expression label) and sweep verdicts, never
 from the names or structure of whatever mapping the plan chose to
 evaluate — that is what makes byte-identity across plans hold by
 construction.
@@ -67,7 +70,7 @@ class AlgebraReport:
         return self.plan.explain(self.actuals)
 
 
-# -- report rendering (shared with repro.service.jobs) ------------------
+# -- report rendering ---------------------------------------------------
 
 
 def facts_text(instance: Instance) -> str:

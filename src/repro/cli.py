@@ -72,7 +72,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.engine import BACKEND_MODES, coverage_scope, resize_caches, set_defaults
+from repro.engine import coverage_scope, resize_caches, set_defaults
 from repro.experiments import all_experiment_ids, run_all, run_experiment
 from repro.experiments.base import ExperimentReport
 
@@ -245,14 +245,9 @@ def _command_check(arguments: argparse.Namespace) -> int:
         return 2
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for bounded checks (default: REPRO_WORKERS or 1)",
-    )
+def _add_process_options(parser: argparse.ArgumentParser) -> None:
+    """The engine flags that only set this process's defaults (the
+    per-job ones come from :func:`repro.service.protocol.add_engine_flags`)."""
     parser.add_argument(
         "--cache-size",
         type=int,
@@ -264,28 +259,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--engine-stats",
         action="store_true",
         help="print engine phase timings and cache stats to stderr",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per bounded check; sweeps that outlive it "
-        "report partial verdicts (exit code 3 instead of crashing)",
-    )
-    parser.add_argument(
-        "--max-instances",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on universe instances per sweep before reporting partially",
-    )
-    parser.add_argument(
-        "--max-chase-steps",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on chase firings per process before reporting partially",
     )
     parser.add_argument(
         "--max-rss-mb",
@@ -306,24 +279,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="resume sweeps from the --checkpoint journal instead of restarting",
     )
     parser.add_argument(
-        "--symmetry",
-        choices=("full", "orbits"),
-        default=None,
-        help="sweep every universe instance (full, the default) or one "
-        "representative per domain-permutation orbit (orbits); orbit "
-        "sweeps fall back to full where the reduction would be unsound",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_MODES,
-        default=None,
-        help="execution backend for bounded checks: interpret the object "
-        "datamodel directly (object, the default), run compiled joins "
-        "over interned integer ids (kernel), or run the kernel with "
-        "chases of 128 facts or more inside SQLite (sql); verdicts and "
-        "witnesses are identical either way",
-    )
-    parser.add_argument(
         "--sql-db",
         default=None,
         metavar="PATH",
@@ -337,34 +292,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="on-disk content-addressed chase/verdict store (SQLite) "
         "backing the in-memory memo caches as a write-through second "
         "level; shared across runs and processes (REPRO_STORE)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="partition every bounded sweep's outer loop into N "
-        "content-addressed shards (REPRO_SHARDS)",
-    )
-    parser.add_argument(
-        "--shard-id",
-        type=int,
-        default=None,
-        metavar="K",
-        help="sweep only shard K of --shards in this process (reports "
-        "then cover that shard alone); omit to run/claim every shard "
-        "here (REPRO_SHARD_ID)",
-    )
-    parser.add_argument(
-        "--plan",
-        choices=("auto", "materialize", "membership"),
-        default=None,
-        help="evaluation plan for mapping expressions (algebra checks): "
-        "let the cost model pick (auto, the default), always "
-        "materialize compositions with MinGen first (materialize), or "
-        "avoid materializing via staged chases / per-pair membership "
-        "checks (membership); verdicts and reports are identical "
-        "either way (REPRO_PLAN)",
     )
 
 
@@ -464,7 +391,11 @@ def _command_fsck(arguments: argparse.Namespace) -> int:
     return 1 if unrepaired else 0
 
 
-def main(argv: List[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    # The job and per-job engine flags are the service's: one definition
+    # serves ``check`` here and ``repro.service submit``.
+    from repro.service.protocol import add_engine_flags, add_job_flags
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Quasi-inverses of Schema Mappings' (PODS 2007)",
@@ -482,59 +413,22 @@ def main(argv: List[str] | None = None) -> int:
     run_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable reports"
     )
-    _add_engine_options(run_parser)
+    add_engine_flags(run_parser)
+    _add_process_options(run_parser)
 
     all_parser = subparsers.add_parser("all", help="run the whole suite")
     all_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable reports"
     )
-    _add_engine_options(all_parser)
+    add_engine_flags(all_parser)
+    _add_process_options(all_parser)
 
     check_parser = subparsers.add_parser(
         "check",
         help="run one mapping-checking job (the service's job kinds, "
         "in-process or via --server against a running daemon)",
     )
-    check_parser.add_argument(
-        "kind",
-        choices=(
-            "experiment",
-            "invertibility",
-            "subset",
-            "unique",
-            "roundtrip",
-            "algebra",
-        ),
-    )
-    check_parser.add_argument(
-        "target",
-        help="experiment id (experiment), catalog mapping name, or a "
-        "mapping expression like 'compose(Union, Decomposition)' "
-        "(algebra)",
-    )
-    check_parser.add_argument(
-        "--reverse",
-        default=None,
-        help="reverse mapping (roundtrip) or reverse expression "
-        "(algebra --check inverse)",
-    )
-    check_parser.add_argument(
-        "--check",
-        choices=("unique", "subset", "invertibility", "inverse"),
-        default=None,
-        help="which bounded check an algebra job runs over its "
-        "expression (default: invertibility)",
-    )
-    check_parser.add_argument(
-        "--explain-plan",
-        action="store_true",
-        help="append the chosen evaluation plan — rewrite trace, cost "
-        "estimates vs. actuals — to an algebra report",
-    )
-    check_parser.add_argument(
-        "--domain", default=None, help="comma-separated constants (default a,b)"
-    )
-    check_parser.add_argument("--max-facts", type=int, default=None)
+    add_job_flags(check_parser)
     check_parser.add_argument(
         "--server",
         default=None,
@@ -549,7 +443,7 @@ def main(argv: List[str] | None = None) -> int:
         metavar="SECONDS",
         help="with --server: how long to wait for the terminal report",
     )
-    _add_engine_options(check_parser)
+    _add_process_options(check_parser)
 
     export_parser = subparsers.add_parser(
         "export", help="export a catalog mapping as SQL or JSON"
@@ -579,8 +473,11 @@ def main(argv: List[str] | None = None) -> int:
     fsck_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable reports"
     )
+    return parser
 
-    arguments = parser.parse_args(argv)
+
+def main(argv: List[str] | None = None) -> int:
+    arguments = build_parser().parse_args(argv)
     if arguments.command == "list":
         return _command_list()
     if arguments.command == "export":

@@ -38,7 +38,7 @@ from repro.engine.cache import (
     verdict_cache,
 )
 from repro.engine.instrumentation import PhaseStats, engine_stats
-from repro.engine.kernel import active_operations, small_id
+from repro.engine.kernel import active_operations, kernel_instance, small_id
 from repro.errors import MappingError
 
 
@@ -269,15 +269,14 @@ def universal_solution(mapping: SchemaMapping, instance: Instance) -> Instance:
     form (so isomorphic inputs share an entry), while instances
     already containing nulls or variables key by their exact facts,
     preserving the historical fresh-null naming of a direct chase.
-    An operand the active backend lowers to a kernel instance also
+    On the kernel and sql backends the operand's kernel instance also
     carries a per-mapping pointer to its cached solution, so a repeat
     lookup is one dict probe instead of a canonical-key construction
     plus an LRU round-trip.
     """
-    operations = active_operations()
-    kinst = None if operations is None else operations.lower(instance)
-    if kinst is None:
+    if active_operations() is None:
         return _cached_chase(mapping, instance)
+    kinst = kernel_instance(instance)
     mid = small_id(mapping)
     solution = kinst.chase_memo.get(mid)
     if solution is None:
@@ -343,26 +342,23 @@ def solutions_contained(
     down, in the symmetry-keyed chase cache the verdicts build on
     (:func:`repro.engine.cache.cached_chase_result`).
 
-    When the active backend lowers both operands to ground kernel
-    instances, the verdict memoizes on the outer one instead (one dict
-    probe keyed by dense ids: a ground instance's canonical key is its
-    fact set, so no sharing is lost).
+    On the kernel and sql backends, when both operands are ground, the
+    verdict memoizes on the outer one's kernel instance instead (one
+    dict probe keyed by dense ids: a ground instance's canonical key is
+    its fact set, so no sharing is lost).
     """
     operations = active_operations()
-    kinner, kouter = _lowered(operations, inner, outer)
-    return _contained(mapping, operations, inner, outer, kinner, kouter)
-
-
-def _lowered(operations, left: Instance, right: Instance):
-    """Both operands' kernel instances, or Nones on the object backend."""
     if operations is None:
-        return None, None
-    return operations.lower(left), operations.lower(right)
+        return _contained(mapping, None, inner, outer, None, None)
+    return _contained(
+        mapping, operations, inner, outer, kernel_instance(inner), kernel_instance(outer)
+    )
 
 
 def _contained(mapping, operations, inner, outer, kinner, kouter) -> bool:
-    """The body of :func:`solutions_contained`, operands already lowered."""
-    if kinner is not None and kouter is not None and kouter.is_ground and kinner.is_ground:
+    """The body of :func:`solutions_contained`; *kinner* and *kouter*
+    are the operands' kernel instances, None on the object backend."""
+    if operations is not None and kouter.is_ground and kinner.is_ground:
         memo, key = kouter.sol_memo, (small_id(mapping), kinner.kid)
         verdict = memo.get(key)
         if verdict is not None:
@@ -405,10 +401,12 @@ def data_exchange_equivalent(
     """The paper's I1 ∼M I2: equal solution spaces.
 
     Equivalent to homomorphic equivalence of the two chase results.
-    Both directions share one lowering of the operands.
+    Both directions share the operands' kernel instances.
     """
     operations = active_operations()
-    kleft, kright = _lowered(operations, left, right)
+    kleft = kright = None
+    if operations is not None:
+        kleft, kright = kernel_instance(left), kernel_instance(right)
     return _contained(mapping, operations, left, right, kleft, kright) and (
         _contained(mapping, operations, right, left, kright, kleft)
     )

@@ -58,14 +58,13 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine import faults
 from repro.engine.context import CONTEXT
 
 #: Reserved journal key for the file-level integrity record; never a
-#: sweep entry.  Readers (including the service's journal_progress)
-#: must skip it.
+#: sweep entry.
 JOURNAL_META_KEY = "__meta__"
 
 
@@ -143,6 +142,57 @@ def reset_corrupt_entry_count() -> None:
     _CORRUPT_ENTRIES = 0
 
 
+def _verified_entries(path: str) -> Tuple[Dict[str, Dict[str, Any]], int]:
+    """The sweep entries of the journal file at *path* that pass the
+    integrity checks, and how many entries (or whole files) failed
+    them.  A missing file reads as no entries and no failures."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = handle.read()
+    except OSError:
+        return {}, 0
+    try:
+        loaded = json.loads(raw)
+    except ValueError:
+        # Torn or truncated mid-write: nothing on disk is trusted.
+        return {}, 1
+    if not isinstance(loaded, dict):
+        return {}, 1
+    meta = loaded.pop(JOURNAL_META_KEY, None)
+    if (
+        isinstance(meta, dict)
+        and meta.get("checksum") is not None
+        and meta["checksum"] != state_checksum(loaded)
+    ):
+        # The file-level checksum catches edits that keep every
+        # entry internally consistent (e.g. a deleted entry).
+        return {}, 1
+    entries: Dict[str, Dict[str, Any]] = {}
+    corrupt = 0
+    for key, entry in loaded.items():
+        if not isinstance(entry, dict):
+            continue
+        if entry.get("sig") != entry_signature(key, entry):
+            corrupt += 1
+            continue
+        entries[key] = entry
+    return entries, corrupt
+
+
+def journal_progress(path: str) -> int:
+    """The verified prefix a resume from the journal file at *path*
+    would honour, summed over its incomplete sweep entries; 0 when the
+    file is absent.  An entry that fails the integrity checks counts
+    nothing, as on resume; reading counts no corruption either, so a
+    poller may call this as often as it likes."""
+    entries, _corrupt = _verified_entries(path)
+    return sum(
+        int(entry.get("verified_upto", 0))
+        for entry in entries.values()
+        if not entry.get("complete")
+    )
+
+
 #: Default shard-lease time to live.  A worker that holds a shard
 #: longer than this without completing it is treated as a straggler
 #: and its shard becomes stealable.
@@ -173,38 +223,8 @@ class CheckpointJournal:
         *dropped and counted* — resuming onto corrupt progress would
         risk trusting a prefix that was never verified."""
         global _CORRUPT_ENTRIES
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError:
-            return
-        try:
-            loaded = json.loads(raw)
-        except ValueError:
-            # Torn or truncated mid-write: nothing on disk is trusted.
-            _CORRUPT_ENTRIES += 1
-            return
-        if not isinstance(loaded, dict):
-            _CORRUPT_ENTRIES += 1
-            return
-        meta = loaded.pop(JOURNAL_META_KEY, None)
-        if (
-            isinstance(meta, dict)
-            and meta.get("checksum") is not None
-            and meta["checksum"] != state_checksum(loaded)
-        ):
-            # The file-level checksum catches edits that keep every
-            # entry internally consistent (e.g. a deleted entry).
-            _CORRUPT_ENTRIES += 1
-            return
-        fresh: Dict[str, Dict[str, Any]] = {}
-        for key, entry in loaded.items():
-            if not isinstance(entry, dict):
-                continue
-            if entry.get("sig") != entry_signature(key, entry):
-                _CORRUPT_ENTRIES += 1
-                continue
-            fresh[key] = entry
+        fresh, corrupt = _verified_entries(self.path)
+        _CORRUPT_ENTRIES += corrupt
         # Our own unflushed records win over what is on disk.
         fresh.update(self._state)
         self._state = fresh
@@ -573,6 +593,7 @@ __all__ = [
     "default_journal",
     "dropped_flush_count",
     "entry_signature",
+    "journal_progress",
     "reset_corrupt_entry_count",
     "reset_dropped_flush_count",
     "shard_entry_key",

@@ -170,9 +170,15 @@ def _store(value: Any) -> Any:
     return VerdictStore(path)
 
 
+#: The modes of the backend, symmetry and plan defaults; the CLI's and
+#: the service's flags and job specs take their choices from these.
+BACKEND_MODES = ("object", "kernel", "sql")
+SYMMETRY_MODES = ("full", "orbits")
+PLAN_MODES = ("auto", "materialize", "membership")
+
 #: ``REPRO_*`` knob -> (field, parser); set_defaults parses with these.
 KNOBS: Dict[str, Tuple[str, Callable[[Any], Any]]] = {
-    "REPRO_BACKEND": ("backend", _choice("object", "kernel", "sql")),
+    "REPRO_BACKEND": ("backend", _choice(*BACKEND_MODES)),
     "REPRO_STORE": ("store", _store),
     "REPRO_WORKERS": ("workers", _count),
     "REPRO_TASK_TIMEOUT": ("task_timeout", _timeout),
@@ -183,11 +189,11 @@ KNOBS: Dict[str, Tuple[str, Callable[[Any], Any]]] = {
     "REPRO_MAX_RSS_MB": ("max_rss_mb", _seconds),
     "REPRO_CHECKPOINT": ("checkpoint", _path),
     "REPRO_RESUME": ("resume", _flag),
-    "REPRO_SYMMETRY": ("symmetry", _choice("full", "orbits")),
+    "REPRO_SYMMETRY": ("symmetry", _choice(*SYMMETRY_MODES)),
     "REPRO_SHARDS": ("shards", _count),
     "REPRO_SHARD_ID": ("shard_id", _number(int)),
     "REPRO_SQL_DB": ("sql_db", _path),
-    "REPRO_PLAN": ("plan", _choice("auto", "materialize", "membership")),
+    "REPRO_PLAN": ("plan", _choice(*PLAN_MODES)),
 }
 
 _PARSERS: Dict[str, Callable[[Any], Any]] = dict(KNOBS.values())
@@ -248,10 +254,13 @@ set_defaults(**environment_defaults(os.environ))
 
 
 __all__ = [
+    "BACKEND_MODES",
     "CONTEXT",
     "EngineContext",
     "INHERITED",
     "KNOBS",
+    "PLAN_MODES",
+    "SYMMETRY_MODES",
     "environment_defaults",
     "scope",
     "set_defaults",

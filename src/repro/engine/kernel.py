@@ -28,10 +28,11 @@ only the representation the work happens in changes.
 :class:`KernelBackend` is the backend interface: ``premise_matches``
 (the chase's sorted match list), ``stratified_chase`` (a whole-chase
 plan, or None to run the interpreted loop), ``all_homomorphisms`` and
-``has_homomorphism``, plus ``lower``, the operand's kernel instance,
-whose per-instance memos (``chase_memo``, ``sol_memo``) serve the
-checks of :mod:`repro.core.mapping`.  The sql backend
-(:mod:`repro.engine.sqlbackend`) inherits all of it but the chase.
+``has_homomorphism``.  On either backend, :mod:`repro.core.mapping`
+memoizes its checks on each operand's kernel instance
+(:func:`kernel_instance`; ``chase_memo``, ``sol_memo``).  The sql
+backend (:mod:`repro.engine.sqlbackend`) inherits all of it but the
+chase.
 """
 
 from __future__ import annotations
@@ -58,12 +59,11 @@ from repro.datamodel.terms import Constant, Term
 from repro.engine.budget import current_budget
 from repro.engine.cache import MemoCache, register_reset_hook
 from repro.engine.compile import CompiledPremise, compile_premise
-from repro.engine.context import CONTEXT, EngineContext, scope
+from repro.engine.context import BACKEND_MODES, CONTEXT, EngineContext, scope
 
 BACKEND_OBJECT = "object"
 BACKEND_KERNEL = "kernel"
 BACKEND_SQL = "sql"
-BACKEND_MODES = (BACKEND_OBJECT, BACKEND_KERNEL, BACKEND_SQL)
 
 
 # -- backend selection ----------------------------------------------------
@@ -553,8 +553,6 @@ class KernelBackend:
     are this module's functions, bound without a wrapper because the
     verdict hot loop calls them."""
 
-    #: The operand's kernel instance, whose memos serve the checks.
-    lower = staticmethod(kernel_instance)
     premise_matches = staticmethod(sorted_premise_matches)
     all_homomorphisms = staticmethod(kernel_all_homomorphisms)
     has_homomorphism = staticmethod(kernel_has_homomorphism)

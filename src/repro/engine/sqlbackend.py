@@ -865,8 +865,8 @@ def sql_sorted_premise_matches(dependency, instance: Instance):
 
 class SqlBackend(KernelBackend):
     """The kernel backend, with the stratified chase run in SQLite (see
-    "One interface" above).  It inherits ``lower``, so every operand
-    gets the kernel's per-instance memos."""
+    "One interface" above); every operand gets the kernel's
+    per-instance memos."""
 
     def premise_matches(self, dependency, instance: Instance):
         return sql_sorted_premise_matches(dependency, instance)

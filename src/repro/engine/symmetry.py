@@ -60,11 +60,10 @@ from typing import (
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant
-from repro.engine.context import CONTEXT
+from repro.engine.context import CONTEXT, SYMMETRY_MODES
 
 SYMMETRY_FULL = "full"
 SYMMETRY_ORBITS = "orbits"
-SYMMETRY_MODES = (SYMMETRY_FULL, SYMMETRY_ORBITS)
 
 #: Canonical placeholder constants are named ``__g0``, ``__g1``, ...
 #: (mirroring the ``__c`` prefix the null/variable canonicalizer uses).

@@ -23,33 +23,8 @@ mapping-checking jobs over HTTP/JSON:
 Job terminal states map exactly onto the CLI's exit codes — 0 holds /
 1 violated / 3 partial / 4 faulted — and onto HTTP statuses (200 /
 422 / 206 / 424) so a curl probe and a CLI run always agree.
+
+Import from the modules themselves: this package re-exports nothing,
+so the CLI's parser can read the job flags from
+:mod:`repro.service.protocol` without loading the HTTP stack.
 """
-
-from repro.service.client import ServiceClient, discover_endpoint
-from repro.service.jobs import JobOutcome, execute_job
-from repro.service.protocol import (
-    JOB_KINDS,
-    JOB_STATES,
-    STATE_EXIT_CODES,
-    STATE_HTTP_STATUS,
-    TERMINAL_STATES,
-    job_key,
-    normalize_job,
-)
-from repro.service.queue import JobQueue, JobRecord
-
-__all__ = [
-    "JOB_KINDS",
-    "JOB_STATES",
-    "JobOutcome",
-    "JobQueue",
-    "JobRecord",
-    "STATE_EXIT_CODES",
-    "STATE_HTTP_STATUS",
-    "TERMINAL_STATES",
-    "ServiceClient",
-    "discover_endpoint",
-    "execute_job",
-    "job_key",
-    "normalize_job",
-]

@@ -6,14 +6,20 @@ discover the daemon through ``--server``, ``REPRO_SERVICE_URL``, or
 the state directory's endpoint file (see
 :mod:`repro.service.client`).
 
-Environment knobs (flags win): ``REPRO_SERVICE_HOST``,
-``REPRO_SERVICE_PORT``, ``REPRO_SERVICE_MAX_JOBS``,
-``REPRO_SERVICE_JOB_DEADLINE``, ``REPRO_SERVICE_JOB_RETRIES``,
-``REPRO_SERVICE_STATE``.
+``submit`` takes the job flags of ``repro.cli check``
+(:func:`repro.service.protocol.add_job_flags`), so one command line
+describes one job either way.
+
+Environment knobs (flags win), read through :mod:`repro.service.knobs`
+when they are needed: ``REPRO_SERVICE_HOST``, ``REPRO_SERVICE_PORT``,
+``REPRO_SERVICE_MAX_JOBS``, ``REPRO_SERVICE_JOB_DEADLINE``,
+``REPRO_SERVICE_JOB_RETRIES``, ``REPRO_SERVICE_STATE``, and the
+client's (see :mod:`repro.service.client`).
 
 Exit codes mirror the CLI wherever a job reaches a terminal state:
 0 done / 1 violated / 3 partial / 4 faulted / 5 cancelled; 2 for
-usage errors and an unreachable daemon.
+usage errors, a knob value that does not parse included, and an
+unreachable daemon.
 """
 
 from __future__ import annotations
@@ -21,31 +27,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import signal
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.engine import BACKEND_MODES, resize_caches, set_defaults
+from repro.engine import resize_caches, set_defaults
+from repro.engine.context import BACKEND_MODES, SYMMETRY_MODES
 from repro.errors import ServiceError
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, discover_endpoint, state_dir
-from repro.service.protocol import JOB_KINDS, build_payload
+from repro.service.knobs import knob
+from repro.service.protocol import add_job_flags, build_payload
 from repro.service.queue import JobQueue
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str) -> Optional[float]:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return None
 
 
 # -- serve -----------------------------------------------------------------
@@ -71,23 +64,20 @@ async def _serve(arguments: argparse.Namespace) -> int:
         faulthandler.register(signal.SIGUSR1)  # live thread dump for ops
     except (AttributeError, ValueError):
         pass
-    _configure_daemon_engine(arguments)
+    host = knob("REPRO_SERVICE_HOST", arguments.host)
+    port = knob("REPRO_SERVICE_PORT", arguments.port)
     state = state_dir(arguments.state_dir)
     queue = JobQueue(
         state,
-        max_jobs=arguments.max_jobs,
-        job_deadline=arguments.job_deadline,
+        max_jobs=knob("REPRO_SERVICE_MAX_JOBS", arguments.max_jobs),
+        job_deadline=knob("REPRO_SERVICE_JOB_DEADLINE", arguments.job_deadline),
         max_retries=arguments.job_retries,
     )
+    _configure_daemon_engine(arguments)
     requeued = queue.load()
     await queue.start()
     stop = asyncio.Event()
-    app = ServiceApp(
-        queue,
-        host=arguments.host,
-        port=arguments.port,
-        on_shutdown=stop.set,
-    )
+    app = ServiceApp(queue, host=host, port=port, on_shutdown=stop.set)
     await app.start()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -239,25 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser("serve", help="run the daemon in the foreground")
     serve.add_argument(
-        "--host", default=os.environ.get("REPRO_SERVICE_HOST", "127.0.0.1")
+        "--host",
+        default=None,
+        help="listen address (default REPRO_SERVICE_HOST or 127.0.0.1)",
     )
     serve.add_argument(
         "--port",
         type=int,
-        default=_env_int("REPRO_SERVICE_PORT", 8642),
+        default=None,
         help="listen port (0 picks an ephemeral port; default "
         "REPRO_SERVICE_PORT or 8642)",
     )
     serve.add_argument(
         "--max-jobs",
         type=int,
-        default=_env_int("REPRO_SERVICE_MAX_JOBS", 2),
-        help="jobs checked concurrently (REPRO_SERVICE_MAX_JOBS)",
+        default=None,
+        help="jobs checked concurrently (REPRO_SERVICE_MAX_JOBS, default 2)",
     )
     serve.add_argument(
         "--job-deadline",
         type=float,
-        default=_env_float("REPRO_SERVICE_JOB_DEADLINE"),
+        default=None,
         metavar="SECONDS",
         help="default wall-clock budget per job; jobs that outlive it "
         "finish partial (REPRO_SERVICE_JOB_DEADLINE)",
@@ -283,32 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=None, metavar="N")
     serve.add_argument("--store", default=None, metavar="PATH")
     serve.add_argument("--backend", choices=BACKEND_MODES, default=None)
-    serve.add_argument("--symmetry", choices=("full", "orbits"), default=None)
+    serve.add_argument("--symmetry", choices=SYMMETRY_MODES, default=None)
 
     submit = subparsers.add_parser("submit", help="submit one checking job")
-    submit.add_argument("kind", choices=JOB_KINDS)
-    submit.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="experiment id (experiment), catalog mapping name, or a "
-        "mapping expression (algebra)",
-    )
-    submit.add_argument("--reverse", default=None, help="reverse mapping (roundtrip)")
-    submit.add_argument(
-        "--domain", default=None, help="comma-separated constants (default a,b)"
-    )
-    submit.add_argument("--max-facts", type=int, default=None)
-    submit.add_argument("--workers", type=int, default=None)
-    submit.add_argument("--symmetry", choices=("full", "orbits"), default=None)
-    submit.add_argument("--backend", choices=BACKEND_MODES, default=None)
-    submit.add_argument("--shards", type=int, default=None)
-    submit.add_argument("--shard-id", type=int, default=None, dest="shard_id")
-    submit.add_argument("--deadline", type=float, default=None)
-    submit.add_argument("--max-instances", type=int, default=None, dest="max_instances")
-    submit.add_argument(
-        "--max-chase-steps", type=int, default=None, dest="max_chase_steps"
-    )
+    add_job_flags(submit, target_required=False)
     submit.add_argument(
         "--payload",
         default=None,

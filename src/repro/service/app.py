@@ -36,9 +36,10 @@ import time
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.engine.checkpoint import journal_progress
 from repro.errors import JobNotFound, ServiceProtocolError
 from repro.service.protocol import STATE_HTTP_STATUS
-from repro.service.queue import JobQueue, journal_progress
+from repro.service.queue import JobQueue
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024

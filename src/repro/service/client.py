@@ -21,6 +21,12 @@ full retry cycles.  Retries, breaker trips, and rejections are
 counted on :func:`~repro.engine.instrumentation.engine_stats`
 (``client_retries`` / ``client_breaker_trips`` / ...).
 
+Every knob above is read through :func:`repro.service.knobs.knob` when
+a client is built (or an endpoint discovered), and an explicit
+argument wins over it.  A value that does not parse raises
+:class:`~repro.errors.ServiceError` naming the knob: exit 2 from every
+verb.
+
 The ``client.drop`` / ``client.reset`` points of the unified fault
 plane (:mod:`repro.engine.faults`) inject transport failures before
 the request is sent and after the server has acted, respectively —
@@ -40,14 +46,8 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.engine import faults
 from repro.engine.instrumentation import engine_stats
-from repro.errors import (
-    JobNotFound,
-    ServiceError,
-    ServiceProtocolError,
-    ServiceUnavailable,
-)
-
-DEFAULT_STATE_DIR = ".repro-service"
+from repro.errors import JobNotFound, ServiceProtocolError, ServiceUnavailable
+from repro.service.knobs import knob
 
 #: The result-poll loop never sleeps less than this, even when the
 #: wait deadline is imminent — polling at 10ms turns "almost done"
@@ -55,45 +55,17 @@ DEFAULT_STATE_DIR = ".repro-service"
 POLL_FLOOR_SECONDS = 0.05
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError(raw)
-    except ValueError:
-        raise ServiceError(f"{name}={raw!r} is not a non-negative integer")
-    return value
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-        if value < 0:
-            raise ValueError(raw)
-    except ValueError:
-        raise ServiceError(f"{name}={raw!r} is not a non-negative number")
-    return value
-
-
 def state_dir(explicit: Optional[str] = None) -> str:
-    return explicit or os.environ.get("REPRO_SERVICE_STATE") or DEFAULT_STATE_DIR
+    return knob("REPRO_SERVICE_STATE", explicit or None)
 
 
 def discover_endpoint(
     server: Optional[str] = None, state: Optional[str] = None
 ) -> str:
     """The daemon base URL per the discovery order above."""
-    if server:
-        return server.rstrip("/")
-    env = os.environ.get("REPRO_SERVICE_URL")
-    if env:
-        return env.rstrip("/")
+    url = knob("REPRO_SERVICE_URL", server or None)
+    if url:
+        return url.rstrip("/")
     endpoint_file = os.path.join(state_dir(state), "service.json")
     try:
         with open(endpoint_file, "r", encoding="utf-8") as handle:
@@ -128,27 +100,11 @@ class ServiceClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.retries = (
-            _env_int("REPRO_CLIENT_RETRIES", 3) if retries is None else retries
-        )
-        self.backoff = (
-            _env_float("REPRO_CLIENT_BACKOFF", 0.1) if backoff is None else backoff
-        )
-        self.backoff_max = (
-            _env_float("REPRO_CLIENT_BACKOFF_MAX", 2.0)
-            if backoff_max is None
-            else backoff_max
-        )
-        self.breaker_threshold = (
-            _env_int("REPRO_CLIENT_BREAKER_THRESHOLD", 5)
-            if breaker_threshold is None
-            else breaker_threshold
-        )
-        self.breaker_cooldown = (
-            _env_float("REPRO_CLIENT_BREAKER_COOLDOWN", 5.0)
-            if breaker_cooldown is None
-            else breaker_cooldown
-        )
+        self.retries = knob("REPRO_CLIENT_RETRIES", retries)
+        self.backoff = knob("REPRO_CLIENT_BACKOFF", backoff)
+        self.backoff_max = knob("REPRO_CLIENT_BACKOFF_MAX", backoff_max)
+        self.breaker_threshold = knob("REPRO_CLIENT_BREAKER_THRESHOLD", breaker_threshold)
+        self.breaker_cooldown = knob("REPRO_CLIENT_BREAKER_COOLDOWN", breaker_cooldown)
         self._rng = random.Random(jitter_seed)
         self._consecutive_failures = 0
         self._breaker_open_until = 0.0
@@ -380,7 +336,6 @@ def _error_of(body: Any) -> str:
 
 
 __all__ = [
-    "DEFAULT_STATE_DIR",
     "POLL_FLOOR_SECONDS",
     "ServiceClient",
     "discover_endpoint",

@@ -6,6 +6,12 @@ by comparing strings but by construction: both entry points call
 :func:`execute_job` on the same canonical spec, and the rendering is
 produced here, once.
 
+A plain ``unique`` / ``subset`` / ``invertibility`` job is the
+one-atom expression over its mapping: it runs through
+:func:`repro.algebra.sweeps.check_expression`, like an ``algebra``
+job, titled with the job's label, so a plain job and an algebra job
+over one mapping take one code path.
+
 :func:`execute_job` runs inside a :func:`~repro.engine.budget.coverage_scope`
 so concurrent jobs on daemon worker threads keep their partial-verdict
 events (and hence their terminal states) separate, and maps the result
@@ -82,9 +88,8 @@ def budget_for(
 
 # -- helpers ---------------------------------------------------------------
 #
-# Reports render through repro.algebra.sweeps' renderers, imported lazily
-# by each executor like its engine imports (thin clients stay light): one
-# copy renders both the plain jobs and the algebra expression jobs.
+# Each executor imports the engine and repro.algebra lazily, so the
+# daemon and the thin clients start without them.
 
 
 def _universe(mapping, spec: Dict[str, Any]) -> list:
@@ -121,67 +126,6 @@ def _run_experiment_job(
 
     report = run_experiment(spec["experiment"])
     return report.render(), report.passed
-
-
-def _run_invertibility_job(
-    spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
-) -> Tuple[str, bool]:
-    from repro.algebra.sweeps import invertibility_lines
-    from repro.analysis.classify import classify_mapping
-    from repro.analysis.invertibility import invertibility_report
-
-    mapping = resolve_mapping(spec["mapping"])
-    classification = classify_mapping(mapping)
-    universe = _universe(mapping, spec)
-    report = invertibility_report(
-        mapping, universe, checkpoint=checkpoint, **_sweep_options(spec)
-    )
-    lines = invertibility_lines(
-        _mapping_label(mapping), classification, universe, report,
-        spec["domain"], spec["max_facts"],
-    )
-    return "\n".join(lines), report.unique_solutions and report.quasi_subset_property.holds
-
-
-def _run_subset_job(
-    spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
-) -> Tuple[str, bool]:
-    from repro.algebra.sweeps import subset_lines
-    from repro.core.framework import SolutionEquivalence, subset_property
-
-    mapping = resolve_mapping(spec["mapping"])
-    equivalence = SolutionEquivalence(mapping)
-    universe = _universe(mapping, spec)
-    report = subset_property(
-        mapping,
-        equivalence,
-        equivalence,
-        universe,
-        stop_at_first_violation=False,
-        checkpoint=checkpoint,
-        **_sweep_options(spec),
-    )
-    lines = subset_lines(
-        _mapping_label(mapping), universe, report, spec["domain"], spec["max_facts"]
-    )
-    return "\n".join(lines), report.holds
-
-
-def _run_unique_job(
-    spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
-) -> Tuple[str, bool]:
-    from repro.algebra.sweeps import unique_lines
-    from repro.core.framework import unique_solutions_property
-
-    mapping = resolve_mapping(spec["mapping"])
-    universe = _universe(mapping, spec)
-    # No checkpoint: the unique-solutions sweep carries no journal
-    # support (it is the cheap phase; see invertibility_report).
-    verdict = unique_solutions_property(mapping, universe, **_sweep_options(spec))
-    lines = unique_lines(
-        _mapping_label(mapping), universe, verdict, spec["domain"], spec["max_facts"]
-    )
-    return "\n".join(lines), verdict.ok
 
 
 def _run_roundtrip_job(
@@ -224,15 +168,26 @@ def _run_roundtrip_job(
     return "\n".join(lines), sound.ok and faithful.ok
 
 
-def _run_algebra_job(
+def _run_expression_job(
     spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
 ) -> Tuple[str, bool]:
+    """An algebra job, or a plain ``unique`` / ``subset`` /
+    ``invertibility`` job as the one-atom expression over its mapping,
+    titled with the job's label."""
+    from repro.algebra.expr import MappingAtom
     from repro.algebra.sweeps import check_expression
 
+    if spec["kind"] == "algebra":
+        expression, check, title = spec["expression"], spec["check"], None
+    else:
+        mapping = resolve_mapping(spec["mapping"])
+        expression, check = MappingAtom(mapping=mapping), spec["kind"]
+        title = _mapping_label(mapping)
     report = check_expression(
-        spec["expression"],
-        spec["check"],
+        expression,
+        check,
         reverse=spec.get("reverse"),
+        title=title,
         domain=tuple(spec["domain"]),
         max_facts=spec["max_facts"],
         plan=spec.get("plan"),
@@ -247,11 +202,11 @@ def _run_algebra_job(
 
 _EXECUTORS: Dict[str, Callable[..., Tuple[str, bool]]] = {
     "experiment": _run_experiment_job,
-    "invertibility": _run_invertibility_job,
-    "subset": _run_subset_job,
-    "unique": _run_unique_job,
+    "invertibility": _run_expression_job,
+    "subset": _run_expression_job,
+    "unique": _run_expression_job,
     "roundtrip": _run_roundtrip_job,
-    "algebra": _run_algebra_job,
+    "algebra": _run_expression_job,
 }
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.engine import BACKEND_MODES
+from repro.engine.context import BACKEND_MODES, PLAN_MODES, SYMMETRY_MODES
 from repro.errors import ParseError, ServiceProtocolError
 
 #: Checking request kinds the daemon accepts.
@@ -105,6 +105,13 @@ _OPTION_TYPES: Dict[str, type] = {
     "symmetry": str,
     "backend": str,
     "plan": str,
+}
+
+#: The engine options whose values are modes, with their choices.
+_OPTION_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "symmetry": SYMMETRY_MODES,
+    "backend": BACKEND_MODES,
+    "plan": PLAN_MODES,
 }
 
 _DEFAULT_DOMAIN = ("a", "b")
@@ -280,42 +287,136 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
                 f"option {option!r} must be {expected.__name__}, "
                 f"got {type(value).__name__}"
             )
-        if option == "symmetry" and value not in ("full", "orbits"):
-            raise ServiceProtocolError("symmetry must be 'full' or 'orbits'")
-        if option == "backend" and value not in BACKEND_MODES:
-            *names, last = map(repr, BACKEND_MODES)
+        choices = _OPTION_CHOICES.get(option, (value,))
+        if value not in choices:
+            *names, last = map(repr, choices)
+            comma = "," if len(names) > 1 else ""
             raise ServiceProtocolError(
-                f"backend must be {', '.join(names)}, or {last}"
-            )
-        if option == "plan" and value not in ("auto", "materialize", "membership"):
-            raise ServiceProtocolError(
-                "plan must be 'auto', 'materialize', or 'membership'"
+                f"{option} must be {', '.join(names)}{comma} or {last}"
             )
         spec[option] = value
     return spec
 
 
-#: Engine options a front end's arguments may carry into a payload.
-_PAYLOAD_OPTIONS = (
-    "workers", "symmetry", "backend", "shards", "shard_id", "deadline",
-    "max_instances", "max_chase_steps", "plan",
+#: The engine flags a job carries into its payload (``repro.cli run``
+#: and ``all`` take them too), as ``add_argument`` names and options.
+_ENGINE_FLAGS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
+    ("--workers", dict(
+        type=int, metavar="N",
+        help="worker processes for bounded checks (default: REPRO_WORKERS or 1)",
+    )),
+    ("--symmetry", dict(
+        choices=SYMMETRY_MODES,
+        help="sweep every universe instance (full, the default) or one "
+        "representative per domain-permutation orbit (orbits); orbit "
+        "sweeps fall back to full where the reduction would be unsound",
+    )),
+    ("--backend", dict(
+        choices=BACKEND_MODES,
+        help="execution backend for bounded checks: interpret the object "
+        "datamodel directly (object, the default), run compiled joins "
+        "over interned integer ids (kernel), or run the kernel with "
+        "chases of 128 facts or more inside SQLite (sql); verdicts and "
+        "witnesses are identical either way",
+    )),
+    ("--shards", dict(
+        type=int, metavar="N",
+        help="partition every bounded sweep's outer loop into N "
+        "content-addressed shards (REPRO_SHARDS)",
+    )),
+    ("--shard-id", dict(
+        type=int, metavar="K",
+        help="sweep only shard K of --shards in this process (reports "
+        "then cover that shard alone); omit to run/claim every shard "
+        "here (REPRO_SHARD_ID)",
+    )),
+    ("--deadline", dict(
+        type=float, metavar="SECONDS",
+        help="wall-clock budget per bounded check; sweeps that outlive it "
+        "report partial verdicts (exit code 3 instead of crashing)",
+    )),
+    ("--max-instances", dict(
+        type=int, metavar="N",
+        help="cap on universe instances per sweep before reporting partially",
+    )),
+    ("--max-chase-steps", dict(
+        type=int, metavar="N",
+        help="cap on chase firings per process before reporting partially",
+    )),
+    ("--plan", dict(
+        choices=PLAN_MODES,
+        help="evaluation plan for mapping expressions (algebra checks): "
+        "let the cost model pick (auto, the default), always "
+        "materialize compositions with MinGen first (materialize), or "
+        "avoid materializing via staged chases / per-pair membership "
+        "checks (membership); verdicts and reports are identical "
+        "either way (REPRO_PLAN)",
+    )),
 )
+
+#: Engine options a front end's arguments may carry into a payload.
+_PAYLOAD_OPTIONS = tuple(flag[2:].replace("-", "_") for flag, _ in _ENGINE_FLAGS)
+
+
+def add_engine_flags(parser: Any) -> None:
+    """Define the per-job engine flags on an argparse *parser*."""
+    for flag, options in _ENGINE_FLAGS:
+        parser.add_argument(flag, default=None, **options)
+
+
+def add_job_flags(parser: Any, *, target_required: bool = True) -> None:
+    """Define the flags of one job on an argparse *parser*: everything
+    :func:`build_payload` reads.  ``repro.cli check`` and
+    ``repro.service submit`` both build their job flags here; *submit*
+    passes *target_required* False, since ``--payload`` may stand in
+    for the target."""
+    parser.add_argument("kind", choices=JOB_KINDS)
+    parser.add_argument(
+        "target",
+        **({} if target_required else {"nargs": "?", "default": None}),
+        help="experiment id (experiment), catalog mapping name, or a "
+        "mapping expression like 'compose(Union, Decomposition)' "
+        "(algebra)",
+    )
+    parser.add_argument(
+        "--reverse",
+        default=None,
+        help="reverse mapping (roundtrip) or reverse expression "
+        "(algebra --check inverse)",
+    )
+    parser.add_argument(
+        "--check",
+        choices=ALGEBRA_CHECKS,
+        default=None,
+        help="which bounded check an algebra job runs over its "
+        "expression (default: invertibility)",
+    )
+    parser.add_argument(
+        "--explain-plan",
+        action="store_true",
+        help="append the chosen evaluation plan — rewrite trace, cost "
+        "estimates vs. actuals — to an algebra report",
+    )
+    parser.add_argument(
+        "--domain", default=None, help="comma-separated constants (default a,b)"
+    )
+    parser.add_argument("--max-facts", type=int, default=None)
+    add_engine_flags(parser)
 
 
 def build_payload(arguments: Any) -> Dict[str, Any]:
     """The job payload a ``repro.cli check`` or ``repro.service submit``
-    command line describes: its parsed *arguments* (``kind``,
-    ``target``, ``reverse``, ``domain``, ``max_facts``, plus whichever
-    engine options and algebra flags that parser defines)."""
+    command line describes: its *arguments*, parsed by a parser that
+    :func:`add_job_flags` built."""
     payload: Dict[str, Any] = {"kind": arguments.kind}
     if arguments.kind == "experiment":
         payload["experiment"] = arguments.target
         return payload
     if arguments.kind == "algebra":
         payload["expression"] = arguments.target
-        if getattr(arguments, "check", None):
+        if arguments.check:
             payload["check"] = arguments.check
-        if getattr(arguments, "explain_plan", False):
+        if arguments.explain_plan:
             payload["explain_plan"] = True
     else:
         payload["mapping"] = arguments.target
@@ -326,7 +427,7 @@ def build_payload(arguments: Any) -> Dict[str, Any]:
     if arguments.max_facts is not None:
         payload["max_facts"] = arguments.max_facts
     for option in _PAYLOAD_OPTIONS:
-        value = getattr(arguments, option, None)
+        value = getattr(arguments, option)
         if value is not None:
             payload[option] = value
     return payload
@@ -366,6 +467,8 @@ __all__ = [
     "STATE_RUNNING",
     "STATE_VIOLATED",
     "TERMINAL_STATES",
+    "add_engine_flags",
+    "add_job_flags",
     "build_payload",
     "exit_code_for",
     "job_key",

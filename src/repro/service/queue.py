@@ -60,10 +60,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.engine import faults
 from repro.engine.budget import Budget
 from repro.engine.cache import flush_active_store
-from repro.engine.checkpoint import JOURNAL_META_KEY, CheckpointJournal
+from repro.engine.checkpoint import CheckpointJournal, journal_progress
 from repro.engine.instrumentation import engine_stats
-from repro.errors import JobNotFound, ServiceError
+from repro.errors import JobNotFound
 from repro.service.jobs import JobOutcome, budget_for, execute_job
+from repro.service.knobs import knob
 from repro.service.protocol import (
     STATE_CANCELLED,
     STATE_FAULTED,
@@ -79,21 +80,6 @@ from repro.service.protocol import (
 
 def _now() -> float:
     return time.time()
-
-
-def _default_job_retries() -> int:
-    raw = os.environ.get("REPRO_SERVICE_JOB_RETRIES", "").strip()
-    if not raw:
-        return 2
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise ServiceError(
-            f"REPRO_SERVICE_JOB_RETRIES={raw!r} is not a non-negative integer"
-        )
-    return value
 
 
 @dataclass
@@ -155,28 +141,6 @@ class JobRecord:
         return payload
 
 
-def journal_progress(path: str) -> int:
-    """Verified-but-incomplete prefix recorded in a checkpoint journal
-    file (summed over its incomplete sweep entries); 0 when absent."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return 0
-    if not isinstance(data, dict):
-        return 0
-    progress = 0
-    for key, entry in data.items():
-        if key == JOURNAL_META_KEY:
-            continue
-        if isinstance(entry, dict) and not entry.get("complete"):
-            try:
-                progress += int(entry.get("verified_upto", 0) or 0)
-            except (TypeError, ValueError):
-                continue
-    return progress
-
-
 class JobQueue:
     """Bounded-concurrency job execution with dedup and drain/resume
     (see module docstring).  All public methods must be called from
@@ -193,9 +157,7 @@ class JobQueue:
         self.state_dir = state_dir
         self.max_jobs = max(1, int(max_jobs))
         self.job_deadline = job_deadline
-        self.max_retries = (
-            _default_job_retries() if max_retries is None else max(0, int(max_retries))
-        )
+        self.max_retries = max(0, int(knob("REPRO_SERVICE_JOB_RETRIES", max_retries)))
         self.started_at = _now()
         self._jobs: Dict[str, JobRecord] = {}
         self._terminal_entries: Dict[str, str] = {}
@@ -579,4 +541,4 @@ def _id_counter(job_id: str) -> int:
         return 0
 
 
-__all__ = ["JobQueue", "JobRecord", "journal_progress"]
+__all__ = ["JobQueue", "JobRecord"]

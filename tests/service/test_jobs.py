@@ -256,3 +256,75 @@ class TestSharedRendering:
         )
         assert algebra.rendering == plain.rendering
         assert algebra.state == plain.state
+
+
+def _catalog_names():
+    from repro.catalog import named_mappings
+
+    return sorted(named_mappings())
+
+
+#: An unnamed inline mapping: its reports are titled "inline".
+_INLINE = {"source": {"P": 2}, "target": {"Q": 1}, "dependencies": "P(x,y) -> Q(x)"}
+
+
+class TestPlainJobsMatchTheOracle:
+    """Plain ``unique`` / ``subset`` / ``invertibility`` jobs run as
+    one-atom expressions through ``check_expression``; their outcomes
+    must equal the former per-kind executors' (tests/service/
+    plain_jobs_oracle.py) in state, exit code and rendering."""
+
+    @staticmethod
+    def _assert_matches_oracle(monkeypatch, spec):
+        import repro.service.jobs as jobs_module
+        from tests.service.plain_jobs_oracle import ORACLE_EXECUTORS
+
+        with monkeypatch.context() as patch:
+            patch.setitem(
+                jobs_module._EXECUTORS, spec["kind"], ORACLE_EXECUTORS[spec["kind"]]
+            )
+            expected = execute_job(spec)
+        got = execute_job(spec)
+        assert (got.state, got.exit_code, got.rendering) == (
+            expected.state,
+            expected.exit_code,
+            expected.rendering,
+        )
+
+    @pytest.mark.parametrize("max_facts", [1, 2])
+    @pytest.mark.parametrize("kind", ["unique", "subset", "invertibility"])
+    @pytest.mark.parametrize("name", _catalog_names() + ["inline"])
+    def test_every_named_mapping_and_an_inline_one(
+        self, monkeypatch, name, kind, max_facts
+    ):
+        payload = {"kind": kind, "mapping": name, "max_facts": max_facts}
+        if name == "inline":
+            payload["mapping"] = _INLINE
+        if name == "Example4.5" and max_facts == 2:
+            # 254 instances over {a, b}: about 25 s per kind and path.
+            payload["domain"] = ["a"]
+        self._assert_matches_oracle(monkeypatch, normalize_job(payload))
+
+    def test_an_orbit_sweep(self, monkeypatch):
+        self._assert_matches_oracle(
+            monkeypatch,
+            _spec(
+                kind="invertibility",
+                mapping="Decomposition",
+                max_facts=2,
+                symmetry="orbits",
+            ),
+        )
+
+    @needs_fork
+    def test_kernel_with_two_workers(self, monkeypatch):
+        self._assert_matches_oracle(
+            monkeypatch,
+            _spec(
+                kind="invertibility",
+                mapping="Decomposition",
+                max_facts=2,
+                backend="kernel",
+                workers=2,
+            ),
+        )

@@ -189,3 +189,69 @@ class TestBuildPayload:
             "max_facts": 2,
         }
         assert normalize_job(payload)["check"] == "invertibility"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "algebra",
+                "compose(Decomposition, Decomposition')",
+                "--check",
+                "subset",
+                "--plan",
+                "membership",
+                "--explain-plan",
+            ],
+            ["algebra", "Union", "--check", "inverse", "--reverse", "Union'"],
+            [
+                "unique", "Projection", "--domain", "a,b,c", "--max-facts", "2",
+                "--symmetry", "orbits", "--backend", "kernel", "--workers", "2",
+            ],
+            [
+                "roundtrip", "Decomposition", "--reverse", "Decomposition'",
+                "--deadline", "5", "--max-instances", "9", "--max-chase-steps",
+                "100", "--shards", "2", "--shard-id", "1",
+            ],
+            ["experiment", "E3"],
+        ],
+        ids=["algebra", "inverse", "unique", "roundtrip", "experiment"],
+    )
+    def test_check_and_submit_parse_one_argv_into_one_payload(self, argv):
+        from repro.cli import build_parser as check_parser
+        from repro.service.__main__ import _build_payload
+        from repro.service.__main__ import build_parser as service_parser
+        from repro.service.protocol import build_payload
+
+        check = build_payload(check_parser().parse_args(["check", *argv]))
+        submit = _build_payload(service_parser().parse_args(["submit", *argv]))
+        assert check == submit
+        if argv[1].startswith("compose"):
+            assert check == {
+                "kind": "algebra",
+                "expression": "compose(Decomposition, Decomposition')",
+                "check": "subset",
+                "explain_plan": True,
+                "plan": "membership",
+            }
+
+
+    def test_the_daemon_and_submit_start_without_the_algebra(self):
+        # A fresh interpreter: this one has long imported repro.algebra.
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.service.__main__ import _build_payload, build_parser\n"
+            "_build_payload(build_parser().parse_args(\n"
+            "    ['submit', 'algebra', 'Union', '--check', 'subset', '--plan', 'membership']))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.algebra')))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert completed.stdout.strip() == "[]"

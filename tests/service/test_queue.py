@@ -15,10 +15,11 @@ import time
 
 import pytest
 
+from repro.engine.checkpoint import journal_progress
 from repro.engine.instrumentation import engine_stats
 from repro.errors import DeadlineExceeded, JobNotFound, ServiceProtocolError
 from repro.service.jobs import JobOutcome
-from repro.service.queue import JobQueue, journal_progress
+from repro.service.queue import JobQueue
 
 
 @pytest.fixture(autouse=True)
@@ -351,6 +352,62 @@ class TestDrainAndResume:
             await queue.drain(timeout=1)
 
         asyncio.run(restart())
+
+    @staticmethod
+    def _tampered_checkpoint(path):
+        """A journal whose one incomplete entry claims 9 verified items
+        after it was signed for 5."""
+        from repro.engine.checkpoint import CheckpointJournal
+
+        CheckpointJournal(path).record(
+            "sweep", verified_upto=5, total=37, ok=True, violations=0,
+            fingerprint="cafe", flush=True,
+        )
+        assert journal_progress(path) == 5
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["sweep"]["verified_upto"] = 9
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+
+    def test_progress_counts_only_what_a_resume_honours(self, tmp_path):
+        from repro.engine.checkpoint import (
+            CheckpointJournal,
+            corrupt_entry_count,
+            reset_corrupt_entry_count,
+        )
+
+        path = str(tmp_path / "job.ckpt.json")
+        self._tampered_checkpoint(path)
+        reset_corrupt_entry_count()
+        # The /events poller reads progress every 0.1 s: it must not
+        # count the same corruption on every poll.
+        assert journal_progress(path) == 0
+        assert journal_progress(path) == 0
+        assert corrupt_entry_count() == 0
+        assert CheckpointJournal(path).resume_index("sweep", 37, "cafe") == 0
+        assert corrupt_entry_count() == 1
+
+    def test_a_tampered_checkpoint_is_not_reported_as_resumed(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.protocol import job_key, normalize_job
+
+        async def scenario():
+            _fake_executor(monkeypatch, _outcome("done"))
+            queue = JobQueue(str(tmp_path), max_jobs=1)
+            self._tampered_checkpoint(
+                queue.checkpoint_path(job_key(normalize_job(dict(SPEC))))
+            )
+            await queue.start()
+            record, _ = queue.submit(dict(SPEC))
+            await queue.wait(record.job_id, timeout=5)
+            assert record.state == "done"
+            assert record.resumed_prefix == 0
+            assert "resumed" not in [e["event"] for e in record.events]
+            await queue.drain(timeout=1)
+
+        asyncio.run(scenario())
 
     def test_terminal_jobs_survive_restart_with_outcome(self, tmp_path, monkeypatch):
         async def scenario():

@@ -216,6 +216,35 @@ class TestByteIdentity:
         assert completed.returncode == body["exit_code"]
 
 
+class TestSubmitVerb:
+    def test_submit_takes_the_job_flags_of_check(self, daemon, capsys):
+        """``submit`` and ``check`` share one job parser: an algebra
+        job's ``--check`` and ``--plan`` reach the daemon, and the
+        printed report and exit code equal ``repro.cli check``'s."""
+        from repro.cli import main as cli_main
+        from repro.service.__main__ import main as service_main
+
+        argv = [
+            "algebra",
+            "compose(Decomposition, Decomposition')",
+            "--check",
+            "subset",
+            "--plan",
+            "membership",
+            "--max-facts",
+            "2",
+        ]
+        code = service_main(
+            ["submit", *argv, "--server", daemon.base_url, "--wait", "120"]
+        )
+        submitted = capsys.readouterr().out
+        [job] = daemon.jobs()["jobs"]
+        assert (job["spec"]["check"], job["spec"]["plan"]) == ("subset", "membership")
+        assert cli_main(["check", *argv]) == code
+        assert capsys.readouterr().out == submitted
+        assert "subset property (~M,~M)" in submitted
+
+
 class TestDrainResume:
     def test_sigterm_checkpoints_and_restart_resumes(self, tmp_path):
         state = tmp_path / "state"
