@@ -11,9 +11,9 @@ service's catalog names, the algebra parser's default table, ``repro.cli
 export`` — go through :func:`catalog_by_name` and
 :func:`named_mappings` instead: each process holds one shared,
 immutable mapping per name, built on the first lookup.  Mappings are
-frozen, so daemon threads share them safely, and the memos keyed on a
-mapping object (``mapping_key``'s weak table, ``kernel.small_id``)
-stay warm from one request to the next.
+frozen, so daemon threads share them safely, and what is cached on a
+mapping object (its ``mapping_key``, ``kernel.small_id``) stays warm
+from one request to the next.
 """
 
 from __future__ import annotations

@@ -166,13 +166,15 @@ def _default_witnesses(universe: Sequence[Instance]) -> List[Instance]:
     those arguments.
     """
     pool = list(universe)
-    seen = set(pool)
+    seen = {instance.facts for instance in pool}
     for left in universe:
         for right in universe:
-            union = left.union(right)
-            if union not in seen:
-                seen.add(union)
-                pool.append(union)
+            # dedup on fact sets: most unions repeat one already seen,
+            # and only a new one is worth building an Instance for
+            facts = left.facts | right.facts
+            if facts not in seen:
+                seen.add(facts)
+                pool.append(Instance(facts))
     return pool
 
 

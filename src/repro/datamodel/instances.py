@@ -112,7 +112,13 @@ class Instance:
 
     def is_ground(self) -> bool:
         """True when every term is a constant (a *ground instance*)."""
-        return all(fact.is_ground() for fact in self.facts)
+        # computed once per instance: every chase and verdict lookup
+        # asks, and a warm lookup does little else
+        ground = self.__dict__.get("_ground")
+        if ground is None:
+            ground = all(fact.is_ground() for fact in self.facts)
+            object.__setattr__(self, "_ground", ground)
+        return ground
 
     def has_variables(self) -> bool:
         return any(not fact.is_fact() for fact in self.facts)

@@ -75,6 +75,14 @@ class Premise:
                     f"inequality {left} != {right} refers to a variable absent "
                     "from the premise atoms"
                 )
+        # the generated hash's value, paid once: premises sit inside
+        # every dependency, and dependencies inside every mapping key
+        object.__setattr__(
+            self, "_hash", hash((self.atoms, self.constant_vars, self.inequalities))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def variables(self) -> Tuple[Variable, ...]:
         """Distinct premise variables, in order of first occurrence."""
@@ -171,6 +179,12 @@ class Dependency:
         for disjunct in self.disjuncts:
             if not disjunct:
                 raise DependencyError("disjuncts must be non-empty conjunctions")
+        # the generated hash's value, paid once (mapping keys are
+        # tuples of dependencies, re-hashed on every memo probe)
+        object.__setattr__(self, "_hash", hash((self.premise, self.disjuncts)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- structure -------------------------------------------------------
 

@@ -15,13 +15,23 @@ variables are renamed to position-derived placeholders — so that
   certify an isomorphism (the key is sound by construction; it is
   complete for renamings that preserve the relative order of facts).
 
+A warm sweep answers nearly every question from these caches, so the
+cost of a *probe* is what it pays for.  Repeated jobs rebuild their
+universes and mappings, and a probe keyed by a fresh object would
+re-hash its dependencies and compare equal fact sets atom by atom.
+Instead :func:`canonical_key` and :func:`mapping_key` derive each
+object's key once, store it on the object, and pass it through one
+bounded table of shared keys, so every equal instance or mapping
+yields the *same* key object: a warm probe hashes a few cached values
+and matches its entry by identity.  Keys keep their content, so store digests and
+checkpoint fingerprints do not depend on which object was probed.
+
 Every cache registers itself for the instrumentation layer, which
 reports hits, misses, and evictions.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
@@ -272,17 +282,44 @@ def canonicalize_instance(
     return instance.substitute(forward), forward
 
 
+# -- shared keys ----------------------------------------------------------
+
+#: Every instance and mapping key handed out, mapped to itself, so that
+#: equal keys are one object and memo probes compare them by identity.
+#: Cleared when full and with the caches, like the join-order memo; a
+#: key dropped by a clear still equals its successor, it only compares
+#: slower.  No lock: an entry is its own key, so racing threads can at
+#: worst hand out two equal keys.
+_KEYS: Dict[Hashable, Hashable] = {}
+_KEYS_MAX = 65_536
+register_reset_hook(_KEYS.clear)
+
+
+def _shared_key(key: Hashable) -> Hashable:
+    """The one key object equal to *key* (*key* itself the first time)."""
+    shared = _KEYS.get(key)
+    if shared is None:
+        if len(_KEYS) >= _KEYS_MAX:
+            _KEYS.clear()
+        shared = _KEYS.setdefault(key, key)
+    return shared
+
+
 def canonical_key(instance: Instance) -> FrozenSet[Atom]:
-    """The content-addressed key of *instance* (its canonical fact set)."""
-    canonical, _ = canonicalize_instance(instance)
-    return canonical.facts
+    """The content-addressed key of *instance* (its canonical fact set).
+
+    Derived once per instance and stored on it; equal instances — and
+    isomorphic ones, whose canonical fact sets are equal — get the
+    same key object (:func:`_shared_key`)."""
+    key = instance.__dict__.get("_canonical_key")
+    if key is None:
+        canonical, _ = canonicalize_instance(instance)
+        key = _shared_key(canonical.facts)
+        object.__setattr__(instance, "_canonical_key", key)
+    return key
 
 
 # -- mapping keys ---------------------------------------------------------
-
-_MAPPING_KEYS: "weakref.WeakKeyDictionary[Any, Hashable]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def mapping_key(mapping: Any) -> Hashable:
@@ -292,8 +329,12 @@ def mapping_key(mapping: Any) -> Hashable:
     Staged pipelines (:class:`repro.core.mapping.StagedMapping`) key by
     their stages' content keys instead — they carry no dependencies of
     their own, and two pipelines over content-equal stages must share
-    chase/verdict cache entries."""
-    key = _MAPPING_KEYS.get(mapping)
+    chase/verdict cache entries.
+
+    Derived once per mapping and stored on it; content-equal mappings,
+    including one rebuilt after an equal one was collected, get the
+    same key object (:func:`_shared_key`)."""
+    key = mapping.__dict__.get("_mapping_key")
     if key is None:
         stages = getattr(mapping, "stages", None)
         if stages:
@@ -307,13 +348,9 @@ def mapping_key(mapping: Any) -> Hashable:
                 tuple(dep.canonical_form() for dep in mapping.dependencies),
                 tuple(mapping.target.relations),
             )
-        _MAPPING_KEYS[mapping] = key
+        key = _shared_key(key)
+        object.__setattr__(mapping, "_mapping_key", key)
     return key
-
-
-_MAPPING_INVARIANT: "weakref.WeakKeyDictionary[Any, bool]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def symmetry_keys_apply(mapping: Any) -> bool:
@@ -323,13 +360,14 @@ def symmetry_keys_apply(mapping: Any) -> bool:
     context *and* the mapping is permutation-invariant (no literal
     constants in its dependencies) — the condition under which
     ``chase(π(I)) = π(chase(I))`` holds for every constant bijection π.
+    The invariance flag is computed once per mapping and stored on it.
     """
     if not ground_keys_active():
         return False
-    invariant = _MAPPING_INVARIANT.get(mapping)
+    invariant = mapping.__dict__.get("_permutation_invariant")
     if invariant is None:
         invariant = mapping_permutation_invariant(mapping)
-        _MAPPING_INVARIANT[mapping] = invariant
+        object.__setattr__(mapping, "_permutation_invariant", invariant)
     return invariant
 
 
@@ -393,13 +431,16 @@ def cached_chase_result(
     constants are renamed back through the canonical bijection once
     and the translation stored under the exact key.
     """
-    if instance.is_ground() and symmetry_keys_apply(mapping):
-        exact_key = (mapping_key(mapping), instance.facts)
+    if instance.is_ground():
+        # a ground instance is its own canonical form
+        exact_key = (mapping_key(mapping), canonical_key(instance))
+        if not symmetry_keys_apply(mapping):
+            return chase_cache.memoize(exact_key, lambda: compute(instance))
         hit, cached = chase_cache.get(exact_key)
         if hit:
             return cached
         form = ground_canonical_form(instance)
-        sym_key = ("sym", mapping_key(mapping), form.key())
+        sym_key = ("sym", exact_key[0], form.key())
         hit, canonical_result = chase_cache.get(sym_key)
         if not hit:
             canonical_result = compute(form.canonical)

@@ -67,16 +67,16 @@ import os
 import sqlite3
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.engine import faults
 from repro.engine.context import scope
 
-#: Bump whenever cache key derivation, canonical forms, or value
-#: codecs change semantics: a store written by another engine version
-#: is dropped on open, never reinterpreted.
-ENGINE_VERSION = "2026.08-pr8"
+#: Bump whenever cache key derivation, canonical forms, key digests,
+#: or value codecs change semantics: a store written by another engine
+#: version is dropped on open, never reinterpreted.
+ENGINE_VERSION = "2026.10-field-digests"
 
 _BUSY_TIMEOUT_SECONDS = 5.0
 
@@ -101,21 +101,29 @@ def _encode(part: Any, out: list) -> None:
 
     Handles the shapes that occur in memo-cache keys: primitives,
     tuples, frozensets (encoded sorted, so iteration order cannot
-    leak in), and datamodel objects exposing ``sort_key()`` (terms and
-    atoms), which are encoded through that deterministic key."""
+    leak in), datamodel objects exposing ``sort_key()`` (terms and
+    atoms), which are encoded through that deterministic key, and
+    dataclass instances (dependencies and their premises), encoded
+    field by field through this same function.  Nothing in a key may
+    go through ``repr``: a premise's ``Constant()`` set is a
+    frozenset, and ``repr`` prints it in iteration order, which
+    follows ``PYTHONHASHSEED`` — the digest would then differ between
+    two processes holding the same key."""
     if isinstance(part, str):
         out.append("s:" + part)
     elif isinstance(part, (bool, int)):
         out.append(f"i:{int(part)}")
     elif part is None:
         out.append("z")
-    elif isinstance(part, (tuple, list, frozenset, set)) or hasattr(
-        part, "sort_key"
+    elif (
+        isinstance(part, (tuple, list, frozenset, set))
+        or hasattr(part, "sort_key")
+        or is_dataclass(part)
     ):
         out.append(_encode_composite(part))
     else:
-        # Last resort: repr.  Dependency canonical forms and similar
-        # frozen dataclasses render deterministically.
+        # Last resort: repr, for scalars such as floats whose repr
+        # does not depend on the process.
         out.append("r:" + repr(part))
 
 
@@ -143,9 +151,15 @@ def _encode_composite(part: Any) -> str:
         out.append("{")
         out.extend(sorted(encoded))
         out.append("}")
-    else:
+    elif hasattr(part, "sort_key"):
         out.append(f"k:{type(part).__name__}:")
         _encode(part.sort_key(), out)
+    else:
+        # the fields equality compares, in declaration order
+        out.append(f"d:{type(part).__name__}:")
+        for item in fields(part):
+            if item.compare:
+                _encode(getattr(part, item.name), out)
     result = "\x1f".join(out)
     if hashable:
         if len(_ENCODE_MEMO) >= _ENCODE_MEMO_MAX:
@@ -156,8 +170,10 @@ def _encode_composite(part: Any) -> str:
 
 def stable_digest(key: Any) -> str:
     """A stable hex digest of a memo-cache key (or any nesting of
-    tuples / frozensets / terms / atoms).  Equal keys digest equally
-    in every process — no reliance on randomized ``hash()``."""
+    tuples / frozensets / terms / atoms / dependencies).  Equal keys
+    digest equally in every process, whatever its ``PYTHONHASHSEED``:
+    the encoding (:func:`_encode`) never reads a set's iteration order
+    or a ``hash()``."""
     out: list = []
     _encode(key, out)
     return hashlib.sha256("\x1f".join(out).encode()).hexdigest()

@@ -36,7 +36,7 @@ from repro.engine.context import BACKEND_MODES, SYMMETRY_MODES
 from repro.errors import ServiceError
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, discover_endpoint, state_dir
-from repro.service.knobs import knob
+from repro.service.knobs import knob, port_number
 from repro.service.protocol import add_job_flags, build_payload
 from repro.service.queue import JobQueue
 
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=port_number,
         default=None,
         help="listen port (0 picks an ephemeral port; default "
         "REPRO_SERVICE_PORT or 8642)",

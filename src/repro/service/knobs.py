@@ -24,6 +24,17 @@ def _natural(raw: str) -> int:
     return value
 
 
+def port_number(raw: str) -> int:
+    """A TCP port, 0 (pick an ephemeral one) to 65535: the parser of
+    both ``REPRO_SERVICE_PORT`` and ``serve --port``, so an
+    out-of-range port is a usage error before the daemon loads its
+    queue, not an ``OverflowError`` from the socket layer after."""
+    value = int(raw)
+    if not 0 <= value <= 65535:
+        raise ValueError(raw)
+    return value
+
+
 def _seconds(raw: str) -> float:
     value = float(raw)
     if value < 0:
@@ -38,7 +49,7 @@ _TEXT = (str, "text")
 #: knob -> (parser, what the parser accepts, default).
 SERVICE_KNOBS: Dict[str, Tuple[Callable[[str], Any], str, Optional[Any]]] = {
     "REPRO_SERVICE_HOST": (*_TEXT, "127.0.0.1"),
-    "REPRO_SERVICE_PORT": (*_INTEGER, 8642),
+    "REPRO_SERVICE_PORT": (port_number, "a port number (0-65535)", 8642),
     "REPRO_SERVICE_MAX_JOBS": (*_INTEGER, 2),
     "REPRO_SERVICE_JOB_DEADLINE": (*_NUMBER, None),
     "REPRO_SERVICE_JOB_RETRIES": (*_INTEGER, 2),
@@ -68,4 +79,4 @@ def knob(name: str, explicit: Any = None) -> Any:
         raise ServiceError(f"{name}={raw!r} is not {accepted}") from None
 
 
-__all__ = ["SERVICE_KNOBS", "knob"]
+__all__ = ["SERVICE_KNOBS", "knob", "port_number"]

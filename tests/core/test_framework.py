@@ -1,5 +1,8 @@
 """Unit tests for the (∼1,∼2)-inverse framework (Section 3)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.catalog import (
     decomposition,
     decomposition_quasi_inverse_join,
@@ -12,6 +15,7 @@ from repro.catalog import (
 from repro.core.framework import (
     Equality,
     SolutionEquivalence,
+    _default_witnesses,
     is_generalized_inverse,
     is_inverse,
     is_quasi_inverse,
@@ -118,6 +122,43 @@ class TestSubsetProperty:
             stop_at_first_violation=False,
         )
         assert len(report.violations) == 2  # both directions
+
+
+def _union_closure_oracle(universe):
+    """The former witness-pool construction: every pairwise union built as
+    an Instance, duplicates discarded afterwards."""
+    pool = list(universe)
+    seen = set(pool)
+    for left in universe:
+        for right in universe:
+            union = left.union(right)
+            if union not in seen:
+                seen.add(union)
+                pool.append(union)
+    return pool
+
+
+_WITNESS_CANDIDATES = list(
+    instance_universe(decomposition().source, ["a", "b"], max_facts=2)
+)
+
+
+class TestDefaultWitnesses:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        picks=st.lists(
+            st.integers(min_value=0, max_value=len(_WITNESS_CANDIDATES) - 1),
+            max_size=12,
+        )
+    )
+    def test_pool_matches_the_union_building_oracle(self, picks):
+        # repeats included: a universe may list one instance twice
+        universe = [_WITNESS_CANDIDATES[pick] for pick in picks]
+        assert _default_witnesses(universe) == _union_closure_oracle(universe)
+
+    def test_pool_of_the_decomposition_universe(self):
+        universe = list(_WITNESS_CANDIDATES)
+        assert _default_witnesses(universe) == _union_closure_oracle(universe)
 
 
 class TestInverseChecks:

@@ -1,6 +1,13 @@
 """Unit tests for the engine's content-addressed memo caches."""
 
+import gc
+import sys
+import threading
+import time
+
+import repro.engine.cache as cache
 from repro.catalog import decomposition
+from repro.core.framework import SolutionEquivalence, subset_property
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null, Variable
 from repro.engine import (
@@ -12,7 +19,9 @@ from repro.engine import (
     mapping_key,
     reset_all_caches,
 )
-from repro.engine.cache import resize_caches
+from repro.engine.cache import resize_caches, symmetry_keys_apply
+from repro.engine.context import scope
+from repro.workloads import power_instances, random_lav_mapping
 
 
 class TestMemoCache:
@@ -215,3 +224,126 @@ class TestCachedChaseResult:
         after = chase_cache.stats()
         assert after.misses == before.misses + 1
         assert after.hits == before.hits + 1
+
+
+class TestSharedKeys:
+    """Keys are derived once per object and shared by equal objects, so
+    a warm memo probe matches its entry by identity."""
+
+    def setup_method(self):
+        reset_all_caches()
+
+    def test_equal_instances_get_one_key_object(self):
+        first = Instance.build({"P": [("a", "b"), ("b", "c")]})
+        second = Instance.build({"P": [("b", "c"), ("a", "b")]})
+        assert first is not second
+        assert canonical_key(first) is canonical_key(second)
+
+    def test_isomorphic_instances_get_one_key_object(self):
+        left = Instance.build({"P": [("a", Null("n1")), (Null("n1"), Null("n2"))]})
+        right = Instance.build({"P": [("a", Null("x")), (Null("x"), Null("y"))]})
+        assert canonical_key(left) is canonical_key(right)
+
+    def test_a_rebuilt_mapping_gets_the_collected_copys_key_object(self):
+        key = mapping_key(random_lav_mapping(3, n_tgds=3))
+        gc.collect()
+        rebuilt = random_lav_mapping(3, n_tgds=3)
+        assert mapping_key(rebuilt) is key
+
+    def test_keys_are_derived_once_per_object(self, monkeypatch):
+        instance = Instance.build({"P": [("a", Null("n"))]})
+        mapping = decomposition()
+        first = (canonical_key(instance), mapping_key(mapping))
+
+        def refuse(*_args):
+            raise AssertionError("a key was derived twice")
+
+        monkeypatch.setattr(cache, "canonicalize_instance", refuse)
+        monkeypatch.setattr(type(mapping.dependencies[0]), "canonical_form", refuse)
+        assert (canonical_key(instance), mapping_key(mapping)) == first
+
+    def test_the_symmetry_flag_is_computed_once_per_mapping(self, monkeypatch):
+        mapping = decomposition()
+        with scope(ground_keys=True):
+            assert symmetry_keys_apply(mapping)
+            monkeypatch.setattr(
+                cache, "mapping_permutation_invariant", lambda _mapping: False
+            )
+            assert symmetry_keys_apply(mapping)
+        assert not symmetry_keys_apply(mapping)  # outside an orbit sweep
+
+    def test_reset_all_caches_empties_the_table(self):
+        canonical_key(Instance.build({"P": [("a", "b")]}))
+        assert cache._KEYS
+        reset_all_caches()
+        assert not cache._KEYS
+
+    def test_table_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(cache, "_KEYS_MAX", 3)
+        for count in range(10):
+            instance = Instance.build({"P": [(str(count), "b")]})
+            assert canonical_key(instance) == instance.facts
+            assert len(cache._KEYS) <= 3
+
+
+def _fresh_sweep():
+    """A subset sweep over a fresh mapping and a fresh universe, so
+    every probe goes through the shared-key table instead of a key
+    already stored on the object."""
+    mapping = decomposition()
+    universe = list(power_instances(mapping.source, ("a", "b"), max_facts=2))
+    equivalence = SolutionEquivalence(mapping)
+    report = subset_property(
+        mapping, equivalence, equivalence, universe,
+        stop_at_first_violation=False, workers=1,
+    )
+    return mapping, universe, report
+
+
+def test_concurrent_probes_get_keys_equal_to_their_content(monkeypatch):
+    # Daemon jobs probe the memo caches from several threads at once; a
+    # small bound makes the shared-key table clear itself while other
+    # threads read and fill it.
+    _, _, serial = _fresh_sweep()
+    expected_mapping_key = (
+        tuple(dep.canonical_form() for dep in decomposition().dependencies),
+        tuple(decomposition().target.relations),
+    )
+    monkeypatch.setattr(cache, "_KEYS_MAX", 5)
+    threads = 8
+    start = threading.Barrier(threads, timeout=10)
+    wrong = []
+    rounds = []
+
+    def probe(offset):
+        start.wait()
+        deadline = time.monotonic() + 2.0
+        done = 0
+        while done < 50 and time.monotonic() < deadline:
+            mapping, universe, report = _fresh_sweep()
+            if mapping_key(mapping) != expected_mapping_key:
+                wrong.append((offset, "mapping key"))
+            for instance in universe:
+                if canonical_key(instance) != canonicalize_instance(instance)[0].facts:
+                    wrong.append((offset, instance))
+            if report != serial:
+                wrong.append((offset, report))
+            done += 1
+        rounds.append(done)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=probe, args=(offset,))
+            for offset in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert wrong == []
+    assert len(rounds) == threads and min(rounds) >= 1

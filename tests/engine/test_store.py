@@ -6,6 +6,7 @@ import glob
 import itertools
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -17,6 +18,7 @@ from repro.catalog import (
     decomposition,
     projection,
     projection_quasi_inverse,
+    thm_4_8_inverse,
 )
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null
@@ -34,6 +36,7 @@ from repro.engine import (
 )
 from repro.engine.budget import Budget
 from repro.engine.cache import active_store, verdict_cache
+from repro.engine.store import _encode
 from repro.engine.checkpoint import (
     CheckpointJournal,
     claim_shards,
@@ -51,6 +54,10 @@ from repro.core.framework import (
     unique_solutions_property,
 )
 from repro.workloads import power_instances
+
+REPO_SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+)
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +125,47 @@ class TestStableDigest:
     def test_distinct_keys_diverge(self):
         assert stable_digest(("a", 1)) != stable_digest(("a", "1"))
         assert stable_digest(("a",)) != stable_digest(("a", None))
+
+    def test_digests_and_fingerprints_do_not_depend_on_the_hash_seed(self):
+        # Thm 4.8' has a two-member Constant() set: a frozenset whose
+        # iteration order follows PYTHONHASHSEED.  Seeds 0 and 1 order
+        # it differently, so anything that digests through repr() or
+        # iteration order prints two different lines here.
+        script = (
+            "from repro.catalog import named_mappings, thm_4_8, thm_4_8_inverse\n"
+            "from repro.engine.cache import mapping_key\n"
+            "from repro.engine.store import stable_digest\n"
+            "from repro.engine.sweep import sweep_fingerprint\n"
+            "from repro.workloads import power_instances\n"
+            "forward, reverse = thm_4_8(), thm_4_8_inverse()\n"
+            "universe = list(power_instances(forward.source, ('a', 'b'), max_facts=1))\n"
+            "print(stable_digest(mapping_key(named_mappings()[\"Thm4.8'\"])))\n"
+            "print(sweep_fingerprint('check.sound_on', 'full',\n"
+            "    (mapping_key(forward), mapping_key(reverse)), (universe,)))\n"
+        )
+        printed = set()
+        for seed in ("0", "1"):
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env={
+                    **{k: v for k, v in os.environ.items() if not k.startswith("REPRO_")},
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": REPO_SRC,
+                },
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            printed.add(completed.stdout)
+        assert len(printed) == 1, printed
+
+    def test_dependencies_encode_field_by_field(self):
+        dependency = thm_4_8_inverse().dependencies[0]
+        out = []
+        _encode(dependency, out)
+        assert "r:" not in "".join(out)
+        assert "Dependency" in out[0] and "Premise" in out[0]
 
 
 class TestVerdictStore:

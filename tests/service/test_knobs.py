@@ -43,6 +43,40 @@ class TestServeKnobs:
         assert main(["serve", "--state-dir", str(tmp_path)]) == 2
         assert knob in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_queue(self, monkeypatch):
+        """Make a ``serve`` that gets as far as loading its job queue
+        fail loudly: a bad port must stop it before that."""
+        from repro.service.queue import JobQueue
+
+        def refuse(self):
+            raise AssertionError("serve loaded its job queue")
+
+        monkeypatch.setattr(JobQueue, "load", refuse)
+
+    def test_an_out_of_range_port_knob_is_a_usage_error(
+        self, monkeypatch, tmp_path, capsys, no_queue, no_serving
+    ):
+        monkeypatch.setenv("REPRO_SERVICE_PORT", "70000")
+        assert main(["serve", "--state-dir", str(tmp_path)]) == 2
+        assert "REPRO_SERVICE_PORT='70000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["70000", "-1", "http"])
+    def test_a_bad_port_flag_is_a_usage_error(
+        self, tmp_path, capsys, no_queue, no_serving, value
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--port", value, "--state-dir", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "--port" in capsys.readouterr().err
+
+    def test_the_port_parser_accepts_exactly_0_to_65535(self):
+        from repro.service.knobs import port_number
+
+        assert (port_number("0"), port_number("65535")) == (0, 65535)
+        with pytest.raises(ValueError):
+            port_number("65536")
+
     def test_a_flag_wins_over_a_bad_knob(self, monkeypatch, tmp_path, no_serving):
         monkeypatch.setenv("REPRO_SERVICE_PORT", "abc")
         with pytest.raises(AssertionError, match="port 0"):
