@@ -12,7 +12,7 @@ export`` — go through :func:`catalog_by_name` and
 :func:`named_mappings` instead: each process holds one shared,
 immutable mapping per name, built on the first lookup.  Mappings are
 frozen, so daemon threads share them safely, and what is cached on a
-mapping object (its ``mapping_key``, ``kernel.small_id``) stays warm
+mapping object (its ``mapping_key``, its symmetry flag) stays warm
 from one request to the next.
 """
 

@@ -48,9 +48,6 @@ class NullFactory:
                 self._taken.add(name)
                 return Null(name)
 
-    def reserve(self, names: Iterable[str]) -> None:
-        self._taken.update(names)
-
 
 @dataclass(frozen=True)
 class ChaseStep:

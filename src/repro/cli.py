@@ -16,13 +16,14 @@ Usage::
         --server http://127.0.0.1:8642   # same job via a running daemon
 
 Engine knobs: ``--workers`` fans bounded checks across a process pool,
-``--cache-size`` bounds the chase/verdict memo caches, and
+``--cache-size`` (at least 1) bounds every engine memo cache, and
 ``--engine-stats`` prints per-phase timings and cache hit rates to
 stderr after the run.  Every engine flag below but ``--cache-size``
 also has a ``REPRO_*`` environment knob, read once at process start
 (:mod:`repro.engine.context`); a flag wins, for its own call:
 :func:`main` makes the flags the engine's process defaults through
-``set_defaults`` and puts the previous defaults back on return.
+``set_defaults`` (the cache size through ``resize_caches``) and puts
+the previous defaults and size back on return.
 
 Governance knobs: ``--deadline`` / ``--max-instances`` /
 ``--max-chase-steps`` / ``--max-rss-mb`` bound every sweep (the
@@ -70,9 +71,10 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.engine import coverage_scope, resize_caches, set_defaults
+from repro.engine.cache import cache_capacity
 from repro.experiments import all_experiment_ids, run_all, run_experiment
 from repro.experiments.base import ExperimentReport
 
@@ -250,10 +252,10 @@ def _add_process_options(parser: argparse.ArgumentParser) -> None:
     per-job ones come from :func:`repro.service.protocol.add_engine_flags`)."""
     parser.add_argument(
         "--cache-size",
-        type=int,
+        type=cache_capacity,
         default=None,
         metavar="N",
-        help="capacity of the engine's chase/verdict memo caches",
+        help="capacity (at least 1) of every engine memo cache",
     )
     parser.add_argument(
         "--engine-stats",
@@ -302,20 +304,28 @@ _DEFAULT_FLAGS = (
 )
 
 
-def _configure_engine(arguments: argparse.Namespace) -> Dict[str, Any]:
+def _configure_engine(arguments: argparse.Namespace) -> Callable[[], None]:
     """Make the given engine flags the process defaults, which forked
-    workers and nested checkers all follow; returns the previous
-    defaults, for :func:`main` to put back."""
-    if getattr(arguments, "cache_size", None):
-        resize_caches(arguments.cache_size)
+    workers and nested checkers all follow, and ``--cache-size`` every
+    cache's capacity; returns the function that puts the previous
+    defaults and capacity back, for :func:`main` to call on return."""
     fields = {
         flag: getattr(arguments, flag)
         for flag in _DEFAULT_FLAGS
         if getattr(arguments, flag, None) is not None
     }
-    if getattr(arguments, "resume", False):
+    if arguments.resume:
         fields["resume"] = True
-    return set_defaults(**fields)
+    previous = set_defaults(**fields)
+    if arguments.cache_size is None:
+        return lambda: set_defaults(**previous)
+    previous_size = resize_caches(arguments.cache_size)
+
+    def restore() -> None:
+        resize_caches(previous_size)
+        set_defaults(**previous)
+
+    return restore
 
 
 def _coverage_exit(code: int) -> int:
@@ -484,7 +494,7 @@ def main(argv: List[str] | None = None) -> int:
         return _command_export(arguments.mapping, arguments.output_format)
     if arguments.command == "fsck":
         return _command_fsck(arguments)
-    previous = _configure_engine(arguments)
+    restore = _configure_engine(arguments)
     try:
         # Only this call's partial verdicts decide its exit code.
         with coverage_scope():
@@ -497,7 +507,7 @@ def main(argv: List[str] | None = None) -> int:
             return _coverage_exit(_command_all(arguments.json))
     finally:
         _report_engine(arguments)
-        set_defaults(**previous)
+        restore()
 
 
 if __name__ == "__main__":

@@ -33,12 +33,11 @@ from repro.dependencies.parser import parse_dependencies
 from repro.engine.cache import (
     cached_chase_result,
     canonical_key,
-    chase_cache,
     mapping_key,
     verdict_cache,
 )
 from repro.engine.instrumentation import PhaseStats, engine_stats
-from repro.engine.kernel import active_operations, kernel_instance, small_id
+from repro.engine.kernel import active_operations
 from repro.errors import MappingError
 
 
@@ -196,24 +195,6 @@ class StagedMapping(SchemaMapping):
         return f"{label}: {self.source} -> {self.target} staged as {rendered}"
 
 
-def _staged_compute(mapping: StagedMapping):
-    """Per-stage chase for a staged pipeline.
-
-    Each stage routes through :func:`universal_solution`, so every
-    intermediate result lands in the engine's content-addressed chase
-    cache under the *stage's* mapping key — a pipeline sharing a
-    prefix with another reuses the prefix's chases for free.
-    """
-
-    def compute(source: Instance) -> Instance:
-        current = source
-        for stage in mapping.stages:
-            current = universal_solution(stage, current)
-        return current.restrict_to(mapping.target)
-
-    return compute
-
-
 def identity_mapping(schema: Schema, name: str = "Id") -> SchemaMapping:
     """The identity schema mapping Id = (S, Ŝ, {R(x) -> R(x)}).
 
@@ -231,57 +212,41 @@ def identity_mapping(schema: Schema, name: str = "Id") -> SchemaMapping:
     return SchemaMapping(schema, schema, tuple(dependencies), name=name)
 
 
-def _require_tgds(mapping: SchemaMapping, operation: str) -> None:
+def _solve(mapping: SchemaMapping, source: Instance) -> Instance:
+    """chase_Sigma(source) restricted to the target schema: the work
+    behind a chase-memo miss (:func:`universal_solution`).
+
+    A staged pipeline chases stage by stage, each stage through
+    :func:`universal_solution`, so every intermediate result lands in
+    the chase memo under the *stage's* mapping key: a pipeline sharing
+    a prefix with another reuses the prefix's chases for free.
+    """
     if not mapping.is_tgd_mapping():
         raise MappingError(
-            f"{operation} requires a mapping specified by plain s-t tgds"
+            "universal_solution requires a mapping specified by plain s-t tgds"
         )
-
-
-def _chase_compute(mapping: SchemaMapping):
-    def compute(source: Instance) -> Instance:
-        with engine_stats().phase("chase"):
-            # No caller of the cached solution reads the step trace,
-            # which lets the SQL backend chase full tgds set-at-a-time.
-            result = chase(source, mapping.dependencies, trace=False)
-        return result.instance.restrict_to(mapping.target)
-
-    return compute
-
-
-def _cached_chase(mapping: SchemaMapping, instance: Instance) -> Instance:
-    _require_tgds(mapping, "universal_solution")
-    if getattr(mapping, "stages", None):
-        compute = _staged_compute(mapping)
-    else:
-        compute = _chase_compute(mapping)
-    if instance.is_ground():
-        return cached_chase_result(mapping, instance, compute)
-    key = ("exact", mapping_key(mapping), instance.facts)
-    return chase_cache.memoize(key, lambda: compute(instance))
+    if isinstance(mapping, StagedMapping):
+        current = source
+        for stage in mapping.stages:
+            current = universal_solution(stage, current)
+        return current.restrict_to(mapping.target)
+    with engine_stats().phase("chase"):
+        # No caller of the cached solution reads the step trace, which
+        # lets the SQL backend chase full tgds set-at-a-time.
+        result = chase(source, mapping.dependencies, trace=False)
+    return result.instance.restrict_to(mapping.target)
 
 
 def universal_solution(mapping: SchemaMapping, instance: Instance) -> Instance:
     """chase_Sigma(I): a universal solution for *instance* under *mapping*.
 
-    Requires a tgd mapping.  Results are memoized in the engine's
-    content-addressed chase cache: ground instances key by canonical
-    form (so isomorphic inputs share an entry), while instances
-    already containing nulls or variables key by their exact facts,
-    preserving the historical fresh-null naming of a direct chase.
-    On the kernel and sql backends the operand's kernel instance also
-    carries a per-mapping pointer to its cached solution, so a repeat
-    lookup is one dict probe instead of a canonical-key construction
-    plus an LRU round-trip.
+    Requires a tgd mapping (:class:`MappingError` otherwise).  Results
+    are memoized on every backend in the engine's one chase memo
+    (:func:`repro.engine.cache.cached_chase_result`), keyed by the
+    instance's exact facts, so a repeat returns the instance the first
+    call computed; the backend runs only the chase behind a miss.
     """
-    if active_operations() is None:
-        return _cached_chase(mapping, instance)
-    kinst = kernel_instance(instance)
-    mid = small_id(mapping)
-    solution = kinst.chase_memo.get(mid)
-    if solution is None:
-        solution = kinst.chase_memo[mid] = _cached_chase(mapping, instance)
-    return solution
+    return cached_chase_result(mapping, instance, _solve)
 
 
 @lru_cache(maxsize=2048)
@@ -330,9 +295,11 @@ def solutions_contained(
 
     Equivalent (for tgd mappings) to the existence of a homomorphism
     chase(outer) -> chase(inner).  Verdicts are memoized content-
-    addressed: the key is sound under independent renamings of either
-    side's nulls, because a homomorphism never constrains where a
-    null maps (even one shared between the two instances).
+    addressed in the engine's verdict cache on every backend: the key
+    is sound under independent renamings of either side's nulls,
+    because a homomorphism never constrains where a null maps (even
+    one shared between the two instances).  The backend runs only the
+    homomorphism test behind a miss.
 
     Pair verdicts deliberately do *not* key by joint canonical form
     under orbit-mode sweeps: orbit reduction already deduplicates the
@@ -341,45 +308,23 @@ def solutions_contained(
     canonicalization costs.  Orbit-level sharing happens one layer
     down, in the symmetry-keyed chase cache the verdicts build on
     (:func:`repro.engine.cache.cached_chase_result`).
-
-    On the kernel and sql backends, when both operands are ground, the
-    verdict memoizes on the outer one's kernel instance instead (one
-    dict probe keyed by dense ids: a ground instance's canonical key is
-    its fact set, so no sharing is lost).
     """
-    operations = active_operations()
-    if operations is None:
-        return _contained(mapping, None, inner, outer, None, None)
-    return _contained(
-        mapping, operations, inner, outer, kernel_instance(inner), kernel_instance(outer)
+    key = (
+        "sol-contained",
+        mapping_key(mapping),
+        canonical_key(outer),
+        canonical_key(inner),
     )
-
-
-def _contained(mapping, operations, inner, outer, kinner, kouter) -> bool:
-    """The body of :func:`solutions_contained`; *kinner* and *kouter*
-    are the operands' kernel instances, None on the object backend."""
-    if operations is not None and kouter.is_ground and kinner.is_ground:
-        memo, key = kouter.sol_memo, (small_id(mapping), kinner.kid)
-        verdict = memo.get(key)
-        if verdict is not None:
-            return verdict
-    else:
-        memo = None
-        key = (
-            "sol-contained",
-            mapping_key(mapping),
-            canonical_key(outer),
-            canonical_key(inner),
-        )
-        hit, verdict = verdict_cache.get(key)
-        if hit:
-            return verdict
+    hit, verdict = verdict_cache.get(key)
+    if hit:
+        return verdict
     # Inlined engine_stats().phase("homomorphism") — same counters,
     # minus the context-manager machinery this hot path can feel.
     started = time.perf_counter()
     try:
         source = universal_solution(mapping, outer)
         target = universal_solution(mapping, inner)
+        operations = active_operations()
         if operations is None:
             verdict = instance_homomorphism(source, target) is not None
         else:
@@ -388,10 +333,7 @@ def _contained(mapping, operations, inner, outer, kinner, kouter) -> bool:
         phases = engine_stats().phases
         phase = phases.get("homomorphism") or phases.setdefault("homomorphism", PhaseStats())
         phase.record(time.perf_counter() - started)
-    if memo is None:
-        verdict_cache.put(key, verdict)
-    else:
-        memo[key] = verdict
+    verdict_cache.put(key, verdict)
     return verdict
 
 
@@ -401,12 +343,7 @@ def data_exchange_equivalent(
     """The paper's I1 ∼M I2: equal solution spaces.
 
     Equivalent to homomorphic equivalence of the two chase results.
-    Both directions share the operands' kernel instances.
     """
-    operations = active_operations()
-    kleft = kright = None
-    if operations is not None:
-        kleft, kright = kernel_instance(left), kernel_instance(right)
-    return _contained(mapping, operations, left, right, kleft, kright) and (
-        _contained(mapping, operations, right, left, kright, kleft)
+    return solutions_contained(mapping, left, right) and solutions_contained(
+        mapping, right, left
     )

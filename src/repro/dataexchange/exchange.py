@@ -12,12 +12,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Tuple
 
 from repro.chase.disjunctive import disjunctive_chase
 from repro.datamodel.instances import Instance
 from repro.core.mapping import MappingError, SchemaMapping, universal_solution
-from repro.engine.parallel import ParallelUniverseRunner, get_shared
 
 
 def exchange(mapping: SchemaMapping, instance: Instance) -> Instance:
@@ -32,25 +31,6 @@ def exchange(mapping: SchemaMapping, instance: Instance) -> Instance:
         raise MappingError("forward exchange requires a tgd mapping")
     instance.validate(mapping.source)
     return universal_solution(mapping, instance)
-
-
-def _exchange_task(instance: Instance) -> Instance:
-    return exchange(get_shared(), instance)
-
-
-def exchange_many(
-    mapping: SchemaMapping,
-    instances: Iterable[Instance],
-    *,
-    workers: Optional[int] = None,
-) -> Tuple[Instance, ...]:
-    """Exchange a stream of source instances, optionally in parallel.
-
-    Results come back in input order regardless of worker count; with
-    ``workers=1`` (the default) this is a plain cached loop.
-    """
-    runner = ParallelUniverseRunner(workers)
-    return tuple(runner.map(_exchange_task, instances, shared=mapping))
 
 
 def reverse_exchange(

@@ -105,12 +105,6 @@ def _coerce(value: RawTerm) -> Term:
     raise TypeError(f"cannot coerce {value!r} to a term")
 
 
-def atoms_terms(atoms: Iterable[Atom]) -> Iterator[Term]:
-    """Yield every term occurring in *atoms*, with repetitions."""
-    for current in atoms:
-        yield from current.args
-
-
 def atoms_variables(atoms: Iterable[Atom]) -> Tuple[Variable, ...]:
     """The distinct variables of *atoms*, in order of first occurrence."""
     seen = {}

@@ -10,8 +10,10 @@ fast:
   homomorphism join probes ``(relation, position, term)`` posting
   lists instead of scanning relation extents;
 * :mod:`repro.engine.cache` — content-addressed memoization of chase
-  results and verdicts under canonical (isomorphism-respecting)
-  instance keys, with hit/miss counters;
+  results (by exact facts, plus one entry per orbit in orbit-mode
+  sweeps) and verdicts (under canonical, isomorphism-respecting
+  instance keys), one memo path for every backend, with hit/miss
+  counters;
 * :mod:`repro.engine.parallel` — the :class:`ParallelUniverseRunner`
   that chunks universe streams across a ``multiprocessing`` pool with
   deterministic merge order and a serial fallback;
@@ -57,8 +59,10 @@ fast:
 A backend is a chase plus a homomorphism test: ``KernelBackend``
 implements ``premise_matches``, ``stratified_chase``,
 ``all_homomorphisms`` and ``has_homomorphism``, and ``SqlBackend``
-inherits them all, memos included, except ``stratified_chase``, which
-runs inputs of 128 facts or more in SQLite.
+inherits them all except ``stratified_chase``, which runs inputs of
+128 facts or more in SQLite.  A backend computes only what a chase or
+verdict memo miss needs; the memos themselves are the same on every
+backend.
 ``kernel.active_operations()`` returns them, or None on the object
 backend, whose reference code stays inline in :mod:`repro.chase` and
 :mod:`repro.core.mapping`.
@@ -104,6 +108,7 @@ from repro.engine.cache import (
     canonicalize_instance,
     chase_cache,
     configured_maxsize,
+    exact_key,
     flush_active_store,
     mapping_key,
     reset_all_caches,
@@ -114,8 +119,6 @@ from repro.engine.checkpoint import (
     CheckpointJournal,
     claim_shards,
     default_journal,
-    dropped_flush_count,
-    reset_dropped_flush_count,
     shard_entry_key,
     sweep_key,
 )
@@ -248,8 +251,8 @@ __all__ = [
     "default_symmetry",
     "default_task_timeout",
     "default_workers",
-    "dropped_flush_count",
     "engine_stats",
+    "exact_key",
     "fact_index",
     "fault_scope",
     "flush_active_store",
@@ -271,7 +274,6 @@ __all__ = [
     "record_coverage",
     "reset_all_caches",
     "reset_coverage_events",
-    "reset_dropped_flush_count",
     "reset_engine_stats",
     "resize_caches",
     "resolve_backend",

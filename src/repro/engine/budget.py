@@ -109,11 +109,6 @@ class Budget:
     def elapsed(self) -> float:
         return time.monotonic() - self.started_at
 
-    def remaining_time(self) -> Optional[float]:
-        if self.deadline_at is None:
-            return None
-        return self.deadline_at - time.monotonic()
-
     def _raise_deadline(self) -> None:
         raise DeadlineExceeded(
             f"wall-clock deadline of {self.deadline}s passed "

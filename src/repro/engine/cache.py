@@ -3,28 +3,34 @@
 Bounded checkers issue thousands of near-identical chase and
 homomorphism calls: ``subset_property`` alone asks for ``chase(I)``
 and for ∼M verdicts on the same instance pairs over and over while
-sweeping a universe.  The caches here key those calls by *content* —
-a canonical form of the instance in which labeled nulls and logic
-variables are renamed to position-derived placeholders — so that
+sweeping a universe.  The caches here key those calls by *content*,
+so repeated calls on the same instance hit regardless of which object
+identity carries it, on every backend:
 
-* repeated calls on the same instance hit regardless of which object
-  identity carries it, and
-* isomorphic instances (equal up to null/variable renaming) share one
-  entry, while genuinely distinct instances never collide: the
-  canonical renaming is a bijection, so equal canonical forms always
-  certify an isomorphism (the key is sound by construction; it is
-  complete for renamings that preserve the relative order of facts).
+* a chase result keys by the mapping and the instance's exact fact
+  set (:func:`exact_key`; :func:`cached_chase_result` is the one chase
+  memo, and orbit-mode sweeps add a key per constant-permutation orbit
+  of a ground instance);
+* a verdict keys by a canonical form of each instance in which
+  labeled nulls and logic variables are renamed to position-derived
+  placeholders (:func:`canonical_key`), so isomorphic instances (equal
+  up to null/variable renaming) share one entry, while genuinely
+  distinct instances never collide: the canonical renaming is a
+  bijection, so equal canonical forms always certify an isomorphism
+  (the key is sound by construction; it is complete for renamings
+  that preserve the relative order of facts).
 
 A warm sweep answers nearly every question from these caches, so the
 cost of a *probe* is what it pays for.  Repeated jobs rebuild their
 universes and mappings, and a probe keyed by a fresh object would
 re-hash its dependencies and compare equal fact sets atom by atom.
-Instead :func:`canonical_key` and :func:`mapping_key` derive each
-object's key once, store it on the object, and pass it through one
-bounded table of shared keys, so every equal instance or mapping
-yields the *same* key object: a warm probe hashes a few cached values
-and matches its entry by identity.  Keys keep their content, so store digests and
-checkpoint fingerprints do not depend on which object was probed.
+Instead :func:`exact_key`, :func:`canonical_key` and
+:func:`mapping_key` derive each object's key once, store it on the
+object, and pass it through one bounded table of shared keys, so every
+equal instance or mapping yields the *same* key object: a warm probe
+hashes a few cached values and matches its entry by identity.  Keys
+keep their content, so store digests and checkpoint fingerprints do
+not depend on which object was probed.
 
 Every cache registers itself for the instrumentation layer, which
 reports hits, misses, and evictions.
@@ -40,8 +46,10 @@ from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Term, Variable
 from repro.engine.context import CONTEXT
+from repro.engine.store import stable_digest
 from repro.engine.symmetry import (
     clear_symmetry_memos,
+    decanonicalize,
     ground_canonical_form,
     ground_keys_active,
     mapping_permutation_invariant,
@@ -122,6 +130,9 @@ def flush_active_store() -> None:
         store.flush()
 
 
+_MISSING = object()
+
+
 class MemoCache:
     """A bounded LRU map with hit/miss/eviction counters.
 
@@ -144,20 +155,21 @@ class MemoCache:
         _REGISTRY.append(self)
 
     def get(self, key: Hashable) -> Tuple[bool, Any]:
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            store = CONTEXT.store
-            if store is not None:
-                hit, value = store.load(self.name, key)
-                if hit:
-                    self._insert(key, value)
-                    return True, value
-            return False, None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return True, value
+        # A sentinel, not a caught KeyError: raising one costs more
+        # than the probe, and a sweep misses thousands of times.
+        value = self._data.get(key, _MISSING)
+        if value is not _MISSING:
+            self._data.move_to_end(key)
+            self.hits += 1
+            return True, value
+        self.misses += 1
+        store = CONTEXT.store
+        if store is not None:
+            hit, value = store.load(self.name, key)
+            if hit:
+                self._insert(key, value)
+                return True, value
+        return False, None
 
     def _insert(self, key: Hashable, value: Any) -> None:
         """Memory-only insert (promotion of a store hit: no
@@ -224,7 +236,17 @@ def reset_all_caches() -> None:
         hook()
 
 
-def resize_caches(maxsize: Optional[int]) -> None:
+def cache_capacity(raw: Any) -> int:
+    """A cache capacity: a whole number of entries, at least 1.  The
+    parser of the CLI's and the daemon's ``--cache-size``, so a bad
+    size is a usage error before anything runs."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"a cache holds at least 1 entry, got {raw!r}")
+    return value
+
+
+def resize_caches(maxsize: Optional[int]) -> Optional[int]:
     """Set every engine cache's capacity (the CLI's --cache-size knob).
 
     The size also becomes the configured default for caches built
@@ -233,15 +255,20 @@ def resize_caches(maxsize: Optional[int]) -> None:
     uniformly instead of only to the caches that happened to exist
     when the CLI parsed its flags.  ``None`` clears the override:
     existing caches return to their construction-time defaults.
+    Returns the previous override, so ``resize_caches(previous)`` puts
+    it back; a size below 1 raises ValueError (:func:`cache_capacity`).
     """
     global _CONFIGURED_MAXSIZE
-    _CONFIGURED_MAXSIZE = maxsize
+    if maxsize is not None:
+        maxsize = cache_capacity(maxsize)
+    previous, _CONFIGURED_MAXSIZE = _CONFIGURED_MAXSIZE, maxsize
     set_symmetry_memo_limit(maxsize)
     for cache in _REGISTRY:
         cache.maxsize = cache.default_maxsize if maxsize is None else maxsize
         while len(cache._data) > cache.maxsize:
             cache._data.popitem(last=False)
             cache.evictions += 1
+    return previous
 
 
 # -- canonical forms ------------------------------------------------------
@@ -305,16 +332,34 @@ def _shared_key(key: Hashable) -> Hashable:
     return shared
 
 
+def exact_key(instance: Instance) -> FrozenSet[Atom]:
+    """The exact-content key of *instance* (its own fact set), the
+    chase memo's instance key.
+
+    Derived once per instance and stored on it; equal instances get
+    the same key object (:func:`_shared_key`)."""
+    key = instance.__dict__.get("_exact_key")
+    if key is None:
+        key = _shared_key(instance.facts)
+        object.__setattr__(instance, "_exact_key", key)
+    return key
+
+
 def canonical_key(instance: Instance) -> FrozenSet[Atom]:
-    """The content-addressed key of *instance* (its canonical fact set).
+    """The content-addressed key of *instance* (its canonical fact set),
+    the verdict memo's instance key.
 
     Derived once per instance and stored on it; equal instances — and
     isomorphic ones, whose canonical fact sets are equal — get the
-    same key object (:func:`_shared_key`)."""
+    same key object (:func:`_shared_key`).  A ground instance is its
+    own canonical form, so its canonical key is its :func:`exact_key`."""
     key = instance.__dict__.get("_canonical_key")
     if key is None:
-        canonical, _ = canonicalize_instance(instance)
-        key = _shared_key(canonical.facts)
+        if instance.is_ground():
+            key = exact_key(instance)
+        else:
+            canonical, _ = canonicalize_instance(instance)
+            key = _shared_key(canonical.facts)
         object.__setattr__(instance, "_canonical_key", key)
     return key
 
@@ -322,33 +367,36 @@ def canonical_key(instance: Instance) -> FrozenSet[Atom]:
 # -- mapping keys ---------------------------------------------------------
 
 
-def mapping_key(mapping: Any) -> Hashable:
-    """A content key for a schema mapping: canonical dependencies plus
-    the target relations (which bound the chase output restriction).
+def mapping_key(mapping: Any) -> str:
+    """A content key for a schema mapping: ``"m:"`` plus the stable
+    digest (:func:`~repro.engine.store.stable_digest`) of its canonical
+    dependencies and its target relations (which bound the chase
+    output restriction).
 
-    Staged pipelines (:class:`repro.core.mapping.StagedMapping`) key by
-    their stages' content keys instead — they carry no dependencies of
-    their own, and two pipelines over content-equal stages must share
+    Staged pipelines (:class:`repro.core.mapping.StagedMapping`) digest
+    their stages' keys instead — they carry no dependencies of their
+    own, and two pipelines over content-equal stages must share
     chase/verdict cache entries.
 
-    Derived once per mapping and stored on it; content-equal mappings,
-    including one rebuilt after an equal one was collected, get the
-    same key object (:func:`_shared_key`)."""
+    A string caches its own hash, so a memo probe never re-hashes the
+    mapping's dependencies.  Derived once per mapping and stored on it;
+    content-equal mappings, including one rebuilt after an equal one
+    was collected, get the same key object (:func:`_shared_key`)."""
     key = mapping.__dict__.get("_mapping_key")
     if key is None:
         stages = getattr(mapping, "stages", None)
         if stages:
-            key = (
+            content = (
                 "staged",
                 tuple(mapping_key(stage) for stage in stages),
                 tuple(mapping.target.relations),
             )
         else:
-            key = (
+            content = (
                 tuple(dep.canonical_form() for dep in mapping.dependencies),
                 tuple(mapping.target.relations),
             )
-        key = _shared_key(key)
+        key = _shared_key("m:" + stable_digest(content))
         object.__setattr__(mapping, "_mapping_key", key)
     return key
 
@@ -377,50 +425,21 @@ chase_cache = MemoCache("chase", maxsize=16_384)
 verdict_cache = MemoCache("verdict", maxsize=262_144)
 
 
-def _translate_back(
-    cached: Instance, instance: Instance, forward: Dict[Term, Term]
-) -> Instance:
-    """Rename a cached chase result to fit the original *instance*.
-
-    Canonical placeholders map back through the inverse of *forward*;
-    fresh nulls invented by the chase are renamed apart from the
-    original instance's null and variable names when they clash.
-    """
-    substitution: Dict[Term, Term] = {
-        canonical: original for original, canonical in forward.items()
-    }
-    taken = {
-        term.name
-        for term in instance.active_domain()
-        if isinstance(term, (Null, Variable))
-    }
-    counter = 0
-    for null in sorted(cached.nulls()):
-        if null in substitution:
-            continue
-        if null.name in taken:
-            while f"N{counter}" in taken:
-                counter += 1
-            fresh = Null(f"N{counter}")
-            taken.add(fresh.name)
-            substitution[null] = fresh
-        else:
-            taken.add(null.name)
-    return cached.substitute(substitution)
-
-
 def cached_chase_result(
     mapping: Any,
     instance: Instance,
-    compute: Callable[[Instance], Instance],
+    solve: Callable[[Any, Instance], Instance],
 ) -> Instance:
-    """Memoize ``compute(instance)`` under the canonical content key.
+    """The engine's one chase memo: ``solve(mapping, instance)``, run
+    only on a miss, on every backend.
 
-    *compute* must be a pure function of the instance (given the
-    mapping) returning an instance whose nulls either come from the
-    input or are chase-fresh.  On an isomorphic hit the cached result
-    is renamed back onto the caller's terms, so the returned instance
-    is always one *compute* could have produced directly.
+    *solve* must be a pure function of the mapping and the instance
+    (the backend only decides how it computes).  Entries key by the
+    mapping's key and the instance's exact fact set (:func:`exact_key`),
+    so any object carrying those facts hits, and the result is the one *solve*
+    produced for them, fresh-null names included.  Isomorphic
+    non-ground instances do not share a chase; the verdicts built on
+    them do (:func:`canonical_key`).
 
     Under an orbit-mode sweep (:func:`symmetry_keys_apply`), ground
     instances additionally key by their canonical form under constant
@@ -428,36 +447,25 @@ def cached_chase_result(
     share one entry.  The caching is two-level: the exact fact set
     first (so repeat calls skip canonicalization entirely), then the
     canonical form; on a canonical hit the cached result's placeholder
-    constants are renamed back through the canonical bijection once
-    and the translation stored under the exact key.
+    constants are renamed back through the canonical bijection
+    (:func:`~repro.engine.symmetry.decanonicalize`) once, and the
+    translation is stored under the exact key.
     """
-    if instance.is_ground():
-        # a ground instance is its own canonical form
-        exact_key = (mapping_key(mapping), canonical_key(instance))
-        if not symmetry_keys_apply(mapping):
-            return chase_cache.memoize(exact_key, lambda: compute(instance))
-        hit, cached = chase_cache.get(exact_key)
-        if hit:
-            return cached
-        form = ground_canonical_form(instance)
-        sym_key = ("sym", exact_key[0], form.key())
-        hit, canonical_result = chase_cache.get(sym_key)
-        if not hit:
-            canonical_result = compute(form.canonical)
-            chase_cache.put(sym_key, canonical_result)
-        result = (
-            canonical_result
-            if not form.forward
-            else _translate_back(canonical_result, instance, form.forward)
-        )
-        chase_cache.put(exact_key, result)
+    mkey = mapping_key(mapping)
+    key = (mkey, exact_key(instance))
+    hit, result = chase_cache.get(key)
+    if hit:
         return result
-    canonical, forward = canonicalize_instance(instance)
-    key = (mapping_key(mapping), canonical.facts)
-    hit, cached = chase_cache.get(key)
-    if not hit:
-        cached = compute(canonical)
-        chase_cache.put(key, cached)
-    if not forward:
-        return cached
-    return _translate_back(cached, instance, forward)
+    if instance.is_ground() and symmetry_keys_apply(mapping):
+        form = ground_canonical_form(instance)
+        sym_key = ("sym", mkey, form.key())
+        hit, result = chase_cache.get(sym_key)
+        if not hit:
+            result = solve(mapping, form.canonical)
+            chase_cache.put(sym_key, result)
+        if form.forward:
+            result = decanonicalize(result, form.forward)
+    else:
+        result = solve(mapping, instance)
+    chase_cache.put(key, result)
+    return result

@@ -22,16 +22,16 @@ The journal file is JSON, rewritten atomically (temp file + rename)
 every ``interval`` recorded items and at completion/interruption, so
 a SIGKILL of the whole process loses at most one interval of work.
 Flushing is best-effort: a failed rewrite never breaks the sweep, but
-it is *counted* (:func:`dropped_flush_count`, surfaced by
-``--engine-stats``) and its temp file is cleaned up.
+it is *counted* (the engine counter ``checkpoint_dropped_flushes``,
+surfaced by ``--engine-stats``) and its temp file is cleaned up.
 
 Integrity: every entry is written with a ``sig`` field — a SHA-256
 signature over the entry's content, its key, and the engine version
 (:func:`entry_signature`) — and the file carries a ``__meta__`` record
 with a whole-file checksum.  On reload, a torn or truncated file, a
 mismatched file checksum, or an entry whose signature fails (bit flip,
-hand edit, another engine version) is *dropped and counted*
-(:func:`corrupt_entry_count`, ``checkpoint_corrupt_entries`` in
+hand edit, another engine version) is *dropped and counted* (the
+engine counter ``checkpoint_corrupt_entries``, in
 ``--engine-stats``): the sweep restarts that prefix instead of
 resuming onto corrupt progress.  ``python -m repro.cli fsck
 --checkpoint PATH`` audits and repairs offline.
@@ -62,6 +62,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine import faults
 from repro.engine.context import CONTEXT
+from repro.engine.instrumentation import engine_stats
 
 #: Reserved journal key for the file-level integrity record; never a
 #: sweep entry.
@@ -110,36 +111,6 @@ def sweep_key(*parts: Any) -> str:
 def shard_entry_key(base_key: str, shard_id: int, shards: int) -> str:
     """The journal key of one shard of a sharded sweep."""
     return f"{base_key}:s{shard_id}of{shards}"
-
-
-#: Best-effort journal flushes that failed (and were dropped) in this
-#: process.  Surfaced by ``--engine-stats`` so silently-failing
-#: checkpointing is visible instead of discovered at resume time.
-_DROPPED_FLUSHES = 0
-
-
-def dropped_flush_count() -> int:
-    return _DROPPED_FLUSHES
-
-
-def reset_dropped_flush_count() -> None:
-    global _DROPPED_FLUSHES
-    _DROPPED_FLUSHES = 0
-
-
-#: Journal entries (or whole files) dropped on reload because their
-#: integrity signature / checksum failed or the JSON was torn.
-#: Surfaced by ``--engine-stats`` as ``checkpoint_corrupt_entries``.
-_CORRUPT_ENTRIES = 0
-
-
-def corrupt_entry_count() -> int:
-    return _CORRUPT_ENTRIES
-
-
-def reset_corrupt_entry_count() -> None:
-    global _CORRUPT_ENTRIES
-    _CORRUPT_ENTRIES = 0
 
 
 def _verified_entries(path: str) -> Tuple[Dict[str, Dict[str, Any]], int]:
@@ -222,9 +193,9 @@ class CheckpointJournal:
         whole-file checksum, or an entry with a bad signature is
         *dropped and counted* — resuming onto corrupt progress would
         risk trusting a prefix that was never verified."""
-        global _CORRUPT_ENTRIES
         fresh, corrupt = _verified_entries(self.path)
-        _CORRUPT_ENTRIES += corrupt
+        if corrupt:
+            engine_stats().bump("checkpoint_corrupt_entries", corrupt)
         # Our own unflushed records win over what is on disk.
         fresh.update(self._state)
         self._state = fresh
@@ -329,10 +300,9 @@ class CheckpointJournal:
         removed, so repeated failures are visible in --engine-stats
         instead of silently littering the journal directory.
         """
-        global _DROPPED_FLUSHES
         self._pending = 0
         if faults.fire("journal.flush") is not None:
-            _DROPPED_FLUSHES += 1
+            engine_stats().bump("checkpoint_dropped_flushes")
             return
         from repro.engine.store import ENGINE_VERSION
 
@@ -356,7 +326,7 @@ class CheckpointJournal:
                 json.dump(payload, handle, indent=1, sort_keys=True)
             os.replace(handle.name, self.path)
         except OSError:
-            _DROPPED_FLUSHES += 1
+            engine_stats().bump("checkpoint_dropped_flushes")
             if handle is not None:
                 try:
                     os.unlink(handle.name)
@@ -589,13 +559,9 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "JOURNAL_META_KEY",
     "claim_shards",
-    "corrupt_entry_count",
     "default_journal",
-    "dropped_flush_count",
     "entry_signature",
     "journal_progress",
-    "reset_corrupt_entry_count",
-    "reset_dropped_flush_count",
     "shard_entry_key",
     "state_checksum",
     "sweep_key",

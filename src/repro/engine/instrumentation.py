@@ -72,19 +72,14 @@ class EngineStats:
 
     def bump(self, name: str, n: int = 1) -> None:
         """Increment an ad-hoc named counter (e.g. the service layer's
-        ``service_dedup_hits``); surfaced by :meth:`counters` and
-        :meth:`render` alongside the built-in ones."""
+        ``service_dedup_hits`` or the journal's
+        ``checkpoint_dropped_flushes``); surfaced by :meth:`counters`
+        and :meth:`render` alongside the built-in ones."""
         with _BUMP_LOCK:
             self.named[name] = self.named.get(name, 0) + n
 
     def counter(self, name: str) -> int:
         return self.named.get(name, 0)
-
-    def instances_per_second(self, phase: str) -> float:
-        stats = self.phases.get(phase)
-        if stats is None or stats.seconds == 0:
-            return 0.0
-        return self.instances_processed / stats.seconds
 
     def reset(self) -> None:
         self.phases.clear()
@@ -106,10 +101,6 @@ class EngineStats:
         the rendered report is built from, so the two can never drift
         apart on naming again."""
         from repro.engine.cache import active_store, all_cache_stats
-        from repro.engine.checkpoint import (
-            corrupt_entry_count,
-            dropped_flush_count,
-        )
 
         counters: Dict[str, float] = {}
         for name, stats in sorted(self.phases.items()):
@@ -124,17 +115,11 @@ class EngineStats:
         store = active_store()
         if store is not None:
             counters.update(store.stats().counters())
-        counters["checkpoint_dropped_flushes"] = dropped_flush_count()
-        counters["checkpoint_corrupt_entries"] = corrupt_entry_count()
         return counters
 
     def render(self) -> str:
         """A compact multi-line report (phases, caches, store, throughput)."""
         from repro.engine.cache import active_store, all_cache_stats
-        from repro.engine.checkpoint import (
-            corrupt_entry_count,
-            dropped_flush_count,
-        )
 
         lines: List[str] = ["engine stats:"]
         for name, stats in sorted(self.phases.items()):
@@ -153,12 +138,6 @@ class EngineStats:
         store = active_store()
         if store is not None:
             lines.append(f"  {store.stats().render()}")
-        dropped = dropped_flush_count()
-        if dropped:
-            lines.append(f"  checkpoint flushes dropped {dropped:>6}")
-        corrupt = corrupt_entry_count()
-        if corrupt:
-            lines.append(f"  checkpoint entries corrupt {corrupt:>6}")
         if len(lines) == 1:
             lines.append("  (no engine activity recorded)")
         return "\n".join(lines)

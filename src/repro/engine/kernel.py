@@ -28,11 +28,13 @@ only the representation the work happens in changes.
 :class:`KernelBackend` is the backend interface: ``premise_matches``
 (the chase's sorted match list), ``stratified_chase`` (a whole-chase
 plan, or None to run the interpreted loop), ``all_homomorphisms`` and
-``has_homomorphism``.  On either backend, :mod:`repro.core.mapping`
-memoizes its checks on each operand's kernel instance
-(:func:`kernel_instance`; ``chase_memo``, ``sol_memo``).  The sql
-backend (:mod:`repro.engine.sqlbackend`) inherits all of it but the
-chase.
+``has_homomorphism``.  The backend runs only the work behind a memo
+miss: :mod:`repro.core.mapping` memoizes chases and verdicts in the
+engine's content-addressed caches (:mod:`repro.engine.cache`) on every
+backend alike, and the one memo of the kernel's own is the
+homomorphism-existence memo of :func:`kernel_has_homomorphism`.  The
+sql backend (:mod:`repro.engine.sqlbackend`) inherits all of it but
+the chase.
 """
 
 from __future__ import annotations
@@ -43,15 +45,7 @@ import threading
 import weakref
 from array import array
 from contextlib import contextmanager
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
@@ -193,22 +187,20 @@ class KernelInstance:
     sorted-fact order (the order the object backend scans);
     ``postings[(relation, position, id)]`` is an ``array('q')`` of row
     indexes into ``rows[relation]``, ascending.  ``kid`` is a dense
-    process-local identity used as a cheap content key by the verdict
-    memos (two live :class:`KernelInstance` objects never share a fact
-    set, so within a process ``kid`` is content-exact).
+    process-local identity used as a cheap content key by the
+    homomorphism-existence memo (two live :class:`KernelInstance`
+    objects never share a fact set, so within a process ``kid`` is
+    content-exact).
     """
 
     __slots__ = (
         "facts",
         "rows",
         "postings",
-        "is_ground",
         "nfacts",
         "kid",
-        "chase_memo",
         "hom_premise",
         "hom_memo",
-        "sol_memo",
         "__weakref__",
     )
 
@@ -219,13 +211,10 @@ class KernelInstance:
             grouped.setdefault(fact.relation, []).append(fact)
         rows: Dict[str, List[Tuple[int, ...]]] = {}
         postings: Dict[Tuple[str, int, int], array] = {}
-        ground = True
         for relation, atoms in grouped.items():
             atoms.sort(key=Atom.sort_key)
             relation_rows: List[Tuple[int, ...]] = []
             for row_index, fact in enumerate(atoms):
-                if ground and not fact.is_ground():
-                    ground = False
                 row = tuple(intern(arg) for arg in fact.args)
                 relation_rows.append(row)
                 for position, tid in enumerate(row):
@@ -239,20 +228,12 @@ class KernelInstance:
         self.facts = facts
         self.rows = rows
         self.postings = postings
-        self.is_ground = ground
         self.nfacts = len(facts)
         self.kid = next(_KID_COUNTER)
-        # Per-instance verdict memos, all dying with the kernel
-        # instance (and cleared with the caches via the reset hook):
-        # chase_memo maps a mapping's small id to its cached universal
-        # solution; hom_memo maps a target kid to hom-existence out of
-        # this instance; sol_memo maps (mapping small id, inner kid) to
-        # the solution-containment verdict with this instance outer.
-        # Plain dict probes — the verdict hot loop runs on these
-        # instead of the LRU caches.
-        self.chase_memo: Dict[int, Instance] = {}
+        # hom_memo maps a target kid to hom-existence out of this
+        # instance; it dies with the kernel instance (and is cleared
+        # with the caches via the reset hook).
         self.hom_memo: Dict[int, bool] = {}
-        self.sol_memo: Dict[Tuple[int, int], bool] = {}
         # the instance's own facts compiled as a match pattern, for
         # homomorphism-existence probes with this instance as source
         self.hom_premise: Optional[CompiledPremise] = None
@@ -283,36 +264,6 @@ def kernel_instance(instance: Instance) -> KernelInstance:
     ref = weakref.ref(instance, lambda _r, _k=key: _BY_INSTANCE.pop(_k, None))
     _BY_INSTANCE[key] = (ref, kinst)
     return kinst
-
-
-# -- small ids for memo keys ----------------------------------------------
-
-_SMALL_IDS: "weakref.WeakKeyDictionary[Any, int]" = weakref.WeakKeyDictionary()
-_SMALL_COUNTER = itertools.count()
-
-
-def small_id(obj: Any) -> int:
-    """A dense process-local id for a (weakrefable) mapping or
-    dependency, for compact memo keys.
-
-    Cached directly on the object when it has a ``__dict__`` (the
-    frozen dataclasses do — attribute reads beat a weak-dict probe in
-    the per-verdict hot path), with the weak table as fallback.  Fork
-    inheritance keeps attribute and table consistent: workers inherit
-    both from the same process image."""
-    try:
-        return obj._repro_small_id
-    except AttributeError:
-        pass
-    sid = _SMALL_IDS.get(obj)
-    if sid is None:
-        sid = next(_SMALL_COUNTER)
-        _SMALL_IDS[obj] = sid
-        try:
-            object.__setattr__(obj, "_repro_small_id", sid)
-        except (AttributeError, TypeError):
-            pass
-    return sid
 
 
 # -- premise compilation memo ---------------------------------------------
@@ -583,7 +534,6 @@ __all__ = [
     "kernel_has_homomorphism",
     "kernel_instance",
     "resolve_backend",
-    "small_id",
     "sorted_premise_matches",
     "use_backend",
 ]

@@ -36,9 +36,10 @@ input into SQLite tables and runs the chase as SQL:
   one operation replaced: :func:`sql_stratified_chase` runs a
   stratified chase of ``_SQL_MIN_FACTS`` (128) or more input facts in
   SQLite.  Homomorphism search, premise matching and containment run
-  on the kernel for operands of every size, with its per-instance
-  memos: the bounded checks compare instances of a few facts, where
-  statement round-trips cost more than the whole in-memory search.
+  on the kernel for operands of every size, behind the same chase and
+  verdict memos as every backend: the bounded checks compare instances
+  of a few facts, where statement round-trips cost more than the whole
+  in-memory search.
   A chase lowers its input into pooled tables, and one ``finally``
   hands the input and working tables back to the pool.
 
@@ -865,8 +866,7 @@ def sql_sorted_premise_matches(dependency, instance: Instance):
 
 class SqlBackend(KernelBackend):
     """The kernel backend, with the stratified chase run in SQLite (see
-    "One interface" above); every operand gets the kernel's
-    per-instance memos."""
+    "One interface" above)."""
 
     def premise_matches(self, dependency, instance: Instance):
         return sql_sorted_premise_matches(dependency, instance)

@@ -76,7 +76,7 @@ from repro.engine.context import scope
 #: Bump whenever cache key derivation, canonical forms, key digests,
 #: or value codecs change semantics: a store written by another engine
 #: version is dropped on open, never reinterpreted.
-ENGINE_VERSION = "2026.10-field-digests"
+ENGINE_VERSION = "2026.10-mapping-digests"
 
 _BUSY_TIMEOUT_SECONDS = 5.0
 

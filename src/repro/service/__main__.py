@@ -32,6 +32,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.engine import resize_caches, set_defaults
+from repro.engine.cache import cache_capacity
 from repro.engine.context import BACKEND_MODES, SYMMETRY_MODES
 from repro.errors import ServiceError
 from repro.service.app import ServiceApp
@@ -47,7 +48,7 @@ from repro.service.queue import JobQueue
 def _configure_daemon_engine(arguments: argparse.Namespace) -> Dict[str, Any]:
     """Install the daemon-wide engine defaults (jobs may override the
     per-sweep ones in their specs); returns the previous defaults."""
-    if arguments.cache_size:
+    if arguments.cache_size is not None:
         resize_caches(arguments.cache_size)
     fields = {
         flag: getattr(arguments, flag)
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--drain-timeout", type=float, default=60.0)
     serve.add_argument("--workers", type=int, default=None, metavar="N")
-    serve.add_argument("--cache-size", type=int, default=None, metavar="N")
+    serve.add_argument("--cache-size", type=cache_capacity, default=None, metavar="N")
     serve.add_argument("--store", default=None, metavar="PATH")
     serve.add_argument("--backend", choices=BACKEND_MODES, default=None)
     serve.add_argument("--symmetry", choices=SYMMETRY_MODES, default=None)

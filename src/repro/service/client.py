@@ -217,27 +217,6 @@ class ServiceClient:
     def health(self) -> Dict[str, Any]:
         return self._expect(200, *self.request("GET", "/healthz"))
 
-    def wait_ready(
-        self, timeout: float = 10.0, *, poll: float = 0.1
-    ) -> Dict[str, Any]:
-        """Block until ``/healthz`` reports readiness (or *timeout*).
-
-        Used after (re)starting a daemon: a booting or draining daemon
-        answers ``ready: false`` while it cannot accept work."""
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                health = self.health()
-                if health.get("ready", True):
-                    return health
-            except ServiceUnavailable:
-                pass
-            if time.monotonic() >= deadline:
-                raise ServiceUnavailable(
-                    f"service at {self.base_url} not ready after {timeout}s"
-                )
-            time.sleep(max(POLL_FLOOR_SECONDS, poll))
-
     def stats(self) -> Dict[str, Any]:
         return self._expect(200, *self.request("GET", "/stats"))
 

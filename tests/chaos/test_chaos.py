@@ -32,11 +32,7 @@ from repro.engine import (
     reset_engine_stats,
     use_store,
 )
-from repro.engine.checkpoint import (
-    CheckpointJournal,
-    corrupt_entry_count,
-    reset_corrupt_entry_count,
-)
+from repro.engine.checkpoint import CheckpointJournal
 from repro.engine.store import entry_checksum
 from repro.service.jobs import budget_for, execute_job
 from repro.service.protocol import normalize_job
@@ -57,11 +53,9 @@ UNIQUE_SPEC = normalize_job({"kind": "unique", "mapping": "Projection"})
 def _clean():
     reset_all_caches()
     reset_engine_stats()
-    reset_corrupt_entry_count()
     yield
     reset_all_caches()
     reset_engine_stats()
-    reset_corrupt_entry_count()
 
 
 def _run(spec, **kwargs):
@@ -243,7 +237,8 @@ class TestCorruptionAndFsck:
             SUBSET_SPEC, checkpoint=CheckpointJournal(path, interval=1)
         )
         assert resumed.rendering == baseline.rendering
-        assert corrupt_entry_count() == 0  # fsck already removed the lie
+        # fsck already removed the lie
+        assert engine_stats().counter("checkpoint_corrupt_entries") == 0
 
 
 def _spawn_raw(state_dir, env_extra):

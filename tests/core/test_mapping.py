@@ -15,6 +15,8 @@ from repro.core.mapping import (
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.dependencies.dependency import DependencyError
+from repro.engine import BACKEND_MODES, reset_all_caches, use_backend
+from repro.engine.cache import chase_cache, verdict_cache
 
 
 class TestConstruction:
@@ -85,6 +87,65 @@ class TestUniversalSolution:
         assert universal_solution(mapping, source) is universal_solution(
             mapping, source
         )
+
+    def test_a_disjunctive_mapping_raises_after_tgd_solutions_are_cached(self):
+        # The tgd check runs behind a memo miss; a disjunctive mapping
+        # never has an entry to hit, so every call still raises.
+        source, target = Schema.of({"S": 1}), Schema.of({"P": 1, "Q": 1})
+        tgds = SchemaMapping.from_text(source, target, "S(x) -> P(x)")
+        disjunctive = SchemaMapping.from_text(source, target, "S(x) -> P(x) | Q(x)")
+        instance = Instance.build({"S": [("a",)]})
+        universal_solution(tgds, instance)
+        assert solutions_contained(tgds, instance, instance)
+        for _ in range(2):
+            with pytest.raises(MappingError):
+                universal_solution(disjunctive, Instance.build({"S": [("a",)]}))
+            with pytest.raises(MappingError):
+                solutions_contained(disjunctive, instance, instance)
+
+
+class TestOneMemoPath:
+    """``universal_solution`` and ``solutions_contained`` memoize through
+    the engine's chase and verdict caches on every backend alike; the
+    backend only computes what a miss needs."""
+
+    @staticmethod
+    def _checks(mapping, small, big):
+        return (
+            universal_solution(mapping, big),
+            solutions_contained(mapping, big, small),
+            data_exchange_equivalent(mapping, small, big),
+            data_exchange_equivalent(mapping, small, small),
+        )
+
+    @staticmethod
+    def _counters():
+        return tuple(
+            (cache.hits, cache.misses) for cache in (chase_cache, verdict_cache)
+        )
+
+    def test_every_backend_moves_the_caches_alike(self):
+        mapping = decomposition()
+        moves = {}
+        for backend in BACKEND_MODES:
+            reset_all_caches()
+            small = Instance.build({"P": [("a", "b", "c")]})
+            big = small.union(Instance.build({"P": [("d", "e", "f")]}))
+            with use_backend(backend):
+                cold = self._checks(mapping, small, big)
+                after_cold = self._counters()
+                # a warm repeat, with copies of the instances, only hits
+                warm = self._checks(
+                    mapping, Instance.of(small.facts), Instance.of(big.facts)
+                )
+                after_warm = self._counters()
+            assert warm == cold
+            for (cold_hits, cold_misses), (warm_hits, warm_misses) in zip(
+                after_cold, after_warm
+            ):
+                assert warm_misses == cold_misses and warm_hits > cold_hits
+            moves[backend] = (cold, after_cold, after_warm)
+        assert all(move == moves["object"] for move in moves.values())
 
 
 class TestIsSolution:

@@ -7,6 +7,7 @@ import time
 
 import repro.engine.cache as cache
 from repro.catalog import decomposition
+from repro.core.mapping import solutions_contained, universal_solution
 from repro.core.framework import SolutionEquivalence, subset_property
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null, Variable
@@ -20,6 +21,7 @@ from repro.engine import (
     reset_all_caches,
 )
 from repro.engine.cache import resize_caches, symmetry_keys_apply
+from repro.engine.store import stable_digest
 from repro.engine.context import scope
 from repro.workloads import power_instances, random_lav_mapping
 
@@ -138,11 +140,11 @@ class TestCachedChaseResult:
     def setup_method(self):
         reset_all_caches()
 
-    def test_isomorphic_inputs_compute_once(self):
+    def test_non_ground_instances_key_by_their_exact_facts(self):
         mapping = decomposition()
         calls = []
 
-        def compute(instance):
+        def solve(_mapping, instance):
             calls.append(instance)
             # echo the input plus one chase-fresh null, like a real chase
             return instance.union(
@@ -150,61 +152,41 @@ class TestCachedChaseResult:
             )
 
         first = Instance.build({"P": [(Null("a"), "s", "t")]})
-        second = Instance.build({"P": [(Null("b"), "s", "t")]})
-        result_first = cached_chase_result(mapping, first, compute)
-        result_second = cached_chase_result(mapping, second, compute)
-        assert len(calls) == 1
-        # each result is phrased in its caller's terms
-        assert Null("a") in result_first.active_domain()
-        assert Null("b") in result_second.active_domain()
-        assert canonical_key(result_first) == canonical_key(result_second)
+        copy = Instance.build({"P": [(Null("a"), "s", "t")]})
+        renamed = Instance.build({"P": [(Null("b"), "s", "t")]})
+        result = cached_chase_result(mapping, first, solve)
+        assert cached_chase_result(mapping, copy, solve) is result
+        # an isomorphic instance is an entry of its own, solved directly
+        assert cached_chase_result(mapping, renamed, solve) == renamed.union(
+            Instance.build({"P": [(Null("fresh"), "d", "e")]})
+        )
+        assert calls == [first, renamed]
 
-    def test_fresh_nulls_are_renamed_apart_from_the_input(self):
+    def test_orbit_members_share_one_ground_chase(self):
+        # Under an orbit-mode sweep the chase of a ground instance is
+        # solved once per constant-permutation orbit, on the orbit's
+        # canonical form, and renamed back onto each member's constants.
         mapping = decomposition()
+        calls = []
 
-        def compute(instance):
-            return instance.union(Instance.build({"P": [(Null("fresh"), "x", "y")]}))
-
-        seed = Instance.build({"P": [(Null("a"), "s", "t")]})
-        cached_chase_result(mapping, seed, compute)  # populate
-        clashing = Instance.build({"P": [(Null("fresh"), "s", "t")]})
-        result = cached_chase_result(mapping, clashing, compute)
-        # the caller's own "fresh" null survives; the chase-invented one
-        # is renamed so the two stay distinct
-        assert Null("fresh") in result.active_domain()
-        assert len(result.nulls()) == 2
-
-    def test_fresh_nulls_dodge_caller_null_and_variable_names(self):
-        # The cached chase invented Null("fresh"); the caller's
-        # instance uses BOTH the null name "fresh" and the variable
-        # name "N0" (the first name _translate_back would otherwise
-        # reach for).  The renaming must skip both.
-        mapping = decomposition()
-
-        def compute(instance):
+        def direct(instance):
+            (fact,) = instance.facts
+            first, second, _ = fact.args
             return instance.union(
-                Instance.build({"P": [(Null("fresh"), "x", "y")]})
+                Instance.build({"P": [(second, Null("fresh"), first)]})
             )
 
-        seed = Instance.build({"P": [(Null("a"), "s", Variable("v"))]})
-        direct = cached_chase_result(mapping, seed, compute)  # populate
-        clashing = Instance.build(
-            {"P": [(Null("fresh"), "s", Variable("N0"))]}
-        )
-        result = cached_chase_result(mapping, clashing, compute)
-        domain = result.active_domain()
-        # the caller's own terms survive untouched
-        assert Null("fresh") in domain
-        assert Variable("N0") in domain
-        # the chase-invented null was renamed past BOTH taken names
-        assert Null("N1") in domain
-        assert Null("N0") not in domain
-        assert len(result.nulls()) == 2
-        # and the translation is isomorphic to the seeded computation
-        # (a genuine chase on `clashing` would also invent a null
-        # distinct from the caller's "fresh" — which is the collision
-        # the renaming exists to preserve)
-        assert canonical_key(result) == canonical_key(direct)
+        def solve(_mapping, instance):
+            calls.append(instance)
+            return direct(instance)
+
+        member = Instance.build({"P": [("a", "b", "c")]})
+        other = Instance.build({"P": [("c", "a", "b")]})
+        with scope(ground_keys=True):
+            assert cached_chase_result(mapping, member, solve) == direct(member)
+            assert cached_chase_result(mapping, other, solve) == direct(other)
+            assert cached_chase_result(mapping, other, solve) == direct(other)
+        assert len(calls) == 1 and calls[0] not in (member, other)
 
     def test_distinct_mappings_do_not_share_entries(self):
         from repro.catalog import projection
@@ -217,10 +199,10 @@ class TestCachedChaseResult:
     def test_hit_counters_advance(self):
         mapping = decomposition()
         seed = Instance.build({"P": [(Null("a"), "s", "t")]})
-        compute = lambda instance: instance  # noqa: E731
+        solve = lambda _mapping, instance: instance  # noqa: E731
         before = chase_cache.stats()
-        cached_chase_result(mapping, seed, compute)
-        cached_chase_result(mapping, seed, compute)
+        cached_chase_result(mapping, seed, solve)
+        cached_chase_result(mapping, seed, solve)
         after = chase_cache.stats()
         assert after.misses == before.misses + 1
         assert after.hits == before.hits + 1
@@ -261,6 +243,24 @@ class TestSharedKeys:
         monkeypatch.setattr(cache, "canonicalize_instance", refuse)
         monkeypatch.setattr(type(mapping.dependencies[0]), "canonical_form", refuse)
         assert (canonical_key(instance), mapping_key(mapping)) == first
+
+    def test_a_warm_probe_hashes_no_dependency(self, monkeypatch):
+        # A mapping key caches its hash, so neither memo re-hashes the
+        # mapping's dependencies on a hit.
+        mapping = decomposition()
+        left = Instance.build({"P": [("a", "b", "c")]})
+        right = Instance.build({"P": [("a", "b", "c"), ("c", "b", "a")]})
+        verdict = solutions_contained(mapping, left, right)
+        solution = universal_solution(mapping, left)
+        dependency_type = type(mapping.dependencies[0])
+        original = dependency_type.__hash__
+        hashed = []
+        monkeypatch.setattr(
+            dependency_type, "__hash__", lambda self: hashed.append(self) or original(self)
+        )
+        assert solutions_contained(mapping, left, right) == verdict
+        assert universal_solution(mapping, left) is solution
+        assert hashed == []
 
     def test_the_symmetry_flag_is_computed_once_per_mapping(self, monkeypatch):
         mapping = decomposition()
@@ -305,9 +305,11 @@ def test_concurrent_probes_get_keys_equal_to_their_content(monkeypatch):
     # small bound makes the shared-key table clear itself while other
     # threads read and fill it.
     _, _, serial = _fresh_sweep()
-    expected_mapping_key = (
-        tuple(dep.canonical_form() for dep in decomposition().dependencies),
-        tuple(decomposition().target.relations),
+    expected_mapping_key = "m:" + stable_digest(
+        (
+            tuple(dep.canonical_form() for dep in decomposition().dependencies),
+            tuple(decomposition().target.relations),
+        )
     )
     monkeypatch.setattr(cache, "_KEYS_MAX", 5)
     threads = 8

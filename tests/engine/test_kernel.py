@@ -95,11 +95,6 @@ class TestKernelInstance:
         assert list(posting) == sorted(posting)
         assert len(posting) == 2
 
-    def test_ground_flag(self):
-        assert kernel_instance(Instance.build({"P": [("a", "b")]})).is_ground
-        withnull = Instance.build({"P": [(Null("n"), Constant("b"))]})
-        assert not kernel_instance(withnull).is_ground
-
     def test_copies_share_one_kernel_instance(self):
         instance = Instance.build({"P": [("a", "b")]})
         clone = Instance.build({"P": [("a", "b")]})

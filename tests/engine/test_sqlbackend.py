@@ -3,8 +3,8 @@
 The cross-backend property suite (``tests/properties``) establishes
 equivalence statistically; these tests pin the mechanisms — the tagged
 id encoding, the table pool, chase routing, containment on the kernel
-memos, budget and ``max_steps`` parity, scratch-file mode, and the
-``sql.exec`` fault point.
+through the shared verdict cache, budget and ``max_steps`` parity,
+scratch-file mode, and the ``sql.exec`` fault point.
 """
 
 import sqlite3
@@ -26,7 +26,8 @@ from repro.engine import (
 )
 from repro.engine.budget import Budget, use_budget
 from repro.engine.faults import fault_scope
-from repro.engine.kernel import intern_table, kernel_instance, small_id
+from repro.engine.cache import verdict_cache
+from repro.engine.kernel import intern_table
 from repro.engine.sqlbackend import (
     _MAX_JOIN_ATOMS,
     decode_id,
@@ -180,11 +181,13 @@ class TestRoutingAndFallbacks:
 
 class TestThresholdRule:
     """The sql backend checks containment exactly as the kernel backend
-    does, per-instance memos included, at any chase threshold: only the
-    chase lowers instances into SQLite."""
+    does, through the same verdict cache as every backend, at any chase
+    threshold: only the chase lowers instances into SQLite."""
 
     @pytest.mark.parametrize("min_facts", [DEFAULT_MIN_FACTS, 0])
-    def test_containment_uses_the_kernel_memos(self, monkeypatch, min_facts):
+    def test_containment_lowers_nothing_and_memoizes_its_verdict(
+        self, monkeypatch, min_facts
+    ):
         monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", min_facts)
         mapping = _mapping()
         outer = random_ground_instance(
@@ -198,11 +201,13 @@ class TestThresholdRule:
             universal_solution(mapping, outer)
             universal_solution(mapping, inner)
             before = engine_stats().counter("sql_instances_loaded")
+            hits, misses = verdict_cache.hits, verdict_cache.misses
             verdict = solutions_contained(mapping, inner, outer)
+            assert solutions_contained(mapping, inner, outer) == verdict
         assert (before > start) == (min_facts == 0)  # the chases' inputs
         assert engine_stats().counter("sql_instances_loaded") == before
-        memo_key = (small_id(mapping), kernel_instance(inner).kid)
-        assert kernel_instance(outer).sol_memo == {memo_key: verdict}
+        # the first check missed the verdict cache, the repeat hit it
+        assert (verdict_cache.misses, verdict_cache.hits) == (misses + 1, hits + 1)
 
 
 class TestFaultsAndScratchFile:

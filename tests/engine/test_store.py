@@ -6,6 +6,7 @@ import glob
 import itertools
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ import pytest
 from repro.catalog import (
     all_catalog_mappings,
     decomposition,
+    example_5_4,
     projection,
     projection_quasi_inverse,
     thm_4_8_inverse,
@@ -23,12 +25,14 @@ from repro.catalog import (
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null
 from repro.engine import (
+    BACKEND_MODES,
     ENGINE_VERSION,
     VerdictStore,
     cached_chase_result,
     canonical_key,
     engine_stats,
     reset_all_caches,
+    reset_engine_stats,
     set_defaults,
     shard_of_instance,
     stable_digest,
@@ -40,8 +44,6 @@ from repro.engine.store import _encode
 from repro.engine.checkpoint import (
     CheckpointJournal,
     claim_shards,
-    dropped_flush_count,
-    reset_dropped_flush_count,
     shard_entry_key,
 )
 from repro.engine.symmetry import plan_sweep
@@ -216,8 +218,6 @@ class TestVerdictStore:
         assert again.engine_version == ENGINE_VERSION
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        import sqlite3
-
         path = tmp_path / "s.sqlite"
         store = VerdictStore(path)
         store.save("chase", ("k",), Instance.build({"P": [("a",)]}))
@@ -364,8 +364,6 @@ class TestIntegrityFuzz:
         """Corrupt a deterministic subset of rows four different ways;
         returns the number of rows touched."""
         import random
-        import sqlite3
-
         rng = random.Random(seed)
         connection = sqlite3.connect(path)
         rows = connection.execute(
@@ -438,8 +436,6 @@ class TestIntegrityFuzz:
         store.close()
 
     def test_quarantine_preserves_the_corrupt_row(self, tmp_path):
-        import sqlite3
-
         path = tmp_path / "s.sqlite"
         store = VerdictStore(path)
         store.save("verdict", ("k",), True)
@@ -504,32 +500,29 @@ class TestStoreBackedCaches:
             assert hit and store.hits == 1
 
     def test_store_hit_matches_direct_computation(self, tmp_path):
-        # A chase result served from disk must be an instance the
-        # object backend could have produced directly: phrased in the
-        # caller's terms, isomorphic to the direct computation.
+        # A chase result served from disk must be the very instance the
+        # solver produced for the same facts, chase-fresh nulls included.
         mapping = decomposition()
 
-        def compute(instance):
+        def solve(_mapping, instance):
             return instance.union(
                 Instance.build({"P": [(Null("fresh"), "x", "y")]})
             )
 
         seed = Instance.build({"P": [(Null("a"), "s", "t")]})
-        direct = compute(seed)
+        direct = solve(mapping, seed)
         with use_store(tmp_path / "s.sqlite") as store:
-            first = cached_chase_result(mapping, seed, compute)
+            first = cached_chase_result(mapping, seed, solve)
             store.flush()
             reset_all_caches()  # drop memory; disk survives
             calls = []
             result = cached_chase_result(
                 mapping,
-                Instance.build({"P": [(Null("b"), "s", "t")]}),
-                lambda instance: calls.append(1) or compute(instance),
+                Instance.build({"P": [(Null("a"), "s", "t")]}),  # an equal copy
+                lambda *args: calls.append(1) or solve(*args),
             )
             assert calls == []  # served from the store, not recomputed
-            assert Null("b") in result.active_domain()
-            assert canonical_key(result) == canonical_key(direct)
-            assert canonical_key(result) == canonical_key(first)
+            assert result == first == direct
 
     def test_use_store_restores_previous(self, tmp_path):
         assert active_store() is None
@@ -562,6 +555,61 @@ class TestStoreBackedCaches:
             assert store.hits > 0  # the warm run really used the disk
         assert cold == baseline
         assert warm == baseline
+
+
+class TestEveryBackendWritesThrough:
+    """The chase and verdict memos are one path on every backend, so
+    every backend fills the store alike and answers a warm rerun from
+    it."""
+
+    @staticmethod
+    def _sweep(backend):
+        mapping = example_5_4()
+        equivalence = SolutionEquivalence(mapping)
+        universe = list(power_instances(mapping.source, ("a", "b"), max_facts=2))
+        return subset_property(
+            mapping, equivalence, equivalence, universe,
+            stop_at_first_violation=False, backend=backend, workers=1,
+        )
+
+    @staticmethod
+    def _rows(path):
+        with sqlite3.connect(str(path)) as connection:
+            return dict(
+                connection.execute(
+                    "SELECT cache, COUNT(*) FROM entries GROUP BY cache"
+                )
+            )
+
+    def test_every_backend_writes_the_same_rows(self, tmp_path):
+        rows = {}
+        for backend in BACKEND_MODES:
+            reset_all_caches()
+            path = tmp_path / f"{backend}.sqlite"
+            with use_store(path) as store:
+                self._sweep(backend)
+                store.flush()
+            rows[backend] = self._rows(path)
+        assert rows["object"]["verdict"] > 0 and rows["object"]["chase"] > 0
+        assert rows["kernel"] == rows["object"]
+        assert rows["sql"] == rows["object"]
+
+    @pytest.mark.parametrize("backend", BACKEND_MODES)
+    def test_a_warm_rerun_serves_every_verdict_from_the_store(
+        self, tmp_path, backend
+    ):
+        path = tmp_path / "s.sqlite"
+        with use_store(path) as store:
+            cold = self._sweep(backend)
+            store.flush()
+        reset_all_caches()
+        reset_engine_stats()
+        with use_store(path) as store:
+            warm = self._sweep(backend)
+            assert store.hits > 0 and store.misses == 0
+        assert verdict_cache.stats().misses == store.hits
+        assert "homomorphism" not in engine_stats().phases  # nothing searched
+        assert warm == cold
 
 
 class TestDefaultStore:
@@ -787,29 +835,27 @@ class TestJournalFlush:
         journal.record(
             "k", verified_upto=1, total=2, ok=True, violations=0, flush=True
         )
-        reset_dropped_flush_count()
+        reset_engine_stats()
         # make os.replace fail: the journal path becomes a directory
         os.unlink(tmp_path / "j.json")
         os.mkdir(tmp_path / "j.json")
         journal.record(
             "k", verified_upto=2, total=2, ok=True, violations=0, flush=True
         )
-        assert dropped_flush_count() == 1
+        assert engine_stats().counter("checkpoint_dropped_flushes") == 1
         assert glob.glob(str(tmp_path / ".repro-ckpt-*")) == []
-        reset_dropped_flush_count()
 
     def test_engine_stats_surface_dropped_flushes(self, tmp_path):
-        from repro.engine import engine_stats
-
         journal = CheckpointJournal(
             str(tmp_path / "missing" / "j.json"), resume=False
         )
-        reset_dropped_flush_count()
+        reset_engine_stats()
         journal.flush()
         counters = engine_stats().counters()
         assert counters["checkpoint_dropped_flushes"] == 1
-        assert "dropped" in engine_stats().render()
-        reset_dropped_flush_count()
+        assert "checkpoint_dropped_flushes" in engine_stats().render()
+        reset_engine_stats()
+        assert "checkpoint_dropped_flushes" not in engine_stats().counters()
 
 
 class TestShardLeases:

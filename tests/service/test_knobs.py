@@ -70,6 +70,15 @@ class TestServeKnobs:
         assert exited.value.code == 2
         assert "--port" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_a_cache_size_below_one_is_a_usage_error(
+        self, tmp_path, capsys, no_queue, no_serving, value
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--cache-size", value, "--state-dir", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "--cache-size" in capsys.readouterr().err
+
     def test_the_port_parser_accepts_exactly_0_to_65535(self):
         from repro.service.knobs import port_number
 

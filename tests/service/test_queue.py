@@ -371,22 +371,19 @@ class TestDrainAndResume:
             json.dump(data, handle)
 
     def test_progress_counts_only_what_a_resume_honours(self, tmp_path):
-        from repro.engine.checkpoint import (
-            CheckpointJournal,
-            corrupt_entry_count,
-            reset_corrupt_entry_count,
-        )
+        from repro.engine import reset_engine_stats
+        from repro.engine.checkpoint import CheckpointJournal
 
         path = str(tmp_path / "job.ckpt.json")
         self._tampered_checkpoint(path)
-        reset_corrupt_entry_count()
+        reset_engine_stats()
         # The /events poller reads progress every 0.1 s: it must not
         # count the same corruption on every poll.
         assert journal_progress(path) == 0
         assert journal_progress(path) == 0
-        assert corrupt_entry_count() == 0
+        assert engine_stats().counter("checkpoint_corrupt_entries") == 0
         assert CheckpointJournal(path).resume_index("sweep", 37, "cafe") == 0
-        assert corrupt_entry_count() == 1
+        assert engine_stats().counter("checkpoint_corrupt_entries") == 1
 
     def test_a_tampered_checkpoint_is_not_reported_as_resumed(
         self, tmp_path, monkeypatch

@@ -104,6 +104,27 @@ def test_engine_flags_hold_for_their_own_call_only(capsys):
     assert dict(os.environ) == before
 
 
+def test_cache_size_holds_for_its_own_call_only(capsys):
+    from repro.engine.cache import all_cache_stats, configured_maxsize
+
+    before = [stats.maxsize for stats in all_cache_stats()]
+    assert main(["run", "E11", "--cache-size", "7"]) == 0
+    assert [stats.maxsize for stats in all_cache_stats()] == before
+    assert configured_maxsize(1000) == 1000
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "many"])
+def test_cache_size_below_one_is_a_usage_error(capsys, value):
+    from repro.engine.cache import all_cache_stats
+
+    before = [stats.maxsize for stats in all_cache_stats()]
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "E11", "--cache-size", value])
+    assert exited.value.code == 2
+    assert "--cache-size" in capsys.readouterr().err
+    assert [stats.maxsize for stats in all_cache_stats()] == before
+
+
 def test_partial_verdicts_of_earlier_checks_do_not_change_the_exit_code(capsys):
     from repro.engine.budget import coverage_scope, record_coverage
 
