@@ -21,7 +21,7 @@ Three ways to run an expression, all verdict-equivalent:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.datamodel.instances import Instance
 from repro.core.composition import _candidate_intermediates, compose_full
@@ -32,7 +32,7 @@ from repro.core.mapping import (
     StagedMapping,
     is_solution,
 )
-from repro.engine.cache import register_reset_hook
+from repro.engine.cache import derived_cache
 from repro.engine.instrumentation import engine_stats
 from repro.algebra.expr import (
     Compose,
@@ -45,16 +45,6 @@ from repro.algebra.expr import (
     restrict_mapping,
 )
 
-_MATERIALIZE_MEMO: Dict[Tuple, SchemaMapping] = {}
-
-
-def _clear_materialize_memo() -> None:
-    _MATERIALIZE_MEMO.clear()
-
-
-register_reset_hook(_clear_materialize_memo)
-
-
 def materialize(
     expr: MappingExpr, *, mingen_config: Optional[MinGenConfig] = None
 ) -> SchemaMapping:
@@ -62,21 +52,23 @@ def materialize(
 
     ``compose`` nodes run MinGen (:func:`compose_full`); ``union``
     nodes concatenate constraint sets; ``restrict``/``rename`` apply
-    relation surgery.  Results are memoized by content key, so
-    repeated sweeps over the same expression pay MinGen once.  A leaf
-    is its own mapping, unmemoized: a job's one-atom expression runs on
-    that job's mapping, and a daemon keeps no entry per inline mapping.
+    relation surgery.  Results are memoized by the expression's
+    content key (and the MinGen options) in the engine's
+    derived-mapping memo (:data:`~repro.engine.cache.derived_cache`),
+    so repeated sweeps over the same expression pay MinGen once.  A
+    leaf is its own mapping, unmemoized: a job's one-atom expression
+    runs on that job's mapping, and a daemon keeps no entry per inline
+    mapping.
     """
     if isinstance(expr, MappingAtom):
         return expr.mapping
-    key = expr.key()
-    cached = _MATERIALIZE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    stats = engine_stats()
-    with stats.phase("algebra.materialize"):
+    key = ("materialize", expr.key(), mingen_config)
+    hit, result = derived_cache.get(key)
+    if hit:
+        return result
+    with engine_stats().phase("algebra.materialize"):
         result = _materialize(expr, mingen_config)
-    _MATERIALIZE_MEMO[key] = result
+    derived_cache.put(key, result)
     return result
 
 

@@ -34,6 +34,7 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Term, Variable
 from repro.dependencies.dependency import Dependency, Premise
 from repro.core.mapping import MappingError, SchemaMapping
+from repro.engine.cache import derived_mapping
 
 
 class InverseError(MappingError):
@@ -150,6 +151,7 @@ def omega(
     return Dependency(premise, ((alpha,),))
 
 
+@derived_mapping
 def inverse(
     mapping: SchemaMapping,
     *,
@@ -162,7 +164,9 @@ def inverse(
     and inequalities.  If M is invertible, M' is an inverse of M, and
     the weakest one.  Raises :class:`InverseError` when M fails the
     constant-propagation property (then M is certainly not invertible,
-    by Proposition 5.3).
+    by Proposition 5.3).  The output is memoized per exact input (the
+    mapping, its name and every option;
+    :func:`~repro.engine.cache.derived_mapping`), an error never.
     """
     if not mapping.is_tgd_mapping():
         raise MappingError("Inverse requires a mapping specified by s-t tgds")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Tuple
 
 from repro.chase.homomorphism import (
@@ -33,6 +32,8 @@ from repro.dependencies.parser import parse_dependencies
 from repro.engine.cache import (
     cached_chase_result,
     canonical_key,
+    chase_cache,
+    exact_key,
     mapping_key,
     verdict_cache,
 )
@@ -249,7 +250,6 @@ def universal_solution(mapping: SchemaMapping, instance: Instance) -> Instance:
     return cached_chase_result(mapping, instance, _solve)
 
 
-@lru_cache(maxsize=2048)
 def core_universal_solution(mapping: SchemaMapping, instance: Instance) -> Instance:
     """The *core* of the universal solution.
 
@@ -259,10 +259,15 @@ def core_universal_solution(mapping: SchemaMapping, instance: Instance) -> Insta
     :func:`universal_solution` (core computation searches for proper
     retractions), but canonical — useful for caching, display, and as
     the normal form behind data-exchange equivalence classes.
+    Memoized in the chase memo under its own key head, keyed like the
+    chase it reduces.
     """
     from repro.chase.homomorphism import core
 
-    return core(universal_solution(mapping, instance))
+    return chase_cache.memoize(
+        ("core", mapping_key(mapping), exact_key(instance)),
+        lambda: core(universal_solution(mapping, instance)),
+    )
 
 
 def is_solution(mapping: SchemaMapping, instance: Instance, candidate: Instance) -> bool:

@@ -39,6 +39,7 @@ from repro.dependencies.dependency import Dependency, Premise
 from repro.dependencies.descriptions import sigma_star
 from repro.core.generators import Generator, MinGenConfig, minimal_generators
 from repro.core.mapping import MappingError, SchemaMapping
+from repro.engine.cache import derived_mapping
 
 
 def _disjunct_implies(
@@ -138,6 +139,7 @@ def reverse_dependency(
     return Dependency(premise, tuple(disjunct_bodies))
 
 
+@derived_mapping
 def quasi_inverse(
     mapping: SchemaMapping,
     *,
@@ -153,6 +155,8 @@ def quasi_inverse(
     inequality produced is between Constant() variables, so Sigma' is
     a set of disjunctive tgds with constants and inequalities *among
     constants* — the language Theorem 6.7's soundness result needs.
+    The output is memoized per exact input (the mapping, its name and
+    every option; :func:`~repro.engine.cache.derived_mapping`).
     """
     if not mapping.is_tgd_mapping():
         raise MappingError("QuasiInverse requires a mapping specified by s-t tgds")
@@ -192,6 +196,7 @@ def quasi_inverse(
     )
 
 
+@derived_mapping
 def lav_quasi_inverse(
     mapping: SchemaMapping,
     *,
@@ -232,6 +237,7 @@ def lav_quasi_inverse(
     the join-style reverse of Example 3.10's M' (with constants and
     inequalities), one rule per equality pattern.  On an invertible
     LAV mapping it coincides with the Inverse algorithm's output.
+    Memoized like :func:`quasi_inverse`.
     """
     if not mapping.is_lav():
         raise MappingError("lav_quasi_inverse requires a LAV mapping")

@@ -33,7 +33,7 @@ from repro.engine.budget import (
     record_coverage,
     use_budget,
 )
-from repro.engine.cache import mapping_key
+from repro.engine.cache import exact_key, mapping_key, verdict_cache
 from repro.engine.checkpoint import CheckpointJournal, default_journal, sweep_key
 from repro.engine.parallel import get_shared
 from repro.engine.sweep import Fold, run_sweep, sweep_fingerprint
@@ -136,13 +136,38 @@ def is_faithful(
 
 
 def _round_trip_task(position: int) -> Tuple[bool, bool]:
-    # Budget trips propagate out of the task (rather than being folded
-    # into the per-instance report) so the surrounding sweep stops with
-    # partial coverage instead of mislabeling cut-short instances as
-    # violators.
+    """The (sound, faithful) verdict on one instance, memoized in the
+    verdict cache as two booleans (all the store's verdict codec holds),
+    so ``faithful_on`` reuses a ``sound_on`` sweep over the same
+    instances, and a warm process reuses both.
+
+    The key holds both mappings' content keys and both source schemas
+    (the round trip validates against each), and the instance's exact
+    facts.  The instance is validated before the probe, so a hit never
+    skips a check a miss would fail.  Budget trips propagate out of the
+    task (rather than being folded into the per-instance report, or
+    cached) so the surrounding sweep stops with partial coverage
+    instead of mislabeling cut-short instances as violators."""
     mapping, reverse_mapping, outer = get_shared()
-    trip = round_trip(mapping, reverse_mapping, outer[position])
+    instance = outer[position].validate(mapping.source)
+    key = (
+        mapping_key(mapping),
+        mapping_key(reverse_mapping),
+        mapping.source.relations,
+        reverse_mapping.source.relations,
+        exact_key(instance),
+    )
+    sound_key = ("round-trip-sound",) + key
+    faithful_key = ("round-trip-faithful",) + key
+    hit, sound = verdict_cache.get(sound_key)
+    if hit:
+        hit, faithful = verdict_cache.get(faithful_key)
+        if hit:
+            return sound, faithful
+    trip = round_trip(mapping, reverse_mapping, instance)
     sound, faithful, _ = _judge_round_trip(trip)
+    verdict_cache.put(sound_key, sound)
+    verdict_cache.put(faithful_key, faithful)
     return sound, faithful
 
 

@@ -11,9 +11,9 @@ fast:
   lists instead of scanning relation extents;
 * :mod:`repro.engine.cache` — content-addressed memoization of chase
   results (by exact facts, plus one entry per orbit in orbit-mode
-  sweeps) and verdicts (under canonical, isomorphism-respecting
-  instance keys), one memo path for every backend, with hit/miss
-  counters;
+  sweeps), verdicts (under canonical, isomorphism-respecting instance
+  keys) and mappings derived from mappings (under exact keys), one
+  memo path for every backend, with hit/miss counters;
 * :mod:`repro.engine.parallel` — the :class:`ParallelUniverseRunner`
   that chunks universe streams across a ``multiprocessing`` pool with
   deterministic merge order and a serial fallback;

@@ -1,24 +1,44 @@
-"""Content-addressed memoization for chase results and verdicts.
+"""Content-addressed memoization for chase results, verdicts and
+derived mappings.
 
 Bounded checkers issue thousands of near-identical chase and
 homomorphism calls: ``subset_property`` alone asks for ``chase(I)``
 and for ∼M verdicts on the same instance pairs over and over while
-sweeping a universe.  The caches here key those calls by *content*,
-so repeated calls on the same instance hit regardless of which object
-identity carries it, on every backend:
+sweeping a universe, and a warm daemon asks for the same quasi-inverse
+and the same round trips job after job.  The caches here key those
+calls by *content*, so repeated calls on the same instance or mapping
+hit regardless of which object identity carries it, on every backend.
+There are three tiers:
 
-* a chase result keys by the mapping and the instance's exact fact
-  set (:func:`exact_key`; :func:`cached_chase_result` is the one chase
+* ``chase`` (:data:`chase_cache`): a chase result keys by the mapping
+  (:func:`mapping_key`) and the instance's exact fact set
+  (:func:`exact_key`; :func:`cached_chase_result` is the one chase
   memo, and orbit-mode sweeps add a key per constant-permutation orbit
-  of a ground instance);
-* a verdict keys by a canonical form of each instance in which
-  labeled nulls and logic variables are renamed to position-derived
-  placeholders (:func:`canonical_key`), so isomorphic instances (equal
-  up to null/variable renaming) share one entry, while genuinely
-  distinct instances never collide: the canonical renaming is a
-  bijection, so equal canonical forms always certify an isomorphism
-  (the key is sound by construction; it is complete for renamings
-  that preserve the relative order of facts).
+  of a ground instance).  The core of a universal solution
+  (:func:`~repro.core.mapping.core_universal_solution`) keys the same
+  way under the head ``"core"``;
+* ``verdict`` (:data:`verdict_cache`): a ∼M verdict keys by a
+  canonical form of each instance in which labeled nulls and logic
+  variables are renamed to position-derived placeholders
+  (:func:`canonical_key`), so isomorphic instances (equal up to
+  null/variable renaming) share one entry, while genuinely distinct
+  instances never collide: the canonical renaming is a bijection, so
+  equal canonical forms always certify an isomorphism (the key is
+  sound by construction; it is complete for renamings that preserve
+  the relative order of facts).  A round-trip verdict (soundness and
+  faithfulness, :mod:`repro.dataexchange.recovery`) keys by both
+  mapping keys, both source schemas and the instance's exact facts;
+* ``derived`` (:data:`derived_cache`): a mapping derived from a
+  mapping — QuasiInverse, LAV quasi-inverse, Inverse
+  (:func:`derived_mapping`) and the algebra's materialized
+  expressions — keys *exactly*: the mapping itself, its name and every
+  option, because the output's text, name and schemas depend on all
+  of them.
+
+The first two persist through the store (:mod:`repro.engine.store`);
+derived mappings are process-local.  Every tier follows
+``--cache-size`` (:func:`resize_caches`) and :func:`reset_all_caches`,
+and no tier ever caches an exception.
 
 A warm sweep answers nearly every question from these caches, so the
 cost of a *probe* is what it pays for.  Repeated jobs rebuild their
@@ -38,6 +58,7 @@ reports hits, misses, and evictions.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
@@ -142,6 +163,11 @@ class MemoCache:
     counter still advances; the store keeps its own counters), and
     every ``put`` writes through to the store.  Only caches the store
     has a value codec for persist; others are untouched.
+
+    The daemon's job threads share every cache without a lock, so a
+    key can be evicted by one thread between another's read of it and
+    that read's LRU refresh: the race may lose an entry or a counter
+    increment, never a value read, and it never raises.
     """
 
     def __init__(self, name: str, maxsize: int = 65_536) -> None:
@@ -159,7 +185,10 @@ class MemoCache:
         # than the probe, and a sweep misses thousands of times.
         value = self._data.get(key, _MISSING)
         if value is not _MISSING:
-            self._data.move_to_end(key)
+            try:
+                self._data.move_to_end(key)
+            except KeyError:  # evicted by another thread since the read
+                pass
             self.hits += 1
             return True, value
         self.misses += 1
@@ -175,10 +204,13 @@ class MemoCache:
         """Memory-only insert (promotion of a store hit: no
         write-through, the entry is already on disk)."""
         self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        try:
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                self.evictions += 1
+        except KeyError:  # evicted, or emptied, by another thread
+            pass
 
     def put(self, key: Hashable, value: Any) -> None:
         self._insert(key, value)
@@ -423,6 +455,27 @@ def symmetry_keys_apply(mapping: Any) -> bool:
 
 chase_cache = MemoCache("chase", maxsize=16_384)
 verdict_cache = MemoCache("verdict", maxsize=262_144)
+#: No store codec, so its entries never leave the process.
+derived_cache = MemoCache("derived", maxsize=4_096)
+
+
+def derived_mapping(derive: Callable[..., Any]) -> Callable[..., Any]:
+    """Memoize ``derive(mapping, **options)``, a pure derivation of a
+    mapping from a mapping, in :data:`derived_cache`.
+
+    The key is exact: *derive* itself, the mapping (``==`` compares its
+    schemas and its dependencies variable for variable), the mapping's
+    ``name`` (which ``==`` ignores) and every keyword argument.
+    :func:`mapping_key` would not do: it renames variables and omits
+    the source schema, and the derived mapping's text, name and target
+    schema depend on those.  A call that raises caches nothing."""
+
+    @functools.wraps(derive)
+    def memoized(mapping: Any, **options: Any) -> Any:
+        key = (derive, mapping, mapping.name, tuple(sorted(options.items())))
+        return derived_cache.memoize(key, lambda: derive(mapping, **options))
+
+    return memoized
 
 
 def cached_chase_result(

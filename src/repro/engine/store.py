@@ -46,9 +46,14 @@ Layering contract:
 
 Only caches with a registered value codec persist: ``chase`` (values
 are :class:`~repro.datamodel.instances.Instance`, serialized with
-:mod:`repro.export.serialization`) and ``verdict`` (booleans).  The
-kernel backend's interned-object caches are process-local by nature
-and are deliberately not persisted.
+:mod:`repro.export.serialization`; cores of universal solutions ride
+along under their own key head) and ``verdict`` (booleans: ∼M
+verdicts, and round-trip soundness and faithfulness, which persist as
+two booleans per instance).  The ``derived`` cache of mappings derived
+from mappings (QuasiInverse, Inverse, materialized expressions) has no
+codec and stays process-local: a warm process reuses them, a new
+process derives them once.  The kernel backend's interned-object
+caches are process-local by nature and are deliberately not persisted.
 
 The process default store comes from ``REPRO_STORE``, read once at
 import, or the CLI's and the daemon's ``--store PATH`` through

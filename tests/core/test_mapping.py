@@ -6,6 +6,7 @@ from repro.catalog import decomposition, example_3_10_witnesses, projection
 from repro.core.mapping import (
     MappingError,
     SchemaMapping,
+    core_universal_solution,
     data_exchange_equivalent,
     identity_mapping,
     is_solution,
@@ -16,7 +17,7 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.dependencies.dependency import DependencyError
 from repro.engine import BACKEND_MODES, reset_all_caches, use_backend
-from repro.engine.cache import chase_cache, verdict_cache
+from repro.engine.cache import chase_cache, resize_caches, verdict_cache
 
 
 class TestConstruction:
@@ -102,6 +103,52 @@ class TestUniversalSolution:
                 universal_solution(disjunctive, Instance.build({"S": [("a",)]}))
             with pytest.raises(MappingError):
                 solutions_contained(disjunctive, instance, instance)
+
+
+class TestCoreUniversalSolution:
+    """The core memo lives in ``chase_cache``, so the engine's cache
+    knobs reach it like every other memo."""
+
+    @staticmethod
+    def _count_cores(monkeypatch):
+        import repro.chase.homomorphism as homomorphism
+
+        calls = []
+        real = homomorphism.core
+
+        def counting(instance):
+            calls.append(instance)
+            return real(instance)
+
+        monkeypatch.setattr(homomorphism, "core", counting)
+        return calls
+
+    def test_a_repeat_hits_and_a_reset_recomputes(self, monkeypatch):
+        calls = self._count_cores(monkeypatch)
+        mapping = projection()
+        source = Instance.build({"P": [("a", "b"), ("a", "c")]})
+        reset_all_caches()
+        first = core_universal_solution(mapping, source)
+        assert core_universal_solution(mapping, Instance.of(source.facts)) is first
+        assert len(calls) == 1
+        reset_all_caches()
+        again = core_universal_solution(mapping, source)
+        assert len(calls) == 2 and again == first
+
+    def test_entries_are_bounded_by_the_cache_size(self, monkeypatch):
+        calls = self._count_cores(monkeypatch)
+        mapping = projection()
+        first = Instance.build({"P": [("a", "b")]})
+        second = Instance.build({"P": [("c", "d")]})
+        reset_all_caches()
+        previous = resize_caches(1)
+        try:
+            core_universal_solution(mapping, first)
+            core_universal_solution(mapping, second)
+            core_universal_solution(mapping, first)
+        finally:
+            resize_caches(previous)
+        assert len(calls) == 3
 
 
 class TestOneMemoPath:

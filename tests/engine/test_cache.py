@@ -55,6 +55,47 @@ class TestMemoCache:
         assert cache.get("a") == (True, 1)
         assert cache.stats().evictions == 1
 
+    def test_concurrent_probes_survive_evictions(self):
+        # Daemon threads share every cache without a lock, so one
+        # thread may evict a key between another's read of it and its
+        # LRU refresh: that read is still a hit, never a KeyError.
+        cache = MemoCache("t-threads", maxsize=2)
+        threads = 8
+        start = threading.Barrier(threads, timeout=10)
+        errors = []
+        rounds = []
+
+        def hammer(offset):
+            start.wait()
+            deadline = time.monotonic() + 2.0
+            done = 0
+            try:
+                while done < 20_000 and time.monotonic() < deadline:
+                    key = (offset + done) % 5
+                    if cache.memoize(key, lambda key=key: key * 10) != key * 10:
+                        errors.append((offset, key))
+                    done += 1
+            except Exception as error:
+                errors.append((offset, repr(error)))
+            rounds.append(done)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(offset,))
+                for offset in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert len(rounds) == threads and min(rounds) >= 1
+
     def test_resize_shrinks_and_evicts(self):
         cache = MemoCache("t-resize", maxsize=8)
         for i in range(8):

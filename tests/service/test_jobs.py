@@ -244,6 +244,71 @@ class TestRoundtripJobs:
         assert "faithful: yes" in outcome.rendering
 
 
+class TestWarmJobsRederiveNothing:
+    """A warm process answers a repeated job from the derived-mapping
+    and round-trip verdict memos: no MinGen, no reverse chase."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import importlib
+
+        calls = {"minimal_generators": 0, "disjunctive_chase": 0}
+        # the modules that call them, under the names they bound
+        for module_name, function in (
+            ("repro.core.quasi_inverse", "minimal_generators"),
+            ("repro.core.composition", "minimal_generators"),
+            ("repro.dataexchange.exchange", "disjunctive_chase"),
+        ):
+            module = importlib.import_module(module_name)
+            real = getattr(module, function)
+
+            def counting(*args, _real=real, _function=function, **kwargs):
+                calls[_function] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, function, counting)
+        return calls
+
+    @pytest.mark.parametrize("experiment", ["E3", "E7"])
+    def test_a_repeated_experiment_job(self, monkeypatch, experiment):
+        calls = self._count(monkeypatch)
+        spec = _spec(kind="experiment", experiment=experiment)
+        reset_all_caches()
+        cold = execute_job(spec)
+        assert cold.state == "done" and calls["disjunctive_chase"] > 0
+        if experiment == "E3":
+            assert calls["minimal_generators"] > 0
+        before = dict(calls)
+        warm = execute_job(spec)
+        assert calls == before
+        assert (warm.state, warm.rendering) == (cold.state, cold.rendering)
+
+    def test_a_roundtrip_job_chases_each_instance_once(self, monkeypatch):
+        from repro.service.protocol import resolve_mapping
+        from repro.workloads import power_instances
+
+        calls = self._count(monkeypatch)
+        spec = _spec(
+            kind="roundtrip",
+            mapping="Decomposition",
+            reverse="Decomposition''",
+            max_facts=2,
+            workers=1,
+            symmetry="full",
+        )
+        universe = list(
+            power_instances(
+                resolve_mapping(spec["mapping"]).source,
+                tuple(spec["domain"]),
+                max_facts=spec["max_facts"],
+            )
+        )
+        reset_all_caches()
+        outcome = execute_job(spec)
+        assert outcome.state == "done"
+        assert calls["disjunctive_chase"] == len(universe)
+
+
 class TestSharedRendering:
     @pytest.mark.parametrize("kind", ["unique", "subset", "invertibility"])
     @pytest.mark.parametrize("name", ["Projection", "Decomposition"])
