@@ -21,7 +21,7 @@ Three ways to run an expression, all verdict-equivalent:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.datamodel.instances import Instance
 from repro.core.composition import _candidate_intermediates, compose_full
@@ -52,17 +52,21 @@ def materialize(
 
     ``compose`` nodes run MinGen (:func:`compose_full`); ``union``
     nodes concatenate constraint sets; ``restrict``/``rename`` apply
-    relation surgery.  Results are memoized by the expression's
-    content key (and the MinGen options) in the engine's
+    relation surgery.  Results are memoized in the engine's
     derived-mapping memo (:data:`~repro.engine.cache.derived_cache`),
-    so repeated sweeps over the same expression pay MinGen once.  A
-    leaf is its own mapping, unmemoized: a job's one-atom expression
-    runs on that job's mapping, and a daemon keeps no entry per inline
-    mapping.
+    so repeated sweeps over the same expression pay MinGen once.  The
+    key is exact, as :func:`~repro.engine.cache.derived_mapping`'s is:
+    the expression itself (whose ``==`` compares each leaf mapping's
+    schemas and dependencies), every leaf's name and the MinGen
+    options.  :meth:`MappingExpr.key` would not do: its leaves are
+    :func:`~repro.engine.cache.mapping_key` digests, which omit the
+    source schema and the name the result inherits.  A leaf is its own
+    mapping, unmemoized: a job's one-atom expression runs on that
+    job's mapping, and a daemon keeps no entry per inline mapping.
     """
     if isinstance(expr, MappingAtom):
         return expr.mapping
-    key = ("materialize", expr.key(), mingen_config)
+    key = ("materialize", expr, _leaf_names(expr), mingen_config)
     hit, result = derived_cache.get(key)
     if hit:
         return result
@@ -70,6 +74,14 @@ def materialize(
         result = _materialize(expr, mingen_config)
     derived_cache.put(key, result)
     return result
+
+
+def _leaf_names(expr: MappingExpr) -> Tuple[str, ...]:
+    if isinstance(expr, MappingAtom):
+        return (expr.mapping.name,)
+    return tuple(
+        name for child in expr.children() for name in _leaf_names(child)
+    )
 
 
 def _materialize(

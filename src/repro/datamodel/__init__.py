@@ -7,7 +7,8 @@ This package implements the basic objects of the paper's Section 2:
   in canonical instances such as the prime instances of Section 5);
 * atoms and facts over a relational schema;
 * schemas (finite sequences of relation symbols with fixed arities);
-* immutable relational instances with per-relation indexes.
+* immutable relational instances with per-relation indexes, each built
+  on its first read.
 """
 
 from repro.datamodel.terms import Constant, Null, Term, Variable, constants, nulls, variables

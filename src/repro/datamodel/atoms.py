@@ -21,6 +21,8 @@ class Atom:
     relation: str
     args: Tuple[Term, ...]
 
+    _sort_key = None  # see repro.datamodel.terms
+
     def __post_init__(self) -> None:
         # atoms live inside the frozensets every cache key and
         # instance is built from; precomputing the hash makes those
@@ -66,8 +68,8 @@ class Atom:
 
     def sort_key(self):
         # computed once per atom: sorting facts is the hot path of
-        # instance construction and canonicalization
-        key = self.__dict__.get("_sort_key")
+        # instance indexing and canonicalization
+        key = self._sort_key
         if key is None:
             key = (self.relation, tuple(arg.sort_key() for arg in self.args))
             object.__setattr__(self, "_sort_key", key)

@@ -6,18 +6,30 @@ may contain labeled nulls; *canonical* instances (the paper's
 ``I_alpha``, whose "facts" are instantiated atoms) may additionally
 contain logic variables.  One class covers all three, with predicates
 (:meth:`is_ground`, :meth:`has_variables`) to discriminate.
+
+The per-relation index (each relation's facts, sorted by
+:meth:`~repro.datamodel.atoms.Atom.sort_key`) is built on the first
+read — :meth:`Instance.facts_for`, :meth:`Instance.relations`,
+:meth:`Instance.to_rows`, :meth:`Instance.pretty` — not at
+construction, so an instance that is only counted, unioned, lowered
+into SQL or used as a memo key never sorts its facts.  The index is
+built into a local dict and published on the instance only once
+complete: threads that read a fresh instance at the same time can at
+worst each build it once, and never see a partial index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
+    ClassVar,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
     Union,
@@ -30,26 +42,38 @@ from repro.datamodel.terms import Constant, Null, Term, Variable
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable set of atoms with a per-relation index."""
+    """An immutable set of atoms with a per-relation index, built on
+    first read."""
 
     facts: FrozenSet[Atom]
-    _by_relation: Mapping[str, Tuple[Atom, ...]] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
+
+    #: Each relation's facts in sorted order; None until the first
+    #: read publishes the instance's own (:meth:`_index`).
+    _by_relation: ClassVar[Optional[Mapping[str, Tuple[Atom, ...]]]] = None
+    #: :meth:`is_ground`'s answer, cached the same way (never through
+    #: ``self.__dict__``; see :mod:`repro.datamodel.terms`).
+    _ground: ClassVar[Optional[bool]] = None
 
     def __post_init__(self) -> None:
-        grouped: Dict[str, List[Atom]] = {}
-        for fact in self.facts:
-            grouped.setdefault(fact.relation, []).append(fact)
-        index = {
-            name: tuple(sorted(atoms, key=Atom.sort_key))
-            for name, atoms in grouped.items()
-        }
-        object.__setattr__(self, "_by_relation", index)
         object.__setattr__(self, "_hash", hash(self.facts))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def _index(self) -> Mapping[str, Tuple[Atom, ...]]:
+        index = self._by_relation
+        if index is None:
+            grouped: Dict[str, List[Atom]] = {}
+            for fact in self.facts:
+                grouped.setdefault(fact.relation, []).append(fact)
+            index = {
+                name: tuple(sorted(atoms, key=Atom.sort_key))
+                for name, atoms in grouped.items()
+            }
+            # published whole: a concurrent reader sees no index or a
+            # complete one, never a partial dict
+            object.__setattr__(self, "_by_relation", index)
+        return index
 
     # -- construction -------------------------------------------------
 
@@ -93,28 +117,40 @@ class Instance:
         return tuple(sorted(self.facts))
 
     def relations(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._by_relation))
+        return tuple(sorted(self._index()))
 
     def facts_for(self, relation: str) -> Tuple[Atom, ...]:
-        return self._by_relation.get(relation, ())
+        index = self._by_relation  # the hot path skips a method call
+        if index is None:
+            index = self._index()
+        return index.get(relation, ())
 
     def active_domain(self) -> FrozenSet[Term]:
         return frozenset(term for fact in self.facts for term in fact.args)
 
     def constants(self) -> FrozenSet[Constant]:
-        return frozenset(t for t in self.active_domain() if isinstance(t, Constant))
+        return self._terms_of(Constant)
 
     def nulls(self) -> FrozenSet[Null]:
-        return frozenset(t for t in self.active_domain() if isinstance(t, Null))
+        return self._terms_of(Null)
 
     def variables(self) -> FrozenSet[Variable]:
-        return frozenset(t for t in self.active_domain() if isinstance(t, Variable))
+        return self._terms_of(Variable)
+
+    def _terms_of(self, kind: type) -> FrozenSet:
+        # one pass over the facts, without building the active domain
+        return frozenset(
+            term
+            for fact in self.facts
+            for term in fact.args
+            if isinstance(term, kind)
+        )
 
     def is_ground(self) -> bool:
         """True when every term is a constant (a *ground instance*)."""
         # computed once per instance: every chase and verdict lookup
         # asks, and a warm lookup does little else
-        ground = self.__dict__.get("_ground")
+        ground = self._ground
         if ground is None:
             ground = all(fact.is_ground() for fact in self.facts)
             object.__setattr__(self, "_ground", ground)
@@ -156,7 +192,7 @@ class Instance:
         """Per-relation rows of rendered terms (for tabular display)."""
         return {
             relation: [tuple(str(arg) for arg in fact.args) for fact in facts]
-            for relation, facts in sorted(self._by_relation.items())
+            for relation, facts in sorted(self._index().items())
         }
 
     def pretty(self, indent: str = "") -> str:

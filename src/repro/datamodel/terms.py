@@ -9,6 +9,13 @@ may also contain labeled nulls.  Dependencies and canonical instances
 All three kinds are immutable, hashable, and totally ordered (first by
 kind, then by name), which keeps every algorithm in the library
 deterministic.
+
+Terms and atoms cache their sort key on first use.  The cache is read
+as an attribute over a class-level ``None`` default, never through
+``self.__dict__``: on CPython 3.11, building an object's ``__dict__``
+can run the garbage collector part-way, and a second thread touching
+the same object meanwhile corrupts it (a segfault when threads sort
+the same fresh facts at once).
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ class Constant:
     value: Union[str, int]
 
     _KIND_RANK = 0
+    _sort_key = None
 
     def __post_init__(self) -> None:
         # terms are hashed millions of times per sweep (every fact
@@ -38,7 +46,7 @@ class Constant:
         return self._hash
 
     def sort_key(self) -> Tuple[int, str]:
-        key = self.__dict__.get("_sort_key")
+        key = self._sort_key
         if key is None:
             key = (self._KIND_RANK, _value_key(self.value))
             object.__setattr__(self, "_sort_key", key)
@@ -65,6 +73,7 @@ class Null:
     name: str
 
     _KIND_RANK = 1
+    _sort_key = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self._KIND_RANK, self.name)))
@@ -73,7 +82,7 @@ class Null:
         return self._hash
 
     def sort_key(self) -> Tuple[int, str]:
-        key = self.__dict__.get("_sort_key")
+        key = self._sort_key
         if key is None:
             key = (self._KIND_RANK, _value_key(self.name))
             object.__setattr__(self, "_sort_key", key)
@@ -96,6 +105,7 @@ class Variable:
     name: str
 
     _KIND_RANK = 2
+    _sort_key = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self._KIND_RANK, self.name)))
@@ -104,7 +114,7 @@ class Variable:
         return self._hash
 
     def sort_key(self) -> Tuple[int, str]:
-        key = self.__dict__.get("_sort_key")
+        key = self._sort_key
         if key is None:
             key = (self._KIND_RANK, _value_key(self.name))
             object.__setattr__(self, "_sort_key", key)

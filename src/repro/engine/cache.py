@@ -46,11 +46,13 @@ universes and mappings, and a probe keyed by a fresh object would
 re-hash its dependencies and compare equal fact sets atom by atom.
 Instead :func:`exact_key`, :func:`canonical_key` and
 :func:`mapping_key` derive each object's key once, store it on the
-object, and pass it through one bounded table of shared keys, so every
-equal instance or mapping yields the *same* key object: a warm probe
-hashes a few cached values and matches its entry by identity.  Keys
-keep their content, so store digests and checkpoint fingerprints do
-not depend on which object was probed.
+object (read back with ``getattr``, never through ``__dict__``, which
+is unsafe under threads on CPython 3.11; see
+:mod:`repro.datamodel.terms`), and pass it through one bounded table
+of shared keys, so every equal instance or mapping yields the *same*
+key object: a warm probe hashes a few cached values and matches its
+entry by identity.  Keys keep their content, so store digests and
+checkpoint fingerprints do not depend on which object was probed.
 
 Every cache registers itself for the instrumentation layer, which
 reports hits, misses, and evictions.
@@ -370,7 +372,7 @@ def exact_key(instance: Instance) -> FrozenSet[Atom]:
 
     Derived once per instance and stored on it; equal instances get
     the same key object (:func:`_shared_key`)."""
-    key = instance.__dict__.get("_exact_key")
+    key = getattr(instance, "_exact_key", None)
     if key is None:
         key = _shared_key(instance.facts)
         object.__setattr__(instance, "_exact_key", key)
@@ -385,7 +387,7 @@ def canonical_key(instance: Instance) -> FrozenSet[Atom]:
     isomorphic ones, whose canonical fact sets are equal — get the
     same key object (:func:`_shared_key`).  A ground instance is its
     own canonical form, so its canonical key is its :func:`exact_key`."""
-    key = instance.__dict__.get("_canonical_key")
+    key = getattr(instance, "_canonical_key", None)
     if key is None:
         if instance.is_ground():
             key = exact_key(instance)
@@ -414,7 +416,7 @@ def mapping_key(mapping: Any) -> str:
     mapping's dependencies.  Derived once per mapping and stored on it;
     content-equal mappings, including one rebuilt after an equal one
     was collected, get the same key object (:func:`_shared_key`)."""
-    key = mapping.__dict__.get("_mapping_key")
+    key = getattr(mapping, "_mapping_key", None)
     if key is None:
         stages = getattr(mapping, "stages", None)
         if stages:
@@ -444,7 +446,7 @@ def symmetry_keys_apply(mapping: Any) -> bool:
     """
     if not ground_keys_active():
         return False
-    invariant = mapping.__dict__.get("_permutation_invariant")
+    invariant = getattr(mapping, "_permutation_invariant", None)
     if invariant is None:
         invariant = mapping_permutation_invariant(mapping)
         object.__setattr__(mapping, "_permutation_invariant", invariant)

@@ -10,10 +10,18 @@ most selective ``(relation, position, term)`` posting list.
 Indexes are built lazily, once per instance, and shared through a
 weak-keyed memo so that repeated probes against the same target (the
 normal shape of a chase or a bounded checker) pay the build cost once.
-Posting lists preserve the sorted fact order of the instance, so a
-search driven by the index visits candidate facts in exactly the
-order the linear scan would — results and result *order* are
-unchanged, only non-matching candidates are skipped.
+A :class:`FactIndex` reads the instance's per-relation tuples, which
+the instance itself builds on that first read (an instance nobody
+probes never sorts its facts).  Posting lists preserve the sorted fact
+order of the instance, so a search driven by the index visits
+candidate facts in exactly the order the linear scan would — results
+and result *order* are unchanged, only non-matching candidates are
+skipped.
+
+Both builds are publish-once-complete: the instance's tuples and a
+:class:`FactIndex`'s postings are assembled locally and stored only
+when whole, so daemon threads that probe one fresh instance at once
+can at worst build the same index twice, with equal contents.
 """
 
 from __future__ import annotations

@@ -530,9 +530,11 @@ def sql_stratified_chase(
     try:
         lowered = sql_instance(instance)
         # Working tables for every (relation, arity) a conclusion atom
-        # can produce, pre-seeded with the instance's own facts there:
-        # the satisfaction check runs against the *whole* working
-        # instance, initial target-side facts included.
+        # can produce, pre-seeded with the instance's own facts there
+        # (copied from the lowered table, so the input's per-relation
+        # index is never built): the satisfaction check runs against
+        # the *whole* working instance, initial target-side facts
+        # included.
         for dependency in dependencies:
             for atom in dependency.disjuncts[0]:
                 key = (atom.relation, atom.arity)
@@ -540,14 +542,9 @@ def sql_stratified_chase(
                     continue
                 table = rt.create_table(atom.arity)
                 working[key] = table
-                rows = [
-                    tuple(encode_term(arg, intern) for arg in fact.args)
-                    or (0,)
-                    for fact in instance.facts_for(atom.relation)
-                    if fact.arity == atom.arity
-                ]
-                if rows:
-                    rt.insert_rows(table, atom.arity, rows)
+                seed = lowered.tables.get(key)
+                if seed is not None:
+                    rt.execute(f"INSERT INTO {table} SELECT * FROM {seed}")
         for dependency in dependencies:
             if budget is not None:
                 budget.check()

@@ -1,7 +1,9 @@
 """``materialize`` memoizes in the engine's derived-mapping tier."""
 
 from repro.algebra.evaluate import materialize
-from repro.algebra.expr import parse_expression
+from repro.algebra.expr import default_resolver, parse_expression
+from repro.core.mapping import SchemaMapping
+from repro.datamodel.schemas import Schema
 from repro.engine import reset_all_caches, resize_caches
 from repro.engine.cache import derived_cache
 
@@ -36,3 +38,38 @@ class TestMaterializeMemo:
             assert derived_cache.stats().evictions == 1
         finally:
             resize_caches(previous)
+
+    def test_a_content_equal_twin_over_another_source_is_a_miss(self):
+        # Wide has Decomposition's dependencies, so the two share a
+        # mapping_key; the composed mapping's source schema and name
+        # come from the leaf, so the memo must tell them apart
+        reset_all_caches()
+        table = default_resolver()
+        decomposition = table["Decomposition"]
+        wide = SchemaMapping(
+            Schema.of([("P", 3), ("Z", 1)]),
+            decomposition.target,
+            decomposition.dependencies,
+            name="Wide",
+        )
+        table["Wide"] = wide
+        join = materialize(parse_expression(JOIN, table))
+        twin = materialize(parse_expression("compose(Wide, Decomposition')", table))
+        assert join.source == decomposition.source
+        assert twin.source == wide.source
+        assert twin.name == "Wide∘Decomposition'"
+        assert twin.dependencies == join.dependencies
+
+    def test_a_renamed_leaf_is_a_miss(self):
+        reset_all_caches()
+        table = default_resolver()
+        decomposition = table["Decomposition"]
+        table["Split"] = SchemaMapping(
+            decomposition.source,
+            decomposition.target,
+            decomposition.dependencies,
+            name="Split",
+        )
+        materialize(parse_expression(JOIN, table))
+        renamed = materialize(parse_expression("compose(Split, Decomposition')", table))
+        assert renamed.name == "Split∘Decomposition'"

@@ -1,11 +1,21 @@
 """Unit tests for instances."""
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+import threading
+
 import pytest
 
-from repro.datamodel.atoms import atom
+import repro
+from repro.datamodel.atoms import Atom, atom
 from repro.datamodel.instances import Instance, rename_apart
 from repro.datamodel.schemas import Schema, SchemaError
 from repro.datamodel.terms import Constant, Null, Variable
+from repro.engine import reset_all_caches
+from repro.engine.indexing import FactIndex, fact_index
 
 
 class TestConstruction:
@@ -105,3 +115,171 @@ class TestRendering:
 
     def test_pretty_of_empty(self):
         assert Instance.empty().pretty() == "(empty)"
+
+
+def _rows():
+    # shuffled-looking rows over three relations, so a build must sort
+    return {
+        "E": [(f"v{(7 * i) % 97}", f"v{(7 * i + 1) % 97}") for i in range(97)],
+        "F": [(f"v{(5 * i) % 61}",) for i in range(61)],
+        "G": [(Null(f"n{(3 * i) % 11}"), f"v{i}") for i in range(11)],
+    }
+
+
+RELATIONS = ("E", "F", "G", "H")
+
+
+def _reads(instance):
+    """Everything the index answers, in a comparable form."""
+    return (
+        instance.relations(),
+        tuple(instance.facts_for(relation) for relation in RELATIONS),
+    )
+
+
+class TestLazyIndex:
+    """The per-relation index is built on the first read, not at
+    construction, and is published only once complete."""
+
+    def test_building_sorts_nothing_until_a_read(self, monkeypatch):
+        calls = []
+        sort_key = Atom.sort_key
+
+        def counting(fact):
+            calls.append(fact)
+            return sort_key(fact)
+
+        monkeypatch.setattr(Atom, "sort_key", counting)
+        instance = Instance.build(_rows())
+        instance.union([atom("F", "extra")]).difference(instance)
+        assert len(instance) == 169
+        assert instance.nulls() == {Null(f"n{i}") for i in range(11)}
+        assert calls == []
+        assert instance.facts_for("F")[0] == atom("F", "v0")
+        assert len(calls) > 0
+
+    def test_threads_reading_fresh_instances_agree_with_a_serial_build(self):
+        reset_all_caches()
+        serial = Instance.build(_rows())
+        expected = _reads(serial)
+        expected_postings = FactIndex(serial).postings
+        # distinct objects with equal facts, none of them read yet
+        fresh = [Instance.build(_rows()) for _ in range(6)]
+        threads_count = 8  # more threads than the host has cores
+        barrier = threading.Barrier(threads_count)
+        results = [None] * threads_count
+        errors = []
+
+        def read(slot):
+            try:
+                barrier.wait(timeout=30)
+                seen = []
+                for instance in fresh:
+                    seen.append(
+                        (_reads(instance), fact_index(instance).postings)
+                    )
+                results[slot] = seen
+            except Exception as error:  # surfaced by the main thread
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(slot,))
+                for slot in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for seen in results:
+            assert len(seen) == len(fresh)
+            for reads, postings in seen:
+                assert reads == expected
+                assert postings == expected_postings
+
+    def test_pickling_before_and_after_the_first_read(self):
+        # pool workers receive their instances pickled, read or not
+        unread = pickle.loads(pickle.dumps(Instance.build(_rows())))
+        read = Instance.build(_rows())
+        expected = _reads(read)
+        copied = pickle.loads(pickle.dumps(read))
+        assert "_by_relation" not in vars(unread)
+        assert unread == copied == read
+        assert hash(unread) == hash(copied) == hash(read)
+        assert _reads(unread) == _reads(copied) == expected
+
+
+#: Eight threads make the first reads of the same fresh atoms and
+#: instance (sort keys, the relation index, groundness, memo keys)
+#: while cyclic garbage with a finalizer makes the collector run
+#: bytecode, and so switch threads, in the middle of whatever
+#: allocation triggered it.  With the lazy caches read through
+#: ``__dict__``, CPython 3.11 under ``PYTHONMALLOC=debug`` segfaulted
+#: in the collector within 200 rounds in 4 runs of 4.
+_FIRST_READS = textwrap.dedent(
+    """
+    import gc, sys, threading
+    from repro.datamodel.atoms import atom
+    from repro.datamodel.instances import Instance
+    from repro.datamodel.terms import Null
+    from repro.engine.cache import canonical_key, exact_key
+
+    class Finalized:
+        def __init__(self):
+            self.cycle = self
+
+        def __del__(self):
+            sum(range(20))
+
+    ROUNDS = int(sys.argv[1])
+    gc.set_threshold(5)
+    sys.setswitchinterval(1e-6)
+    for round_ in range(ROUNDS):
+        facts = [atom("E", f"v{(7 * i + round_) % 97}", f"v{i}") for i in range(60)]
+        facts += [atom("G", Null(f"n{i}"), f"v{i}") for i in range(5)]
+        instance = Instance.of(atom("F", f"w{i}", Null(f"m{i % 3}")) for i in range(20))
+        barrier = threading.Barrier(8)
+
+        def read():
+            barrier.wait(timeout=30)
+            Finalized()
+            Finalized()
+            for fact in facts:
+                fact.sort_key()
+            instance.facts_for("F")
+            instance.is_ground()
+            exact_key(instance)
+            canonical_key(instance)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        gc.collect()
+    """
+)
+
+
+class TestConcurrentFirstReads:
+    """Lazily cached attributes are safe to fill from several threads
+    at once (see :mod:`repro.datamodel.terms`)."""
+
+    def test_the_collector_survives_threads_filling_lazy_caches(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONMALLOC="debug", PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-X", "faulthandler", "-c", _FIRST_READS, "200"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-3000:]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.chase.standard import chase
 from repro.core.mapping import solutions_contained, universal_solution
-from repro.datamodel.atoms import atom
+from repro.datamodel.atoms import Atom, atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Variable
 from repro.dependencies.parser import parse_dependency
@@ -146,6 +146,69 @@ class TestChaseEquivalence:
                     chase(source, deps, max_steps=2, trace=False)
                 messages[backend] = str(info.value)
         assert messages["sql"] == messages["object"]
+
+
+class TestLargeChase:
+    """Above the shipped threshold the chase seeds each working table
+    from the lowered input table, and builds its result instances
+    without sorting them."""
+
+    DEPS = (
+        parse_dependency("E(x, y) -> F(x, y)"),
+        parse_dependency("E(x, y) & E(y, z) -> F(x, z)"),
+    )
+
+    @staticmethod
+    def _chain_with_part_of_its_fixpoint():
+        nodes = [f"v{i}" for i in range(101)]
+        edges = list(zip(nodes, nodes[1:]))
+        paths = list(zip(nodes, nodes[2:]))
+        source = Instance.build({"E": edges, "F": edges[::2] + paths[::3]})
+        assert len(source) >= DEFAULT_MIN_FACTS
+        return source
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_input_conclusion_facts_seed_the_working_tables(
+        self, monkeypatch, trace
+    ):
+        monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", DEFAULT_MIN_FACTS)
+        source = self._chain_with_part_of_its_fixpoint()
+        with use_backend("object"):
+            expected = chase(source, self.DEPS)
+        reset_all_caches()
+        stats = engine_stats()
+        rounds = stats.counter("sql_chase_rounds")
+        firings = stats.counter("sql_chase_firings")
+        with use_backend("sql"):
+            actual = chase(source, self.DEPS, trace=trace)
+        assert stats.counter("sql_chase_rounds") > rounds  # ran in SQL
+        assert actual.instance.facts == expected.instance.facts
+        assert actual.produced.facts == expected.produced.facts
+        # the 50 edges and 66 two-step paths the input's F lacks
+        assert len(expected.steps) == 116
+        assert stats.counter("sql_chase_firings") - firings == 116
+        if trace:
+            assert actual.steps == expected.steps
+
+    def test_the_chase_sorts_no_instance_it_builds(self, monkeypatch):
+        monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", DEFAULT_MIN_FACTS)
+        calls = []
+        sort_key = Atom.sort_key
+
+        def counting(fact):
+            if fact.is_fact():  # premise compilation orders pattern atoms
+                calls.append(fact)
+            return sort_key(fact)
+
+        monkeypatch.setattr(Atom, "sort_key", counting)
+        source = self._chain_with_part_of_its_fixpoint()
+        rounds = engine_stats().counter("sql_chase_rounds")
+        with use_backend("sql"):
+            result = chase(source, self.DEPS, trace=False)
+        assert engine_stats().counter("sql_chase_rounds") > rounds
+        assert calls == []
+        assert len(result.instance.facts_for("F")) == 199
+        assert len(calls) > 0
 
 
 class TestRoutingAndFallbacks:
