@@ -50,7 +50,7 @@ def _is_mappable(term: Term) -> bool:
 
 # Join orders by (atoms, pre-bound terms, per-atom relation extents),
 # the whole input of the greedy order; cleared when full and with the
-# caches, like the fact-index memos.  No lock: an entry is a function
+# caches, like the shared-key table.  No lock: an entry is a function
 # of its key, so racing threads can only store the same order twice.
 _ORDERS: Dict[Tuple, Tuple[Atom, ...]] = {}
 _ORDERS_MAX = 16_384

@@ -55,8 +55,8 @@ class SchemaMapping:
         object.__setattr__(self, "dependencies", tuple(self.dependencies))
         for dependency in self.dependencies:
             dependency.validate(self.source, self.target)
-        # mappings key the weak memo tables consulted on every chase /
-        # verdict lookup; the generated hash walks every dependency
+        # mappings key the derived-mapping memo (derived_cache); the
+        # generated hash walks every dependency
         object.__setattr__(
             self, "_hash", hash((self.source, self.target, self.dependencies))
         )

@@ -6,14 +6,18 @@ plus homomorphism tests fanned out over bounded instance universes.
 This package concentrates the engineering that makes those loops
 fast:
 
-* :mod:`repro.engine.indexing` — per-instance fact indexes so the
-  homomorphism join probes ``(relation, position, term)`` posting
-  lists instead of scanning relation extents;
+* :mod:`repro.engine.indexing` — fact indexes, built once per fact
+  set, so the homomorphism join probes ``(relation, position, term)``
+  posting lists instead of scanning relation extents;
 * :mod:`repro.engine.cache` — content-addressed memoization of chase
   results (by exact facts, plus one entry per orbit in orbit-mode
   sweeps), verdicts (under canonical, isomorphism-respecting instance
   keys) and mappings derived from mappings (under exact keys), one
-  memo path for every backend, with hit/miss counters;
+  memo path for every backend, with hit/miss counters.  What an
+  instance's facts determine — its fact index, its kernel form and
+  its canonical form — sits in the same kind of tier (``index``,
+  ``kinstance``, ``canon``), keyed by the exact facts, so every memo
+  follows ``--cache-size`` and ``reset_all_caches()``;
 * :mod:`repro.engine.parallel` — the :class:`ParallelUniverseRunner`
   that chunks universe streams across a ``multiprocessing`` pool with
   deterministic merge order and a serial fallback;
@@ -132,7 +136,7 @@ from repro.engine.faults import (
     fault_scope,
 )
 from repro.engine.fsck import FsckReport, fsck_checkpoint, fsck_store
-from repro.engine.indexing import FactIndex, fact_index, index_build_count
+from repro.engine.indexing import FactIndex, fact_index
 from repro.engine.kernel import (
     BACKEND_KERNEL,
     BACKEND_MODES,
@@ -192,7 +196,6 @@ from repro.engine.symmetry import (
     plan_sweep,
     resolve_shards,
     resolve_symmetry,
-    set_symmetry_memo_limit,
     shard_of_facts,
     shard_of_instance,
 )
@@ -262,7 +265,6 @@ __all__ = [
     "ground_canonical_form",
     "ground_keys_active",
     "ground_pair_key",
-    "index_build_count",
     "intern_table",
     "kernel_instance",
     "mapping_key",
@@ -281,7 +283,6 @@ __all__ = [
     "resolve_symmetry",
     "run_sweep",
     "set_defaults",
-    "set_symmetry_memo_limit",
     "shard_entry_key",
     "shard_of_facts",
     "shard_of_instance",

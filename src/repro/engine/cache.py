@@ -8,7 +8,7 @@ sweeping a universe, and a warm daemon asks for the same quasi-inverse
 and the same round trips job after job.  The caches here key those
 calls by *content*, so repeated calls on the same instance or mapping
 hit regardless of which object identity carries it, on every backend.
-There are three tiers:
+Three tiers live here:
 
 * ``chase`` (:data:`chase_cache`): a chase result keys by the mapping
   (:func:`mapping_key`) and the instance's exact fact set
@@ -35,10 +35,22 @@ There are three tiers:
   option, because the output's text, name and schemas depend on all
   of them.
 
-The first two persist through the store (:mod:`repro.engine.store`);
-derived mappings are process-local.  Every tier follows
-``--cache-size`` (:func:`resize_caches`) and :func:`reset_all_caches`,
-and no tier ever caches an exception.
+What an instance's fact set determines is memoized in tiers of its
+own, each defined beside the code that builds it and keyed by
+:func:`exact_key`, so copies of an instance share one entry:
+
+* ``index`` (:data:`repro.engine.indexing.index_cache`): the fact
+  index the object backend's homomorphism search probes;
+* ``kinstance`` (:data:`repro.engine.kernel.kinstance_cache`): the
+  kernel backend's interned form (beside it, ``compile`` holds the
+  kernel's compiled premises);
+* ``canon`` (:data:`repro.engine.symmetry.canon_cache`): a ground
+  instance's canonical form under constant permutation.
+
+Only ``chase`` and ``verdict`` persist through the store
+(:mod:`repro.engine.store`); every other tier is process-local.  Every
+tier follows ``--cache-size`` (:func:`resize_caches`) and
+:func:`reset_all_caches`, and no tier ever caches an exception.
 
 A warm sweep answers nearly every question from these caches, so the
 cost of a *probe* is what it pays for.  Repeated jobs rebuild their
@@ -70,14 +82,6 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Term, Variable
 from repro.engine.context import CONTEXT
 from repro.engine.store import stable_digest
-from repro.engine.symmetry import (
-    clear_symmetry_memos,
-    decanonicalize,
-    ground_canonical_form,
-    ground_keys_active,
-    mapping_permutation_invariant,
-    set_symmetry_memo_limit,
-)
 
 
 @dataclass
@@ -256,8 +260,8 @@ def register_reset_hook(hook: Callable[[], None]) -> None:
     """Run *hook* on every :func:`reset_all_caches` call.
 
     For engine state that memoizes outside a :class:`MemoCache` (the
-    kernel backend's per-instance memos, for example) and must drop
-    with the caches so cold benchmark runs are genuinely cold.
+    join-order memo and the shared-key table, for example) and must
+    drop with the caches so cold benchmark runs are genuinely cold.
     """
     _RESET_HOOKS.append(hook)
 
@@ -265,7 +269,6 @@ def register_reset_hook(hook: Callable[[], None]) -> None:
 def reset_all_caches() -> None:
     for cache in _REGISTRY:
         cache.clear()
-    clear_symmetry_memos()
     for hook in _RESET_HOOKS:
         hook()
 
@@ -284,8 +287,7 @@ def resize_caches(maxsize: Optional[int]) -> Optional[int]:
     """Set every engine cache's capacity (the CLI's --cache-size knob).
 
     The size also becomes the configured default for caches built
-    *afterwards* (:func:`configured_maxsize`) and is pushed into the
-    symmetry layer's canonical-form memos, so the knob applies
+    *afterwards* (:func:`configured_maxsize`), so the knob applies
     uniformly instead of only to the caches that happened to exist
     when the CLI parsed its flags.  ``None`` clears the override:
     existing caches return to their construction-time defaults.
@@ -296,7 +298,6 @@ def resize_caches(maxsize: Optional[int]) -> Optional[int]:
     if maxsize is not None:
         maxsize = cache_capacity(maxsize)
     previous, _CONFIGURED_MAXSIZE = _CONFIGURED_MAXSIZE, maxsize
-    set_symmetry_memo_limit(maxsize)
     for cache in _REGISTRY:
         cache.maxsize = cache.default_maxsize if maxsize is None else maxsize
         while len(cache._data) > cache.maxsize:
@@ -524,3 +525,14 @@ def cached_chase_result(
         result = solve(mapping, instance)
     chase_cache.put(key, result)
     return result
+
+
+# Bound last: the symmetry layer memoizes its canonical forms in a
+# MemoCache keyed by exact_key, so it imports this module, and it can
+# do so only once both are defined.
+from repro.engine.symmetry import (
+    decanonicalize,
+    ground_canonical_form,
+    ground_keys_active,
+    mapping_permutation_invariant,
+)

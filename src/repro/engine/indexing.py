@@ -7,9 +7,16 @@ the terms bound so far?".  The per-relation tuple on
 linear scan; a :class:`FactIndex` answers it with a hash probe on the
 most selective ``(relation, position, term)`` posting list.
 
-Indexes are built lazily, once per instance, and shared through a
-weak-keyed memo so that repeated probes against the same target (the
-normal shape of a chase or a bounded checker) pay the build cost once.
+Indexes are built lazily, once per fact set, and shared through the
+``index`` tier of the engine's memo caches (:data:`index_cache`, keyed
+by :func:`~repro.engine.cache.exact_key`), so that repeated probes
+against the same target (the normal shape of a chase or a bounded
+checker) pay the build cost once, and so do the copies of an instance
+that checkpoint replay, worker round-trips and orbit translation make.
+Sharing is sound because posting lists and the relation-extent
+fallback are functions of the (sorted) fact set alone — candidate
+order is identical for every copy.  Like every tier, it follows
+``--cache-size`` and :func:`~repro.engine.cache.reset_all_caches`.
 A :class:`FactIndex` reads the instance's per-relation tuples, which
 the instance itself builds on that first read (an instance nobody
 probes never sorts its facts).  Posting lists preserve the sorted fact
@@ -26,13 +33,12 @@ can at worst build the same index twice, with equal contents.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Term
-from repro.engine.cache import register_reset_hook
+from repro.engine.cache import MemoCache, exact_key
 
 PostingKey = Tuple[str, int, Term]
 
@@ -48,8 +54,6 @@ class FactIndex:
     __slots__ = ("instance", "postings")
 
     def __init__(self, instance: Instance) -> None:
-        global _BUILD_COUNT
-        _BUILD_COUNT = _BUILD_COUNT + 1
         self.instance = instance
         postings: Dict[PostingKey, list] = {}
         for relation in instance.relations():
@@ -91,48 +95,18 @@ class FactIndex:
         return best
 
 
-# Two-level memo: object identity first, then the exact fact set.
-# Instances get copied freely (checkpoint replay, worker round-trips,
-# orbit decanonicalization), and every copy used to rebuild its index
-# from scratch; the facts-keyed fallback lets copies with equal fact
-# sets share one build.  Sharing is sound because posting lists and
-# the relation-extent fallback are functions of the (sorted) fact set
-# alone — candidate order is identical for every copy.
-_INDEXES: "weakref.WeakKeyDictionary[Instance, FactIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-_INDEXES_BY_FACTS: Dict[frozenset, FactIndex] = {}
-_INDEXES_BY_FACTS_MAX = 16_384
-
-_BUILD_COUNT = 0
-
-
-def index_build_count() -> int:
-    """Process-lifetime count of :class:`FactIndex` constructions.
-
-    A regression hook: tests assert that probing copies of an instance
-    (equal facts, distinct objects) does not grow this counter."""
-    return _BUILD_COUNT
-
-
-def _clear_index_memos() -> None:
-    _INDEXES.clear()
-    _INDEXES_BY_FACTS.clear()
-
-
-register_reset_hook(_clear_index_memos)
+#: One entry per fact set.  E5 alone builds about 20,500 indexes in one
+#: cold run, so a smaller default would rebuild them through eviction.
+#: Each entry holds the instance that built it (the relation-extent
+#: fallback reads it), so the bound also caps the instances kept alive.
+index_cache = MemoCache("index", maxsize=65_536)
 
 
 def fact_index(instance: Instance) -> FactIndex:
     """The (memoized) :class:`FactIndex` for *instance*."""
-    index = _INDEXES.get(instance)
-    if index is not None:
-        return index
-    index = _INDEXES_BY_FACTS.get(instance.facts)
-    if index is None:
+    key = exact_key(instance)
+    hit, index = index_cache.get(key)
+    if not hit:
         index = FactIndex(instance)
-        if len(_INDEXES_BY_FACTS) >= _INDEXES_BY_FACTS_MAX:
-            _INDEXES_BY_FACTS.clear()
-        _INDEXES_BY_FACTS[instance.facts] = index
-    _INDEXES[instance] = index
+        index_cache.put(key, index)
     return index

@@ -12,7 +12,8 @@ backend (``backend="kernel"``, CLI ``--backend``, env
   forked pool workers inherit the whole table);
 * a :class:`KernelInstance` stores an instance as per-relation lists
   of id-tuples in sorted-fact order, with ``(relation, position, id)``
-  posting lists packed as ``array('q')`` row indexes;
+  posting lists packed as ``array('q')`` row indexes, built once per
+  fact set (the ``kinstance`` tier);
 * premises are compiled once (:mod:`repro.engine.compile`) into join
   plans whose atom order matches the object backend's greedy order
   exactly, so results — and result *order* — are byte-identical after
@@ -31,10 +32,12 @@ plan, or None to run the interpreted loop), ``all_homomorphisms`` and
 ``has_homomorphism``.  The backend runs only the work behind a memo
 miss: :mod:`repro.core.mapping` memoizes chases and verdicts in the
 engine's content-addressed caches (:mod:`repro.engine.cache`) on every
-backend alike, and the one memo of the kernel's own is the
-homomorphism-existence memo of :func:`kernel_has_homomorphism`.  The
-sql backend (:mod:`repro.engine.sqlbackend`) inherits all of it but
-the chase.
+backend alike.  The kernel's own memos are two tiers of the same
+caches, ``kinstance`` (kernel instances, keyed by
+:func:`~repro.engine.cache.exact_key`) and ``compile`` (compiled
+premises), plus the homomorphism-existence memo each kernel instance
+carries (:func:`kernel_has_homomorphism`).  The sql backend
+(:mod:`repro.engine.sqlbackend`) inherits all of it but the chase.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import weakref
 from array import array
 from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -51,7 +53,7 @@ from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Term
 from repro.engine.budget import current_budget
-from repro.engine.cache import MemoCache, register_reset_hook
+from repro.engine.cache import MemoCache, exact_key
 from repro.engine.compile import CompiledPremise, compile_premise
 from repro.engine.context import BACKEND_MODES, CONTEXT, EngineContext, scope
 
@@ -188,9 +190,10 @@ class KernelInstance:
     ``postings[(relation, position, id)]`` is an ``array('q')`` of row
     indexes into ``rows[relation]``, ascending.  ``kid`` is a dense
     process-local identity used as a cheap content key by the
-    homomorphism-existence memo (two live :class:`KernelInstance`
-    objects never share a fact set, so within a process ``kid`` is
-    content-exact).
+    homomorphism-existence memo: every build takes a fresh ``kid``, so
+    a ``kid`` names one fact set for the life of the process (a fact
+    set rebuilt after a ``kinstance`` eviction gets another ``kid``,
+    which costs the memo hits, never a wrong verdict).
     """
 
     __slots__ = (
@@ -201,7 +204,6 @@ class KernelInstance:
         "kid",
         "hom_premise",
         "hom_memo",
-        "__weakref__",
     )
 
     def __init__(self, facts: FrozenSet[Atom]) -> None:
@@ -231,38 +233,26 @@ class KernelInstance:
         self.nfacts = len(facts)
         self.kid = next(_KID_COUNTER)
         # hom_memo maps a target kid to hom-existence out of this
-        # instance; it dies with the kernel instance (and is cleared
-        # with the caches via the reset hook).
+        # instance; it dies with the kernel instance, which the
+        # kinstance tier evicts and reset_all_caches() drops.
         self.hom_memo: Dict[int, bool] = {}
         # the instance's own facts compiled as a match pattern, for
         # homomorphism-existence probes with this instance as source
         self.hom_premise: Optional[CompiledPremise] = None
 
 
-# Kernel instances are memoized two ways: object identity first (the
-# common repeat probe in a sweep's inner loop), then fact content, so
-# copies of an instance share one build.  Identity memoization uses a
-# plain dict keyed by ``id(instance)`` — a hashless probe, roughly 2x
-# cheaper than a WeakKeyDictionary lookup in the verdict hot loop —
-# with a weakref finalizer evicting the entry when the instance dies
-# so a recycled id can never alias a dead one.
-_BY_INSTANCE: Dict[int, Tuple["weakref.ref[Instance]", KernelInstance]] = {}
+#: The one memo of kernel instances, keyed by the instance's exact fact
+#: set, so every copy of an instance shares one build.
 kinstance_cache = MemoCache("kinstance", maxsize=65_536)
 
 
 def kernel_instance(instance: Instance) -> KernelInstance:
     """The (memoized) :class:`KernelInstance` for *instance*."""
-    entry = _BY_INSTANCE.get(id(instance))
-    if entry is not None:
-        return entry[1]
-    facts = instance.facts
-    hit, kinst = kinstance_cache.get(facts)
+    key = exact_key(instance)
+    hit, kinst = kinstance_cache.get(key)
     if not hit:
-        kinst = KernelInstance(facts)
-        kinstance_cache.put(facts, kinst)
-    key = id(instance)
-    ref = weakref.ref(instance, lambda _r, _k=key: _BY_INSTANCE.pop(_k, None))
-    _BY_INSTANCE[key] = (ref, kinst)
+        kinst = KernelInstance(key)
+        kinstance_cache.put(key, kinst)
     return kinst
 
 
@@ -479,20 +469,6 @@ def _sort_key(variables):
         return tuple(match[variable].sort_key() for variable in variables)
 
     return key
-
-
-def _clear_kernel_memos() -> None:
-    """Reset-hook body: drop instance-attached kernel state.
-
-    The intern table is deliberately *not* cleared — ids are
-    append-only for the life of the process and compiled premises
-    embed them.  Everything content-derived (kernel instances and
-    their memos) goes, so a benchmark's cold run after
-    ``reset_all_caches()`` is genuinely cold."""
-    _BY_INSTANCE.clear()
-
-
-register_reset_hook(_clear_kernel_memos)
 
 
 # -- the backend interface ------------------------------------------------

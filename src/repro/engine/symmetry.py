@@ -60,6 +60,7 @@ from typing import (
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant
+from repro.engine.cache import MemoCache, exact_key
 from repro.engine.context import CONTEXT, SYMMETRY_MODES
 
 SYMMETRY_FULL = "full"
@@ -388,35 +389,14 @@ class GroundCanonicalForm:
 # the hot path of every chase / verdict lookup in an orbit-mode sweep;
 # the same few hundred universe instances recur thousands of times, so
 # the canonical form is memoized by exact fact set.
-_FORM_MEMO: Dict[FrozenSet[Atom], GroundCanonicalForm] = {}
-_FORM_MEMO_DEFAULT = 65_536
-_FORM_MEMO_MAX = _FORM_MEMO_DEFAULT
-
-
-def set_symmetry_memo_limit(maxsize: Optional[int]) -> None:
-    """Bound the canonical-form memo table (pushed down from
-    :func:`repro.engine.cache.resize_caches`, so the CLI's
-    --cache-size knob governs this memo too).  ``None`` restores
-    the construction default."""
-    global _FORM_MEMO_MAX
-    if maxsize is None:
-        _FORM_MEMO_MAX = _FORM_MEMO_DEFAULT
-    else:
-        _FORM_MEMO_MAX = max(1, int(maxsize))
-    if len(_FORM_MEMO) > _FORM_MEMO_MAX:
-        _FORM_MEMO.clear()
-
-
-def clear_symmetry_memos() -> None:
-    """Drop the canonical-form memo table (joined into
-    :func:`repro.engine.cache.reset_all_caches`)."""
-    _FORM_MEMO.clear()
+canon_cache = MemoCache("canon", maxsize=65_536)
 
 
 def ground_canonical_form(instance: Instance) -> GroundCanonicalForm:
     """Canonicalize a *ground* instance under constant permutation."""
-    cached = _FORM_MEMO.get(instance.facts)
-    if cached is not None:
+    key = exact_key(instance)
+    hit, cached = canon_cache.get(key)
+    if hit:
         return cached
     if not instance.is_ground():
         raise ValueError(
@@ -445,9 +425,7 @@ def ground_canonical_form(instance: Instance) -> GroundCanonicalForm:
         forward=forward,
         automorphisms=automorphisms,
     )
-    if len(_FORM_MEMO) >= _FORM_MEMO_MAX:
-        _FORM_MEMO.clear()
-    _FORM_MEMO[instance.facts] = form
+    canon_cache.put(key, form)
     return form
 
 
@@ -865,7 +843,6 @@ __all__ = [
     "SYMMETRY_FULL",
     "SYMMETRY_MODES",
     "SYMMETRY_ORBITS",
-    "clear_symmetry_memos",
     "count_orbits",
     "decanonicalize",
     "default_shards",
@@ -880,7 +857,6 @@ __all__ = [
     "plan_sweep",
     "resolve_shards",
     "resolve_symmetry",
-    "set_symmetry_memo_limit",
     "shard_of_facts",
     "shard_of_instance",
     "SweepPlan",

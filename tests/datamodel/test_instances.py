@@ -14,7 +14,13 @@ from repro.datamodel.atoms import Atom, atom
 from repro.datamodel.instances import Instance, rename_apart
 from repro.datamodel.schemas import Schema, SchemaError
 from repro.datamodel.terms import Constant, Null, Variable
-from repro.engine import reset_all_caches
+from repro.engine import (
+    all_cache_stats,
+    ground_canonical_form,
+    kernel_instance,
+    reset_all_caches,
+    resize_caches,
+)
 from repro.engine.indexing import FactIndex, fact_index
 
 
@@ -126,6 +132,15 @@ def _rows():
     }
 
 
+def _ground_rows(variant):
+    """:func:`_rows` over constants only, so that every instance has a
+    canonical form, with one more fact that tells *variant* apart."""
+    rows = _rows()
+    rows["F"].append((f"v{61 + variant}",))
+    rows["G"] = [(f"n{(3 * i) % 11}", f"v{i}") for i in range(11)]
+    return rows
+
+
 RELATIONS = ("E", "F", "G", "H")
 
 
@@ -158,13 +173,31 @@ class TestLazyIndex:
         assert instance.facts_for("F")[0] == atom("F", "v0")
         assert len(calls) > 0
 
-    def test_threads_reading_fresh_instances_agree_with_a_serial_build(self):
+    @pytest.mark.parametrize(
+        "tier_size", [None, 1], ids=["default-tiers", "one-entry-tiers"]
+    )
+    def test_threads_reading_fresh_instances_agree_with_a_serial_build(
+        self, tier_size
+    ):
+        # Two fact sets, so that one-entry memo tiers make the threads
+        # evict each other's index, kernel form and canonical form in
+        # the middle of a build.
+        variants = (0, 1)
+        expected = {}
+        for variant in variants:
+            serial = Instance.build(_ground_rows(variant))
+            expected[variant] = (
+                _reads(serial),
+                FactIndex(serial).postings,
+                kernel_instance(serial).rows,
+                ground_canonical_form(serial).key(),
+            )
         reset_all_caches()
-        serial = Instance.build(_rows())
-        expected = _reads(serial)
-        expected_postings = FactIndex(serial).postings
-        # distinct objects with equal facts, none of them read yet
-        fresh = [Instance.build(_rows()) for _ in range(6)]
+        # distinct objects with equal facts per variant, none read yet
+        fresh = [
+            (variant, Instance.build(_ground_rows(variant)))
+            for variant in variants * 3
+        ]
         threads_count = 8  # more threads than the host has cores
         barrier = threading.Barrier(threads_count)
         results = [None] * threads_count
@@ -174,14 +207,23 @@ class TestLazyIndex:
             try:
                 barrier.wait(timeout=30)
                 seen = []
-                for instance in fresh:
+                for variant, instance in fresh:
                     seen.append(
-                        (_reads(instance), fact_index(instance).postings)
+                        (
+                            variant,
+                            (
+                                _reads(instance),
+                                fact_index(instance).postings,
+                                kernel_instance(instance).rows,
+                                ground_canonical_form(instance).key(),
+                            ),
+                        )
                     )
                 results[slot] = seen
             except Exception as error:  # surfaced by the main thread
                 errors.append(error)
 
+        previous_size = resize_caches(tier_size)
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -195,13 +237,17 @@ class TestLazyIndex:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(previous)
+            resize_caches(previous_size)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         for seen in results:
             assert len(seen) == len(fresh)
-            for reads, postings in seen:
-                assert reads == expected
-                assert postings == expected_postings
+            for variant, reads in seen:
+                assert reads == expected[variant]
+        if tier_size == 1:
+            tiers = {stats.name: stats for stats in all_cache_stats()}
+            for name in ("index", "kinstance", "canon"):
+                assert tiers[name].evictions > 0
 
     def test_pickling_before_and_after_the_first_read(self):
         # pool workers receive their instances pickled, read or not

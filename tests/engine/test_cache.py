@@ -1,9 +1,13 @@
 """Unit tests for the engine's content-addressed memo caches."""
 
 import gc
+import os
+import subprocess
 import sys
 import threading
 import time
+
+import pytest
 
 import repro.engine.cache as cache
 from repro.catalog import decomposition
@@ -13,17 +17,36 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null, Variable
 from repro.engine import (
     MemoCache,
+    all_cache_stats,
     cached_chase_result,
     canonical_key,
     canonicalize_instance,
     chase_cache,
+    fact_index,
+    ground_canonical_form,
+    kernel_instance,
     mapping_key,
     reset_all_caches,
 )
 from repro.engine.cache import resize_caches, symmetry_keys_apply
+from repro.engine.indexing import index_cache
+from repro.engine.kernel import kinstance_cache
 from repro.engine.store import stable_digest
 from repro.engine.context import scope
+from repro.engine.symmetry import canon_cache
 from repro.workloads import power_instances, random_lav_mapping
+
+REPO_SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src")
+)
+
+#: The tiers that memoize what an instance's fact set determines: its
+#: fact index, its kernel form and its canonical form.
+INSTANCE_TIERS = {
+    "index": index_cache,
+    "kinstance": kinstance_cache,
+    "canon": canon_cache,
+}
 
 
 class TestMemoCache:
@@ -132,15 +155,59 @@ class TestMemoCache:
             resize_caches(None)
         assert late.maxsize == 1000
 
-    def test_resize_pushes_symmetry_memo_limit(self):
-        import repro.engine.symmetry as symmetry
-
+    @pytest.mark.parametrize("name", sorted(INSTANCE_TIERS))
+    def test_resize_bounds_the_instance_tiers(self, name):
+        tier = INSTANCE_TIERS[name]
         resize_caches(7)
         try:
-            assert symmetry._FORM_MEMO_MAX == 7
+            assert tier.maxsize == 7
         finally:
             resize_caches(None)
-        assert symmetry._FORM_MEMO_MAX == symmetry._FORM_MEMO_DEFAULT
+        # above the ~20,500 indexes E5 builds in one cold run
+        assert tier.maxsize == 65_536
+
+
+class TestInstanceTiers:
+    """The fact index, the kernel form and the canonical form are memo
+    tiers like every other: listed, keyed by the fact set, and emptied
+    by a reset."""
+
+    @pytest.mark.parametrize("name", sorted(INSTANCE_TIERS))
+    def test_copies_share_one_entry_until_a_reset(self, name):
+        reset_all_caches()
+        for _ in range(2):
+            instance = Instance.build({"P": [("a", "b"), ("b", "c")]})
+            fact_index(instance)
+            kernel_instance(instance)
+            ground_canonical_form(instance)
+        stats = {stats.name: stats for stats in all_cache_stats()}[name]
+        assert (stats.size, stats.hits, stats.misses) == (1, 1, 1)
+        reset_all_caches()
+        assert INSTANCE_TIERS[name].stats().size == 0
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.engine.symmetry",
+        "repro.engine.cache",
+        "repro.engine.indexing",
+        "repro.engine.kernel",
+        "repro.engine.sqlbackend",
+        "repro.chase.homomorphism",
+    ],
+)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # cache.py binds symmetry's names last, because symmetry imports
+    # cache for its memo tier; every entry point must still import
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": REPO_SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 class TestCanonicalization:

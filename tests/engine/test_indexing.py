@@ -1,5 +1,8 @@
 """Unit tests for the engine's inverted fact index."""
 
+import gc
+import weakref
+
 from repro.chase.homomorphism import (
     _match_atom,
     all_homomorphisms,
@@ -8,7 +11,8 @@ from repro.chase.homomorphism import (
 from repro.datamodel.atoms import atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Variable
-from repro.engine import FactIndex, fact_index
+from repro.engine import FactIndex, fact_index, resize_caches
+from repro.engine.indexing import index_cache
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -71,17 +75,33 @@ class TestFactIndex:
     def test_copies_never_rebuild_the_index(self):
         # regression: instance copies (checkpoint replay, worker
         # round-trips) used to rebuild postings from scratch; the
-        # facts-keyed fallback memo must absorb them
-        from repro.engine.indexing import index_build_count
-
+        # index tier keys by the fact set, so it must absorb them
         rows = [("a", "b"), ("b", "c"), ("c", "a")]
         fact_index(Instance.build({"P": rows}))
-        before = index_build_count()
+        before = index_cache.misses
         for _ in range(5):
             copy = Instance.build({"P": list(rows)})
             fact_index(copy)
             find_homomorphism([atom("P", X, Y)], copy)
-        assert index_build_count() == before
+        assert index_cache.misses == before
+
+    def test_the_tier_keeps_no_more_probed_instances_alive_than_its_bound(self):
+        # regression: a weak-keyed table of indexes never dropped an
+        # entry, because each index held its own key, so every instance
+        # a search had probed stayed alive for the life of the process
+        previous = resize_caches(8)
+        try:
+            refs = []
+            for count in range(1_000):
+                instance = Instance.build({"P": [(f"a{count}", "b")]})
+                find_homomorphism([atom("P", X, Y)], instance)
+                refs.append(weakref.ref(instance))
+                del instance
+            gc.collect()
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            resize_caches(previous)
+        assert alive <= 8
 
 
 class TestIndexedSearchEquivalence:

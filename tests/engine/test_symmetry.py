@@ -10,6 +10,7 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Constant, Null
 from repro.core.mapping import SchemaMapping
+from repro.engine import reset_all_caches
 from repro.engine.symmetry import (
     SYMMETRY_FULL,
     SYMMETRY_ORBITS,
@@ -76,9 +77,7 @@ class TestCanonicalForm:
         assert form.orbit_size(3) == 3
 
     def test_rejects_non_ground_instances(self):
-        from repro.engine.symmetry import clear_symmetry_memos
-
-        clear_symmetry_memos()
+        reset_all_caches()
         with_null = Instance.of([Atom("R", (Constant("a"), Null(0)))])
         with pytest.raises(ValueError):
             ground_canonical_form(with_null)
