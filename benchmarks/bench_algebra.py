@@ -7,17 +7,13 @@ running the sweep through the staged pipeline the planner picks under
 >= ``ACCEPTANCE_SPEEDUP`` — with byte-identical reports, because the
 plan is an execution detail, never a result.
 
-Two legs:
+The fan-in/chain scenario runs at a width where MinGen emits
+hundreds of rules.  Interleaved cold runs (caches reset before every
+run), median-of-``ROUNDS`` on each side, unique- and subset-sweep
+kinds both gated.
 
-* **Speedup** — the fan-in/chain scenario at a width where MinGen
-  emits hundreds of rules.  Interleaved cold runs (caches reset before
-  every run), median-of-``ROUNDS`` on each side, unique- and
-  subset-sweep kinds both gated.
-
-* **Identity** — every sweep scenario x every sweep kind rendered
-  under plan ``materialize | auto`` x backend ``object | kernel | sql``
-  x serial/parallel workers, plus every catalog inverse pair under
-  ``materialize | membership | auto``: one fixed string per check.
+Plan x backend x workers identity is the parity harness's
+(``benchmarks/bench_parity.py``, ``tests/test_parity.py``).
 """
 
 from __future__ import annotations
@@ -27,14 +23,9 @@ import time
 
 from benchmarks.conftest import QUICK
 
-from repro.algebra.scenarios import (
-    fan_in_chain_expression,
-    inverse_pairs,
-    sweep_scenarios,
-)
+from repro.algebra.scenarios import fan_in_chain_expression
 from repro.algebra.sweeps import check_expression
 from repro.engine.cache import reset_all_caches
-from repro.engine.parallel import fork_available
 
 #: Width of the fan-in/chain blow-up scenario.  Width 3 composes to
 #: ~80 MinGen rules (sub-second), width 4 to ~600 (tens of seconds on
@@ -86,49 +77,3 @@ def test_planned_sweep_speedup_acceptance(benchmark):
             f">= {ACCEPTANCE_SPEEDUP}x): materialize median "
             f"{naive_median:.3f}s vs planned {planned_median:.3f}s"
         )
-
-
-def test_algebra_reports_byte_identical(benchmark):
-    """Every scenario x kind x plan x backend x workers: one string.
-
-    Runs the full matrix even under BENCH_QUICK — a reduced matrix
-    would gate a weaker claim.  Scenario expressions stay at width 3
-    here; this leg gates identity, not speed.
-    """
-    worker_counts = (None, 2) if fork_available() else (None,)
-
-    def matrix():
-        divergent = []
-        for name, expr in sweep_scenarios(3):
-            for kind in ("unique", "subset", "invertibility"):
-                renderings = set()
-                for plan in ("materialize", "auto"):
-                    for backend in ("object", "kernel", "sql"):
-                        for workers in worker_counts:
-                            reset_all_caches()
-                            report = check_expression(
-                                expr,
-                                kind,
-                                plan=plan,
-                                backend=backend,
-                                workers=workers,
-                            )
-                            renderings.add(report.render())
-                if len(renderings) != 1:
-                    divergent.append((name, kind))
-        for name, forward, reverse in inverse_pairs():
-            renderings = set()
-            for plan in ("materialize", "membership", "auto"):
-                reset_all_caches()
-                report = check_expression(
-                    forward, "inverse", reverse=reverse, plan=plan
-                )
-                renderings.add(report.render())
-            if len(renderings) != 1:
-                divergent.append((name, "inverse"))
-        return divergent
-
-    divergent = benchmark.pedantic(matrix, rounds=1, iterations=1)
-    assert not divergent, (
-        f"algebra reports diverge across plan/backend/workers: {divergent}"
-    )

@@ -55,15 +55,14 @@ def test_subset_property_warm_cache(benchmark, max_facts):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_subset_property_worker_equivalence(benchmark, workers):
-    """Verdicts are byte-identical across worker counts (and the
-    parallel path's overhead is visible in the n=… comparison)."""
+def test_subset_property_workers(benchmark, workers):
+    """The parallel path's overhead, visible in the n=… comparison
+    (that both render the same verdict is a row of the parity harness,
+    ``tests/test_parity.py``)."""
     mapping = decomposition()
     universe = instance_universe(mapping.source, [0, 1], max_facts=2)
     relation = SolutionEquivalence(mapping)
     reset_engine_stats()
-    serial = subset_property(mapping, relation, relation, universe, workers=1)
-
     report = benchmark.pedantic(
         lambda: subset_property(
             mapping, relation, relation, universe, workers=workers
@@ -71,7 +70,7 @@ def test_subset_property_worker_equivalence(benchmark, workers):
         rounds=1,
         iterations=1,
     )
-    assert report == serial
+    assert report.holds
 
 
 def test_parallel_runner_fan_out(benchmark):

@@ -41,6 +41,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from contextlib import suppress
+import signal
 import subprocess
 import sys
 import tempfile
@@ -68,6 +70,7 @@ def _spawn_daemon(state_dir: str):
          "--port", "0", "--state-dir", state_dir, "--max-jobs", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         env=_env(), text=True,
+        start_new_session=True,  # its own process group, which _stop_daemon kills
     )
     endpoint_file = os.path.join(state_dir, "service.json")
     deadline = time.monotonic() + 30
@@ -83,7 +86,7 @@ def _spawn_daemon(state_dir: str):
             pass
         time.sleep(0.05)
     else:
-        process.kill()
+        os.killpg(process.pid, signal.SIGKILL)
         raise RuntimeError("daemon did not write its endpoint file")
     return process, ServiceClient(f"http://{endpoint['host']}:{endpoint['port']}")
 
@@ -102,12 +105,12 @@ def _verdict(body: dict):
 
 
 def _stop_daemon(process, client: ServiceClient) -> None:
-    try:
+    with suppress(Exception):  # killed below either way
         client.shutdown()
         process.wait(timeout=15)
-    except Exception:
-        process.kill()
-        process.wait()
+    with suppress(ProcessLookupError):  # its process group: it and any pool worker it left
+        os.killpg(process.pid, signal.SIGKILL)
+    process.wait()
 
 
 def _cli_argv(payload: dict):

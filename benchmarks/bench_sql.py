@@ -9,15 +9,12 @@ Two workloads, two claims:
   for 1% of this size), so the run is SQL-only and gated by a
   wall-clock :class:`~repro.engine.budget.Budget`.
 
-* **Parity** — at a kernel-feasible scale the two backends must chase
-  to the *same* fixpoint, and the SQL backend must win by
-  >= ``ACCEPTANCE_SPEEDUP`` (median of interleaved cold runs).  On top
-  of that, the whole experiment catalog is rendered under every
-  backend x worker-count combination and the reports must be
-  byte-identical — the backend is an execution detail, never a result.
-  Each leg picks its backend with ``use_backend`` and its worker count
-  with ``set_defaults``; the serial sql leg must show that it reached
-  the sql backend, and each ``workers=2`` leg that it forked a pool.
+* **Speedup** — at a kernel-feasible scale the two backends must
+  chase to the *same* fixpoint, and the SQL backend must win by
+  >= ``ACCEPTANCE_SPEEDUP`` (median of interleaved cold runs).
+
+The experiment catalog under every backend x worker count is a set of
+rows of the parity harness (``benchmarks/bench_parity.py``).
 
 The chain workload is deliberately join-heavy: the transitive
 one-step/two-step dependencies make every round a self-join of ``E``
@@ -35,11 +32,9 @@ from benchmarks.conftest import QUICK
 from repro.chase.standard import chase
 from repro.datamodel.instances import Instance
 from repro.dependencies.parser import parse_dependency
-from repro.engine import engine_stats, reset_engine_stats, set_defaults, use_backend
+from repro.engine import use_backend
 from repro.engine.budget import Budget, use_budget
 from repro.engine.cache import reset_all_caches
-from repro.engine.parallel import fork_available
-from repro.experiments.registry import run_all
 
 #: The scale leg: 1000 chains x 100 edges = 100,000 source facts.
 #: Kept full-size even under BENCH_QUICK — the whole point is that
@@ -131,56 +126,4 @@ def test_sql_speedup_acceptance(benchmark):
         f"{SPEEDUP_CHAINS}x{SPEEDUP_LENGTH} chains (acceptance: "
         f">= {ACCEPTANCE_SPEEDUP}x): kernel median {kernel_median:.3f}s "
         f"vs sql {sql_median:.3f}s"
-    )
-
-
-def _catalog_text(backend: str, workers: int) -> str:
-    previous = set_defaults(workers=workers or 1)
-    try:
-        reset_engine_stats()  # clears the caches too
-        with use_backend(backend):
-            return "\n\n".join(report.render() for report in run_all())
-    finally:
-        set_defaults(**previous)
-
-
-def test_catalog_reports_byte_identical(benchmark):
-    """Every experiment report, byte for byte, across backend x workers.
-
-    This is the acceptance gate for the backend as a whole: E1-E14
-    rendered under ``object | kernel | sql`` x ``serial | parallel``
-    must be a single fixed string.  Runs the full catalog even under
-    BENCH_QUICK — a reduced catalog would gate a weaker claim.
-    """
-    worker_counts = (0, 2) if fork_available() else (0,)
-
-    def all_modes():
-        texts, routed, forked = {}, 0, {}
-        try:
-            for backend in ("object", "kernel", "sql"):
-                for workers in worker_counts:
-                    texts[backend, workers] = _catalog_text(backend, workers)
-                    if (backend, workers) == ("sql", 0):
-                        routed = engine_stats().counter("sql_small_routed")
-                    if workers:
-                        forked[backend] = engine_stats().snapshot().get(
-                            "universe.parallel", (0, 0.0)
-                        )[0]
-            return texts, routed, forked
-        finally:
-            reset_all_caches()
-
-    texts, routed, forked = benchmark.pedantic(all_modes, rounds=1, iterations=1)
-    # The sql backend counts every chase it hands to the interpreted
-    # loop, and the runner times every map it fans out to a pool; a leg
-    # that never reached either would pass the identity check
-    # vacuously.
-    assert routed > 0, "the serial sql leg never ran on the sql backend"
-    idle = [backend for backend, calls in forked.items() if not calls]
-    assert not idle, f"the workers=2 legs never forked a pool: {idle}"
-    baseline = texts[("object", 0)]
-    assert baseline  # the catalog rendered something
-    divergent = [key for key, text in texts.items() if text != baseline]
-    assert not divergent, (
-        f"catalog reports diverge from (object, serial) under: {divergent}"
     )

@@ -122,9 +122,14 @@ def _mapping_label(mapping) -> str:
 def _run_experiment_job(
     spec: Dict[str, Any], checkpoint: Optional[CheckpointJournal]
 ) -> Tuple[str, bool]:
+    """One registered experiment, whose checkers all follow the job's
+    engine options (its budget ones arrive through :func:`budget_for`)."""
+    from repro.engine.context import scope
     from repro.experiments import run_experiment
 
-    report = run_experiment(spec["experiment"])
+    options = dict(_sweep_options(spec), plan=spec.get("plan"))
+    with scope(**{name: value for name, value in options.items() if value is not None}):
+        report = run_experiment(spec["experiment"])
     return report.render(), report.passed
 
 

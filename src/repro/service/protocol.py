@@ -226,9 +226,7 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
                 f"known: {', '.join(all_experiment_ids())}"
             )
         spec["experiment"] = experiment
-        return spec
-
-    if kind == "algebra":
+    elif kind == "algebra":
         spec["expression"] = _normalize_expression(
             payload.get("expression"), "expression"
         )
@@ -260,22 +258,23 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
                     f"{mapping.target} of {mapping.name or 'inline'}"
                 )
 
-    domain = payload.get("domain", list(_DEFAULT_DOMAIN))
-    if isinstance(domain, str):
-        domain = [part for part in domain.split(",") if part]
-    if (
-        not isinstance(domain, (list, tuple))
-        or not domain
-        or not all(isinstance(c, str) and c for c in domain)
-    ):
-        raise ServiceProtocolError("domain must be a non-empty list of constant names")
-    spec["domain"] = sorted(set(domain))
+    if kind != "experiment":
+        domain = payload.get("domain", list(_DEFAULT_DOMAIN))
+        if isinstance(domain, str):
+            domain = [part for part in domain.split(",") if part]
+        if (
+            not isinstance(domain, (list, tuple))
+            or not domain
+            or not all(isinstance(c, str) and c for c in domain)
+        ):
+            raise ServiceProtocolError("domain must be a non-empty list of constant names")
+        spec["domain"] = sorted(set(domain))
+        max_facts = payload.get("max_facts", _DEFAULT_MAX_FACTS)
+        if not isinstance(max_facts, int) or isinstance(max_facts, bool) or max_facts < 0:
+            raise ServiceProtocolError("max_facts must be a non-negative integer")
+        spec["max_facts"] = max_facts
 
-    max_facts = payload.get("max_facts", _DEFAULT_MAX_FACTS)
-    if not isinstance(max_facts, int) or isinstance(max_facts, bool) or max_facts < 0:
-        raise ServiceProtocolError("max_facts must be a non-negative integer")
-    spec["max_facts"] = max_facts
-
+    # Every kind runs under the engine options it carries.
     for option, expected in sorted(_OPTION_TYPES.items()):
         value = payload.get(option)
         if value is None:
@@ -411,8 +410,7 @@ def build_payload(arguments: Any) -> Dict[str, Any]:
     payload: Dict[str, Any] = {"kind": arguments.kind}
     if arguments.kind == "experiment":
         payload["experiment"] = arguments.target
-        return payload
-    if arguments.kind == "algebra":
+    elif arguments.kind == "algebra":
         payload["expression"] = arguments.target
         if arguments.check:
             payload["check"] = arguments.check

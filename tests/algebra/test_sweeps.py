@@ -1,5 +1,7 @@
-"""Plan-directed sweeps: byte-identity, staged evaluation, governance,
-and the service/CLI integration of the algebra kind."""
+"""Plan-directed sweeps: staged evaluation, governance, and the
+service/CLI integration of the algebra kind.  That every plan renders
+the same report is a row of the parity harness
+(``tests/test_parity.py``)."""
 
 import pytest
 
@@ -10,11 +12,7 @@ from repro.algebra.evaluate import (
     staged_mapping,
 )
 from repro.algebra.expr import Compose, MappingAtom, parse_expression
-from repro.algebra.scenarios import (
-    dead_branch_expression,
-    fan_in_chain_expression,
-    inverse_pairs,
-)
+from repro.algebra.scenarios import fan_in_chain_expression
 from repro.algebra.sweeps import check_expression
 from repro.catalog.mappings import projection, projection_quasi_inverse
 from repro.core.mapping import StagedMapping, is_solution, universal_solution
@@ -59,40 +57,6 @@ class TestStagedMapping:
         )
         solution = universal_solution(staged, source)
         assert is_solution(materialize(expr), source, solution)
-
-
-class TestByteIdentity:
-    @pytest.mark.parametrize("kind", ["unique", "subset", "invertibility"])
-    def test_sweep_kinds_identical_across_plans(self, kind):
-        expr = fan_in_chain_expression(WIDTH)
-        renderings = {}
-        for plan in ("materialize", "auto"):
-            reset_all_caches()
-            report = check_expression(expr, kind, plan=plan)
-            renderings[plan] = report.render()
-        assert renderings["materialize"] == renderings["auto"]
-
-    def test_dead_branch_identical_across_plans(self):
-        expr = dead_branch_expression(WIDTH)
-        naive = check_expression(expr, "unique", plan="materialize").render()
-        reset_all_caches()
-        planned = check_expression(expr, "unique", plan="auto").render()
-        assert naive == planned
-
-    @pytest.mark.parametrize(
-        "name,forward,reverse",
-        [pair for pair in inverse_pairs()],
-        ids=[pair[0] for pair in inverse_pairs()],
-    )
-    def test_inverse_kind_identical_across_plans(self, name, forward, reverse):
-        renderings = set()
-        for plan in ("materialize", "membership", "auto"):
-            reset_all_caches()
-            report = check_expression(
-                forward, "inverse", reverse=reverse, plan=plan
-            )
-            renderings.add(report.render())
-        assert len(renderings) == 1
 
 
 class TestExpressionMembership:

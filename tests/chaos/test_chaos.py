@@ -269,6 +269,7 @@ def _spawn_raw(state_dir, env_extra):
         stderr=subprocess.STDOUT,
         env=env,
         text=True,
+        start_new_session=True,  # its own process group, which _stop kills
     )
 
 
@@ -329,7 +330,10 @@ class TestDaemonKill:
         # Restart under the same chaos: the requeued job (attempt 1,
         # within budget) runs again and kills the daemon again.
         process = _spawn_raw(state, chaos_env)
-        process.wait(timeout=120)
+        try:
+            process.wait(timeout=120)
+        finally:
+            _stop(process)
         assert process.returncode == -signal.SIGKILL
 
         # Third start: attempts exceed the budget at load time, the

@@ -19,6 +19,8 @@ from repro.dependencies.dependency import DependencyError
 from repro.engine import BACKEND_MODES, reset_all_caches, use_backend
 from repro.engine.cache import chase_cache, resize_caches, verdict_cache
 
+from tests.parity import Case, assert_parity, grid, show
+
 
 class TestConstruction:
     def test_from_text(self):
@@ -173,12 +175,11 @@ class TestOneMemoPath:
 
     def test_every_backend_moves_the_caches_alike(self):
         mapping = decomposition()
-        moves = {}
-        for backend in BACKEND_MODES:
-            reset_all_caches()
+
+        def run(variant):
             small = Instance.build({"P": [("a", "b", "c")]})
             big = small.union(Instance.build({"P": [("d", "e", "f")]}))
-            with use_backend(backend):
+            with use_backend(variant.backend):
                 cold = self._checks(mapping, small, big)
                 after_cold = self._counters()
                 # a warm repeat, with copies of the instances, only hits
@@ -191,8 +192,9 @@ class TestOneMemoPath:
                 after_cold, after_warm
             ):
                 assert warm_misses == cold_misses and warm_hits > cold_hits
-            moves[backend] = (cold, after_cold, after_warm)
-        assert all(move == moves["object"] for move in moves.values())
+            return show((cold, after_cold, after_warm))
+
+        assert_parity(Case("memo moves", run, grid(BACKEND_MODES)))
 
 
 class TestIsSolution:

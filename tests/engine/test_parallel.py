@@ -1,23 +1,15 @@
-"""Serial/parallel equivalence and determinism of the universe runner."""
+"""Determinism of the universe runner.  That every bounded checker
+reports the same under 2, 3 and 4 workers is a row of the parity
+harness (``tests/test_parity.py``)."""
 
 import pytest
 
-from repro.catalog import (
-    decomposition,
-    decomposition_quasi_inverse_join,
-    projection,
-    projection_quasi_inverse,
-)
-from repro.core import SolutionEquivalence, subset_property
-from repro.core.framework import is_inverse, is_quasi_inverse, unique_solutions_property
 from repro.engine import (
     ParallelUniverseRunner,
     default_workers,
     fork_available,
-    reset_all_caches,
     set_defaults,
 )
-from repro.workloads import instance_universe
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -63,80 +55,3 @@ class TestRunner:
         finally:
             set_defaults(**previous)
         assert default_workers() == original
-
-
-@needs_fork
-class TestCheckerEquivalence:
-    """Every bounded checker must give byte-identical verdicts for any
-    worker count (the merge replays the serial control flow)."""
-
-    def setup_method(self):
-        reset_all_caches()
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_subset_property_verdicts(self, workers):
-        mapping = decomposition()
-        universe = instance_universe(mapping.source, [0, 1], max_facts=2)
-        relation = SolutionEquivalence(mapping)
-        serial = subset_property(
-            mapping, relation, relation, universe, workers=1
-        )
-        assert (
-            subset_property(mapping, relation, relation, universe, workers=workers)
-            == serial
-        )
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_subset_property_full_scan_verdicts(self, workers):
-        mapping = projection()
-        universe = instance_universe(mapping.source, [0, 1], max_facts=2)
-        relation = SolutionEquivalence(mapping)
-        serial = subset_property(
-            mapping,
-            relation,
-            relation,
-            universe,
-            workers=1,
-            stop_at_first_violation=False,
-        )
-        parallel = subset_property(
-            mapping,
-            relation,
-            relation,
-            universe,
-            workers=workers,
-            stop_at_first_violation=False,
-        )
-        assert parallel == serial
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_unique_solutions_verdicts(self, workers):
-        mapping = decomposition()
-        universe = instance_universe(mapping.source, [0, 1], max_facts=3)
-        serial = unique_solutions_property(mapping, universe, workers=1)
-        assert unique_solutions_property(mapping, universe, workers=workers) == serial
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_is_inverse_verdicts(self, workers):
-        mapping = projection()
-        candidate = projection_quasi_inverse()
-        universe = instance_universe(mapping.source, [0, 1], max_facts=2)
-        serial = is_inverse(mapping, candidate, universe, workers=1)
-        assert is_inverse(mapping, candidate, universe, workers=workers) == serial
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_is_quasi_inverse_verdicts(self, workers):
-        mapping = decomposition()
-        candidate = decomposition_quasi_inverse_join()
-        universe = instance_universe(mapping.source, [0, 1], max_facts=1)
-        serial = is_quasi_inverse(
-            mapping, candidate, universe, workers=1, stop_at_first_mismatch=False
-        )
-        parallel = is_quasi_inverse(
-            mapping,
-            candidate,
-            universe,
-            workers=workers,
-            stop_at_first_mismatch=False,
-        )
-        assert parallel == serial

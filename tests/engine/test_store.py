@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.catalog import (
-    all_catalog_mappings,
     decomposition,
     example_5_4,
     projection,
@@ -53,9 +52,10 @@ from repro.core.framework import (
     is_generalized_inverse,
     is_inverse,
     subset_property,
-    unique_solutions_property,
 )
 from repro.workloads import power_instances
+
+from tests.parity import Case, assert_parity, grid, show
 
 REPO_SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
@@ -101,8 +101,8 @@ def _sharded_generalized_inverse(**options):
     )
 
 
-#: The checkers whose sharded runs must merge back to the unsharded
-#: report, all run without early stopping.
+#: The sharded checkers, without early stopping (their merged reports
+#: are rows of the parity harness, ``tests/test_parity.py``).
 SHARDED_CHECKS = {
     "subset": _sharded_subset,
     "is_inverse": _sharded_is_inverse,
@@ -582,17 +582,16 @@ class TestEveryBackendWritesThrough:
             )
 
     def test_every_backend_writes_the_same_rows(self, tmp_path):
-        rows = {}
-        for backend in BACKEND_MODES:
-            reset_all_caches()
-            path = tmp_path / f"{backend}.sqlite"
+        def run(variant):
+            path = tmp_path / f"{variant.backend}.sqlite"
             with use_store(path) as store:
-                self._sweep(backend)
+                self._sweep(variant.backend)
                 store.flush()
-            rows[backend] = self._rows(path)
-        assert rows["object"]["verdict"] > 0 and rows["object"]["chase"] > 0
-        assert rows["kernel"] == rows["object"]
-        assert rows["sql"] == rows["object"]
+            rows = self._rows(path)
+            assert rows["verdict"] > 0 and rows["chase"] > 0
+            return show(sorted(rows.items()))
+
+        assert_parity(Case("store rows", run, grid(BACKEND_MODES)))
 
     @pytest.mark.parametrize("backend", BACKEND_MODES)
     def test_a_warm_rerun_serves_every_verdict_from_the_store(
@@ -690,25 +689,6 @@ class TestSharding:
                 renamed, shards
             )
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    @pytest.mark.parametrize("check", sorted(SHARDED_CHECKS))
-    def test_sharded_reports_merge_byte_identically(self, check, shards):
-        serial = SHARDED_CHECKS[check](shards=1)
-        merged = SHARDED_CHECKS[check](shards=shards)
-        assert merged == serial
-
-    def test_sharded_subset_orbit_mode_matches_serial(self):
-        mapping, equivalence, universe = _projection_setup()
-        serial = subset_property(
-            mapping, equivalence, equivalence, universe,
-            stop_at_first_violation=False, symmetry="orbits",
-        )
-        merged = subset_property(
-            mapping, equivalence, equivalence, universe,
-            stop_at_first_violation=False, symmetry="orbits", shards=3,
-        )
-        assert merged == serial
-
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("check", sorted(SHARDED_CHECKS))
     def test_single_shard_reports_cover_disjoint_slices(self, check, shards):
@@ -725,28 +705,6 @@ class TestSharding:
         found = [pair for part in slices for pair in _pairs(part)]
         assert len(set(found)) == len(found)
         assert set(found) == set(_pairs(serial))
-
-    def test_sharded_unique_solutions_matches_serial(self):
-        mapping = decomposition()
-        universe = list(
-            power_instances(mapping.source, domain=("a", "b"), max_facts=2)
-        )
-        serial = unique_solutions_property(mapping, universe)
-        merged = unique_solutions_property(mapping, universe, shards=3)
-        assert tuple(serial) == tuple(merged)
-        assert serial.instances_checked == merged.instances_checked
-
-    def test_sharded_sweep_finds_the_same_violations(self):
-        # a mapping known to violate unique solutions keeps its
-        # violation list (same pairs, same order) under sharding
-        by_name = {m.name: m for m in all_catalog_mappings()}
-        mapping = by_name["Example4.5"]
-        universe = list(
-            power_instances(mapping.source, domain=("a", "b"), max_facts=2)
-        )
-        serial = unique_solutions_property(mapping, universe)
-        merged = unique_solutions_property(mapping, universe, shards=2)
-        assert serial.violators == merged.violators
 
 
 class TestJournalFingerprint:

@@ -29,6 +29,8 @@ from repro.engine.sweep import SweepResult, run_sweep, sweep_fingerprint
 from repro.engine.symmetry import SweepPlan
 from repro.errors import BudgetExceeded, DeadlineExceeded
 
+from tests.parity import Case, assert_parity, grid, show
+
 ROWS = [
     [True, True],
     [True, False],
@@ -92,12 +94,17 @@ def test_full_sweep_folds_every_pair_in_order():
     assert result.verdict() == (False, SERIAL_VIOLATIONS)
 
 
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-def test_parallel_fan_out_matches_serial():
+def _toy_case(name, variants, **arguments):
+    """The toy sweep as a parity case (``tests/parity.py``)."""
+    return Case(name, lambda variant: show(_sweep(**variant.options(), **arguments)), variants)
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["clean", "late row"])
+def test_parallel_fan_out_matches_serial(late):
     rows = [list(row) for row in ROWS]
-    rows[5] = [DeadlineExceeded("late", kind="deadline")]
-    assert _sweep(rows=rows, workers=2) == _sweep(rows=rows)
-    assert _sweep(workers=2) == _sweep()
+    if late:
+        rows[5] = [DeadlineExceeded("late", kind="deadline")]
+    assert_parity(_toy_case("toy sweep", grid(workers=(2,)), rows=rows))
 
 
 def test_orbit_weights_count_instances_and_orbits():
@@ -200,7 +207,7 @@ class TestShards:
     @pytest.mark.parametrize("shards", [2, 3, 5])
     def test_merge_restores_serial_order(self, shards):
         plan = _plan(weights=[1, 2, 3, 1, 1, 1, 1, 2])
-        assert _sweep(plan=plan, shards=shards) == _sweep(plan=plan, shards=1)
+        assert_parity(_toy_case("toy orbit sweep", grid(shards=(shards,)), plan=plan))
 
     def test_single_shards_partition_the_sweep(self):
         plan = _plan()

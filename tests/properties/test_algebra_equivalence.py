@@ -11,12 +11,12 @@ wrappers thrown in — plus random source instances, and assert that
 * staged pipelines compute the same universal solutions as the
   materialized composition;
 * ``expression_membership`` agrees with a materialized
-  ``is_solution`` model check; and
-* ``check_expression`` renders byte-identical reports across plan
-  modes × backends × worker counts on fixed examples.
+  ``is_solution`` model check.
+
+Plan × backend × worker identity is the parity harness's
+(``tests/test_parity.py``).
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -39,10 +39,8 @@ from repro.algebra.scenarios import (
     chain_join_with_dead_branch,
     fan_in_mapping,
 )
-from repro.algebra.sweeps import check_expression
 from repro.core.mapping import is_solution, universal_solution
-from repro.engine import fork_available, reset_all_caches
-from repro.workloads import power_instances, random_ground_instance
+from repro.workloads import random_ground_instance
 
 SLOW = settings(
     max_examples=25,
@@ -129,53 +127,3 @@ class TestMembershipMatchesModelCheck:
         assert expression_membership(expr, left, right) == is_solution(
             concrete, left, right
         )
-
-
-def _worker_counts():
-    return (None, 2) if fork_available() else (None,)
-
-
-class TestPlanMatrixByteIdentity:
-    """Fixed-example matrix: plan × backend × workers, one rendering."""
-
-    @pytest.mark.parametrize("kind", ["unique", "subset"])
-    def test_sweep_matrix(self, kind):
-        expr = _wrap(_base_expression("dead"), "none")
-        renderings = set()
-        for plan in ("materialize", "auto"):
-            for backend in ("object", "kernel", "sql"):
-                for workers in _worker_counts():
-                    reset_all_caches()
-                    report = check_expression(
-                        expr,
-                        kind,
-                        plan=plan,
-                        backend=backend,
-                        workers=workers,
-                    )
-                    renderings.add(report.render())
-        assert len(renderings) == 1
-
-    def test_inverse_matrix(self):
-        renderings = set()
-        for plan in ("materialize", "membership", "auto"):
-            for backend in ("object", "kernel"):
-                reset_all_caches()
-                report = check_expression(
-                    "Projection'",
-                    "inverse",
-                    reverse="Projection",
-                    plan=plan,
-                    backend=backend,
-                )
-                renderings.add(report.render())
-        assert len(renderings) == 1
-
-    def test_verdicts_track_the_underlying_property(self):
-        # sanity: the matrix above is not vacuously identical — the
-        # report embeds the actual verdict and universe size
-        expr = _base_expression("chain")
-        report = check_expression(expr, "unique", plan="auto")
-        assert "unique solutions" in report.render()
-        universe = list(power_instances(expr.source, ("a", "b"), max_facts=1))
-        assert f"{len(universe)} instances" in report.render()

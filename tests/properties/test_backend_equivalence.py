@@ -7,16 +7,16 @@ order divergence would change downstream instances).  These properties
 drive all three backends over randomly drawn premises — including
 ``Constant(x)`` conjuncts and inequalities — targets with nulls, and
 random LAV mappings (whose tgds include *existential* conclusions),
-asserting byte-identical answers.
+and diff each answer, one item a line in order, against the object
+oracle through the parity harness (``tests/parity.py``).
 
 The SQL backend runs homomorphism search, premise matching and
 containment on the kernel, and chases inputs of ``_SQL_MIN_FACTS``
-facts or more inside SQLite; the module fixture pins that threshold to
-0 so these tiny hypothesis instances exercise the SQL chase, traced
-chases included.
+facts or more inside SQLite; the harness pins that threshold to 0, so
+these tiny hypothesis instances exercise the SQL chase, traced chases
+included.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,26 +34,23 @@ from repro.core.mapping import (
 from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Variable
-from repro.engine import (
-    BACKEND_MODES,
-    BACKEND_OBJECT,
-    reset_all_caches,
-    sqlbackend,
-    use_backend,
-)
+from repro.engine import BACKEND_MODES, use_backend
 from repro.workloads import random_ground_instance, random_lav_mapping
 
-ACCELERATED = tuple(mode for mode in BACKEND_MODES if mode != BACKEND_OBJECT)
+from tests.parity import Case, assert_parity, grid, lines, show
+
+BACKENDS = grid(backend=BACKEND_MODES)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _force_sql_path():
-    """Pin the SQL chase threshold to 0 for this module."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sqlbackend, "_SQL_MIN_FACTS", 0)
-        reset_all_caches()
-        yield
-    reset_all_caches()
+def _on_every_backend(name, compute, *, in_sqlite=True):
+    """Diff ``compute()``, run on each backend, against the object oracle."""
+
+    def run(variant):
+        with use_backend(variant.backend):
+            return compute()
+
+    assert_parity(Case(name, run, BACKENDS, in_sqlite=in_sqlite))
+
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 VARIABLES = (X, Y, Z)
@@ -134,26 +131,12 @@ class TestHomomorphismSearchEquivalence:
         constant_vars, inequalities = _constraints(
             premise, constant_mask, inequality_mask
         )
-        with use_backend("object"):
-            expected = list(
-                all_homomorphisms(
-                    premise,
-                    target,
-                    constant_vars=constant_vars,
-                    inequalities=inequalities,
-                )
-            )
-        for backend in ACCELERATED:
-            with use_backend(backend):
-                actual = list(
-                    all_homomorphisms(
-                        premise,
-                        target,
-                        constant_vars=constant_vars,
-                        inequalities=inequalities,
-                    )
-                )
-            assert actual == expected, backend
+        search = dict(constant_vars=constant_vars, inequalities=inequalities)
+        _on_every_backend(
+            "all_homomorphisms",
+            lambda: lines(all_homomorphisms(premise, target, **search)),
+            in_sqlite=False,
+        )
 
     @SLOW
     @given(
@@ -168,32 +151,21 @@ class TestHomomorphismSearchEquivalence:
         constant_vars, inequalities = _constraints(
             premise, constant_mask, inequality_mask
         )
-        with use_backend("object"):
-            expected = find_homomorphism(
-                premise,
-                target,
-                constant_vars=constant_vars,
-                inequalities=inequalities,
-            )
-        for backend in ACCELERATED:
-            with use_backend(backend):
-                actual = find_homomorphism(
-                    premise,
-                    target,
-                    constant_vars=constant_vars,
-                    inequalities=inequalities,
-                )
-            assert actual == expected, backend
+        search = dict(constant_vars=constant_vars, inequalities=inequalities)
+        _on_every_backend(
+            "find_homomorphism",
+            lambda: show(find_homomorphism(premise, target, **search)),
+            in_sqlite=False,
+        )
 
     @SLOW
     @given(source=target_instances, target=target_instances)
     def test_instance_homomorphism_identical(self, source, target):
-        with use_backend("object"):
-            expected = instance_homomorphism(source, target)
-        for backend in ACCELERATED:
-            with use_backend(backend):
-                actual = instance_homomorphism(source, target)
-            assert actual == expected, backend
+        _on_every_backend(
+            "instance_homomorphism",
+            lambda: show(instance_homomorphism(source, target)),
+            in_sqlite=False,
+        )
 
 
 lav_mappings = st.builds(
@@ -213,16 +185,10 @@ class TestVerdictEquivalence:
         source = random_ground_instance(
             mapping.source, seed=seed, n_facts=3, domain_size=2
         )
-        reset_all_caches()
-        with use_backend("object"):
-            expected = universal_solution(mapping, source)
-        for backend in ACCELERATED:
-            # fresh caches per backend: verdict/chase memos are not
-            # backend-keyed, and a cache hit would mask a divergence
-            reset_all_caches()
-            with use_backend(backend):
-                actual = universal_solution(mapping, source)
-            assert actual.facts == expected.facts, backend
+        _on_every_backend(
+            "universal_solution",
+            lambda: lines(universal_solution(mapping, source).sorted_facts()),
+        )
 
     @SLOW
     @given(
@@ -237,20 +203,10 @@ class TestVerdictEquivalence:
         right = random_ground_instance(
             mapping.source, seed=seed_two, n_facts=2, domain_size=2
         )
-        reset_all_caches()
-        with use_backend("object"):
-            contained = solutions_contained(mapping, left, right)
-            equivalent = data_exchange_equivalent(mapping, left, right)
-        for backend in ACCELERATED:
-            reset_all_caches()
-            with use_backend(backend):
-                assert (
-                    solutions_contained(mapping, left, right) == contained
-                ), backend
-                assert (
-                    data_exchange_equivalent(mapping, left, right)
-                    == equivalent
-                ), backend
+        _on_every_backend("verdicts", lambda: lines([
+            solutions_contained(mapping, left, right),
+            data_exchange_equivalent(mapping, left, right),
+        ]))
 
     @SLOW
     @given(mapping=lav_mappings, seed=st.integers(min_value=0, max_value=500))
@@ -260,13 +216,10 @@ class TestVerdictEquivalence:
         source = random_ground_instance(
             mapping.source, seed=seed, n_facts=3, domain_size=2
         )
-        reset_all_caches()
-        with use_backend("object"):
-            expected = chase(source, mapping.dependencies)
-        for backend in ACCELERATED:
-            reset_all_caches()
-            with use_backend(backend):
-                actual = chase(source, mapping.dependencies)
-            assert actual.instance.facts == expected.instance.facts, backend
-            assert actual.produced.facts == expected.produced.facts, backend
-            assert actual.steps == expected.steps, backend
+
+        def traced():
+            result = chase(source, mapping.dependencies)
+            steps = [(step.dependency, step.homomorphism, step.added) for step in result.steps]
+            return lines([result.instance.sorted_facts(), result.produced.sorted_facts(), *steps])
+
+        _on_every_backend("traced chase", traced)

@@ -152,6 +152,34 @@ class TestCoverageIsolation:
         assert not outcomes["clean"].coverage_events
 
 
+class TestExperimentOptions:
+    """An experiment job runs under the engine options it carries."""
+
+    def test_check_puts_the_engine_flags_in_the_payload(self):
+        from repro.cli import build_parser
+        from repro.service.protocol import build_payload
+
+        argv = ["check", "experiment", "E12", "--max-instances", "1", "--backend", "sql"]
+        assert build_payload(build_parser().parse_args(argv)) == {
+            "kind": "experiment", "experiment": "E12", "max_instances": 1, "backend": "sql",
+        }
+
+    def test_the_options_reach_the_run(self):
+        from repro.engine import engine_stats, reset_engine_stats
+
+        spec = _spec(kind="experiment", experiment="E12", max_instances=1)
+        assert execute_job(spec, budget=budget_for(spec)).exit_code == 3
+        reset_engine_stats()
+        assert execute_job(_spec(kind="experiment", experiment="E3", backend="sql")).exit_code == 0
+        assert engine_stats().counter("sql_small_routed") > 0  # E3's chases reached sql
+
+    def test_a_bad_option_is_refused_by_name(self):
+        from repro.errors import ServiceProtocolError
+
+        with pytest.raises(ServiceProtocolError, match="backend"):
+            _spec(kind="experiment", experiment="E3", backend="gpu")
+
+
 class TestConcurrentBackends:
     def test_sql_and_kernel_jobs_render_like_the_object_job(self):
         # Two daemon jobs pinned to different backends run at once and

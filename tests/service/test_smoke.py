@@ -9,6 +9,7 @@ cycle.
 
 import json
 import os
+from contextlib import suppress
 import signal
 import subprocess
 import sys
@@ -44,6 +45,7 @@ def _spawn_daemon(state_dir, *, env_extra=None, max_jobs=2):
         stderr=subprocess.STDOUT,
         env=env,
         text=True,
+        start_new_session=True,  # its own process group, which _stop kills
     )
     endpoint_file = os.path.join(str(state_dir), "service.json")
     deadline = time.monotonic() + 30
@@ -61,24 +63,24 @@ def _spawn_daemon(state_dir, *, env_extra=None, max_jobs=2):
             pass
         time.sleep(0.05)
     else:
-        process.kill()
+        os.killpg(process.pid, signal.SIGKILL)
         raise AssertionError("daemon did not write its endpoint file")
     client = ServiceClient(f"http://{endpoint['host']}:{endpoint['port']}")
     return process, client
 
 
 def _stop(process, client=None):
+    """Shut the daemon down, then kill what is left of its process
+    group: a daemon that dies mid-sweep leaves its pool workers running."""
     if process.poll() is None:
-        try:
-            if client is not None:
+        if client is not None:
+            with suppress(Exception):
                 client.shutdown()
-        except Exception:
-            pass
-        try:
+        with suppress(subprocess.TimeoutExpired):
             process.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait(timeout=5)
+    with suppress(ProcessLookupError):
+        os.killpg(process.pid, signal.SIGKILL)
+    process.wait(timeout=5)
 
 
 @pytest.fixture()
@@ -118,6 +120,13 @@ class TestParity:
         assert body["state"] == "partial"
         assert body["outcome"]["coverage"] == "budget"
 
+    def test_experiment_options_reach_the_daemon(self, daemon, capsys):
+        from repro.cli import main
+
+        argv = ["check", "experiment", "E12", "--max-instances", "1"]
+        assert main(argv) == 3
+        assert main([*argv, "--server", daemon.base_url]) == 3
+
     def test_bad_payload_is_400(self, daemon):
         from repro.errors import ServiceProtocolError
 
@@ -154,6 +163,41 @@ class TestFaultedParity:
             assert body["state"] == "faulted"
         finally:
             _stop(process, client)
+
+
+def _children(pid):
+    """(pid, start time) of each live process whose parent is *pid*
+    (any parent: None), from /proc."""
+    found = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                state, parent, *fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if state != "Z" and pid in (None, int(parent)):
+            found.add((int(entry), fields[17]))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the process table in /proc")
+def test_a_killed_daemon_leaves_no_pool_worker_behind(tmp_path):
+    # Each pool task sleeps 2 s, so a worker outlives a killed daemon
+    # by seconds unless the teardown kills its process group.
+    process, client = _spawn_daemon(
+        tmp_path / "state", env_extra={"REPRO_FAULTS": "worker.delay:task=*,seconds=2"}
+    )
+    try:
+        client.submit({"kind": "subset", "mapping": "Decomposition", "max_facts": 2, "workers": 2})
+        deadline = time.monotonic() + 30
+        while len(workers := _children(process.pid)) < 2:
+            assert time.monotonic() < deadline, "the sweep never forked its pool"
+            time.sleep(0.05)
+        process.kill()  # mid-sweep: no drain, no pool teardown
+    finally:
+        _stop(process)
+    time.sleep(0.5)
+    assert not workers & _children(None)
 
 
 class TestDeduplication:
