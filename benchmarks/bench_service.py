@@ -157,7 +157,7 @@ CATALOG = [
 SUBMIT_ARGVS = [
     ["unique", "Projection"],
     ["algebra", "compose(Decomposition, Decomposition')",
-     "--check", "subset", "--plan", "membership", "--max-facts", "2"],
+     "--check", "subset", "--plan", "materialize", "--max-facts", "2"],
 ]
 
 

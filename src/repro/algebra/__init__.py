@@ -2,11 +2,12 @@
 
 The algebra lets sweeps describe *composed* mappings symbolically —
 ``compose(Union, Decomposition)`` — instead of materializing them
-eagerly with MinGen.  A rewrite library normalizes expressions, a
-cost model fed by engine counters picks an evaluation strategy per
-sweep (materialize, staged chase, or membership checks), and the
-resulting reports are byte-identical to the naive materialize-first
-path.
+eagerly with MinGen.  A rewrite library normalizes expressions, the
+planner picks an evaluation strategy from the normalized expression's
+shape and the check kind (a staged chase for a sweep over a
+composition, membership checks for an inverse check, materialize
+otherwise), and the resulting reports are byte-identical to the naive
+materialize-first path.
 """
 
 from repro.algebra.expr import (
@@ -31,7 +32,6 @@ from repro.algebra.evaluate import (
     pipeline_stages,
     staged_mapping,
 )
-from repro.algebra.cost import CostEstimate, CostModel
 from repro.algebra.plan import (
     PLAN_MODES,
     ExpressionPlan,
@@ -44,8 +44,6 @@ from repro.algebra.sweeps import AlgebraReport, check_expression
 __all__ = [
     "AlgebraReport",
     "Compose",
-    "CostEstimate",
-    "CostModel",
     "ExpressionPairTest",
     "ExpressionPlan",
     "MappingAtom",

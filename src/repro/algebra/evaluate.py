@@ -15,7 +15,7 @@ Three ways to run an expression, all verdict-equivalent:
 * :func:`expression_membership` — decide one (left, right) pair
   without constructing any composed mapping, via
   [FKPT05]-style candidate intermediates.  What inverse-kind checks
-  use in membership mode.
+  use under plan ``auto``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
-"""Plan selection: which evaluation strategy runs a sweep.
+"""Plan selection: which evaluation strategy runs a check.
 
-A plan mode is a *preference*:
+The strategy follows from the expression's shape and the check kind
+alone, never from timings or from what the process ran before:
 
-* ``materialize`` — always collapse the expression with MinGen first
-  (the naive baseline the benchmarks gate against);
-* ``membership`` — avoid materializing: staged pipelines for sweep
-  kinds, per-pair membership checks for inverse kinds;
-* ``auto`` — let the calibrated cost model pick the cheapest
-  feasible strategy.
+* a sweep kind runs ``staged`` when the normalized expression has a
+  compose at its root and :func:`staged_mapping` accepts it, else
+  ``materialize`` (for a compose-free expression the two are the same
+  mapping);
+* the inverse kind decides each pair by ``membership``, which never
+  composes with MinGen.
 
-An infeasible preferred strategy falls back to a feasible one with a
-note in the plan (verdicts must never depend on the plan mode, so
+Plan mode ``auto`` (the default) takes that choice; ``materialize``
+forces MinGen first (the naive baseline the benchmarks gate against)
+and, when the composition cannot be materialized, falls back to the
+``auto`` choice with a note (verdicts never depend on the plan, so
 falling back is always safe).
 """
 
@@ -22,7 +25,6 @@ from typing import Dict, Optional, Tuple
 from repro.core.mapping import MappingError
 from repro.engine.context import CONTEXT, PLAN_MODES
 from repro.engine.instrumentation import engine_stats
-from repro.algebra.cost import CostEstimate, CostModel
 from repro.algebra.evaluate import staged_mapping
 from repro.algebra.expr import Compose, MappingExpr, materializable
 from repro.algebra.rewrite import RewriteStep
@@ -50,23 +52,17 @@ def resolve_plan_mode(mode: Optional[str]) -> str:
 
 @dataclass(frozen=True)
 class ExpressionPlan:
-    """The chosen evaluation strategy for one sweep, with its evidence."""
+    """The chosen evaluation strategy for one check, with the rule
+    that chose it."""
 
     mode: str
     strategy: str
     kind: str
     expression: str
     normalized: str
+    reason: str
     rewrite_trace: Tuple[RewriteStep, ...] = ()
-    estimates: Tuple[CostEstimate, ...] = ()
     notes: Tuple[str, ...] = ()
-
-    @property
-    def chosen(self) -> Optional[CostEstimate]:
-        for estimate in self.estimates:
-            if estimate.strategy == self.strategy:
-                return estimate
-        return None
 
     def explain(self, actuals: Optional[Dict[str, float]] = None) -> str:
         lines = [
@@ -81,10 +77,7 @@ class ExpressionPlan:
                 lines.append(f"    {step}")
         else:
             lines.append("  rewrites: (none applied)")
-        lines.append("  estimates:")
-        for estimate in self.estimates:
-            marker = "*" if estimate.strategy == self.strategy else " "
-            lines.append(f"  {marker} {estimate.render()}")
+        lines.append(f"  reason: {self.reason}")
         for note in self.notes:
             lines.append(f"  note: {note}")
         if actuals:
@@ -95,23 +88,33 @@ class ExpressionPlan:
         return "\n".join(lines)
 
 
+def _shape_choice(expr: MappingExpr, kind: str) -> Tuple[str, str]:
+    """The ``auto`` strategy for *expr* under *kind*, and its rule."""
+    if kind in PAIR_KINDS:
+        return "membership", "the inverse kind decides each pair by membership"
+    if not isinstance(expr, Compose):
+        return "materialize", "no compose at the root; materialize is the same mapping"
+    if staged_mapping(expr) is None:
+        return (
+            "materialize",
+            "compose at the root, but its stages do not chase exactly (a"
+            " stage is not a tgd mapping, or one before the last is not full)",
+        )
+    return "staged", "compose at the root, and its stages chase exactly"
+
+
 def plan_expression(
     expr: MappingExpr,
     kind: str,
     *,
     mode: Optional[str] = None,
-    universe_size: int = 0,
-    pair_checks: int = 0,
     normalized_label: Optional[str] = None,
     rewrite_trace: Tuple[RewriteStep, ...] = (),
-    model: Optional[CostModel] = None,
 ) -> ExpressionPlan:
     """Pick the evaluation strategy for *expr* under *kind*.
 
-    *universe_size* and *pair_checks* size the cost estimates (pair
-    checks are membership tests the sweep will run — zero for sweep
-    kinds).  The chosen strategy bumps an ``algebra_plan_<strategy>``
-    engine counter so ``--engine-stats`` shows what the planner did.
+    The chosen strategy bumps an ``algebra_plan_<strategy>`` engine
+    counter so ``--engine-stats`` shows what the planner did.
     """
     resolved = resolve_plan_mode(mode)
     if kind not in SWEEP_KINDS + PAIR_KINDS:
@@ -119,65 +122,21 @@ def plan_expression(
             f"unknown check kind {kind!r}; expected one of "
             f"{SWEEP_KINDS + PAIR_KINDS}"
         )
-    model = model if model is not None else CostModel.calibrated()
-    staged = staged_mapping(expr)
-    notes = []
-
-    if materializable(expr):
-        estimate_materialize = model.estimate_materialize(
-            expr, universe_size, pair_checks
-        )
-    else:
-        estimate_materialize = CostEstimate(
-            strategy="materialize",
-            total=float("inf"),
-            feasible=False,
-            note="not materializable (a compose operand is not a tgd"
-            " mapping, or the first leg is not full)",
-        )
-    if kind in SWEEP_KINDS:
-        estimates = (
-            estimate_materialize,
-            model.estimate_staged(expr, universe_size, pair_checks, staged),
-        )
-        preferred_by_mode = {"materialize": "materialize", "membership": "staged"}
-    else:
-        estimates = (
-            estimate_materialize,
-            model.estimate_membership(expr, pair_checks),
-        )
-        preferred_by_mode = {
-            "materialize": "materialize",
-            "membership": "membership",
-        }
-
-    feasible = [e for e in estimates if e.feasible]
-    if not feasible:
+    strategy, reason = _shape_choice(expr, kind)
+    notes: Tuple[str, ...] = ()
+    if resolved == "materialize" and strategy != "materialize":
+        if materializable(expr):
+            strategy, reason = "materialize", "plan mode materialize forces MinGen"
+        else:
+            notes = (
+                "preferred strategy 'materialize' infeasible (not"
+                " materializable (a compose operand is not a tgd mapping, or"
+                f" the first leg is not full)); falling back to {strategy!r}",
+            )
+    if strategy == "materialize" and not materializable(expr):
         raise MappingError(
             f"no feasible evaluation strategy for {expr.label()!r}"
         )
-
-    if resolved == "auto":
-        strategy = min(feasible, key=lambda e: e.total).strategy
-        if not isinstance(expr, Compose) and strategy != "materialize":
-            # nothing to avoid materializing without a composition
-            strategy = "materialize"
-            notes.append("no compose node; materialize is free")
-    else:
-        preferred = preferred_by_mode[resolved]
-        available = {e.strategy for e in feasible}
-        if preferred in available:
-            strategy = preferred
-        else:
-            strategy = min(feasible, key=lambda e: e.total).strategy
-            reason = next(
-                (e.note for e in estimates if e.strategy == preferred), ""
-            )
-            notes.append(
-                f"preferred strategy {preferred!r} infeasible"
-                + (f" ({reason})" if reason else "")
-                + f"; falling back to {strategy!r}"
-            )
 
     engine_stats().bump(f"algebra_plan_{strategy}")
     return ExpressionPlan(
@@ -188,9 +147,9 @@ def plan_expression(
         normalized=normalized_label
         if normalized_label is not None
         else expr.label(),
+        reason=reason,
         rewrite_trace=tuple(rewrite_trace),
-        estimates=estimates,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

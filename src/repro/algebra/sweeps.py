@@ -174,14 +174,11 @@ def _as_expression(
 def _evaluated_mapping(
     normalized: MappingExpr, strategy: str
 ) -> SchemaMapping:
-    """The concrete mapping a sweep-kind strategy runs against."""
+    """The concrete mapping a sweep-kind strategy runs against (the
+    planner picks ``staged`` only where :func:`staged_mapping` accepts
+    the expression)."""
     if strategy == "staged":
-        staged = staged_mapping(normalized)
-        if staged is not None:
-            return staged
-        # the planner only picks staged when feasible; direct callers
-        # of a forced strategy can still land here
-        return materialize(normalized)
+        return staged_mapping(normalized)
     return materialize(normalized)
 
 
@@ -237,8 +234,9 @@ def check_expression(
     *kind* is one of ``unique``, ``subset``, ``invertibility`` (sweep
     kinds over the expression's source universe) or ``inverse``
     (pairwise check that *reverse* composes with *expression* to the
-    identity).  *plan* is the plan-mode preference (default: ambient
-    ``REPRO_PLAN``); the report is byte-identical for every mode.
+    identity).  *plan* is the plan mode, ``auto`` or ``materialize``
+    (default: ambient ``REPRO_PLAN``); the report is byte-identical for
+    every mode.
     """
     from repro.workloads import power_instances
 
@@ -248,7 +246,6 @@ def check_expression(
     universe = list(
         power_instances(expr.source, tuple(domain), max_facts=max_facts)
     )
-    pair_checks = len(universe) ** 2 if kind == "inverse" else 0
     reverse_shown = None
     reverse_normalized = None
     planned_expr = normalized
@@ -266,8 +263,6 @@ def check_expression(
         planned_expr,
         kind,
         mode=plan,
-        universe_size=len(universe),
-        pair_checks=pair_checks,
         normalized_label=planned_expr.label(),
         rewrite_trace=trace,
     )

@@ -306,7 +306,7 @@ def coverage_scope() -> Iterator[List[CoverageEvent]]:
 #: algorithm-parameter budgets (``max_nulls``, MinGen candidate caps)
 #: remain hard errors because the caller asked for that exact bound.
 #: A planner that *chose* a bounded algorithm on the caller's behalf
-#: (e.g. a membership-mode composition plan) owes the caller a partial
+#: (e.g. an inverse check's membership plan) owes the caller a partial
 #: verdict instead, so it widens the set for its sweep through the
 #: context's ``governed`` field.
 GOVERNED_KINDS = frozenset({"deadline", "instances", "chase_steps", "rss"})

@@ -174,7 +174,7 @@ def _store(value: Any) -> Any:
 #: the service's flags and job specs take their choices from these.
 BACKEND_MODES = ("object", "kernel", "sql")
 SYMMETRY_MODES = ("full", "orbits")
-PLAN_MODES = ("auto", "materialize", "membership")
+PLAN_MODES = ("auto", "materialize")
 
 #: ``REPRO_*`` knob -> (field, parser); set_defaults parses with these.
 KNOBS: Dict[str, Tuple[str, Callable[[Any], Any]]] = {

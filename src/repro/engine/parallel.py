@@ -52,6 +52,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -83,9 +84,42 @@ def get_shared() -> Any:
     return CONTEXT.shared
 
 
+#: ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int, sweeper: int) -> None:
+    """On Linux, have the kernel SIGKILL this worker when the thread
+    that forked it exits, if that is the *sweeper* thread: it builds
+    and tears down the pool, so it outlives its workers, and a parent
+    killed outright would otherwise leave them to finish their chunks
+    as orphans.  Replacements, which the pool's handler thread forks
+    after a worker dies, keep running: that thread exits early in
+    ``Pool.terminate()``, and a replacement it took down mid-result
+    would die holding the result queue's lock, which the rest of
+    ``terminate()`` then waits on forever.  Other platforms keep
+    running."""
+    if threading.get_ident() != sweeper or not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None, use_errno=True)
+        if libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+            return
+    except (AttributeError, OSError):
+        return
+    if os.getppid() != parent:  # the parent died before the prctl
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _worker_init(
-    shared: Any, task: Callable[[Any], Any], inherited: Dict[str, Any]
+    shared: Any,
+    task: Callable[[Any], Any],
+    inherited: Dict[str, Any],
+    parent: Tuple[int, int],
 ) -> None:
+    _die_with_parent(*parent)
     # Forked workers inherit the parent's signal dispositions.  A host
     # that traps SIGTERM (the service daemon's graceful-drain handler)
     # would make Pool.terminate()'s SIGTERM a no-op in the children and
@@ -265,7 +299,12 @@ class ParallelUniverseRunner:
             pool = context.Pool(
                 processes=self.workers,
                 initializer=_worker_init,
-                initargs=(shared, task, dict(snapshot(), budget=budget)),
+                initargs=(
+                    shared,
+                    task,
+                    dict(snapshot(), budget=budget),
+                    (os.getpid(), threading.get_ident()),
+                ),
             )
         pool_alive = True
         condemned = False

@@ -41,7 +41,8 @@ input into SQLite tables and runs the chase as SQL:
   of a few facts, where statement round-trips cost more than the whole
   in-memory search.
   A chase lowers its input into pooled tables, and one ``finally``
-  hands the input and working tables back to the pool.
+  hands the input and working tables back to the pool; an input no
+  premise can match is its own fixpoint and is never lowered.
 
 * **Governance.**  A SQLite progress handler polls the ambient
   :class:`~repro.engine.budget.Budget` every few thousand VM ops, so
@@ -389,6 +390,10 @@ register_reset_hook(_reset_sql_runtime)
 # -- lowered instances -----------------------------------------------------
 
 
+#: An instance's facts as rows of tagged ids, by (relation, arity).
+_Rows = Dict[Tuple[str, int], List[Tuple[int, ...]]]
+
+
 class SqlInstance:
     """One instance lowered to per-(relation, arity) SQLite tables.
 
@@ -400,15 +405,7 @@ class SqlInstance:
 
     __slots__ = ("tables",)
 
-    def __init__(self, rt: _SqlRuntime, facts: FrozenSet[Atom]) -> None:
-        intern = intern_table()
-        grouped: Dict[Tuple[str, int], List[Tuple[int, ...]]] = {}
-        for fact in facts:
-            # arity-0 facts get the sentinel row (0,): the table's one
-            # possible row, present iff the nullary fact holds
-            grouped.setdefault((fact.relation, fact.arity), []).append(
-                tuple(encode_term(arg, intern) for arg in fact.args) or (0,)
-            )
+    def __init__(self, rt: _SqlRuntime, grouped: _Rows) -> None:
         tables: Dict[Tuple[str, int], str] = {}
         for (relation, arity), rows in grouped.items():
             table = rt.create_table(arity)
@@ -426,9 +423,23 @@ class SqlInstance:
         engine_stats().bump("sql_instances_loaded")
 
 
-def sql_instance(instance: Instance) -> SqlInstance:
-    """Lower *instance* into pooled tables of this thread's database."""
-    return SqlInstance(_runtime(), instance.facts)
+def _grouped_rows(facts: FrozenSet[Atom]) -> _Rows:
+    """*facts* as rows of tagged ids, grouped by (relation, arity)."""
+    intern = intern_table()
+    grouped: _Rows = {}
+    for fact in facts:
+        # arity-0 facts get the sentinel row (0,): the table's one
+        # possible row, present iff the nullary fact holds
+        grouped.setdefault((fact.relation, fact.arity), []).append(
+            tuple(encode_term(arg, intern) for arg in fact.args) or (0,)
+        )
+    return grouped
+
+
+def sql_instance(grouped: _Rows) -> SqlInstance:
+    """Lower an instance's :func:`_grouped_rows` into pooled tables of
+    this thread's database."""
+    return SqlInstance(_runtime(), grouped)
 
 
 # -- premise joins ---------------------------------------------------------
@@ -498,7 +509,10 @@ def sql_stratified_chase(
     (when *trace* is set) the same step list — or None when a premise
     is too wide for one SQL join or the instance holds fewer than
     ``_SQL_MIN_FACTS`` facts, in which case the caller falls back to
-    the interpreted loop.
+    the interpreted loop.  A dependency can fire only if each of its
+    premise atoms' (relation, arity) occurs in the input; when none
+    can, the input is returned as its own fixpoint before anything is
+    lowered (``sql_inert_inputs`` counts these).
 
     Full tgds run set-based (one match table + one ``INSERT … SELECT
     … EXCEPT SELECT`` per conclusion atom) unless a trace was
@@ -517,6 +531,13 @@ def sql_stratified_chase(
         # kernel's match lists.
         engine_stats().bump("sql_small_routed")
         return None
+    grouped = _grouped_rows(instance.facts)
+    if not any(
+        all((atom.relation, atom.arity) in grouped for atom in dependency.premise.atoms)
+        for dependency in dependencies
+    ):
+        engine_stats().bump("sql_inert_inputs")
+        return ChaseResult(instance, Instance.empty(), ())
     rt = _runtime()
     if rt.ntables > _MAX_LIVE_TABLES:
         rt.recycle()
@@ -528,7 +549,8 @@ def sql_stratified_chase(
     steps: List = []
     fired_total = 0
     try:
-        lowered = sql_instance(instance)
+        lowered = sql_instance(grouped)
+        del grouped  # the tables hold the rows now; free them before the chase
         # Working tables for every (relation, arity) a conclusion atom
         # can produce, pre-seeded with the instance's own facts there
         # (copied from the lowered table, so the input's per-relation

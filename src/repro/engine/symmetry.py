@@ -32,10 +32,14 @@ Soundness rules enforced by the callers (see
   range the inner one over the full universe, the sound reduction for
   simultaneous renaming of a pair.
 
-The same canonical forms double as content-addressed cache keys
-(:func:`repro.engine.cache.cached_chase_result` consults
-:func:`ground_keys_active`), so isomorphic chases and pair verdicts
-hit the memo caches once per orbit across *all* sweeps of a run.
+The same canonical forms double as content-addressed chase-cache
+keys (:func:`repro.engine.cache.cached_chase_result` consults
+:func:`ground_keys_active`), so the chases of isomorphic ground
+instances share one chase-cache entry per orbit across *all* sweeps of
+a run.  Pair verdicts do not: no verdict is keyed by a
+constant-canonical form, since orbit reduction already deduplicates
+the outer loop and joint canonicalization would cost more than the
+sharing left (see :func:`repro.core.mapping.solutions_contained`).
 """
 
 from __future__ import annotations

@@ -345,11 +345,11 @@ _ENGINE_FLAGS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("--plan", dict(
         choices=PLAN_MODES,
         help="evaluation plan for mapping expressions (algebra checks): "
-        "let the cost model pick (auto, the default), always "
-        "materialize compositions with MinGen first (materialize), or "
-        "avoid materializing via staged chases / per-pair membership "
-        "checks (membership); verdicts and reports are identical "
-        "either way (REPRO_PLAN)",
+        "pick by the expression's shape (auto, the default: staged "
+        "chases for a sweep over a composition, per-pair membership "
+        "checks for an inverse check), or always materialize "
+        "compositions with MinGen first (materialize); verdicts and "
+        "reports are identical either way (REPRO_PLAN)",
     )),
 )
 
@@ -393,8 +393,9 @@ def add_job_flags(parser: Any, *, target_required: bool = True) -> None:
     parser.add_argument(
         "--explain-plan",
         action="store_true",
-        help="append the chosen evaluation plan — rewrite trace, cost "
-        "estimates vs. actuals — to an algebra report",
+        help="append the chosen evaluation plan — rewrite trace, the "
+        "rule that chose the strategy, measured actuals — to an "
+        "algebra report",
     )
     parser.add_argument(
         "--domain", default=None, help="comma-separated constants (default a,b)"

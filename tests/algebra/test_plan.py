@@ -1,10 +1,10 @@
-"""Plan selection: mode preferences, fallbacks, and explanations."""
+"""Plan selection: the shape rule, the materialize mode and its
+fallback, and explanations."""
 
 import os
 
 import pytest
 
-from repro.algebra.cost import CostModel
 from repro.algebra.expr import Compose, MappingAtom, parse_expression
 from repro.algebra.plan import (
     PLAN_MODES,
@@ -14,10 +14,11 @@ from repro.algebra.plan import (
 )
 from repro.algebra.rewrite import normalize
 from repro.algebra.scenarios import fan_in_chain_expression
+from repro.algebra.sweeps import check_expression
 from repro.catalog.mappings import union_mapping, union_quasi_inverse
 from repro.core.mapping import MappingError
 from repro.engine.context import set_defaults
-from repro.engine.instrumentation import engine_stats
+from repro.engine.instrumentation import engine_stats, reset_engine_stats
 
 
 class TestModes:
@@ -42,55 +43,75 @@ class TestModes:
         for mode in PLAN_MODES:
             assert resolve_plan_mode(mode) == mode
 
+    def test_membership_is_not_a_mode(self):
+        # auto runs membership wherever membership applies
+        assert PLAN_MODES == ("auto", "materialize")
+        with pytest.raises(MappingError, match="unknown plan mode"):
+            resolve_plan_mode("membership")
+
+    def test_env_isolated(self):
+        # plan mode lookups never mutate the environment
+        before = dict(os.environ)
+        resolve_plan_mode(None)
+        assert dict(os.environ) == before
+
 
 class TestSweepKinds:
     def test_auto_picks_staged_for_blowup(self):
         expr, _ = normalize(fan_in_chain_expression(3))
-        plan = plan_expression(expr, "unique", mode="auto", universe_size=25)
+        plan = plan_expression(expr, "unique", mode="auto")
         assert plan.strategy == "staged"
 
     def test_materialize_mode_is_respected(self):
         expr, _ = normalize(fan_in_chain_expression(3))
-        plan = plan_expression(
-            expr, "unique", mode="materialize", universe_size=25
-        )
+        plan = plan_expression(expr, "unique", mode="materialize")
         assert plan.strategy == "materialize"
-
-    def test_membership_mode_means_staged_for_sweeps(self):
-        expr, _ = normalize(fan_in_chain_expression(3))
-        plan = plan_expression(
-            expr, "subset", mode="membership", universe_size=25
-        )
-        assert plan.strategy == "staged"
 
     def test_plain_atom_materializes_under_auto(self):
         expr = parse_expression("Decomposition")
-        plan = plan_expression(expr, "unique", mode="auto", universe_size=9)
+        plan = plan_expression(expr, "unique", mode="auto")
         assert plan.strategy == "materialize"
+
+    def test_a_composition_no_strategy_runs_is_refused(self):
+        # the disjunctive second leg neither stages nor composes
+        expr = Compose(
+            first=MappingAtom(mapping=union_mapping()),
+            second=MappingAtom(mapping=union_quasi_inverse()),
+        )
+        with pytest.raises(MappingError, match="no feasible evaluation strategy"):
+            plan_expression(expr, "unique", mode="auto")
 
 
 class TestPairKinds:
     def test_auto_on_inverse_pair(self):
         expr = parse_expression("compose(Decomposition, Decomposition')")
-        plan = plan_expression(
-            expr, "inverse", mode="auto", universe_size=9, pair_checks=81
-        )
-        assert plan.strategy in ("materialize", "membership")
+        plan = plan_expression(expr, "inverse", mode="auto")
+        assert plan.strategy == "membership"
 
     def test_disjunctive_reverse_falls_back(self):
         expr = Compose(
             first=MappingAtom(mapping=union_mapping()),
             second=MappingAtom(mapping=union_quasi_inverse()),
         )
-        plan = plan_expression(
-            expr,
-            "inverse",
-            mode="materialize",
-            universe_size=3,
-            pair_checks=9,
-        )
+        plan = plan_expression(expr, "inverse", mode="materialize")
         assert plan.strategy == "membership"
         assert any("infeasible" in note for note in plan.notes)
+
+    def test_the_plan_does_not_depend_on_process_history(self):
+        # a planner calibrated by the process's own timings picked
+        # materialize here first, and membership after another check
+        reset_engine_stats()
+
+        def projection_plan():
+            return check_expression(
+                "Projection", "inverse", reverse="Projection'", max_facts=2
+            ).plan.strategy
+
+        first = projection_plan()
+        check_expression(
+            "Decomposition", "inverse", reverse="Decomposition'", max_facts=2
+        )
+        assert projection_plan() == first
 
 
 class TestInstrumentationAndExplain:
@@ -98,52 +119,19 @@ class TestInstrumentationAndExplain:
         stats = engine_stats()
         expr, _ = normalize(fan_in_chain_expression(3))
         before = stats.counter("algebra_plan_staged")
-        plan_expression(expr, "unique", mode="auto", universe_size=25)
+        plan_expression(expr, "unique", mode="auto")
         assert stats.counter("algebra_plan_staged") == before + 1
 
-    def test_explain_mentions_choice_and_estimates(self):
+    def test_explain_mentions_choice_and_reason(self):
         expr, trace = normalize(fan_in_chain_expression(3))
-        plan = plan_expression(
-            expr,
-            "unique",
-            mode="auto",
-            universe_size=25,
-            rewrite_trace=trace,
-        )
+        plan = plan_expression(expr, "unique", mode="auto", rewrite_trace=trace)
         text = plan.explain({"measured_seconds": 0.25})
         assert "strategy=staged" in text
-        assert "materialize:" in text
-        assert "* staged:" in text
+        assert "\n  reason: compose at the root" in text
+        assert "estimates" not in text
         assert "actuals:" in text
 
     def test_unknown_kind_rejected(self):
         expr = parse_expression("Decomposition")
         with pytest.raises(MappingError, match="unknown check kind"):
             plan_expression(expr, "bogus")
-
-
-class TestCostModel:
-    def test_calibration_labels(self):
-        model = CostModel.calibrated()
-        assert set(model.calibrations) == {
-            "chase",
-            "homomorphism",
-            "mingen",
-            "membership",
-        }
-
-    def test_blowup_proxy_orders_widths(self):
-        model = CostModel()
-        three = model.estimate_materialize(
-            normalize(fan_in_chain_expression(3))[0], 25, 0
-        )
-        four = model.estimate_materialize(
-            normalize(fan_in_chain_expression(4))[0], 25, 0
-        )
-        assert four.total > three.total
-
-    def test_env_isolated(self):
-        # plan mode lookups never mutate the environment
-        before = dict(os.environ)
-        resolve_plan_mode(None)
-        assert dict(os.environ) == before

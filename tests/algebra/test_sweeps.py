@@ -116,7 +116,7 @@ class TestGovernedMembershipBudget:
             "Projection'",
             "inverse",
             reverse="Projection",
-            plan="membership",
+            plan="auto",
             max_nulls=0,
         )
         assert report.coverage == "budget"
@@ -130,7 +130,7 @@ class TestGovernedMembershipBudget:
                 "expression": "Projection'",
                 "check": "inverse",
                 "reverse": "Projection",
-                "plan": "membership",
+                "plan": "auto",
             }
         )
         # the service has no max_nulls knob; exercise the degrade path
@@ -181,7 +181,7 @@ class TestServiceIntegration:
         )
         outcome = execute_job(spec)
         assert "plan: mode=" in outcome.rendering
-        assert "estimates:" in outcome.rendering
+        assert "reason: compose at the root" in outcome.rendering
 
     def test_submit_time_rejections(self):
         from repro.errors import ServiceProtocolError
@@ -193,10 +193,11 @@ class TestServiceIntegration:
             normalize_job(
                 {"kind": "algebra", "expression": "Union", "check": "bogus"}
             )
-        with pytest.raises(ServiceProtocolError, match="plan must be"):
-            normalize_job(
-                {"kind": "algebra", "expression": "Union", "plan": "bogus"}
-            )
+        for dropped in ("bogus", "membership"):
+            with pytest.raises(ServiceProtocolError, match="plan must be"):
+                normalize_job(
+                    {"kind": "algebra", "expression": "Union", "plan": dropped}
+                )
         with pytest.raises(ServiceProtocolError, match="reverse"):
             normalize_job(
                 {"kind": "algebra", "expression": "Union", "check": "inverse"}

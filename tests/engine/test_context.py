@@ -39,7 +39,7 @@ HONOURED = {
     "REPRO_SHARDS": ("3", "resolve_shards(None, None)", "(3, None)"),
     "REPRO_SHARD_ID": ("2", "default_shards()", "(1, 2)"),
     "REPRO_SQL_DB": ("{tmp}/scratch.db", "default_sql_db()", "'{tmp}/scratch.db'"),
-    "REPRO_PLAN": ("membership", "resolve_plan_mode(None)", "'membership'"),
+    "REPRO_PLAN": ("materialize", "resolve_plan_mode(None)", "'materialize'"),
 }
 
 _PROBE = (

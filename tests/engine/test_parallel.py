@@ -2,12 +2,19 @@
 reports the same under 2, 3 and 4 workers is a row of the parity
 harness (``tests/test_parity.py``)."""
 
+import ctypes
+import os
+import signal
+import sys
+import threading
+
 import pytest
 
 from repro.engine import (
     ParallelUniverseRunner,
     default_workers,
     fork_available,
+    parallel,
     set_defaults,
 )
 
@@ -55,3 +62,33 @@ class TestRunner:
         finally:
             set_defaults(**previous)
         assert default_workers() == original
+
+
+@needs_fork
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
+def test_only_the_sweeping_threads_workers_die_with_it():
+    """A worker the sweeping thread forks gets SIGKILL when that thread
+    exits; one forked by another thread, as the pool's handler thread
+    forks replacements, does not, since that thread exits while
+    ``Pool.terminate()`` still needs the workers' queue locks."""
+    sweeper = threading.get_ident()
+
+    def parent_death_signal():
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            parallel._die_with_parent(os.getppid(), sweeper)
+            value = ctypes.c_int()
+            ctypes.CDLL(None).prctl(2, ctypes.byref(value), 0, 0, 0)  # PR_GET_PDEATHSIG
+            os.write(write, bytes([value.value]))
+            os._exit(0)
+        os.close(write)
+        os.waitpid(pid, 0)
+        with os.fdopen(read, "rb") as pipe:
+            return pipe.read()[0]
+
+    elsewhere = []
+    helper = threading.Thread(target=lambda: elsewhere.append(parent_death_signal()))
+    helper.start()
+    helper.join()
+    assert (parent_death_signal(), elsewhere) == (signal.SIGKILL, [0])

@@ -17,9 +17,12 @@ from repro.datamodel.atoms import Atom, atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Variable
 from repro.dependencies.parser import parse_dependency
+from repro.algebra.scenarios import fan_in_chain_expression
+from repro.algebra.sweeps import check_expression
 from repro.engine import (
     engine_stats,
     reset_all_caches,
+    reset_engine_stats,
     set_defaults,
     sqlbackend,
     use_backend,
@@ -245,6 +248,31 @@ class TestRoutingAndFallbacks:
             )
         assert result is None
         assert engine_stats().counter("sql_fallbacks") > before
+
+    def test_an_input_no_premise_matches_is_its_own_fixpoint(self):
+        # P occurs only at arity 2, so the arity-1 premise cannot match
+        dep = parse_dependency("P(x) -> Q(x)")
+        source = Instance.build({"P": [("a", "b")]})
+        reset_engine_stats()
+        with use_backend("sql"):
+            result = sql_stratified_chase(
+                source, (dep,), null_factory=None, max_steps=10_000, trace=True
+            )
+        assert (result.instance, result.produced, result.steps) == (source, Instance.empty(), ())
+        assert "sql_instances_loaded" not in engine_stats().counters()
+
+    def test_a_materialized_blowup_lowers_nothing(self):
+        # Every premise of the composed mapping spans three relations,
+        # and every input of the one-fact universe holds one.
+        expr = fan_in_chain_expression(3)
+        reset_engine_stats()
+        report = check_expression(expr, "unique", plan="materialize", backend="sql")
+        counts = engine_stats().counters()
+        assert counts.get("sql_instances_loaded", 0) == counts.get("sql_statements", 0) == 0
+        assert counts["sql_inert_inputs"] == 25
+        reset_all_caches()
+        oracle = check_expression(expr, "unique", plan="materialize", backend="object")
+        assert report.render() == oracle.render()
 
 
 class TestThresholdRule:

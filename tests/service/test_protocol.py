@@ -199,7 +199,7 @@ class TestBuildPayload:
                 "--check",
                 "subset",
                 "--plan",
-                "membership",
+                "materialize",
                 "--explain-plan",
             ],
             ["algebra", "Union", "--check", "inverse", "--reverse", "Union'"],
@@ -231,7 +231,7 @@ class TestBuildPayload:
                 "expression": "compose(Decomposition, Decomposition')",
                 "check": "subset",
                 "explain_plan": True,
-                "plan": "membership",
+                "plan": "materialize",
             }
 
 
@@ -245,7 +245,7 @@ class TestBuildPayload:
             "import sys\n"
             "from repro.service.__main__ import _build_payload, build_parser\n"
             "_build_payload(build_parser().parse_args(\n"
-            "    ['submit', 'algebra', 'Union', '--check', 'subset', '--plan', 'membership']))\n"
+            "    ['submit', 'algebra', 'Union', '--check', 'subset', '--plan', 'materialize']))\n"
             "print(sorted(m for m in sys.modules if m.startswith('repro.algebra')))\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")

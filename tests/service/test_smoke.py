@@ -138,6 +138,9 @@ class TestParity:
             daemon.submit(
                 {"kind": "roundtrip", "mapping": "Projection", "reverse": "Projection"}
             )
+        # plan mode membership is gone: auto runs membership where it applies
+        with pytest.raises(ServiceProtocolError, match="plan must be"):
+            daemon.submit({"kind": "algebra", "expression": "Union", "plan": "membership"})
 
 
 class TestFaultedParity:
@@ -182,8 +185,9 @@ def _children(pid):
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the process table in /proc")
 def test_a_killed_daemon_leaves_no_pool_worker_behind(tmp_path):
-    # Each pool task sleeps 2 s, so a worker outlives a killed daemon
-    # by seconds unless the teardown kills its process group.
+    # Each pool task sleeps 2 s, so a worker would outlive a killed
+    # daemon by seconds if it did not die with its parent; the check
+    # runs before _stop kills the process group.
     process, client = _spawn_daemon(
         tmp_path / "state", env_extra={"REPRO_FAULTS": "worker.delay:task=*,seconds=2"}
     )
@@ -194,10 +198,12 @@ def test_a_killed_daemon_leaves_no_pool_worker_behind(tmp_path):
             assert time.monotonic() < deadline, "the sweep never forked its pool"
             time.sleep(0.05)
         process.kill()  # mid-sweep: no drain, no pool teardown
+        process.wait(timeout=5)
+        time.sleep(0.5)
+        survivors = workers & _children(None)
     finally:
         _stop(process)
-    time.sleep(0.5)
-    assert not workers & _children(None)
+    assert not survivors
 
 
 class TestDeduplication:
@@ -274,7 +280,7 @@ class TestSubmitVerb:
             "--check",
             "subset",
             "--plan",
-            "membership",
+            "materialize",
             "--max-facts",
             "2",
         ]
@@ -283,7 +289,7 @@ class TestSubmitVerb:
         )
         submitted = capsys.readouterr().out
         [job] = daemon.jobs()["jobs"]
-        assert (job["spec"]["check"], job["spec"]["plan"]) == ("subset", "membership")
+        assert (job["spec"]["check"], job["spec"]["plan"]) == ("subset", "materialize")
         assert cli_main(["check", *argv]) == code
         assert capsys.readouterr().out == submitted
         assert "subset property (~M,~M)" in submitted

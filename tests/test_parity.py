@@ -47,8 +47,7 @@ def _subset(name, variants, mapping, domain, max_facts, **options):
                    _universe_of(mapping, domain, max_facts), **options)
 
 
-PROJECTION_INVERSE = _check("Projection' inverse",
-                            grid(backend=("object", "kernel"), plan=PLANS + ("membership",)),
+PROJECTION_INVERSE = _check("Projection' inverse", grid(backend=("object", "kernel"), plan=PLANS),
                             "Projection'", "inverse", reverse="Projection")
 DEAD_BRANCH = Compose(first=MappingAtom(mapping=scenarios.fan_in_mapping(2)),
                       second=MappingAtom(mapping=scenarios.chain_join_with_dead_branch(2)))
@@ -63,7 +62,7 @@ CASES = [
       for kind in ("unique", "subset", "invertibility")),
     _check("dead-branch unique", grid(plan=PLANS), scenarios.dead_branch_expression(3), "unique"),
     PROJECTION_INVERSE,
-    *(_check(f"{name} inverse", grid(plan=PLANS + ("membership",)), forward, "inverse",
+    *(_check(f"{name} inverse", grid(plan=PLANS), forward, "inverse",
              reverse=reverse) for name, forward, reverse in scenarios.inverse_pairs()),
     _subset("Decomposition subset", WORKERS, D, (0, 1), 2),
     _subset("Projection subset, full scan", WORKERS, P, (0, 1), 2, stop_at_first_violation=False),
