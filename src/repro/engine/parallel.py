@@ -49,6 +49,7 @@ parent-side recovery is never itself faulted):
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -113,6 +114,28 @@ def _die_with_parent(parent: int, sweeper: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+@contextlib.contextmanager
+def _sigterm_blocked() -> Iterator[None]:
+    """Block SIGTERM in this thread while it builds a pool.  The
+    workers it forks inherit the mask, and so do the pool's handler
+    threads and the replacements they fork, so every worker starts
+    with SIGTERM blocked until :func:`_worker_init` has restored its
+    default.  Otherwise a ``Pool.terminate()`` that reaches a worker
+    before that reset runs the parent's trap, which the daemon's drain
+    handler makes a no-op: the worker lives on, waiting for the task
+    queue's lock that ``terminate()`` holds, and ``terminate()`` joins
+    it forever.  The parent's other threads still take a SIGTERM sent
+    to the process."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def _worker_init(
     shared: Any,
     task: Callable[[Any], Any],
@@ -125,12 +148,16 @@ def _worker_init(
     # would make Pool.terminate()'s SIGTERM a no-op in the children and
     # hang the terminating join forever — reset to the defaults so the
     # pool can always be torn down, and ignore SIGINT so Ctrl-C is
-    # handled once, by the parent.
+    # handled once, by the parent.  A SIGTERM sent before the reset
+    # waits, blocked (see _sigterm_blocked), and kills the worker at
+    # the unblock.
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # non-main thread or exotic platform
         pass
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     # The context is per-thread, and a pool may fork replacement
     # workers from its own handler thread, so every worker installs
     # the sweeping thread's snapshot for its lifetime (the intern
@@ -295,7 +322,7 @@ class ParallelUniverseRunner:
             for start in range(0, len(indexed), chunk)
         ]
         context = multiprocessing.get_context("fork")
-        with _POOL_CREATE_LOCK:
+        with _POOL_CREATE_LOCK, _sigterm_blocked():
             pool = context.Pool(
                 processes=self.workers,
                 initializer=_worker_init,

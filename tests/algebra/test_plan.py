@@ -62,6 +62,14 @@ class TestSweepKinds:
         plan = plan_expression(expr, "unique", mode="auto")
         assert plan.strategy == "staged"
 
+    def test_auto_stages_every_sweep_kind_alike(self):
+        # the rule reads the expression's shape, not which sweep runs
+        expr, _ = normalize(fan_in_chain_expression(3))
+        for kind in ("subset", "invertibility"):
+            plan = plan_expression(expr, kind, mode="auto")
+            assert plan.strategy == "staged"
+            assert plan.reason.startswith("compose at the root")
+
     def test_materialize_mode_is_respected(self):
         expr, _ = normalize(fan_in_chain_expression(3))
         plan = plan_expression(expr, "unique", mode="materialize")
@@ -71,6 +79,7 @@ class TestSweepKinds:
         expr = parse_expression("Decomposition")
         plan = plan_expression(expr, "unique", mode="auto")
         assert plan.strategy == "materialize"
+        assert plan.reason.startswith("no compose at the root")
 
     def test_a_composition_no_strategy_runs_is_refused(self):
         # the disjunctive second leg neither stages nor composes
@@ -87,6 +96,13 @@ class TestPairKinds:
         expr = parse_expression("compose(Decomposition, Decomposition')")
         plan = plan_expression(expr, "inverse", mode="auto")
         assert plan.strategy == "membership"
+
+    def test_materialize_mode_forces_mingen_on_an_inverse_pair(self):
+        expr = parse_expression("compose(Decomposition, Decomposition')")
+        plan = plan_expression(expr, "inverse", mode="materialize")
+        assert plan.strategy == "materialize"
+        assert plan.reason == "plan mode materialize forces MinGen"
+        assert plan.notes == ()
 
     def test_disjunctive_reverse_falls_back(self):
         expr = Compose(
@@ -130,6 +146,22 @@ class TestInstrumentationAndExplain:
         assert "\n  reason: compose at the root" in text
         assert "estimates" not in text
         assert "actuals:" in text
+
+    def test_explain_shows_a_fallback_under_the_rule_it_fell_back_to(self):
+        expr = Compose(
+            first=MappingAtom(mapping=union_mapping()),
+            second=MappingAtom(mapping=union_quasi_inverse()),
+        )
+        text = plan_expression(expr, "inverse", mode="materialize").explain()
+        assert "plan: mode=materialize strategy=membership kind=inverse" in text
+        lines = text.splitlines()
+        reason = lines.index(
+            "  reason: the inverse kind decides each pair by membership"
+        )
+        assert lines[reason + 1].startswith(
+            "  note: preferred strategy 'materialize' infeasible"
+        )
+        assert "actuals:" not in text
 
     def test_unknown_kind_rejected(self):
         expr = parse_expression("Decomposition")

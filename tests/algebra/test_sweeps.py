@@ -225,6 +225,16 @@ class TestCliIntegration:
         assert "unique solutions" in out
         assert "plan: mode=auto" in out
 
+    def test_plan_membership_is_a_usage_error(self, capsys):
+        # auto runs membership wherever membership applies
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "algebra", "Union", "--check", "subset", "--plan", "membership"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "--plan" in err and "'membership'" in err
+
     def test_plan_flag_sets_the_default_for_its_call(self, monkeypatch):
         import os
 

@@ -92,3 +92,45 @@ def test_only_the_sweeping_threads_workers_die_with_it():
     helper.start()
     helper.join()
     assert (parent_death_signal(), elsewhere) == (signal.SIGKILL, [0])
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="needs per-thread signal masks")
+class TestSigtermBeforeTheWorkerResetsItsHandler:
+    """A host that traps SIGTERM (the service daemon's drain handler)
+    hands the trap to each worker it forks until ``_worker_init``
+    restores the default.  A ``Pool.terminate()`` that lands first must
+    still kill the worker; a worker that lived on waited for the task
+    queue's lock, which ``terminate()`` holds, and ``terminate()``
+    joined it forever."""
+
+    @pytest.fixture(autouse=True)
+    def trapped(self):
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        yield
+        signal.signal(signal.SIGTERM, previous)
+
+    @staticmethod
+    def _own_pids():
+        runner = ParallelUniverseRunner(workers=2, chunk_size=1, on_fault="retry")
+        return runner.map(lambda _: os.getpid(), range(4))
+
+    def test_a_worker_dies_of_it(self, monkeypatch):
+        def early_signal(parent, sweeper):
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr(parallel, "_die_with_parent", early_signal)
+        # no worker ran a chunk: the parent replayed each one itself
+        assert self._own_pids() == [os.getpid()] * 4
+
+    def test_a_replacement_dies_of_it(self, monkeypatch):
+        def early_signal(parent, sweeper):
+            # the sweeping thread's workers die at once, so the pool's
+            # handler thread forks replacements, which get the SIGTERM
+            doomed = threading.get_ident() == sweeper
+            os.kill(os.getpid(), signal.SIGKILL if doomed else signal.SIGTERM)
+
+        monkeypatch.setattr(parallel, "_die_with_parent", early_signal)
+        # the replacements are forked long before the parent first looks
+        monkeypatch.setattr(parallel, "_POLL_INTERVAL", 0.5)
+        assert self._own_pids() == [os.getpid()] * 4
