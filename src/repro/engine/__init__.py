@@ -19,8 +19,9 @@ fast:
   ``kinstance``, ``canon``), keyed by the exact facts, so every memo
   follows ``--cache-size`` and ``reset_all_caches()``;
 * :mod:`repro.engine.parallel` — the :class:`ParallelUniverseRunner`
-  that chunks universe streams across a ``multiprocessing`` pool with
-  deterministic merge order and a serial fallback;
+  that chunks universe streams across worker processes it forks and
+  supervises itself, with deterministic merge order and a serial
+  fallback;
 * :mod:`repro.engine.instrumentation` — per-phase timings and
   throughput counters surfaced by the CLI and benchmarks.
 
@@ -77,12 +78,12 @@ backend, the ground-key flag, the governed-kind widening, the runner's
 shared payload and task, and the sql backend's connection, so
 concurrent service jobs never see each other's choices.
 ``context.scope(**fields)`` sets fields for a block and restores them
-on exit, and pool workers install a snapshot of the sweeping thread's
-budget, backend, ground-key flag, governed kinds and store in their
-initializer.  The same class holds the process-wide engine defaults
-(workers, budget limits, journal, store, symmetry, shards, plan,
-backend, ...): each ``REPRO_*`` knob is parsed once, at import, and
-:func:`set_defaults` is the one setter the CLI and the daemon call.
+on exit, and the runner's workers, which the sweeping thread forks,
+start with that thread's context.  The same class holds the
+process-wide engine defaults (workers, budget limits, journal, store,
+symmetry, shards, plan, backend, ...): each ``REPRO_*`` knob is parsed
+once, at import, and :func:`set_defaults` is the one setter the CLI
+and the daemon call.
 
 The package depends only on :mod:`repro.datamodel` and
 :mod:`repro.errors`; the chase, core, analysis, and data-exchange

@@ -19,8 +19,8 @@ deadline raises the :class:`~repro.errors.DeadlineExceeded` subclass);
 checkers catch these at their merge loop and degrade to a *partial
 verdict* whose ``coverage`` field records why the sweep stopped.
 
-The module also hosts the ambient-budget plumbing (workers inherit the
-budget through the pool initializer, the chase reads it through
+The module also hosts the ambient-budget plumbing (each runner worker
+installs the sweep's budget, the chase reads it through
 :func:`current_budget`), the per-thread *coverage event* registry the
 CLI maps to exit codes, the rule for which errors degrade to partial
 verdicts (:func:`governed_coverage`), and :class:`SweepVerdict`, a

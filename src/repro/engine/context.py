@@ -24,13 +24,10 @@ re-reads it at use, so a test can switch fault schedules in-process.
 
 :func:`scope` sets fields for a block on this thread only; a field the
 thread had not set is deleted on exit, so the thread follows the
-process default again.  :func:`snapshot` captures the :data:`INHERITED`
-fields, which :func:`repro.engine.parallel._worker_init` installs in
-every pool worker: a pool may fork a replacement worker from its own
-handler thread, whose context holds the defaults.  A new per-thread
-field is one line in :class:`EngineContext`, plus its name in
-:data:`INHERITED` when pool workers should see it; a new default is
-one more line there and one in :data:`KNOBS`.
+process default again.  The parallel runner's workers are forked by
+the sweeping thread, so each starts with that thread's context.  A
+new per-thread field is one line in :class:`EngineContext`; a new
+default is one more line there and one in :data:`KNOBS`.
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ class EngineContext(threading.local):
     ground_keys: bool = False  # key ground instances by canonical form
     governed: FrozenSet[str] = frozenset()  # kinds governed beyond GOVERNED_KINDS
     shared: Any = None  # the payload the runner's current map publishes
-    task: Any = None  # a pool worker's task function
-    in_worker: bool = False  # this thread runs a pool worker's tasks
+    task: Any = None  # a runner worker's task function
+    in_worker: bool = False  # this thread runs a runner worker's chunks
     sql_runtime: Any = None  # this thread's SQLite connection and caches
     # -- the process defaults (KNOBS, set_defaults) --
     backend: str = "object"
@@ -78,9 +75,6 @@ class EngineContext(threading.local):
 
 CONTEXT = EngineContext()
 
-#: The fields a forked pool worker inherits from the sweeping thread.
-INHERITED = ("budget", "backend", "ground_keys", "governed", "store")
-
 
 @contextmanager
 def scope(**fields: Any) -> Iterator[None]:
@@ -103,11 +97,6 @@ def scope(**fields: Any) -> Iterator[None]:
                 own[name] = previous[name]
             else:
                 own.pop(name, None)
-
-
-def snapshot() -> Dict[str, Any]:
-    """This thread's values of the :data:`INHERITED` fields."""
-    return {name: getattr(CONTEXT, name) for name in INHERITED}
 
 
 # -- the process defaults -------------------------------------------------
@@ -200,8 +189,8 @@ _PARSERS: Dict[str, Callable[[Any], Any]] = dict(KNOBS.values())
 
 
 def set_defaults(**fields: Any) -> Dict[str, Any]:
-    """Make *fields* the process defaults, which every thread (and pool
-    worker) follows outside a :func:`scope` of its own.
+    """Make *fields* the process defaults, which every thread (and
+    runner worker) follows outside a :func:`scope` of its own.
 
     Values are parsed like their knobs.  An unknown field raises
     TypeError, and a value its parser rejects ValueError, before
@@ -257,12 +246,10 @@ __all__ = [
     "BACKEND_MODES",
     "CONTEXT",
     "EngineContext",
-    "INHERITED",
     "KNOBS",
     "PLAN_MODES",
     "SYMMETRY_MODES",
     "environment_defaults",
     "scope",
     "set_defaults",
-    "snapshot",
 ]

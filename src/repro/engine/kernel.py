@@ -93,8 +93,9 @@ BACKEND_OPERATIONS: Dict[str, Optional["KernelBackend"]] = {BACKEND_OBJECT: None
 
 def active_operations() -> Optional["KernelBackend"]:
     """The operations of this thread's backend (:func:`active_backend`),
-    or None on the object backend.  Pool workers install the sweep's
-    backend in their initializer, so a sweep runs on one end to end."""
+    or None on the object backend.  The runner's workers fork from the
+    sweeping thread and keep its backend, so a sweep runs on one end
+    to end."""
     return BACKEND_OPERATIONS[CONTEXT.backend]
 
 

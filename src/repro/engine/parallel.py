@@ -2,32 +2,38 @@
 
 A :class:`ParallelUniverseRunner` chunks a stream of work items (most
 often instances from :func:`repro.workloads.power_instances`, or the
-per-instance tasks of a bounded checker) across a ``multiprocessing``
-pool and merges results back in input order, so every caller sees
+per-instance tasks of a bounded checker) across forked worker
+processes and merges results back in input order, so every caller sees
 exactly the sequence a serial loop would produce.
 
 Rules that keep this safe and reproducible:
 
-* the pool uses the ``fork`` start method and is created *after* the
-  shared context is published, so workers inherit large read-only
+* the sweeping thread forks the workers itself (the ``fork`` start
+  method) *after* the shared context is published, so each worker
+  holds that thread's engine context and inherits large read-only
   payloads (universes, witness pools, mappings) for free instead of
   pickling them per task;
-* work is dispatched as per-chunk ``apply_async`` calls and *supervised*
-  from the parent — never a bare ``imap``, which hangs forever when a
-  forked worker is OOM-killed.  The supervision loop polls each chunk
-  with a short interval and watches for (a) worker death (a pool pid
-  vanishing or reporting an exit code), (b) a per-chunk timeout
-  (``REPRO_TASK_TIMEOUT``), and (c) budget expiry in the parent;
-* when a fault is detected the pool is condemned: chunks that already
-  completed cleanly are harvested, and every other chunk — including
-  whatever the dead worker was holding — is **re-executed serially in
-  the parent**, so the merged result sequence is byte-identical to a
+* each worker has a private pipe.  The parent hands every idle worker
+  the next chunk and *supervises* them all with one
+  ``multiprocessing.connection.wait`` on the pipes and the process
+  sentinels, polling with a short interval for (a) worker death (a
+  fired sentinel, or a failed send or receive, on a worker holding a
+  chunk), (b) a per-chunk timeout (``REPRO_TASK_TIMEOUT``, counted
+  from the chunk's send), and (c) budget expiry in the parent;
+* at the first fault the workers are condemned: chunks that already
+  came back are kept, and every other chunk — including whatever the
+  dead worker was holding — is **re-executed serially in the
+  parent**, so the merged result sequence is byte-identical to a
   serial run despite the fault.  With ``on_fault="raise"`` the runner
   raises :class:`~repro.errors.WorkerFault` instead, which checkers
   convert into a ``coverage == "faulted"`` partial verdict;
-* a task that *raises* inside a worker is replayed serially in the
-  parent at its exact merge position, so exceptions surface with the
-  same ordering and type a serial loop would produce;
+* a task that *raises* inside a worker, or whose results do not
+  pickle, is replayed serially in the parent at its exact merge
+  position, so exceptions surface with the same ordering and type a
+  serial loop would produce;
+* every way out of a map kills the workers (SIGKILL) and reaps them,
+  so no worker is left holding a lock another process needs, and no
+  signal trap a worker inherited can keep it alive;
 * with ``workers <= 1``, on platforms without ``fork``, or inside an
   existing worker, the runner degrades to a plain serial loop over
   the same task function, which is how serial/parallel equivalence is
@@ -49,7 +55,6 @@ parent-side recovery is never itself faulted):
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import signal
@@ -61,7 +66,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from repro.engine import faults
 from repro.engine.budget import Budget, current_budget
 from repro.engine.cache import flush_active_store
-from repro.engine.context import CONTEXT, scope, snapshot
+from repro.engine.context import CONTEXT, scope
 from repro.engine.instrumentation import engine_stats
 from repro.errors import WorkerFault
 
@@ -69,11 +74,11 @@ Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 
-# Forking from a multi-threaded daemon while another thread is mid-way
-# through creating its own pool is the classic fork/threads hazard;
-# serializing pool construction keeps the supervised fork pool usable
-# from concurrent service jobs.  Held only for the (quick) fork+spawn
-# of the workers, never while chunks run.
+# A worker forked by another thread while this map's child pipe ends
+# are still open in the parent would hold them, and a death of this
+# map's worker would then go unseen on its pipe; serializing the forks
+# keeps the runner usable from concurrent service jobs.  Held only
+# while the workers are forked, never while chunks run.
 _POOL_CREATE_LOCK = threading.Lock()
 
 _POLL_INTERVAL = 0.02
@@ -89,18 +94,13 @@ def get_shared() -> Any:
 _PR_SET_PDEATHSIG = 1
 
 
-def _die_with_parent(parent: int, sweeper: int) -> None:
+def _die_with_parent(parent: int) -> None:
     """On Linux, have the kernel SIGKILL this worker when the thread
-    that forked it exits, if that is the *sweeper* thread: it builds
-    and tears down the pool, so it outlives its workers, and a parent
-    killed outright would otherwise leave them to finish their chunks
-    as orphans.  Replacements, which the pool's handler thread forks
-    after a worker dies, keep running: that thread exits early in
-    ``Pool.terminate()``, and a replacement it took down mid-result
-    would die holding the result queue's lock, which the rest of
-    ``terminate()`` then waits on forever.  Other platforms keep
+    that forked it exits.  That thread kills its workers on every way
+    out of a map, but a parent killed outright would otherwise leave
+    them to finish their chunks as orphans.  Other platforms keep
     running."""
-    if threading.get_ident() != sweeper or not sys.platform.startswith("linux"):
+    if not sys.platform.startswith("linux"):
         return
     import ctypes
 
@@ -114,55 +114,47 @@ def _die_with_parent(parent: int, sweeper: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-@contextlib.contextmanager
-def _sigterm_blocked() -> Iterator[None]:
-    """Block SIGTERM in this thread while it builds a pool.  The
-    workers it forks inherit the mask, and so do the pool's handler
-    threads and the replacements they fork, so every worker starts
-    with SIGTERM blocked until :func:`_worker_init` has restored its
-    default.  Otherwise a ``Pool.terminate()`` that reaches a worker
-    before that reset runs the parent's trap, which the daemon's drain
-    handler makes a no-op: the worker lives on, waiting for the task
-    queue's lock that ``terminate()`` holds, and ``terminate()`` joins
-    it forever.  The parent's other threads still take a SIGTERM sent
-    to the process."""
-    if not hasattr(signal, "pthread_sigmask"):
-        yield
-        return
-    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
-
-
-def _worker_init(
-    shared: Any,
+def _worker(
+    connection: Any,
     task: Callable[[Any], Any],
-    inherited: Dict[str, Any],
-    parent: Tuple[int, int],
+    budget: Optional[Budget],
+    parent: int,
 ) -> None:
-    _die_with_parent(*parent)
-    # Forked workers inherit the parent's signal dispositions.  A host
-    # that traps SIGTERM (the service daemon's graceful-drain handler)
-    # would make Pool.terminate()'s SIGTERM a no-op in the children and
-    # hang the terminating join forever — reset to the defaults so the
-    # pool can always be torn down, and ignore SIGINT so Ctrl-C is
-    # handled once, by the parent.  A SIGTERM sent before the reset
-    # waits, blocked (see _sigterm_blocked), and kills the worker at
-    # the unblock.
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread or exotic platform
-        pass
-    if hasattr(signal, "pthread_sigmask"):
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-    # The context is per-thread, and a pool may fork replacement
-    # workers from its own handler thread, so every worker installs
-    # the sweeping thread's snapshot for its lifetime (the intern
-    # table is inherited with the fork).
-    vars(CONTEXT).update(inherited, shared=shared, task=task, in_worker=True)
+    """A worker's life: run each chunk the parent sends, and send back
+    its results, or None when the task raised or its results do not
+    pickle, so that the parent replays the chunk.  The sweeping thread
+    forked it, so its context already holds that thread's fields and
+    shared payload.  The parent kills it when the map ends."""
+    _die_with_parent(parent)
+    # A forked worker inherits the parent's signal traps: restore
+    # SIGTERM's default so a worker sent one dies (the daemon's drain
+    # trap would wake the daemon's event loop through the wakeup fd
+    # the two share, and drain it), and ignore SIGINT so Ctrl-C is
+    # handled once, by the parent.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    vars(CONTEXT).update(task=task, budget=budget, in_worker=True)
+    while True:
+        try:
+            batch = connection.recv()
+        except EOFError:  # the parent is gone
+            return
+        try:
+            # looked up at each call, so a patched one reaches workers
+            connection.send(_supervised_call(batch))
+        except Exception:
+            connection.send(None)
+
+
+def _kill(workers: Dict[Any, Any]) -> None:
+    """Kill and reap every worker of *workers* (pipe end -> process),
+    close its pipe, and empty the table."""
+    for process in workers.values():
+        process.kill()
+    for connection, process in workers.items():
+        process.join()
+        connection.close()
+    workers.clear()
 
 
 def fork_available() -> bool:
@@ -193,7 +185,7 @@ def _apply_fault_hooks(index: int) -> None:
 
 
 def _supervised_call(batch: Sequence[Tuple[int, Any]]) -> List[Any]:
-    """Pool entry point: run the installed task over one chunk."""
+    """Run the installed task over one chunk, in a worker."""
     task = CONTEXT.task
     assert task is not None
     results: List[Any] = []
@@ -201,7 +193,7 @@ def _supervised_call(batch: Sequence[Tuple[int, Any]]) -> List[Any]:
         _apply_fault_hooks(index)
         results.append(task(item))
     # Persist this chunk's chase/verdict traffic before the worker is
-    # potentially recycled — the store's writes are multi-process safe.
+    # killed — the store's writes are multi-process safe.
     flush_active_store()
     return results
 
@@ -268,12 +260,12 @@ class ParallelUniverseRunner:
         In serial mode each task runs only when its result is
         consumed, so a caller that stops early (a checker returning at
         the first violation) does no extra work; in parallel mode the
-        pool races ahead but abandoning the iterator tears it down.
+        workers race ahead, but abandoning the iterator kills them.
 
         *budget* (default: the ambient one) is charged one instance
         per merged result and its deadline/RSS limits are checked
-        between results; workers inherit it through the pool
-        initializer so chase-step caps apply inside tasks too.
+        between results; every worker installs it, so chase-step caps
+        apply inside tasks too.
         """
         stats = engine_stats()
         if budget is None:
@@ -293,9 +285,7 @@ class ParallelUniverseRunner:
                     items if isinstance(items, (list, tuple)) else list(items)
                 )
                 with stats.phase("universe.parallel"):
-                    for result in self._supervised_map(
-                        task, materialized, shared, budget
-                    ):
+                    for result in self._supervised_map(task, materialized, budget):
                         if budget is not None:
                             budget.charge_instances()
                         yield result
@@ -310,7 +300,6 @@ class ParallelUniverseRunner:
         self,
         task: Callable[[Item], Result],
         materialized: Sequence[Item],
-        shared: Any,
         budget: Optional[Budget],
     ) -> Iterator[Result]:
         chunk = self.chunk_size or max(
@@ -321,60 +310,78 @@ class ParallelUniverseRunner:
             indexed[start : start + chunk]
             for start in range(0, len(indexed), chunk)
         ]
+        from multiprocessing.connection import wait
+
         context = multiprocessing.get_context("fork")
-        with _POOL_CREATE_LOCK, _sigterm_blocked():
-            pool = context.Pool(
-                processes=self.workers,
-                initializer=_worker_init,
-                initargs=(
-                    shared,
-                    task,
-                    dict(snapshot(), budget=budget),
-                    (os.getpid(), threading.get_ident()),
-                ),
-            )
-        pool_alive = True
-        condemned = False
+        # Chunks go by their number, their position in *batches*.
+        workers: Dict[Any, Any] = {}  # the parent's pipe end -> its worker
+        held: Dict[Any, Tuple[int, float]] = {}  # pipe end -> (chunk, sent at)
+        done: Dict[int, Optional[List[Result]]] = {}  # None: replay the chunk
+        idle: List[Any] = []
+        unsent = iter(range(len(batches)))
+
+        def poll() -> Optional[Tuple[str, int]]:
+            """Take the replies that came back, then hand each idle
+            worker the next chunk; the first fault seen, as its kind
+            and the number of the chunk it hit, else None."""
+            if budget is not None:
+                budget.check()  # propagates DeadlineExceeded to the merge
+            sentinels = {workers[connection].sentinel for connection in held}
+            ready = set(wait([*held, *sentinels], _POLL_INTERVAL)) if held else set()
+            now = time.monotonic()
+            for connection, (number, sent) in list(held.items()):
+                if workers[connection].sentinel in ready:
+                    return "died", number
+                if connection in ready:
+                    try:
+                        done[number] = connection.recv()
+                    except (EOFError, OSError):
+                        return "died", number
+                    del held[connection]
+                    idle.append(connection)
+                elif self.task_timeout is not None and now - sent > self.task_timeout:
+                    return "timeout", number
+            while idle and (number := next(unsent, None)) is not None:
+                connection = idle.pop()
+                held[connection] = (number, time.monotonic())
+                try:
+                    connection.send(batches[number])
+                except OSError:
+                    return "died", number
+            return None
+
         try:
-            known_pids = self._worker_pids(pool)
-            pending = [
-                pool.apply_async(_supervised_call, (batch,)) for batch in batches
-            ]
-            for batch, async_result in zip(batches, pending):
-                batch_results: Optional[List[Result]] = None
-                if pool_alive and not condemned:
-                    outcome = self._await(async_result, pool, known_pids, budget)
-                    if outcome == "ready":
-                        try:
-                            batch_results = async_result.get()
-                        except Exception:
-                            # The task genuinely raised inside the worker.
-                            # Replay serially below so the exception
-                            # surfaces at its exact serial merge position.
-                            batch_results = None
-                    else:
-                        engine_stats().count_worker_fault()
-                        if self.on_fault == "raise":
-                            raise WorkerFault(
-                                f"pool worker fault ({outcome}) while "
-                                f"processing tasks "
-                                f"{batch[0][0]}..{batch[-1][0]}",
-                                kind=outcome,
-                                first_task=batch[0][0],
-                            )
-                        condemned = True
-                        pool.terminate()
-                        pool.join()
-                        pool_alive = False
-                if batch_results is None and condemned and not pool_alive:
-                    # Harvest chunks that completed before condemnation.
-                    if async_result.ready():
-                        try:
-                            batch_results = async_result.get()
-                        except Exception:
-                            batch_results = None
-                if batch_results is not None:
-                    yield from batch_results
+            with _POOL_CREATE_LOCK:
+                for _ in range(min(self.workers, len(batches), os.cpu_count() or 1)):
+                    connection, child_end = context.Pipe()
+                    process = context.Process(
+                        target=_worker,
+                        args=(child_end, task, budget, os.getpid()),
+                        daemon=True,
+                    )
+                    process.start()
+                    child_end.close()
+                    workers[connection] = process
+            idle.extend(workers)
+            for position, batch in enumerate(batches):
+                while workers and position not in done:
+                    fault = poll()
+                    if fault is None:
+                        continue
+                    kind, faulted = fault
+                    engine_stats().count_worker_fault()
+                    if self.on_fault == "raise":
+                        first, last = batches[faulted][0][0], batches[faulted][-1][0]
+                        raise WorkerFault(
+                            f"worker fault ({kind}) while processing tasks "
+                            f"{first}..{last}",
+                            kind=kind,
+                            first_task=first,
+                        )
+                    _kill(workers)
+                results = done.get(position)
+                if results is not None:
+                    yield from results
                 else:
                     # Serial re-execution in the parent: recovers work
                     # lost to dead/stuck workers and replays genuine
@@ -383,45 +390,4 @@ class ParallelUniverseRunner:
                     for _, item in batch:
                         yield task(item)
         finally:
-            if pool_alive:
-                pool.terminate()
-                pool.join()
-
-    def _await(
-        self,
-        async_result: Any,
-        pool: Any,
-        known_pids: Optional[set],
-        budget: Optional[Budget],
-    ) -> str:
-        """Wait for one chunk: ``"ready"`` | ``"died"`` | ``"timeout"``."""
-        started = time.monotonic()
-        while True:
-            async_result.wait(_POLL_INTERVAL)
-            if async_result.ready():
-                return "ready"
-            if budget is not None:
-                budget.check()  # propagates DeadlineExceeded to the merge
-            if known_pids is not None and self._pool_faulted(pool, known_pids):
-                return "died"
-            if (
-                self.task_timeout is not None
-                and time.monotonic() - started > self.task_timeout
-            ):
-                return "timeout"
-
-    @staticmethod
-    def _worker_pids(pool: Any) -> Optional[set]:
-        processes = getattr(pool, "_pool", None)
-        if processes is None:
-            return None
-        return {process.pid for process in processes}
-
-    @staticmethod
-    def _pool_faulted(pool: Any, known_pids: set) -> bool:
-        """Did any worker die?  Catches both a just-dead worker (exit
-        code set) and one the pool already replaced (pid set drift)."""
-        processes = list(getattr(pool, "_pool", ()) or ())
-        if any(process.exitcode is not None for process in processes):
-            return True
-        return {process.pid for process in processes} != known_pids
+            _kill(workers)

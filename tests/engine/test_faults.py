@@ -22,6 +22,7 @@ from repro.engine import (
     engine_stats,
     fork_available,
     reset_all_caches,
+    use_store,
 )
 from repro.engine.budget import (
     Budget,
@@ -169,13 +170,13 @@ class TestBudgets:
         mapping, universe = _decomposition_universe()
         reverse = decomposition_quasi_inverse_join()
 
-        # Measure the chase work of the first instance (cold caches, so
-        # the sweep below recomputes the same steps), then expire the
-        # (fault-injected) deadline one chase step later: instance 1
-        # completes, a later instance trips mid-chase.
+        # Measure the chase work of the first instance (cold caches and
+        # no store, so the sweep below recomputes the same steps), then
+        # expire the (fault-injected) deadline one chase step later:
+        # instance 1 completes, a later instance trips mid-chase.
         reset_all_caches()
         probe = Budget(deadline=3600.0)
-        with use_budget(probe):
+        with use_store(None), use_budget(probe):
             analyze_round_trip(mapping, reverse, universe[0])
         assert probe.chase_steps >= 1
         reset_all_caches()
@@ -184,9 +185,10 @@ class TestBudgets:
             "REPRO_FAULTS",
             f"budget.expire:resource=chase_steps,after={probe.chase_steps + 1}",
         )
-        verdict = sound_on(
-            mapping, reverse, universe, workers=1, budget=Budget(deadline=3600.0)
-        )
+        with use_store(None):
+            verdict = sound_on(
+                mapping, reverse, universe, workers=1, budget=Budget(deadline=3600.0)
+            )
         assert verdict.coverage == "deadline"
         assert 0 < verdict.instances_checked < len(universe)
         assert verdict.ok  # no violation among the instances checked

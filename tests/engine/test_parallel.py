@@ -1,18 +1,21 @@
-"""Determinism of the universe runner.  That every bounded checker
-reports the same under 2, 3 and 4 workers is a row of the parity
-harness (``tests/test_parity.py``)."""
+"""Determinism and supervision of the universe runner.  That every
+bounded checker reports the same under 2, 3 and 4 workers is a row of
+the parity harness (``tests/test_parity.py``)."""
 
 import ctypes
 import os
 import signal
+import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.engine import (
     ParallelUniverseRunner,
     default_workers,
+    engine_stats,
     fork_available,
     parallel,
     set_defaults,
@@ -21,6 +24,8 @@ from repro.engine import (
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
 )
+
+REPO_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 WORKER_COUNTS = [2, 3, 4]
 
@@ -64,73 +69,157 @@ class TestRunner:
         assert default_workers() == original
 
 
-@needs_fork
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
-def test_only_the_sweeping_threads_workers_die_with_it():
-    """A worker the sweeping thread forks gets SIGKILL when that thread
-    exits; one forked by another thread, as the pool's handler thread
-    forks replacements, does not, since that thread exits while
-    ``Pool.terminate()`` still needs the workers' queue locks."""
-    sweeper = threading.get_ident()
+def _pid_and_death_signal(_):
+    signum = ctypes.c_int()
+    ctypes.CDLL(None).prctl(2, ctypes.byref(signum), 0, 0, 0)  # PR_GET_PDEATHSIG
+    return os.getpid(), signum.value
 
-    def parent_death_signal():
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            parallel._die_with_parent(os.getppid(), sweeper)
-            value = ctypes.c_int()
-            ctypes.CDLL(None).prctl(2, ctypes.byref(value), 0, 0, 0)  # PR_GET_PDEATHSIG
-            os.write(write, bytes([value.value]))
-            os._exit(0)
-        os.close(write)
-        os.waitpid(pid, 0)
-        with os.fdopen(read, "rb") as pipe:
-            return pipe.read()[0]
 
-    elsewhere = []
-    helper = threading.Thread(target=lambda: elsewhere.append(parent_death_signal()))
-    helper.start()
-    helper.join()
-    assert (parent_death_signal(), elsewhere) == (signal.SIGKILL, [0])
+def _lock_at_three(item):
+    return threading.Lock() if item == 3 else item
+
+
+def _napping_pid(_):
+    time.sleep(0.05)
+    return os.getpid()
 
 
 @needs_fork
-@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="needs per-thread signal masks")
-class TestSigtermBeforeTheWorkerResetsItsHandler:
-    """A host that traps SIGTERM (the service daemon's drain handler)
-    hands the trap to each worker it forks until ``_worker_init``
-    restores the default.  A ``Pool.terminate()`` that lands first must
-    still kill the worker; a worker that lived on waited for the task
-    queue's lock, which ``terminate()`` holds, and ``terminate()``
-    joined it forever."""
+class TestWorkers:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
+    def test_every_worker_dies_with_the_sweeping_thread(self):
+        results = []
+        runner = ParallelUniverseRunner(workers=2, chunk_size=1)
+        sweeper = threading.Thread(
+            target=lambda: results.extend(runner.map(_pid_and_death_signal, range(4)))
+        )
+        sweeper.start()
+        sweeper.join(timeout=120)
+        assert not sweeper.is_alive() and len(results) == 4
+        for pid, signum in results:
+            assert pid != os.getpid() and signum == signal.SIGKILL
 
-    @pytest.fixture(autouse=True)
-    def trapped(self):
-        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
-        yield
-        signal.signal(signal.SIGTERM, previous)
-
-    @staticmethod
-    def _own_pids():
+    def test_workers_that_die_before_their_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(
+            parallel, "_die_with_parent", lambda parent: os.kill(os.getpid(), signal.SIGKILL)
+        )
         runner = ParallelUniverseRunner(workers=2, chunk_size=1, on_fault="retry")
-        return runner.map(lambda _: os.getpid(), range(4))
+        for _ in range(10):  # a send to a worker already dead must not raise
+            assert runner.map(lambda _: os.getpid(), range(4)) == [os.getpid()] * 4
 
-    def test_a_worker_dies_of_it(self, monkeypatch):
-        def early_signal(parent, sweeper):
-            os.kill(os.getpid(), signal.SIGTERM)
+    def test_a_result_that_does_not_pickle_is_replayed_without_a_fault(self):
+        engine_stats().reset()
+        runner = ParallelUniverseRunner(workers=2, chunk_size=1, on_fault="raise")
+        results = runner.map(_lock_at_three, range(6))
+        # a lock cannot leave a worker, so the parent ran item 3 itself
+        assert results[:3] + results[4:] == [0, 1, 2, 4, 5]
+        assert isinstance(results[3], type(threading.Lock()))
+        assert engine_stats().worker_faults == 0
 
-        monkeypatch.setattr(parallel, "_die_with_parent", early_signal)
-        # no worker ran a chunk: the parent replayed each one itself
-        assert self._own_pids() == [os.getpid()] * 4
+    def test_the_fork_count_is_bounded_by_the_host(self):
+        cpus = os.cpu_count() or 1
+        runner = ParallelUniverseRunner(workers=cpus + 2, chunk_size=1)
+        pids = runner.map(_napping_pid, range(16))
+        assert os.getpid() not in pids
+        assert len(set(pids)) <= cpus
 
-    def test_a_replacement_dies_of_it(self, monkeypatch):
-        def early_signal(parent, sweeper):
-            # the sweeping thread's workers die at once, so the pool's
-            # handler thread forks replacements, which get the SIGTERM
-            doomed = threading.get_ident() == sweeper
-            os.kill(os.getpid(), signal.SIGKILL if doomed else signal.SIGTERM)
 
-        monkeypatch.setattr(parallel, "_die_with_parent", early_signal)
-        # the replacements are forked long before the parent first looks
-        monkeypatch.setattr(parallel, "_POLL_INTERVAL", 0.5)
-        assert self._own_pids() == [os.getpid()] * 4
+def _run_script(script, *args):
+    """Run *script* in a fresh interpreter; a hang dumps its stack and
+    fails instead of hanging the suite."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    completed = subprocess.run(
+        [sys.executable, "-c", "import faulthandler\n"
+         "faulthandler.dump_traceback_later(90, exit=True)\n" + script, *args],
+        env=dict(env, PYTHONPATH=REPO_SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-3000:]
+    return completed.stdout
+
+
+_IGNORES_SIGTERM = """
+import multiprocessing, signal, time
+from repro.engine import ParallelUniverseRunner
+
+def task(item):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    if item:
+        time.sleep(3)
+    return item
+
+stream = ParallelUniverseRunner(workers=2, chunk_size=1).map_iter(task, range(4))
+assert next(stream) == 0
+started = time.monotonic()
+stream.close()
+print(time.monotonic() - started, len(multiprocessing.active_children()))
+"""
+
+_DIES_AFTER_REPLY = """
+import signal, sys, time
+from repro.engine import ParallelUniverseRunner, engine_stats, parallel
+
+supervised_call = parallel._supervised_call
+
+def dies_after_reply(batch):
+    results = supervised_call(batch)
+    if batch[0][0] == 2:
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        signal.setitimer(signal.ITIMER_REAL, 0.0001)
+    return results
+
+def task(item):
+    # slow enough that chunks are left for the dead worker to be sent
+    time.sleep(0.005)
+    return abs(item)
+
+parallel._supervised_call = dies_after_reply
+for _ in range(int(sys.argv[1])):
+    engine_stats().reset()
+    runner = ParallelUniverseRunner(workers=2, chunk_size=1)
+    assert runner.map(task, range(-8, 8)) == [abs(i) for i in range(-8, 8)]
+    assert engine_stats().worker_faults >= 1, "the dead worker went unseen"
+"""
+
+_CONCURRENT_MAPS = """
+import os, threading
+from repro.engine import ParallelUniverseRunner, engine_stats
+
+os.environ["REPRO_FAULTS"] = "worker.kill:task=3"
+results = []
+
+def sweep():
+    for _ in range(10):
+        runner = ParallelUniverseRunner(workers=3, chunk_size=1)
+        results.append(runner.map(abs, range(-16, 16)))
+
+threads = [threading.Thread(target=sweep) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+assert results == [[abs(i) for i in range(-16, 16)]] * 40
+assert engine_stats().worker_faults == 40
+"""
+
+
+@needs_fork
+class TestTeardown:
+    """Each case runs in its own interpreter, since its failure mode is
+    a hang."""
+
+    def test_teardown_does_not_wait_for_a_worker_that_ignores_sigterm(self):
+        seconds, children = _run_script(_IGNORES_SIGTERM).split()
+        assert float(seconds) < 1.0
+        assert children == "0"
+
+    def test_a_worker_killed_just_after_it_replies(self):
+        _run_script(_DIES_AFTER_REPLY, "20")
+
+    def test_concurrent_maps_each_see_their_dead_worker(self):
+        # Forks from concurrent maps are serialized, so no worker holds
+        # another map's pipe or sentinel ends, which would hide a death
+        # from that map until its task timeout.
+        _run_script(_CONCURRENT_MAPS)

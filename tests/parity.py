@@ -164,10 +164,10 @@ def _check_evidence(case, variant, counts, footprint) -> None:
 
 
 def _counted(totals):
-    """``_supervised_call`` (pools pickle it by name, so workers run
-    this) adding each chunk's :data:`_POOLED` counts to the shared
-    *totals*.  No lock: a pool torn down early kills workers mid-chunk,
-    and a lock one died holding would hang the next pool.  A race may
+    """``_supervised_call`` (each worker looks it up by name, so workers
+    run this) adding each chunk's :data:`_POOLED` counts to the shared
+    *totals*.  No lock: a map torn down early kills workers mid-chunk,
+    and a lock one died holding would hang the next map's.  A race may
     lose an addition, but every write stores a positive sum, so a slot
     reads 0 only if no worker counted there."""
     original = parallel._supervised_call
