@@ -8,6 +8,19 @@ Sigma contains an image of psi_T fixing x (the remark after
 Definition 4.2).  A generator is *minimal* when no strict subset of
 its conjuncts is itself a generator.
 
+That test (Step 2 of Algorithm MinGen) is evaluated on one round of
+firings instead of a chase run: every premise match into I_beta fires
+once, instantiating its tgd's conclusion with nulls fresh to that
+firing (:class:`_Firings`).  For s-t tgds this is the oblivious chase,
+which :func:`~repro.chase.standard.chase` calls homomorphically
+equivalent to its restricted one, and both homomorphisms fix I_beta's
+terms: each restricted firing is a firing of the round, and each
+firing the restricted chase skipped has its conclusion satisfied there
+by an extension of the same match.  So psi_T has an image fixing x in
+the one result exactly when it has one in the other.  Only produced
+facts are searched: psi_T is a target formula and I_beta a source
+instance, even when source and target name a relation alike.
+
 Two implementations are provided:
 
 * :func:`minimal_generators` (default, ``method="proofs"``) —
@@ -26,9 +39,14 @@ Two implementations are provided:
   subset-minimization replays the paper's Step 3.
 
 * :func:`minimal_generators_exhaustive` (``method="exhaustive"``) —
-  the paper's Algorithm MinGen verbatim: enumerate every conjunction
-  of at most s1*s2 atoms (Lemma 4.4) up to renaming of z, chase-test
-  each, and minimize.  Exponentially slower; kept as the ground-truth
+  the paper's Algorithm MinGen: enumerate every conjunction of at
+  most s1*s2 atoms (Lemma 4.4) up to renaming of z, test each, and
+  minimize.  The candidates and Step 3 are the paper's; Step 2 is
+  evaluated incrementally: each candidate carries the facts its
+  firings produced, a candidate one atom larger adds only the firings
+  of the matches that use the new atom (each instantiated once per
+  search), and the test is one homomorphism search over those facts.
+  Exponentially slower than the proofs; kept as the ground-truth
   oracle the test suite cross-validates the proof method against.
 """
 
@@ -50,13 +68,15 @@ from typing import (
     Tuple,
 )
 
-from repro.chase.homomorphism import all_homomorphisms, find_homomorphism
-from repro.chase.standard import chase
+from repro.chase.homomorphism import _match_atom, all_homomorphisms, find_homomorphism
+from repro.chase.standard import NullFactory, _apply
 from repro.datamodel.atoms import Atom, atoms_variables
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Null, Term, Variable
+from repro.dependencies.dependency import Dependency
 from repro.dependencies.descriptions import set_partitions
 from repro.core.mapping import MappingError, SchemaMapping
+from repro.engine.budget import current_budget
 from repro.errors import MinGenBudgetError
 
 
@@ -87,6 +107,11 @@ class Generator:
     atoms: Tuple[Atom, ...]
     frontier: Tuple[Variable, ...]
 
+    #: What :func:`embeds_into` reads of this generator alone, computed
+    #: on first use (a class-level ``None`` default, never read through
+    #: ``self.__dict__``; see :mod:`repro.datamodel.terms`).
+    _embedding = None
+
     def fresh_variables(self) -> Tuple[Variable, ...]:
         """The z vector: variables of the conjunction outside the frontier."""
         frontier = set(self.frontier)
@@ -111,22 +136,124 @@ def lemma_4_4_bound(mapping: SchemaMapping, goal_atoms: Sequence[Atom]) -> int:
     return s1 * s2
 
 
+class _Firings:
+    """Step 2 of MinGen for one goal, over one round of tgd firings.
+
+    A firing instantiates its tgd's conclusion under a premise match,
+    with nulls fresh to that firing (:func:`repro.chase.standard._apply`
+    and one :class:`NullFactory` per search).  Each (tgd, match image)
+    pair is instantiated once per search, and charged to the ambient
+    :class:`~repro.engine.budget.Budget` as one chase step, as
+    :func:`~repro.chase.standard.chase` charges each of its firings.
+    Only tgds whose conclusion names a goal relation fire: no other
+    fact can be an image of a goal atom.
+    """
+
+    def __init__(
+        self,
+        mapping: SchemaMapping,
+        goal_atoms: Sequence[Atom],
+        frontier: Sequence[Variable],
+        taken: Iterable[str] = (),
+    ) -> None:
+        self._goal = tuple(goal_atoms)
+        self._fixed: Dict[Term, Term] = {v: v for v in frontier}
+        goal_relations = {current.relation for current in self._goal}
+        tgds = [
+            dependency
+            for dependency in mapping.dependencies
+            if dependency.conclusion_relations() & goal_relations
+        ]
+        self._single = tuple(d for d in tgds if len(d.premise.atoms) == 1)
+        self._joins = tuple(
+            (index, dependency, dependency.premise_variables())
+            for index, dependency in enumerate(tgds)
+            if len(dependency.premise.atoms) > 1
+        )
+        self._nulls = NullFactory(taken=taken)
+        self._budget = current_budget()
+        self._by_atom: Dict[Atom, Tuple[Atom, ...]] = {}
+        self._fired: Dict[Tuple, Tuple[Atom, ...]] = {}
+
+    def _fire(self, dependency: Dependency, match: Dict[Term, Term]) -> Tuple[Atom, ...]:
+        if self._budget is not None:
+            self._budget.charge_chase_steps()
+        return _apply(dependency, match, self._nulls)
+
+    def _single_atom_facts(self, new_atom: Atom) -> Tuple[Atom, ...]:
+        """The firings of every single-atom premise matching *new_atom*
+        (such a match depends on that atom alone)."""
+        facts = self._by_atom.get(new_atom)
+        if facts is None:
+            produced: List[Atom] = []
+            for dependency in self._single:
+                match = _match_atom(dependency.premise.atoms[0], new_atom, {})
+                if match is not None:
+                    produced.extend(self._fire(dependency, match))
+            facts = self._by_atom[new_atom] = tuple(produced)
+        return facts
+
+    def extend(
+        self, produced: FrozenSet[Atom], atoms: FrozenSet[Atom], new_atom: Atom
+    ) -> FrozenSet[Atom]:
+        """The facts of one round of firings into *atoms*, given
+        *produced*, those of the firings into ``atoms - {new_atom}``:
+        only the matches whose image holds *new_atom* are new."""
+        added = set(self._single_atom_facts(new_atom))
+        canonical: Optional[Instance] = None
+        for index, dependency, variables in self._joins:
+            premise = dependency.premise.atoms
+            for pattern in premise:
+                binding = _match_atom(pattern, new_atom, {})
+                if binding is None:
+                    continue
+                if canonical is None:
+                    canonical = Instance(atoms)
+                for match in all_homomorphisms(premise, canonical, fixed=binding):
+                    key = (index,) + tuple(match[v] for v in variables)
+                    facts = self._fired.get(key)
+                    if facts is None:
+                        facts = self._fired[key] = self._fire(dependency, match)
+                    added.update(facts)
+        if added <= produced:
+            return produced
+        return produced | added
+
+    def produced_by(self, atoms: Iterable[Atom]) -> FrozenSet[Atom]:
+        """The facts of one round of firings into *atoms*."""
+        produced: FrozenSet[Atom] = frozenset()
+        so_far: FrozenSet[Atom] = frozenset()
+        for current in atoms:
+            if current not in so_far:
+                so_far = so_far | {current}
+                produced = self.extend(produced, so_far, current)
+        return produced
+
+    def has_image(self, produced: FrozenSet[Atom]) -> bool:
+        """Does the goal map into *produced* with the frontier fixed?"""
+        return (
+            find_homomorphism(self._goal, Instance(produced), fixed=self._fixed)
+            is not None
+        )
+
+
 def is_generator(
     mapping: SchemaMapping,
     candidate_atoms: Sequence[Atom],
     goal_atoms: Sequence[Atom],
     frontier: Sequence[Variable],
 ) -> bool:
-    """Chase-based generator test (the remark after Definition 4.2).
+    """The generator test (the remark after Definition 4.2).
 
-    Chases the canonical instance I_beta with Sigma and looks for a
-    homomorphic image of the goal conjunction that fixes the frontier
-    pointwise (the y's may land anywhere, including on nulls).
+    Fires every premise match into the canonical instance I_beta once
+    and looks among the produced facts for a homomorphic image of the
+    goal conjunction that fixes the frontier pointwise (the y's may
+    land anywhere, including on nulls); the module docstring explains
+    why that is the chase's verdict.
     """
-    canonical = Instance.of(candidate_atoms)
-    chased = chase(canonical, mapping.dependencies).instance
-    fixed: Dict[Term, Term] = {v: v for v in frontier}
-    return find_homomorphism(goal_atoms, chased, fixed=fixed) is not None
+    taken = (null.name for current in candidate_atoms for null in current.nulls())
+    firings = _Firings(mapping, goal_atoms, frontier, taken)
+    return firings.has_image(firings.produced_by(candidate_atoms))
 
 
 def _fresh_prefix(
@@ -150,6 +277,26 @@ def _relation_counts(atoms: Iterable[Atom]) -> Dict[str, int]:
     return counts
 
 
+def _embedding(
+    smaller: Generator,
+) -> Tuple[Optional[Tuple[Tuple[str, int], ...]], Tuple[Variable, ...]]:
+    """What :func:`embeds_into` reads of *smaller* alone, once per
+    generator: the relation counts of its distinct atoms (None when it
+    holds a null, which rules the count test out) and its fresh
+    variables."""
+    embedding = smaller._embedding
+    if embedding is None:
+        distinct = set(smaller.atoms)
+        counts = None
+        if not any(
+            isinstance(arg, Null) for current in distinct for arg in current.args
+        ):
+            counts = tuple(_relation_counts(distinct).items())
+        embedding = (counts, smaller.fresh_variables())
+        object.__setattr__(smaller, "_embedding", embedding)
+    return embedding
+
+
 def embeds_into(
     smaller: Generator, larger_atoms: FrozenSet[Atom], frontier: Sequence[Variable]
 ) -> bool:
@@ -168,20 +315,18 @@ def embeds_into(
     term it may move to be a z, so the test is skipped when smaller
     holds a null (mappable, but not in ``fresh_variables()``: it may
     collapse atoms) or a variable of its own frontier outside
-    *frontier*.
+    *frontier*.  What depends on smaller alone is computed once per
+    generator.
     """
+    counts, fresh = _embedding(smaller)
     frontier_set = set(frontier)
-    distinct = set(smaller.atoms)
-    if frontier_set.issuperset(smaller.frontier) and not any(
-        isinstance(arg, Null) for current in distinct for arg in current.args
-    ):
+    if counts is not None and frontier_set.issuperset(smaller.frontier):
         available = _relation_counts(larger_atoms)
-        for relation, needed in _relation_counts(distinct).items():
+        for relation, needed in counts:
             if needed > available.get(relation, 0):
                 return False
     target = Instance.of(larger_atoms)
     fixed: Dict[Term, Term] = {v: v for v in frontier}
-    fresh = smaller.fresh_variables()
     for assignment in all_homomorphisms(smaller.atoms, target, fixed=fixed):
         images = [assignment[v] for v in fresh]
         if len(set(images)) != len(images):
@@ -195,18 +340,28 @@ def embeds_into(
     return False
 
 
+#: The renamed z's of canonical keys, one object per index, so each
+#: computes its sort key once; larger indexes are built on demand.
+_CANONICAL_VARIABLES = tuple(Variable(f"#{index}") for index in range(64))
+
+
 def _canonical_key(
     atoms: Sequence[Atom], frontier: Sequence[Variable]
 ) -> Tuple:
     """A renaming-invariant key for a candidate conjunction."""
     frontier_set = set(frontier)
-    ordered = sorted(set(atoms))
-    renaming: Dict[Variable, Variable] = {}
+    ordered = sorted(set(atoms), key=Atom.sort_key)
+    renaming: Dict[Term, Term] = {}
     for current in ordered:
         for variable in current.variables():
             if variable not in frontier_set and variable not in renaming:
-                renaming[variable] = Variable(f"#{len(renaming)}")
-    return tuple(sorted(a.substitute(renaming) for a in ordered))
+                index = len(renaming)
+                renaming[variable] = (
+                    _CANONICAL_VARIABLES[index]
+                    if index < len(_CANONICAL_VARIABLES)
+                    else Variable(f"#{index}")
+                )
+    return tuple(sorted((a.substitute(renaming) for a in ordered), key=Atom.sort_key))
 
 
 def _minimize(
@@ -504,7 +659,7 @@ def _minimal_generators_proofs(
 
 
 # ----------------------------------------------------------------------
-# Exhaustive search (the paper's algorithm verbatim; the test oracle).
+# Exhaustive search (the paper's algorithm; the test oracle).
 # ----------------------------------------------------------------------
 
 def _relevant_relations(
@@ -566,11 +721,14 @@ def minimal_generators_exhaustive(
     frontier: Sequence[Variable],
     config: Optional[MinGenConfig] = None,
 ) -> Tuple[Generator, ...]:
-    """Algorithm MinGen exactly as printed in the paper.
+    """Algorithm MinGen as printed in the paper.
 
     Breadth-first by conjunct count up to the Lemma 4.4 bound, with a
-    chase test per candidate and the Step 3 minimize pass; exponential
-    in schema size and used as the oracle for the proof-based method.
+    generator test per candidate and the Step 3 minimize pass;
+    exponential in schema size and used as the oracle for the
+    proof-based method.  Each level entry carries the facts its
+    firings produced, so a candidate's test adds the firings of the
+    matches that use its new atom and runs one homomorphism search.
     """
     if not mapping.is_tgd_mapping():
         raise MappingError("minimal_generators requires a tgd mapping")
@@ -590,6 +748,7 @@ def minimal_generators_exhaustive(
     if fresh_budget is None:
         fresh_budget = max_atoms * max_arity
     prefix = _fresh_prefix(config, goal_atoms, frontier)
+    firings = _Firings(mapping, goal_atoms, frontier)
 
     found: List[Generator] = []
     seen: Set[Tuple] = set()
@@ -599,13 +758,24 @@ def minimal_generators_exhaustive(
         return any(embeds_into(known, atom_set, frontier) for known in found)
 
     frontier_needed = set(frontier)
-    level: List[Tuple[FrozenSet[Atom], int]] = [(frozenset(), 0)]
+    # (candidate atoms, fresh variables used, facts its firings produce)
+    level: List[Tuple[FrozenSet[Atom], int, FrozenSet[Atom]]] = [
+        (frozenset(), 0, frozenset())
+    ]
+    # The next atoms depend on the fresh variables used alone; listing
+    # them once per count also reuses each atom's hash and sort key.
+    next_atoms: Dict[int, List[Tuple[Atom, int]]] = {}
     for size in range(1, max_atoms + 1):
-        next_level: List[Tuple[FrozenSet[Atom], int]] = []
-        for atom_set, used_fresh in level:
-            for candidate_atom, new_used in _candidate_atoms(
-                relations, frontier, used_fresh, fresh_budget, prefix
-            ):
+        next_level: List[Tuple[FrozenSet[Atom], int, FrozenSet[Atom]]] = []
+        for atom_set, used_fresh, produced in level:
+            choices = next_atoms.get(used_fresh)
+            if choices is None:
+                choices = next_atoms[used_fresh] = list(
+                    _candidate_atoms(
+                        relations, frontier, used_fresh, fresh_budget, prefix
+                    )
+                )
+            for candidate_atom, new_used in choices:
                 if candidate_atom in atom_set:
                     continue
                 extended = atom_set | {candidate_atom}
@@ -626,12 +796,13 @@ def minimal_generators_exhaustive(
                 missing = frontier_needed - set(atoms_variables(tuple(extended)))
                 if len(missing) > remaining * max_arity:
                     continue  # cannot cover the frontier anymore
-                if not missing and is_generator(
-                    mapping, tuple(sorted(extended)), goal_atoms, frontier
-                ):
-                    found.append(Generator(tuple(sorted(extended)), frontier))
+                extended_produced = firings.extend(produced, extended, candidate_atom)
+                if not missing and firings.has_image(extended_produced):
+                    found.append(
+                        Generator(tuple(sorted(extended, key=Atom.sort_key)), frontier)
+                    )
                     continue  # supersets of a generator are not minimal
-                next_level.append((extended, new_used))
+                next_level.append((extended, new_used, extended_produced))
         level = next_level
         if not level:
             break

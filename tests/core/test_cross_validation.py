@@ -9,7 +9,9 @@ pin them against each other:
   (=, ∼M)-subset property for Decomposition, so by Theorem 3.5 a
   (=, ∼M)-inverse exists — and the join reverse is one;
 * the exhaustive and proof-based MinGen on the mappings the other
-  tests do not cover.
+  tests do not cover, among them the three with two-atom premises
+  (Thm 4.10, Example 5.4, the unique-solutions separation), whose
+  premise matches join a candidate's new atom with an old one.
 """
 
 import pytest
@@ -17,9 +19,11 @@ import pytest
 from repro.catalog import (
     decomposition,
     decomposition_quasi_inverse_join,
+    example_5_4,
     thm_4_9,
     thm_4_10,
     thm_4_11,
+    unique_solutions_separation,
 )
 from repro.chase.homomorphism import is_homomorphically_equivalent
 from repro.core.composition import compose_full
@@ -77,7 +81,10 @@ class TestMixedRelationInverse:
 
 
 class TestMinGenOracleMore:
-    @pytest.mark.parametrize("factory", [thm_4_9, thm_4_11])
+    @pytest.mark.parametrize(
+        "factory",
+        [thm_4_9, thm_4_10, thm_4_11, example_5_4, unique_solutions_separation],
+    )
     def test_proofs_match_exhaustive(self, factory):
         mapping = factory()
         for sigma in mapping.dependencies:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.catalog import decomposition, example_4_5, projection, union_mapping
+from repro.catalog import (
+    all_catalog_mappings,
+    decomposition,
+    example_4_5,
+    projection,
+    union_mapping,
+)
 from repro.core import generators
 from repro.core.generators import (
     Generator,
@@ -15,9 +21,15 @@ from repro.core.generators import (
     minimal_generators,
     minimal_generators_exhaustive,
 )
+from repro.core.mapping import SchemaMapping
 from repro.datamodel.atoms import atom
+from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Null, Variable
 from repro.dependencies.parser import parse_dependency
+from repro.engine.budget import Budget, use_budget
+from repro.errors import BudgetExceeded
+from repro.workloads import random_full_mapping, random_lav_mapping
+from tests.core import generators_oracle as reference
 
 X1, X2 = Variable("x1"), Variable("x2")
 
@@ -47,6 +59,42 @@ class TestIsGenerator:
         assert is_generator(
             mapping, goal.premise.atoms, goal.disjuncts[0], goal.frontier()
         )
+
+    def test_join_premises_matched_alike_fire_apart(self):
+        # Both premises bind (x, y, z) to (x1, z1, x2): each tgd's
+        # firing of that match is its own.
+        mapping = SchemaMapping.from_text(
+            Schema.of({"R": 2, "S": 2, "T": 2}),
+            Schema.of({"A": 2, "B": 2}),
+            "R(x, y) & S(y, z) -> A(x, z); R(x, y) & T(y, z) -> B(x, z)",
+        )
+        z1 = Variable("z1")
+        candidate = (atom("R", X1, z1), atom("S", z1, X2), atom("T", z1, X2))
+        goal = (atom("A", X1, X2), atom("B", X1, X2))
+        assert is_generator(mapping, candidate, goal, (X1, X2))
+
+
+class TestSharedRelationNames:
+    """Source and target may name a relation alike (materializing
+    ``compose(Decomposition, Decomposition')`` gives ``{P/3} -> {P/3}``).
+    The goal is a target formula: a candidate's own source atoms are no
+    image of it, only the facts its firings produce are."""
+
+    FLIP = SchemaMapping.from_text(
+        Schema.of({"P": 2}), Schema.of({"P": 2}), "P(x, y) -> P(y, x)"
+    )
+    GOAL = (atom("P", X1, X2),)
+
+    def test_a_candidate_is_no_image_of_the_goal(self):
+        assert not is_generator(self.FLIP, self.GOAL, self.GOAL, (X1, X2))
+        assert is_generator(self.FLIP, (atom("P", X2, X1),), self.GOAL, (X1, X2))
+
+    def test_both_methods_find_only_the_flipped_atom(self):
+        expected = (Generator((atom("P", X2, X1),), (X1, X2)),)
+        fast = minimal_generators(self.FLIP, self.GOAL, (X1, X2))
+        slow = minimal_generators_exhaustive(self.FLIP, self.GOAL, (X1, X2))
+        assert fast == expected
+        assert slow == expected
 
 
 class TestLemmaBound:
@@ -204,3 +252,120 @@ class TestBudgets:
             mapping, sigma.disjuncts[0], sigma.frontier(), config
         )
         assert generators  # the most general proofs survive
+
+    def test_a_chase_step_cap_stops_the_exhaustive_search(self):
+        mapping = example_4_5()
+        sigma = mapping.dependencies[0]
+        with use_budget(Budget(max_chase_steps=1)):
+            with pytest.raises(BudgetExceeded) as excinfo:
+                minimal_generators_exhaustive(
+                    mapping, sigma.disjuncts[0], sigma.frontier()
+                )
+        assert excinfo.value.kind == "chase_steps"
+
+
+# The exhaustive search against the chase-based reference it replaced
+# (tests/core/generators_oracle.py).  Left out for time: Prop 3.12's
+# dependency (about 24 s on the reference) and Decomposition's (about
+# 1.6 s), both in benchmarks/bench_e05_quasiinverse_algorithm.py, and
+# Example 4.5's three-atom U goal (minutes).  Example 4.5's sigma_1 is
+# compared in TestMatchesTheReference.test_sigma_1_at_the_candidate_cap.
+_ELSEWHERE = {
+    ("Prop3.12", 0),
+    ("Decomposition", 0),
+    ("Example4.5", 0),
+    ("Example4.5", 1),
+}
+CATALOG_GOALS = [
+    pytest.param(mapping, sigma, id=f"{mapping.name}-{index}")
+    for mapping in all_catalog_mappings()
+    for index, sigma in enumerate(mapping.dependencies)
+    if (mapping.name, index) not in _ELSEWHERE
+]
+SIGMA_2 = parse_dependency("P(x1, x1, x3) -> S(x1, x1, y) & Q(y, y)")
+#: Candidates the search over Example 4.5's sigma_1 counts against
+#: ``max_candidates``: the smallest cap at which it completes.
+SIGMA_1_CANDIDATES = 9_246
+#: Seeded random full mappings, whose premises join up to two atoms,
+#: and LAV mappings, whose conclusions hold existentials.
+RANDOM_MAPPINGS = [
+    pytest.param(random_full_mapping(seed, n_tgds=3), id=f"full-{seed}")
+    for seed in range(6)
+] + [
+    pytest.param(
+        random_lav_mapping(seed, n_source=2, n_target=2, n_tgds=3), id=f"lav-{seed}"
+    )
+    for seed in range(6)
+]
+#: Completes 23 of the 36 random goals; the other 13 must exceed it on
+#: both sides.
+RANDOM_CAP = MinGenConfig(method="exhaustive", max_candidates=300)
+
+
+class TestMatchesTheReference:
+    @pytest.mark.parametrize("mapping, sigma", CATALOG_GOALS)
+    def test_catalog_dependency(self, mapping, sigma):
+        goal, frontier = sigma.disjuncts[0], sigma.frontier()
+        assert minimal_generators_exhaustive(
+            mapping, goal, frontier
+        ) == reference.minimal_generators_exhaustive(mapping, goal, frontier)
+
+    def test_example_4_5_sigma_2(self):
+        mapping = example_4_5()
+        goal, frontier = SIGMA_2.disjuncts[0], SIGMA_2.frontier()
+        assert minimal_generators_exhaustive(
+            mapping, goal, frontier
+        ) == reference.minimal_generators_exhaustive(mapping, goal, frontier)
+
+    def test_sigma_1_at_the_candidate_cap(self):
+        mapping = example_4_5()
+        sigma = mapping.dependencies[0]
+        goal, frontier = sigma.disjuncts[0], sigma.frontier()
+        enough = MinGenConfig(method="exhaustive", max_candidates=SIGMA_1_CANDIDATES)
+        assert minimal_generators_exhaustive(
+            mapping, goal, frontier, enough
+        ) == reference.minimal_generators_exhaustive(mapping, goal, frontier, enough)
+        short = MinGenConfig(
+            method="exhaustive", max_candidates=SIGMA_1_CANDIDATES - 1
+        )
+        for search in (
+            minimal_generators_exhaustive,
+            reference.minimal_generators_exhaustive,
+        ):
+            with pytest.raises(MinGenBudgetError):
+                search(mapping, goal, frontier, short)
+
+    @pytest.mark.parametrize("mapping", RANDOM_MAPPINGS)
+    def test_random_mapping(self, mapping):
+        for sigma in mapping.dependencies:
+            goal, frontier = sigma.disjuncts[0], sigma.frontier()
+            outcomes = []
+            for search in (
+                minimal_generators_exhaustive,
+                reference.minimal_generators_exhaustive,
+            ):
+                try:
+                    outcomes.append(search(mapping, goal, frontier, RANDOM_CAP))
+                except MinGenBudgetError:
+                    outcomes.append(MinGenBudgetError)
+            assert outcomes[0] == outcomes[1]
+
+    def test_canonical_keys(self):
+        """Every pair of candidate atoms over a ternary and a binary
+        relation, and one conjunction with more z's than the prebuilt
+        renamed variables, key as they did."""
+        frontier = (X1, X2)
+        candidates = [
+            current
+            for current, _ in generators._candidate_atoms(
+                (("R", 3), ("T", 2)), frontier, 1, 3, "z"
+            )
+        ]
+        conjunctions = [(left, right) for left in candidates for right in candidates]
+        conjunctions.append(
+            tuple(atom("T", Variable(f"z{index}"), X1) for index in range(70))
+        )
+        for conjunction in conjunctions:
+            assert _canonical_key(conjunction, frontier) == reference._canonical_key(
+                conjunction, frontier
+            )
