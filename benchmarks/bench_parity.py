@@ -1,6 +1,6 @@
 """The parity harness's catalog rows (``tests/parity.py``): E1–E14, each
 an experiment job payload run through ``execute_job`` (the path
-``repro.cli check`` and the daemon share), under ``object|kernel|sql``
+``repro.cli check`` and the daemon share), under ``object|sql``
 x 1|2 workers; and every algebra sweep scenario x kind under plan
 ``materialize|auto`` x the same backends and workers.  One test per
 row, so under pytest's ``--timeout`` a hung pool fails its own row.
@@ -16,7 +16,7 @@ from repro.service.protocol import normalize_job
 
 from tests.parity import Case, assert_parity, grid, params
 
-BACKENDS = ("object", "kernel", "sql")
+BACKENDS = ("object", "sql")
 
 
 def _experiment(experiment_id):

@@ -4,12 +4,14 @@ Sweeps the (∼M,∼M)-subset property over all ≤2-fact universes of a
 binary projection mapping for |domain| ∈ {2..5}, in both ``full`` and
 ``orbits`` mode.  The orbit count grows like ``universe / |domain|!``,
 so the gap widens with the domain; the acceptance gate asserts the
-|domain|=4 sweep is at least 3x faster orbit-reduced, with verdicts
-byte-identical to the full sweep.
+|domain|=4 sweep is at least 3x faster orbit-reduced (median of
+interleaved cold runs), with verdicts byte-identical to the full
+sweep.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -30,6 +32,10 @@ DOMAIN_SIZES = scale_params([2, 3, 4, 5], [2, 3, 4])
 #: wall-clock ratio on the |domain|=4 subset-property sweep.
 ACCEPTANCE_DOMAIN = 4
 ACCEPTANCE_SPEEDUP = 3.0
+
+#: Interleaved cold (full, orbits) pairs for the medians; one pair
+#: alone sits on the bound on a noisy host.
+ROUNDS = 5
 
 
 def _projection_mapping() -> SchemaMapping:
@@ -84,29 +90,37 @@ def test_subset_property_sweep(benchmark, domain_size, symmetry):
 
 
 def test_symmetry_speedup_acceptance(benchmark):
-    """|domain|=4: orbits must beat full by >= 3x, verdicts identical."""
+    """|domain|=4: orbits must beat full by >= 3x (interleaved medians),
+    verdicts identical."""
     mapping = _projection_mapping()
     universe = _universe(mapping, ACCEPTANCE_DOMAIN)
 
-    def both_modes():
+    def timed(symmetry):
         reset_all_caches()
         started = time.perf_counter()
-        full = _sweep(mapping, universe, "full")
-        full_seconds = time.perf_counter() - started
-        reset_all_caches()
-        started = time.perf_counter()
-        orbits = _sweep(mapping, universe, "orbits")
-        orbit_seconds = time.perf_counter() - started
-        return full, full_seconds, orbits, orbit_seconds
+        report = _sweep(mapping, universe, symmetry)
+        return time.perf_counter() - started, report
 
-    full, full_seconds, orbits, orbit_seconds = benchmark.pedantic(
-        both_modes, rounds=1, iterations=1
+    def interleaved():
+        full_seconds, orbit_seconds = [], []
+        full = orbits = None
+        for _ in range(ROUNDS):
+            seconds, full = timed("full")
+            full_seconds.append(seconds)
+            seconds, orbits = timed("orbits")
+            orbit_seconds.append(seconds)
+        return full_seconds, full, orbit_seconds, orbits
+
+    full_seconds, full, orbit_seconds, orbits = benchmark.pedantic(
+        interleaved, rounds=1, iterations=1
     )
     assert _verdict(full) == _verdict(orbits)
     assert full.instances_checked == orbits.instances_checked == len(universe)
-    speedup = full_seconds / orbit_seconds
+    full_median = statistics.median(full_seconds)
+    orbit_median = statistics.median(orbit_seconds)
+    speedup = full_median / orbit_median
     assert speedup >= ACCEPTANCE_SPEEDUP, (
         f"orbit sweep only {speedup:.2f}x faster than full at "
         f"|domain|={ACCEPTANCE_DOMAIN} (acceptance: >= {ACCEPTANCE_SPEEDUP}x): "
-        f"full {full_seconds:.3f}s vs orbits {orbit_seconds:.3f}s"
+        f"full median {full_median:.3f}s vs orbits {orbit_median:.3f}s"
     )

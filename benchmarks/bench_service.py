@@ -144,7 +144,7 @@ def _label(payload: dict) -> str:
 CATALOG = [
     {"kind": "subset", "mapping": "Example5.4",
      "domain": ["a", "b", "c", "d"], "max_facts": 2,
-     "symmetry": "orbits", "backend": "kernel"},
+     "symmetry": "orbits", "backend": "sql"},
     {"kind": "invertibility", "mapping": "Example5.4"},
     {"kind": "invertibility", "mapping": "Projection"},
     {"kind": "unique", "mapping": "Projection"},

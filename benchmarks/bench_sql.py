@@ -1,17 +1,17 @@
-"""The SQL (SQLite-hosted) backend vs the in-process backends.
+"""The SQL (SQLite-hosted) backend vs the object backend's interpreted chase.
 
 Two workloads, two claims:
 
 * **Scale** — a 100,000-fact chain instance chased to its 299,000-fact
   fixpoint.  The set-based SQL rounds finish this in seconds; the
-  interpreted backends re-enumerate every premise match per round and
-  do not finish within any CI-shaped budget (the kernel needs minutes
-  for 1% of this size), so the run is SQL-only and gated by a
+  interpreted chase re-enumerates every premise match per round and
+  does not finish within any CI-shaped budget (it needs tens of
+  seconds for 1% of this size), so the run is SQL-only and gated by a
   wall-clock :class:`~repro.engine.budget.Budget`.
 
-* **Speedup** — at a kernel-feasible scale the two backends must
-  chase to the *same* fixpoint, and the SQL backend must win by
-  >= ``ACCEPTANCE_SPEEDUP`` (median of interleaved cold runs).
+* **Speedup** — at a scale the interpreter can chase, the two
+  backends must reach the *same* fixpoint, and the SQL backend must
+  win by >= ``ACCEPTANCE_SPEEDUP`` (median of interleaved cold runs).
 
 The experiment catalog under every backend x worker count is a set of
 rows of the parity harness (``benchmarks/bench_parity.py``).
@@ -43,7 +43,7 @@ LARGE_CHAINS, LARGE_LENGTH = 1_000, 100
 LARGE_DEADLINE_SECONDS = 240.0
 
 #: The comparison leg runs on both backends, so it must stay inside
-#: what the kernel can chase in a few seconds per round.
+#: what the interpreted chase finishes in seconds per round.
 SPEEDUP_CHAINS, SPEEDUP_LENGTH = (10, 30) if QUICK else (20, 50)
 ACCEPTANCE_SPEEDUP = 3.0
 ROUNDS = 3
@@ -94,7 +94,8 @@ def test_large_chase_sql_within_budget(benchmark):
 
 
 def test_sql_speedup_acceptance(benchmark):
-    """Same fixpoint as the kernel, >= 3x faster (interleaved medians)."""
+    """Same fixpoint as the object backend, >= 3x faster (interleaved
+    medians)."""
     source = chains(SPEEDUP_CHAINS, SPEEDUP_LENGTH)
 
     def timed(backend):
@@ -103,27 +104,27 @@ def test_sql_speedup_acceptance(benchmark):
         return time.perf_counter() - started, result
 
     def interleaved():
-        kernel_seconds, sql_seconds = [], []
-        kernel_result = sql_result = None
+        object_seconds, sql_seconds = [], []
+        object_result = sql_result = None
         for _ in range(ROUNDS):
-            seconds, kernel_result = timed("kernel")
-            kernel_seconds.append(seconds)
+            seconds, object_result = timed("object")
+            object_seconds.append(seconds)
             seconds, sql_result = timed("sql")
             sql_seconds.append(seconds)
-        return kernel_seconds, kernel_result, sql_seconds, sql_result
+        return object_seconds, object_result, sql_seconds, sql_result
 
-    kernel_seconds, kernel_result, sql_seconds, sql_result = (
+    object_seconds, object_result, sql_seconds, sql_result = (
         benchmark.pedantic(interleaved, rounds=1, iterations=1)
     )
     expected = fixpoint_size(SPEEDUP_CHAINS, SPEEDUP_LENGTH)
-    assert len(kernel_result.instance.facts) == expected
-    assert sql_result.instance.facts == kernel_result.instance.facts
-    kernel_median = statistics.median(kernel_seconds)
+    assert len(object_result.instance.facts) == expected
+    assert sql_result.instance.facts == object_result.instance.facts
+    object_median = statistics.median(object_seconds)
     sql_median = statistics.median(sql_seconds)
-    speedup = kernel_median / sql_median
+    speedup = object_median / sql_median
     assert speedup >= ACCEPTANCE_SPEEDUP, (
-        f"sql chase only {speedup:.2f}x faster than kernel on "
+        f"sql chase only {speedup:.2f}x faster than object on "
         f"{SPEEDUP_CHAINS}x{SPEEDUP_LENGTH} chains (acceptance: "
-        f">= {ACCEPTANCE_SPEEDUP}x): kernel median {kernel_median:.3f}s "
+        f">= {ACCEPTANCE_SPEEDUP}x): object median {object_median:.3f}s "
         f"vs sql {sql_median:.3f}s"
     )

@@ -118,10 +118,9 @@ def invertibility_report(
     for both bounded checks; ``orbits_checked`` aggregates their orbit
     counters.  *backend* (default: the calling thread's
     :func:`~repro.engine.use_backend` scope, else the process default,
-    :func:`~repro.engine.default_backend`)
-    selects the object, compiled-kernel, or SQL (SQLite-hosted)
-    execution backend for both sweeps; the report is identical in each
-    case.  *shards* / *shard_id* (default:
+    :func:`~repro.engine.default_backend`) selects the object or SQL
+    (SQLite-hosted) execution backend for both sweeps; the report is
+    identical in each case.  *shards* / *shard_id* (default:
     ``REPRO_SHARDS`` / ``REPRO_SHARD_ID``) partition both bounded
     sweeps by content digest; with a fixed *shard_id* the report
     covers that shard alone, merged shard reports reproduce the

@@ -10,12 +10,11 @@ greedily (most-bound first, smallest relation first) and candidate
 facts are scanned in sorted order, so the first homomorphism found is
 stable across runs.  The greedy order is a function of the atoms, the
 pre-bound terms and each atom's relation extent in the target, so it
-is computed once per such signature and memoized, as the kernel's
-compiled plans are.  Candidates come from the engine's per-instance
-fact index — a hash probe on the most selective (relation, position,
-term) posting list — which skips facts a linear scan would only
-reject, without changing which homomorphisms are found or their
-order.
+is computed once per such signature and memoized.  Candidates come
+from the engine's per-instance fact index — a hash probe on the most
+selective (relation, position, term) posting list — which skips facts
+a linear scan would only reject, without changing which homomorphisms
+are found or their order.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.datamodel.terms import Constant, Null, Term, Variable
 from repro.engine.budget import current_budget
 from repro.engine.cache import register_reset_hook
 from repro.engine.indexing import fact_index
-from repro.engine.kernel import active_operations
 
 Assignment = Dict[Term, Term]
 
@@ -187,15 +185,6 @@ def all_homomorphisms(
     )
     base: Assignment = dict(fixed or {})
     if not _check_constraints(base, constant_vars, inequalities):
-        return
-    operations = active_operations()
-    if operations is not None:
-        # The kernel (the sql backend's search too) replays this
-        # search's atom order over interned ids.  Same results, same
-        # order (tests/properties/test_backend_equivalence).
-        yield from operations.all_homomorphisms(
-            tuple(atoms), target, base, constant_vars, inequalities
-        )
         return
     ordered = _order_atoms(atoms, target, base)
     target_index = fact_index(target)

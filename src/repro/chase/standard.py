@@ -26,8 +26,9 @@ from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Null, Term
 from repro.dependencies.dependency import Dependency
+from repro.engine import sqlbackend
 from repro.engine.budget import current_budget
-from repro.engine.kernel import active_operations
+from repro.engine.context import BACKEND_SQL, CONTEXT
 from repro.errors import ChaseError
 
 
@@ -74,11 +75,6 @@ def _sorted_matches(
     dependency: Dependency, instance: Instance
 ) -> Sequence[Assignment]:
     """Premise matches in a deterministic order (by matched images)."""
-    operations = active_operations()
-    if operations is not None:
-        # Same matches, same order — from the kernel's compiled
-        # search or a premise join in SQLite.
-        return operations.premise_matches(dependency, instance)
     variables = dependency.premise_variables()
     matches = list(
         all_homomorphisms(
@@ -157,9 +153,14 @@ def chase(
     skipping the satisfaction check would change semantics subtly.
 
     ``trace=False`` declares the caller will not read ``.steps`` (the
-    facts and fresh-null names are unaffected).  The object and kernel
-    backends ignore it; the SQL backend uses it to run full tgds as
-    bulk set operations instead of per-match firings.
+    facts and fresh-null names are unaffected).  The object backend
+    ignores it; the SQL backend uses it to run full tgds as bulk set
+    operations instead of per-match firings.
+
+    This is the one place that asks which backend is active: on sql a
+    stratified chase goes to
+    :func:`~repro.engine.sqlbackend.sql_stratified_chase`, and every
+    other search runs the code below on every backend.
     """
     dependencies = tuple(dependencies)
     for dependency in dependencies:
@@ -206,12 +207,10 @@ def chase(
         return ChaseResult(final, final.difference(instance), tuple(steps))
 
     if stratified:
-        operations = active_operations()
-        if operations is not None:
-            # A whole-chase plan (SQL rounds); None means the backend
-            # has none for this input — fall through to the interpreted
-            # loop, whose match lists still come from the backend.
-            result = operations.stratified_chase(
+        if CONTEXT.backend == BACKEND_SQL:
+            # SQL rounds; None means the input is too small or a premise
+            # too wide for them — fall through to the interpreted loop.
+            result = sqlbackend.sql_stratified_chase(
                 instance,
                 dependencies,
                 null_factory=null_factory,

@@ -40,11 +40,10 @@ orbit instead of every universe instance — same verdicts, up to
 reduction would be unsound (mappings mentioning literal constants,
 universes not closed under permutation).
 
-``--backend kernel`` (``REPRO_BACKEND``) runs homomorphism
-searches, premise matching, and verdict caching on the compiled
-integer kernel (term interning + array join plans compiled once per
-premise) instead of interpreting the object datamodel — same verdicts,
-witnesses, and counters, typically several times faster on sweeps.
+``--backend sql`` (``REPRO_BACKEND``) runs chases of 128 facts or
+more inside SQLite and everything else on the object backend — same
+verdicts and witnesses.  ``--backend kernel``, the name of a compiled
+backend since removed, is still accepted and runs on ``object``.
 
 ``--store PATH`` (the ``REPRO_STORE`` knob) persists the
 content-addressed chase/verdict caches to an on-disk SQLite store

@@ -249,14 +249,12 @@ def subset_property(
     *backend* (a backend name, see :func:`repro.engine.resolve_backend`;
     default: the calling thread's :func:`~repro.engine.use_backend`
     scope, else the process default :func:`~repro.engine.default_backend`,
-    which starts as ``REPRO_BACKEND`` or the object backend): on the
-    kernel backend homomorphism probes, premise matching, and verdict
-    keys run on the compiled integer kernel (:mod:`repro.engine.kernel`);
-    the sql backend runs the same kernel code and chases instances of
-    128 facts or more inside SQLite (:mod:`repro.engine.sqlbackend`,
-    scratch file via ``REPRO_SQL_DB``) — identical verdicts and
-    witnesses either way, installed before the fan-out so forked
-    workers inherit it.
+    which starts as ``REPRO_BACKEND`` or the object backend): the sql
+    backend chases instances of 128 facts or more inside SQLite
+    (:mod:`repro.engine.sqlbackend`, scratch file via
+    ``REPRO_SQL_DB``) and runs everything else like the object
+    backend — identical verdicts and witnesses either way, installed
+    before the fan-out so forked workers inherit it.
 
     *shards* / *shard_id* (default: ``REPRO_SHARDS`` /
     ``REPRO_SHARD_ID``): partition the outer stream by content digest

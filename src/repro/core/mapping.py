@@ -38,7 +38,6 @@ from repro.engine.cache import (
     verdict_cache,
 )
 from repro.engine.instrumentation import PhaseStats, engine_stats
-from repro.engine.kernel import active_operations
 from repro.errors import MappingError
 
 
@@ -303,8 +302,8 @@ def solutions_contained(
     addressed in the engine's verdict cache on every backend: the key
     is sound under independent renamings of either side's nulls,
     because a homomorphism never constrains where a null maps (even
-    one shared between the two instances).  The backend runs only the
-    homomorphism test behind a miss.
+    one shared between the two instances).  A miss runs the
+    homomorphism test.
 
     Pair verdicts deliberately do *not* key by joint canonical form
     under orbit-mode sweeps: orbit reduction already deduplicates the
@@ -329,11 +328,7 @@ def solutions_contained(
     try:
         source = universal_solution(mapping, outer)
         target = universal_solution(mapping, inner)
-        operations = active_operations()
-        if operations is None:
-            verdict = instance_homomorphism(source, target) is not None
-        else:
-            verdict = operations.has_homomorphism(source, target)
+        verdict = instance_homomorphism(source, target) is not None
     finally:
         phases = engine_stats().phases
         phase = phases.get("homomorphism") or phases.setdefault("homomorphism", PhaseStats())

@@ -14,10 +14,10 @@ fast:
   sweeps), verdicts (under canonical, isomorphism-respecting instance
   keys) and mappings derived from mappings (under exact keys), one
   memo path for every backend, with hit/miss counters.  What an
-  instance's facts determine — its fact index, its kernel form and
-  its canonical form — sits in the same kind of tier (``index``,
-  ``kinstance``, ``canon``), keyed by the exact facts, so every memo
-  follows ``--cache-size`` and ``reset_all_caches()``;
+  instance's facts determine — its fact index and its canonical form
+  — sits in the same kind of tier (``index``, ``canon``), keyed by
+  the exact facts, so every memo follows ``--cache-size`` and
+  ``reset_all_caches()``;
 * :mod:`repro.engine.parallel` — the :class:`ParallelUniverseRunner`
   that chunks universe streams across worker processes it forks and
   supervises itself, with deterministic merge order and a serial
@@ -40,17 +40,13 @@ fast:
   under domain permutation, orbit-reduced sweep plans (the
   ``--symmetry orbits`` mode), content-addressed sweep sharding (the
   ``--shards`` mode), and symmetry-aware cache keys;
-* :mod:`repro.engine.compile` / :mod:`repro.engine.kernel` — the
-  opt-in compiled backend (the ``--backend kernel`` mode): term
-  interning, premises compiled once into ordered array join plans,
-  and one compiled premise search per chase step, all byte-identical
-  to the object backend's results;
-* :mod:`repro.engine.sqlbackend` — the SQL backend (the ``--backend
-  sql`` mode): the kernel backend with the stratified chase of large
-  inputs run inside SQLite — instances lowered over the intern table
-  with labeled nulls in a tagged id-space, full tgds fired as bulk
-  ``INSERT … SELECT … EXCEPT`` rounds — the scaling path past what
-  in-memory backends can chase, still byte-identical;
+* :mod:`repro.engine.sqlbackend` / :mod:`repro.engine.compile` — the
+  SQL backend (the ``--backend sql`` mode): the stratified chase of
+  large inputs run inside SQLite — instances lowered over an
+  append-only term intern table with labeled nulls in a tagged
+  id-space, premises compiled once to SQL joins, full tgds fired as
+  bulk ``INSERT … SELECT … EXCEPT`` rounds — the scaling path past
+  what the in-memory chase can hold, still byte-identical;
 * :mod:`repro.engine.sweep` — the one sweep loop every bounded
   checker runs on.  A checker hands :func:`run_sweep` its sweep plan,
   a per-item task with its shared payload, and a fold that turns each
@@ -61,16 +57,15 @@ fast:
   violation, degrades governed errors to partial coverage, weights
   orbits, and claims and merges shards.
 
-A backend is a chase plus a homomorphism test: ``KernelBackend``
-implements ``premise_matches``, ``stratified_chase``,
-``all_homomorphisms`` and ``has_homomorphism``, and ``SqlBackend``
-inherits them all except ``stratified_chase``, which runs inputs of
-128 facts or more in SQLite.  A backend computes only what a chase or
-verdict memo miss needs; the memos themselves are the same on every
-backend.
-``kernel.active_operations()`` returns them, or None on the object
-backend, whose reference code stays inline in :mod:`repro.chase` and
-:mod:`repro.core.mapping`.
+The object backend is the reference code in :mod:`repro.chase` and
+:mod:`repro.core.mapping`, and every backend runs it for homomorphism
+search, premise matching and containment, behind the same chase and
+verdict memos.  The sql backend differs in one operation: the chase's
+stratified branch hands inputs of 128 facts or more to
+:func:`~repro.engine.sqlbackend.sql_stratified_chase`.  Backend names
+resolve through :func:`~repro.engine.context.backend_name`, which still
+accepts ``kernel``, the name of a compiled backend since removed, and
+runs it on ``object``.
 
 All ambient engine state lives in :mod:`repro.engine.context`: one
 per-thread ``EngineContext`` holds the budget and coverage events, the
@@ -128,7 +123,17 @@ from repro.engine.checkpoint import (
     sweep_key,
 )
 from repro.engine.compile import CompiledPremise
-from repro.engine.context import set_defaults
+from repro.engine.context import (
+    BACKEND_MODES,
+    BACKEND_OBJECT,
+    BACKEND_SQL,
+    active_backend,
+    backend_name,
+    default_backend,
+    resolve_backend,
+    set_defaults,
+    use_backend,
+)
 from repro.engine.faults import (
     FAULT_POINTS,
     FaultPlane,
@@ -138,23 +143,11 @@ from repro.engine.faults import (
 )
 from repro.engine.fsck import FsckReport, fsck_checkpoint, fsck_store
 from repro.engine.indexing import FactIndex, fact_index
-from repro.engine.kernel import (
-    BACKEND_KERNEL,
-    BACKEND_MODES,
-    BACKEND_OBJECT,
-    BACKEND_SQL,
-    InternTable,
-    KernelInstance,
-    active_backend,
-    default_backend,
-    intern_table,
-    kernel_instance,
-    resolve_backend,
-    use_backend,
-)
 from repro.engine.sqlbackend import (
+    InternTable,
     SqlInstance,
     default_sql_db,
+    intern_table,
     sql_instance,
     sql_stratified_chase,
 )
@@ -202,7 +195,6 @@ from repro.engine.symmetry import (
 )
 
 __all__ = [
-    "BACKEND_KERNEL",
     "BACKEND_MODES",
     "BACKEND_OBJECT",
     "BACKEND_SQL",
@@ -220,7 +212,6 @@ __all__ = [
     "FsckReport",
     "GroundCanonicalForm",
     "InternTable",
-    "KernelInstance",
     "MemoCache",
     "OrbitClass",
     "ParallelUniverseRunner",
@@ -236,6 +227,7 @@ __all__ = [
     "active_plane",
     "active_store",
     "all_cache_stats",
+    "backend_name",
     "cached_chase_result",
     "canonical_key",
     "canonicalize_instance",
@@ -267,7 +259,6 @@ __all__ = [
     "ground_keys_active",
     "ground_pair_key",
     "intern_table",
-    "kernel_instance",
     "mapping_key",
     "mapping_permutation_invariant",
     "orbit_count_estimate",

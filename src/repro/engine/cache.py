@@ -41,9 +41,6 @@ own, each defined beside the code that builds it and keyed by
 
 * ``index`` (:data:`repro.engine.indexing.index_cache`): the fact
   index the object backend's homomorphism search probes;
-* ``kinstance`` (:data:`repro.engine.kernel.kinstance_cache`): the
-  kernel backend's interned form (beside it, ``compile`` holds the
-  kernel's compiled premises);
 * ``canon`` (:data:`repro.engine.symmetry.canon_cache`): a ground
   instance's canonical form under constant permutation.
 
@@ -131,8 +128,8 @@ _REGISTRY: List["MemoCache"] = []
 
 #: The CLI's --cache-size knob.  ``None`` means "each cache uses its
 #: construction-time default"; an int overrides the default for every
-#: cache, *including ones constructed after the knob was set* (the
-#: kernel backend and future subsystems build MemoCaches lazily).
+#: cache, *including ones constructed after the knob was set* (tests
+#: and future subsystems build MemoCaches lazily).
 _CONFIGURED_MAXSIZE: Optional[int] = None
 
 

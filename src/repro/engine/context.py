@@ -12,7 +12,7 @@ The context is thread-local, because the service daemon runs
 concurrent jobs on threads and no job may see another's choices.
 Fields default to class attributes, so a read such as
 ``CONTEXT.budget`` stays a single attribute load on the hot paths
-that make it: the chase, homomorphism search and backend dispatch.
+that make it: the chase and homomorphism search.
 
 Those class attributes are also the process-wide engine defaults.
 Each default has one ``REPRO_*`` knob (:data:`KNOBS`), parsed once,
@@ -161,13 +161,35 @@ def _store(value: Any) -> Any:
 
 #: The modes of the backend, symmetry and plan defaults; the CLI's and
 #: the service's flags and job specs take their choices from these.
-BACKEND_MODES = ("object", "kernel", "sql")
+BACKEND_OBJECT = "object"
+BACKEND_SQL = "sql"
+BACKEND_MODES = (BACKEND_OBJECT, BACKEND_SQL)
 SYMMETRY_MODES = ("full", "orbits")
 PLAN_MODES = ("auto", "materialize")
 
+
+def backend_name(value: Any) -> str:
+    """The backend *value* names, one of :data:`BACKEND_MODES`.
+
+    ``kernel`` names a compiled in-memory backend that has been
+    removed; it ran the object backend's search over interned ids,
+    with the same results.  Every backend name that comes from outside
+    the program (``REPRO_BACKEND``, ``--backend``, job specs, the
+    journals of older daemons, :func:`use_backend`) passes through
+    here, so ``kernel`` keeps working and runs on ``object``.  Anything
+    else raises ValueError.
+    """
+    mode = str(value).strip().lower()
+    if mode == "kernel":
+        return BACKEND_OBJECT
+    if mode not in BACKEND_MODES:
+        raise ValueError(f"expected one of {BACKEND_MODES}")
+    return mode
+
+
 #: ``REPRO_*`` knob -> (field, parser); set_defaults parses with these.
 KNOBS: Dict[str, Tuple[str, Callable[[Any], Any]]] = {
-    "REPRO_BACKEND": ("backend", _choice(*BACKEND_MODES)),
+    "REPRO_BACKEND": ("backend", backend_name),
     "REPRO_STORE": ("store", _store),
     "REPRO_WORKERS": ("workers", _count),
     "REPRO_TASK_TIMEOUT": ("task_timeout", _timeout),
@@ -237,6 +259,40 @@ def environment_defaults(environ: Mapping[str, str]) -> Dict[str, Any]:
     return found
 
 
+# -- backend selection ----------------------------------------------------
+
+
+def default_backend() -> str:
+    """The process default backend, which a thread follows outside any
+    :func:`use_backend` scope.  It starts as ``REPRO_BACKEND``, read
+    once at import (``"object"`` when unset); the CLI's and the
+    daemon's ``--backend`` flag move it through :func:`set_defaults`."""
+    return EngineContext.backend
+
+
+def active_backend() -> str:
+    """The backend in effect right now (this thread's context, else the
+    process default).  The parallel runner's workers fork from the
+    sweeping thread and keep it, so a sweep runs on one backend end to
+    end."""
+    return CONTEXT.backend
+
+
+def resolve_backend(backend: Optional[str]) -> str:
+    """An explicit backend (see :func:`backend_name`), else the one in
+    effect on this thread."""
+    return active_backend() if backend is None else backend_name(backend)
+
+
+@contextmanager
+def use_backend(backend: Optional[str]) -> Iterator[None]:
+    """Install *backend* for the enclosed scope on this thread (None
+    keeps the backend in effect, see :func:`resolve_backend`).
+    Nesting restores the previous choice on exit."""
+    with scope(backend=resolve_backend(backend)):
+        yield
+
+
 # Last, so that the store and journal modules this may import find
 # the context complete.
 set_defaults(**environment_defaults(os.environ))
@@ -244,12 +300,19 @@ set_defaults(**environment_defaults(os.environ))
 
 __all__ = [
     "BACKEND_MODES",
+    "BACKEND_OBJECT",
+    "BACKEND_SQL",
     "CONTEXT",
     "EngineContext",
     "KNOBS",
     "PLAN_MODES",
     "SYMMETRY_MODES",
+    "active_backend",
+    "backend_name",
+    "default_backend",
     "environment_defaults",
+    "resolve_backend",
     "scope",
     "set_defaults",
+    "use_backend",
 ]

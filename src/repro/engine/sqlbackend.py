@@ -1,48 +1,50 @@
 """The SQL execution backend: the stratified chase in SQLite.
 
-The object and kernel backends hold every fact in Python memory, which
-caps chases at instance sizes where rebuilding a fact-indexed
-``Instance`` per firing is affordable.  This backend (``backend="sql"``,
-CLI ``--backend sql``, env ``REPRO_BACKEND=sql``) lowers a chase's
-input into SQLite tables and runs the chase as SQL:
+The object backend holds every fact in Python memory, which caps
+chases at instance sizes where rebuilding a fact-indexed ``Instance``
+per firing is affordable.  This backend (``backend="sql"``, CLI
+``--backend sql``, env ``REPRO_BACKEND=sql``) lowers a chase's input
+into SQLite tables and runs the chase as SQL:
 
 * **Tagged id encoding.**  Every term is interned once in the
-  engine-wide :class:`~repro.engine.kernel.InternTable`; its SQL value
-  is ``2*id`` for constants and ``2*id + 1`` for labeled nulls and
-  logic variables.  The parity bit makes ``Constant(x)`` premises a
-  ``% 2 = 0`` predicate and lets *existential* tgds chase inside the
-  database — the one thing :mod:`repro.export.sql` (which renders
-  nulls as lossy SQL ``NULL``) cannot express.  Decoding is a table
-  lookup, so results round-trip exactly.
+  engine-wide :class:`InternTable`; its SQL value is ``2*id`` for
+  constants and ``2*id + 1`` for labeled nulls and logic variables.
+  The parity bit makes ``Constant(x)`` premises a ``% 2 = 0``
+  predicate and lets *existential* tgds chase inside the database —
+  the one thing :mod:`repro.export.sql` (which renders nulls as lossy
+  SQL ``NULL``) cannot express.  Decoding is a table lookup, so
+  results round-trip exactly.
 
 * **Set-based chase rounds.**  For full tgds the restricted chase's
   final fact set equals the per-conclusion-atom closure — a match
   that does not fire found all its conclusion atoms already present —
   so each dependency becomes ``INSERT INTO target SELECT … EXCEPT
-  SELECT …`` over a premise join compiled from the same
-  :class:`~repro.engine.compile.CompiledPremise` plans the kernel
-  uses.  The exact serial firing count (budget and ``max_steps``
-  accounting) is recovered set-wise: a match fires iff it is the
-  *first*, in the object backend's sorted match order, to produce
-  some fact absent from the initial instance — one ``ROW_NUMBER()``
-  window over the match table.  Existential tgds (and traced chases)
-  run per match against the live tables, with ``EXISTS`` conclusion
-  checks and fresh nulls from the caller's
-  :class:`~repro.chase.standard.NullFactory`, so null names — and
-  therefore rendered reports — are byte-identical to the other
-  backends.
+  SELECT …`` over a premise join compiled once per premise
+  (:func:`compiled_premise`, a
+  :class:`~repro.engine.compile.CompiledPremise`).  The exact serial
+  firing count (budget and ``max_steps`` accounting) is recovered
+  set-wise: a match fires iff it is the *first*, in the object
+  backend's sorted match order, to produce some fact absent from the
+  initial instance — one ``ROW_NUMBER()`` window over the match table.
+  Existential tgds (and traced chases) run per match against the live
+  tables, with ``EXISTS`` conclusion checks and fresh nulls from the
+  caller's :class:`~repro.chase.standard.NullFactory`, so null names —
+  and therefore rendered reports — are byte-identical to the object
+  backend.
 
-* **One interface.**  :class:`SqlBackend` is the kernel backend with
-  one operation replaced: :func:`sql_stratified_chase` runs a
-  stratified chase of ``_SQL_MIN_FACTS`` (128) or more input facts in
-  SQLite.  Homomorphism search, premise matching and containment run
-  on the kernel for operands of every size, behind the same chase and
-  verdict memos as every backend: the bounded checks compare instances
-  of a few facts, where statement round-trips cost more than the whole
-  in-memory search.
-  A chase lowers its input into pooled tables, and one ``finally``
-  hands the input and working tables back to the pool; an input no
-  premise can match is its own fixpoint and is never lowered.
+* **One operation.**  The sql backend differs from the object backend
+  in one place: :func:`repro.chase.standard.chase` hands a stratified
+  chase to :func:`sql_stratified_chase`, which runs inputs of
+  ``_SQL_MIN_FACTS`` (128) or more facts in SQLite and returns None
+  for smaller ones, which the interpreted loop then chases.
+  Homomorphism search, premise matching and containment run the
+  object code for operands of every size, behind the same chase and
+  verdict memos as the object backend: the bounded checks compare
+  instances of a few facts, where statement round-trips cost more
+  than the whole in-memory search.  A chase lowers its input into
+  pooled tables, and one ``finally`` hands the input and working
+  tables back to the pool; an input no premise can match is its own
+  fixpoint and is never lowered.
 
 * **Governance.**  A SQLite progress handler polls the ambient
   :class:`~repro.engine.budget.Budget` every few thousand VM ops, so
@@ -65,6 +67,7 @@ from __future__ import annotations
 import itertools
 import os
 import sqlite3
+import threading
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.datamodel.atoms import Atom
@@ -72,27 +75,16 @@ from repro.datamodel.instances import Instance
 from repro.datamodel.terms import Constant, Term
 from repro.engine import faults
 from repro.engine.budget import current_budget
-from repro.engine.cache import register_reset_hook
+from repro.engine.cache import MemoCache, register_reset_hook
 from repro.engine.compile import CompiledPremise
 from repro.engine.context import CONTEXT
 from repro.engine.instrumentation import engine_stats
-from repro.engine.kernel import (
-    BACKEND_OPERATIONS,
-    BACKEND_SQL,
-    InternTable,
-    KernelBackend,
-    compiled_premise,
-    intern_table,
-    kernel_all_homomorphisms,
-    kernel_has_homomorphism,
-    sorted_premise_matches,
-)
 from repro.errors import BudgetExceeded, ChaseError
 
 #: Widest premise compiled to one SQL join (SQLite caps joins at 64
 #: tables; match ordering adds one terms-table join per variable).  A
-#: chase with a wider premise runs the interpreted loop over the
-#: kernel's match lists instead, with the same result.
+#: chase with a wider premise runs the interpreted loop instead, with
+#: the same result.
 _MAX_JOIN_ATOMS = 24
 
 #: Below this many rows a table gets no secondary indexes — SQLite's
@@ -110,10 +102,9 @@ _MAX_LIVE_TABLES = 20_000
 
 #: Below this many input facts the SQL chase cannot win: lowering the
 #: instance and round-tripping a handful of statements costs more than
-#: the interpreted chase over the kernel's match lists, so tiny chases
-#: run that loop instead.  The chase reads the module global when it
-#: runs, so the test suites patch it to 0 to force every chase through
-#: SQL.
+#: the interpreted chase, so tiny chases run that loop instead.  The
+#: chase reads the module global when it runs, so the test suites
+#: patch it to 0 to force every chase through SQL.
 _SQL_MIN_FACTS = 128
 
 
@@ -126,6 +117,86 @@ def default_sql_db() -> Optional[str]:
 def sql_min_facts() -> int:
     """The smallest input the chase runs in SQL (``_SQL_MIN_FACTS``)."""
     return _SQL_MIN_FACTS
+
+
+# -- term interning --------------------------------------------------------
+
+
+class InternTable:
+    """A bijection between terms and dense integer ids.
+
+    Append-only: ids are never reused or invalidated, so compiled
+    premises and lowered rows built at different times all agree.
+    Forked workers inherit the parent's table; ids they allocate
+    afterwards stay process-local, which is safe because nothing
+    interned ever crosses a process boundary (workers return plain
+    terms and verdicts).
+    """
+
+    __slots__ = ("_ids", "_terms", "_is_const", "_lock")
+
+    def __init__(self) -> None:
+        self._ids: Dict[Term, int] = {}
+        self._terms: List[Term] = []
+        self._is_const: List[bool] = []
+        self._lock = threading.Lock()
+
+    def intern(self, term: Term) -> int:
+        tid = self._ids.get(term)
+        if tid is None:
+            # Concurrent daemon jobs intern from several threads: the
+            # miss path re-checks under the lock so a term never gets
+            # two ids, and publishes the id only once the term lists
+            # hold it, so the lock-free hit path never sees a torn row.
+            with self._lock:
+                tid = self._ids.get(term)
+                if tid is None:
+                    tid = len(self._terms)
+                    self._terms.append(term)
+                    self._is_const.append(isinstance(term, Constant))
+                    self._ids[term] = tid
+        return tid
+
+    def term(self, tid: int) -> Term:
+        return self._terms[tid]
+
+    def is_const(self, tid: int) -> bool:
+        return self._is_const[tid]
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+
+_INTERN = InternTable()
+# A fork taken while another thread is mid-miss would leave the
+# child's copy of the lock held forever.
+os.register_at_fork(
+    before=_INTERN._lock.acquire,
+    after_in_parent=_INTERN._lock.release,
+    after_in_child=_INTERN._lock.release,
+)
+
+
+def intern_table() -> InternTable:
+    """The process-wide intern table."""
+    return _INTERN
+
+
+compile_cache = MemoCache("compile", maxsize=16_384)
+
+
+def compiled_premise(
+    atoms: Tuple[Atom, ...],
+    constant_vars: FrozenSet,
+    inequalities: FrozenSet,
+) -> CompiledPremise:
+    """The (memoized) compiled form of one conjunctive pattern."""
+    key = (atoms, constant_vars, inequalities)
+    hit, compiled = compile_cache.get(key)
+    if not hit:
+        compiled = CompiledPremise(atoms, constant_vars, inequalities, _INTERN.intern)
+        compile_cache.put(key, compiled)
+    return compiled
 
 
 # -- encoding --------------------------------------------------------------
@@ -527,8 +598,7 @@ def sql_stratified_chase(
             engine_stats().bump("sql_fallbacks")
             return None
     if len(instance.facts) < _SQL_MIN_FACTS:
-        # Tiny chases run faster in the interpreted loop, over the
-        # kernel's match lists.
+        # Tiny chases run faster in the interpreted loop.
         engine_stats().bump("sql_small_routed")
         return None
     grouped = _grouped_rows(instance.facts)
@@ -864,51 +934,42 @@ def _conclusion_exists(
     return rt.execute(sql).fetchone() is not None
 
 
-# -- the backend interface -------------------------------------------------
+# -- tracer targets --------------------------------------------------------
+#
+# Called by nothing: these three exist only because the ledger's tracer
+# names them (``perfbench/layers.py`` ``TARGETS``) and the ledger's own
+# tests (``perfbench/tests``) install every target.  Homomorphism search
+# and premise matching run the object code on every backend; each shim
+# is one call of it, imported at call time because ``repro.chase``
+# imports this module.  They go with those lines of the ledger.
 
-# The ledger's tracer patches these three names in this module
-# (``perfbench/layers.py`` ``TARGETS``), so each stays as one call of
-# the kernel operation, and ``SqlBackend`` calls it by name.
 
+def sql_all_homomorphisms(atoms, target, **constraints):
+    from repro.chase.homomorphism import all_homomorphisms
 
-def sql_all_homomorphisms(*search):
-    return kernel_all_homomorphisms(*search)
+    return all_homomorphisms(atoms, target, **constraints)
 
 
 def sql_has_homomorphism(source: Instance, target: Instance) -> bool:
-    return kernel_has_homomorphism(source, target)
+    from repro.chase.homomorphism import instance_homomorphism
+
+    return instance_homomorphism(source, target) is not None
 
 
 def sql_sorted_premise_matches(dependency, instance: Instance):
-    return sorted_premise_matches(dependency, instance)
+    from repro.chase.standard import _sorted_matches
 
-
-class SqlBackend(KernelBackend):
-    """The kernel backend, with the stratified chase run in SQLite (see
-    "One interface" above)."""
-
-    def premise_matches(self, dependency, instance: Instance):
-        return sql_sorted_premise_matches(dependency, instance)
-
-    def stratified_chase(self, instance: Instance, dependencies, **options):
-        return sql_stratified_chase(instance, dependencies, **options)
-
-    def all_homomorphisms(self, *search):
-        return sql_all_homomorphisms(*search)
-
-    def has_homomorphism(self, source: Instance, target: Instance) -> bool:
-        return sql_has_homomorphism(source, target)
-
-
-BACKEND_OPERATIONS[BACKEND_SQL] = SqlBackend()
+    return _sorted_matches(dependency, instance)
 
 
 __all__ = [
-    "SqlBackend",
+    "InternTable",
     "SqlInstance",
+    "compiled_premise",
     "decode_id",
     "default_sql_db",
     "encode_term",
+    "intern_table",
     "sql_all_homomorphisms",
     "sql_has_homomorphism",
     "sql_instance",

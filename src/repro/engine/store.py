@@ -52,8 +52,9 @@ verdicts, and round-trip soundness and faithfulness, which persist as
 two booleans per instance).  The ``derived`` cache of mappings derived
 from mappings (QuasiInverse, Inverse, materialized expressions) has no
 codec and stays process-local: a warm process reuses them, a new
-process derives them once.  The kernel backend's interned-object
-caches are process-local by nature and are deliberately not persisted.
+process derives them once.  The sql backend's compiled premises
+(``compile``) are process-local by nature and are deliberately not
+persisted.
 
 The process default store comes from ``REPRO_STORE``, read once at
 import, or the CLI's and the daemon's ``--store PATH`` through

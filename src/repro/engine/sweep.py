@@ -46,9 +46,8 @@ from repro.engine.budget import (
     worst_coverage,
 )
 from repro.engine.checkpoint import CheckpointJournal, claim_shards, shard_entry_key
-from repro.engine.context import scope
+from repro.engine.context import resolve_backend, scope
 from repro.engine.instrumentation import engine_stats
-from repro.engine.kernel import resolve_backend
 from repro.engine.parallel import ParallelUniverseRunner
 from repro.engine.store import stable_digest
 from repro.engine.symmetry import SweepPlan, resolve_shards

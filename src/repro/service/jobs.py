@@ -124,10 +124,13 @@ def _run_experiment_job(
 ) -> Tuple[str, bool]:
     """One registered experiment, whose checkers all follow the job's
     engine options (its budget ones arrive through :func:`budget_for`)."""
-    from repro.engine.context import scope
+    from repro.engine.context import backend_name, scope
     from repro.experiments import run_experiment
 
     options = dict(_sweep_options(spec), plan=spec.get("plan"))
+    if options["backend"] is not None:
+        # an older daemon's journal may hold a removed backend's name
+        options["backend"] = backend_name(options["backend"])
     with scope(**{name: value for name, value in options.items() if value is not None}):
         report = run_experiment(spec["experiment"])
     return report.render(), report.passed

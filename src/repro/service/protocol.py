@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.engine.context import BACKEND_MODES, PLAN_MODES, SYMMETRY_MODES
+from repro.engine.context import BACKEND_MODES, PLAN_MODES, SYMMETRY_MODES, backend_name
 from repro.errors import ParseError, ServiceProtocolError
 
 #: Checking request kinds the daemon accepts.
@@ -286,6 +286,11 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
                 f"option {option!r} must be {expected.__name__}, "
                 f"got {type(value).__name__}"
             )
+        if option == "backend":
+            try:
+                value = backend_name(value)
+            except ValueError:
+                pass  # rejected below, naming the choices
         choices = _OPTION_CHOICES.get(option, (value,))
         if value not in choices:
             *names, last = map(repr, choices)
@@ -311,12 +316,11 @@ _ENGINE_FLAGS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
         "sweeps fall back to full where the reduction would be unsound",
     )),
     ("--backend", dict(
-        choices=BACKEND_MODES,
+        type=backend_name, choices=BACKEND_MODES,
         help="execution backend for bounded checks: interpret the object "
-        "datamodel directly (object, the default), run compiled joins "
-        "over interned integer ids (kernel), or run the kernel with "
-        "chases of 128 facts or more inside SQLite (sql); verdicts and "
-        "witnesses are identical either way",
+        "datamodel directly (object, the default), or run chases of 128 "
+        "facts or more inside SQLite (sql); verdicts and witnesses are "
+        "identical either way (kernel, a removed backend, runs on object)",
     )),
     ("--shards", dict(
         type=int, metavar="N",

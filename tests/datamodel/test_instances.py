@@ -17,7 +17,6 @@ from repro.datamodel.terms import Constant, Null, Variable
 from repro.engine import (
     all_cache_stats,
     ground_canonical_form,
-    kernel_instance,
     reset_all_caches,
     resize_caches,
 )
@@ -180,8 +179,8 @@ class TestLazyIndex:
         self, tier_size
     ):
         # Two fact sets, so that one-entry memo tiers make the threads
-        # evict each other's index, kernel form and canonical form in
-        # the middle of a build.
+        # evict each other's index and canonical form in the middle of
+        # a build.
         variants = (0, 1)
         expected = {}
         for variant in variants:
@@ -189,7 +188,6 @@ class TestLazyIndex:
             expected[variant] = (
                 _reads(serial),
                 FactIndex(serial).postings,
-                kernel_instance(serial).rows,
                 ground_canonical_form(serial).key(),
             )
         reset_all_caches()
@@ -214,7 +212,6 @@ class TestLazyIndex:
                             (
                                 _reads(instance),
                                 fact_index(instance).postings,
-                                kernel_instance(instance).rows,
                                 ground_canonical_form(instance).key(),
                             ),
                         )
@@ -246,7 +243,7 @@ class TestLazyIndex:
                 assert reads == expected[variant]
         if tier_size == 1:
             tiers = {stats.name: stats for stats in all_cache_stats()}
-            for name in ("index", "kinstance", "canon"):
+            for name in ("index", "canon"):
                 assert tiers[name].evictions > 0
 
     def test_pickling_before_and_after_the_first_read(self):

@@ -24,13 +24,11 @@ from repro.engine import (
     chase_cache,
     fact_index,
     ground_canonical_form,
-    kernel_instance,
     mapping_key,
     reset_all_caches,
 )
 from repro.engine.cache import resize_caches, symmetry_keys_apply
 from repro.engine.indexing import index_cache
-from repro.engine.kernel import kinstance_cache
 from repro.engine.store import stable_digest
 from repro.engine.context import scope
 from repro.engine.symmetry import canon_cache
@@ -41,10 +39,9 @@ REPO_SRC = os.path.abspath(
 )
 
 #: The tiers that memoize what an instance's fact set determines: its
-#: fact index, its kernel form and its canonical form.
+#: fact index and its canonical form.
 INSTANCE_TIERS = {
     "index": index_cache,
-    "kinstance": kinstance_cache,
     "canon": canon_cache,
 }
 
@@ -143,7 +140,7 @@ class TestMemoCache:
     def test_configured_size_applies_to_later_caches(self):
         # The --cache-size knob must bind caches constructed *after*
         # resize_caches ran (the CLI parses flags before most caches
-        # are touched, but kernel memos and test caches come later).
+        # are touched, but test caches come later).
         resize_caches(5)
         try:
             late = MemoCache("t-late", maxsize=1000)
@@ -168,9 +165,8 @@ class TestMemoCache:
 
 
 class TestInstanceTiers:
-    """The fact index, the kernel form and the canonical form are memo
-    tiers like every other: listed, keyed by the fact set, and emptied
-    by a reset."""
+    """The fact index and the canonical form are memo tiers like every
+    other: listed, keyed by the fact set, and emptied by a reset."""
 
     @pytest.mark.parametrize("name", sorted(INSTANCE_TIERS))
     def test_copies_share_one_entry_until_a_reset(self, name):
@@ -178,7 +174,6 @@ class TestInstanceTiers:
         for _ in range(2):
             instance = Instance.build({"P": [("a", "b"), ("b", "c")]})
             fact_index(instance)
-            kernel_instance(instance)
             ground_canonical_form(instance)
         stats = {stats.name: stats for stats in all_cache_stats()}[name]
         assert (stats.size, stats.hits, stats.misses) == (1, 1, 1)
@@ -192,8 +187,9 @@ class TestInstanceTiers:
         "repro.engine.symmetry",
         "repro.engine.cache",
         "repro.engine.indexing",
-        "repro.engine.kernel",
         "repro.engine.sqlbackend",
+        "repro.engine.context",
+        "repro.chase.standard",
         "repro.chase.homomorphism",
     ],
 )

@@ -1,13 +1,16 @@
 """Unit tests for the SQL (SQLite-hosted) execution backend.
 
 The cross-backend property suite (``tests/properties``) establishes
-equivalence statistically; these tests pin the mechanisms — the tagged
-id encoding, the table pool, chase routing, containment on the kernel
-through the shared verdict cache, budget and ``max_steps`` parity,
-scratch-file mode, and the ``sql.exec`` fault point.
+equivalence statistically; these tests pin the mechanisms — the term
+intern table and the tagged id encoding over it, the table pool, chase
+routing, containment in memory through the shared verdict cache,
+budget and ``max_steps`` parity, scratch-file mode, and the
+``sql.exec`` fault point.
 """
 
 import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -30,11 +33,12 @@ from repro.engine import (
 from repro.engine.budget import Budget, use_budget
 from repro.engine.faults import fault_scope
 from repro.engine.cache import verdict_cache
-from repro.engine.kernel import intern_table
 from repro.engine.sqlbackend import (
     _MAX_JOIN_ATOMS,
+    InternTable,
     decode_id,
     encode_term,
+    intern_table,
     sql_min_facts,
     sql_stratified_chase,
 )
@@ -61,6 +65,53 @@ def _mapping(seed=3):
     return random_lav_mapping(
         seed, n_source=2, n_target=2, max_arity=2, n_tgds=2
     )
+
+
+class TestInternTable:
+    def test_ids_are_dense_and_stable(self):
+        table = InternTable()
+        a = table.intern(Constant("a"))
+        b = table.intern(Constant("b"))
+        assert (a, b) == (0, 1)
+        assert table.intern(Constant("a")) == a
+        assert len(table) == 2
+
+    def test_round_trip_and_constness(self):
+        table = InternTable()
+        cid = table.intern(Constant("a"))
+        nid = table.intern(Null("n"))
+        assert table.term(cid) == Constant("a")
+        assert table.term(nid) == Null("n")
+        assert table.is_const(cid) and not table.is_const(nid)
+
+    def test_process_table_is_shared(self):
+        assert intern_table() is intern_table()
+
+    def test_concurrent_interning_assigns_one_id_per_term(self):
+        table = InternTable()
+        terms = [Null(f"stress{index}") for index in range(20_000)]
+        start = threading.Barrier(8, timeout=10)
+
+        def intern_all():
+            start.wait()
+            for term in terms:
+                table.intern(term)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=intern_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(table) == len(set(terms))
+        assert sorted(table.intern(term) for term in terms) == list(
+            range(len(terms))
+        )
 
 
 class TestEncoding:
@@ -144,16 +195,16 @@ class TestChaseEquivalence:
             {"E": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]}
         )
 
-        def run(variant):
-            with use_backend(variant.backend), pytest.raises(ChaseError) as info:
+        def run(backend):
+            with use_backend(backend), pytest.raises(ChaseError) as info:
                 chase(source, deps, max_steps=2, trace=False)
             return str(info.value)
 
         # SQLite declines a recursive dependency set: its chase runs
-        # the interpreted loop over the kernel's match lists
-        assert_parity(
-            Case("max_steps trip", run, grid(backend=("object", "sql")), in_sqlite=False)
-        )
+        # the interpreted loop, as on the object backend
+        reset_engine_stats()
+        assert run("sql") == run("object")
+        assert "sql_chase_rounds" not in engine_stats().counters()
 
 
 class TestLargeChase:
@@ -220,7 +271,7 @@ class TestLargeChase:
 
 
 class TestRoutingAndFallbacks:
-    def test_small_operands_route_to_kernel(self, monkeypatch):
+    def test_small_operands_route_to_the_interpreted_chase(self, monkeypatch):
         monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", 1000)
         mapping = _mapping()
         source = random_ground_instance(
@@ -276,9 +327,9 @@ class TestRoutingAndFallbacks:
 
 
 class TestThresholdRule:
-    """The sql backend checks containment exactly as the kernel backend
-    does, through the same verdict cache as every backend, at any chase
-    threshold: only the chase lowers instances into SQLite."""
+    """The sql backend checks containment exactly as the object backend
+    does, through the same verdict cache, at any chase threshold: only
+    the chase lowers instances into SQLite."""
 
     @pytest.mark.parametrize("min_facts", [DEFAULT_MIN_FACTS, 0])
     def test_containment_lowers_nothing_and_memoizes_its_verdict(

@@ -187,8 +187,8 @@ class TestVerdictStore:
     def test_unknown_caches_do_not_persist(self, tmp_path):
         store = VerdictStore(tmp_path / "s.sqlite")
         assert store.persists("chase") and store.persists("verdict")
-        assert not store.persists("kinstance")
-        store.save("kinstance", ("k",), object())
+        assert not store.persists("compile")
+        store.save("compile", ("k",), object())
         store.flush()
         assert store.entry_count() == 0
 

@@ -6,13 +6,12 @@ Backend, worker count, plan and shard count are execution details.  A
 (object, one worker, unsharded, plan ``materialize`` when a row names
 a plan) and once under each row, all on cold caches with no store, and
 returns each divergent row with its first differing line.  Each run
-must show it ran where its row says, pool workers' counts included: a
-kernel row built a kernel instance; an sql row's chases reached the
-SQL chase, which lowered an input into SQLite or found that no
-dependency can fire on it (``_SQL_MIN_FACTS`` is pinned to 0; a case
-SQLite leaves to the kernel, ``in_sqlite=False``, shows the kernel's
-evidence); a row with workers forked a pool wherever its oracle used
-the runner; a sharded row swept every outer position exactly once.
+must show it ran where its row says, pool workers' counts included: an
+sql row's chases reached the SQL chase, which lowered an input into
+SQLite or found that no dependency can fire on it (``_SQL_MIN_FACTS``
+is pinned to 0); a row with workers forked a pool wherever its oracle
+used the runner; a sharded row swept every outer position exactly
+once.
 Rows live in ``tests/test_parity.py`` and ``benchmarks/bench_parity.py``,
 one test per row (:func:`params`).
 """
@@ -32,7 +31,7 @@ from repro.engine import engine_stats, fork_available, parallel, reset_engine_st
 from repro.engine import sqlbackend
 from repro.engine.symmetry import SweepPlan
 
-_POOLED = ("kinstance_cache_misses", "sql_instances_loaded", "sql_inert_inputs")
+_POOLED = ("sql_instances_loaded", "sql_inert_inputs")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,7 +60,6 @@ class Case:
     name: str
     run: Callable[[Variant], str]
     variants: Tuple[Variant, ...]
-    in_sqlite: bool = True
 
 
 def oracle(case: Case) -> Variant:
@@ -149,9 +147,7 @@ def _run(case: Case, variant: Variant) -> Tuple[str, Dict[str, Any]]:
 
 def _check_evidence(case, variant, counts, footprint) -> None:
     where = f"{case.name} under {variant}"
-    if variant.backend == "kernel" or (variant.backend == "sql" and not case.in_sqlite):
-        assert counts.get("kinstance_cache_misses"), f"{where} built no kernel instance"
-    elif variant.backend == "sql":
+    if variant.backend == "sql":
         reached = counts.get("sql_instances_loaded") or counts.get("sql_inert_inputs")
         assert reached, f"{where} chased nothing in SQLite"
     if variant.workers > 1 and footprint.get("universe.serial_calls"):

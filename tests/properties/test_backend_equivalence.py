@@ -1,172 +1,53 @@
-"""Object vs compiled-kernel vs SQL backend equivalence (hypothesis).
+"""Object vs SQL backend equivalence (hypothesis).
 
-The accelerated backends must be invisible: every search and every
-verdict agrees with the object backend not just on the *set* of
-results but on their *order* (the chase picks the first match, so
-order divergence would change downstream instances).  These properties
-drive all three backends over randomly drawn premises — including
-``Constant(x)`` conjuncts and inequalities — targets with nulls, and
-random LAV mappings (whose tgds include *existential* conclusions),
-and diff each answer, one item a line in order, against the object
-oracle through the parity harness (``tests/parity.py``).
+The SQL backend must be invisible: every chase and every verdict
+agrees with the object backend not just on the *set* of results but
+on their *order* (the chase picks the first match, so order
+divergence would change downstream instances).  These properties
+drive both backends over random LAV mappings (whose tgds include
+*existential* conclusions) and diff each answer, one item a line in
+order, against the object oracle through the parity harness
+(``tests/parity.py``).
 
 The SQL backend runs homomorphism search, premise matching and
-containment on the kernel, and chases inputs of ``_SQL_MIN_FACTS``
-facts or more inside SQLite; the harness pins that threshold to 0, so
-these tiny hypothesis instances exercise the SQL chase, traced chases
-included.
+containment with the object backend's code, and chases inputs of
+``_SQL_MIN_FACTS`` facts or more inside SQLite; the harness pins that
+threshold to 0, so these tiny hypothesis instances exercise the SQL
+chase, traced chases included.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chase.homomorphism import (
-    all_homomorphisms,
-    find_homomorphism,
-    instance_homomorphism,
-)
 from repro.chase.standard import chase
 from repro.core.mapping import (
     data_exchange_equivalent,
     solutions_contained,
     universal_solution,
 )
-from repro.datamodel.atoms import Atom
-from repro.datamodel.instances import Instance
-from repro.datamodel.terms import Constant, Null, Variable
 from repro.engine import BACKEND_MODES, use_backend
 from repro.workloads import random_ground_instance, random_lav_mapping
 
-from tests.parity import Case, assert_parity, grid, lines, show
+from tests.parity import Case, assert_parity, grid, lines
 
 BACKENDS = grid(backend=BACKEND_MODES)
 
 
-def _on_every_backend(name, compute, *, in_sqlite=True):
+def _on_every_backend(name, compute):
     """Diff ``compute()``, run on each backend, against the object oracle."""
 
     def run(variant):
         with use_backend(variant.backend):
             return compute()
 
-    assert_parity(Case(name, run, BACKENDS, in_sqlite=in_sqlite))
+    assert_parity(Case(name, run, BACKENDS))
 
-
-X, Y, Z = Variable("x"), Variable("y"), Variable("z")
-VARIABLES = (X, Y, Z)
-
-_TARGET_TERMS = (
-    Constant("a"),
-    Constant("b"),
-    Constant("c"),
-    Null("n0"),
-    Null("n1"),
-)
-
-target_instances = st.builds(
-    lambda pairs, singles: Instance.build({"P": pairs, "Q": singles}),
-    st.lists(
-        st.tuples(st.sampled_from(_TARGET_TERMS), st.sampled_from(_TARGET_TERMS)),
-        max_size=5,
-    ),
-    st.lists(st.tuples(st.sampled_from(_TARGET_TERMS)), max_size=3),
-)
-
-_PREMISE_TERMS = VARIABLES + (Constant("a"), Constant("b"))
-
-premise_atoms = st.lists(
-    st.one_of(
-        st.builds(
-            lambda left, right: Atom("P", (left, right)),
-            st.sampled_from(_PREMISE_TERMS),
-            st.sampled_from(_PREMISE_TERMS),
-        ),
-        st.builds(
-            lambda arg: Atom("Q", (arg,)), st.sampled_from(_PREMISE_TERMS)
-        ),
-    ),
-    min_size=1,
-    max_size=3,
-)
 
 SLOW = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def _constraints(premise, constant_mask, inequality_mask):
-    """Constraint sets drawn over the variables the premise mentions."""
-    occurring = sorted(
-        {arg for atom in premise for arg in atom.args if isinstance(arg, Variable)}
-    )
-    constant_vars = frozenset(
-        variable
-        for index, variable in enumerate(occurring)
-        if constant_mask & (1 << index)
-    )
-    pairs = [
-        (left, right)
-        for i, left in enumerate(occurring)
-        for right in occurring[i + 1 :]
-    ]
-    inequalities = frozenset(
-        pair for index, pair in enumerate(pairs) if inequality_mask & (1 << index)
-    )
-    return constant_vars, inequalities
-
-
-class TestHomomorphismSearchEquivalence:
-    @SLOW
-    @given(
-        premise=premise_atoms,
-        target=target_instances,
-        constant_mask=st.integers(min_value=0, max_value=7),
-        inequality_mask=st.integers(min_value=0, max_value=7),
-    )
-    def test_all_homomorphisms_identical_results_and_order(
-        self, premise, target, constant_mask, inequality_mask
-    ):
-        constant_vars, inequalities = _constraints(
-            premise, constant_mask, inequality_mask
-        )
-        search = dict(constant_vars=constant_vars, inequalities=inequalities)
-        _on_every_backend(
-            "all_homomorphisms",
-            lambda: lines(all_homomorphisms(premise, target, **search)),
-            in_sqlite=False,
-        )
-
-    @SLOW
-    @given(
-        premise=premise_atoms,
-        target=target_instances,
-        constant_mask=st.integers(min_value=0, max_value=7),
-        inequality_mask=st.integers(min_value=0, max_value=7),
-    )
-    def test_find_homomorphism_identical_first_match(
-        self, premise, target, constant_mask, inequality_mask
-    ):
-        constant_vars, inequalities = _constraints(
-            premise, constant_mask, inequality_mask
-        )
-        search = dict(constant_vars=constant_vars, inequalities=inequalities)
-        _on_every_backend(
-            "find_homomorphism",
-            lambda: show(find_homomorphism(premise, target, **search)),
-            in_sqlite=False,
-        )
-
-    @SLOW
-    @given(source=target_instances, target=target_instances)
-    def test_instance_homomorphism_identical(self, source, target):
-        _on_every_backend(
-            "instance_homomorphism",
-            lambda: show(instance_homomorphism(source, target)),
-            in_sqlite=False,
-        )
-
 
 lav_mappings = st.builds(
     random_lav_mapping,

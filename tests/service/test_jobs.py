@@ -181,7 +181,7 @@ class TestExperimentOptions:
 
 
 class TestConcurrentBackends:
-    def test_sql_and_kernel_jobs_render_like_the_object_job(self):
+    def test_sql_and_object_jobs_render_like_a_lone_object_job(self):
         # Two daemon jobs pinned to different backends run at once and
         # share the process's memo caches; each must render exactly
         # what the object backend renders alone.
@@ -209,14 +209,14 @@ class TestConcurrentBackends:
 
         threads = [
             threading.Thread(target=run, args=(backend,))
-            for backend in ("sql", "kernel")
+            for backend in ("sql", "object")
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
             assert not thread.is_alive()
-        assert renderings == {"sql": expected, "kernel": expected}
+        assert renderings == {"sql": expected, "object": expected}
 
 
 class TestSharedCatalogMapping:
@@ -410,14 +410,14 @@ class TestPlainJobsMatchTheOracle:
         )
 
     @needs_fork
-    def test_kernel_with_two_workers(self, monkeypatch):
+    def test_sql_with_two_workers(self, monkeypatch):
         self._assert_matches_oracle(
             monkeypatch,
             _spec(
                 kind="invertibility",
                 mapping="Decomposition",
                 max_facts=2,
-                backend="kernel",
+                backend="sql",
                 workers=2,
             ),
         )

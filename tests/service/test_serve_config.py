@@ -7,7 +7,7 @@ from repro.service.__main__ import _configure_daemon_engine, build_parser
 
 
 def test_serve_backend_sets_the_default_later_threads_follow():
-    arguments = build_parser().parse_args(["serve", "--backend", "kernel"])
+    arguments = build_parser().parse_args(["serve", "--backend", "sql"])
     seen = []
     previous = _configure_daemon_engine(arguments)
     try:
@@ -16,4 +16,4 @@ def test_serve_backend_sets_the_default_later_threads_follow():
         thread.join(timeout=30)
     finally:
         set_defaults(**previous)
-    assert seen == ["kernel"]
+    assert seen == ["sql"]

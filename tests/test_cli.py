@@ -63,14 +63,14 @@ def test_export_sql_refuses_existential_mapping(capsys):
 
 
 def test_backend_flag_reaches_the_engine(capsys):
-    from repro.engine import default_backend, reset_all_caches
-    from repro.engine.kernel import kinstance_cache
+    from repro.engine import default_backend, engine_stats, reset_all_caches
 
     previous = default_backend()
     reset_all_caches()
-    assert main(["run", "E4", "--backend", "kernel"]) == 0
-    # the run built kernel instances, so it ran on the kernel
-    assert kinstance_cache.stats().misses > 0
+    routed = engine_stats().counter("sql_small_routed")
+    assert main(["run", "E4", "--backend", "sql"]) == 0
+    # the run's chases asked the SQL chase, so it ran on sql
+    assert engine_stats().counter("sql_small_routed") > routed
     assert "ALL CHECKS PASS" in capsys.readouterr().out
     # and the flag held for that call only
     assert default_backend() == previous

@@ -1,11 +1,11 @@
 """The parity harness's tier-1 rows (``tests/parity.py``) and its self-test:
 the algebra plan matrix, every bounded checker under 2–4 workers and
-2–4 shards, and the kernel benchmark's projection sweep at its quick
-size."""
+2–4 shards, and the symmetry benchmark's projection sweep at
+|domain|=3."""
 
 import pytest
 
-from benchmarks.bench_kernel import _default_witnesses, _projection_mapping, _sweep, _universe
+from benchmarks.bench_scale_symmetry import _projection_mapping, _universe
 from repro.algebra import scenarios
 from repro.algebra.expr import Compose, MappingAtom
 from repro.algebra.sweeps import check_expression
@@ -18,7 +18,7 @@ from repro.workloads import instance_universe
 
 from tests.parity import Case, Variant, assert_parity, diff, grid, lines, params, report_text
 
-BACKENDS = ("object", "kernel", "sql")
+BACKENDS = ("object", "sql")
 PLANS = ("materialize", "auto")
 WORKERS = grid(workers=(2, 3, 4))
 SHARDS = grid(shards=(2, 3, 4))
@@ -47,13 +47,13 @@ def _subset(name, variants, mapping, domain, max_facts, **options):
                    _universe_of(mapping, domain, max_facts), **options)
 
 
-PROJECTION_INVERSE = _check("Projection' inverse", grid(backend=("object", "kernel"), plan=PLANS),
+PROJECTION_INVERSE = _check("Projection' inverse", grid(plan=PLANS),
                             "Projection'", "inverse", reverse="Projection")
 DEAD_BRANCH = Compose(first=MappingAtom(mapping=scenarios.fan_in_mapping(2)),
                       second=MappingAtom(mapping=scenarios.chain_join_with_dead_branch(2)))
 AB2 = _universe_of(P, ("a", "b"), 2)
-R2 = _projection_mapping()  # the kernel benchmark's binary projection
-R2_UNIVERSE = _universe(R2, 3)
+R2 = _projection_mapping()  # the symmetry benchmark's binary projection
+R2_EQUIVALENCE = fw.SolutionEquivalence(R2)
 
 CASES = [
     *(_check(f"width-2 dead-branch {kind}", grid(BACKENDS, (1, 2), PLANS), DEAD_BRANCH, kind)
@@ -83,9 +83,9 @@ CASES = [
             fw.unique_solutions_property, D, _universe_of(D, ("a", "b"), 2)),
     _report("Example4.5 unique solutions, sharded", grid(shards=(2,)),
             fw.unique_solutions_property, E45, _universe_of(E45, ("a", "b"), 2)),
-    Case("projection subset sweep", lambda v: report_text(_sweep(
-        R2, R2_UNIVERSE, _default_witnesses(R2_UNIVERSE), v.backend, v.workers)),
-        grid(("object", "kernel"), (1, 2))),
+    _report("projection subset sweep", grid(BACKENDS, (1, 2)), fw.subset_property, R2,
+            R2_EQUIVALENCE, R2_EQUIVALENCE, _universe(R2, 3), stop_at_first_violation=False,
+            symmetry="orbits"),
 ]
 
 
@@ -121,19 +121,19 @@ class TestHarness:
         assert diff(self._chase(grid(BACKENDS))) == []
 
     def test_a_dropped_chase_fact_names_that_case_and_row(self, monkeypatch):
-        chase_in_sql = sqlbackend.SqlBackend.stratified_chase
+        chase_in_sql = sqlbackend.sql_stratified_chase
 
-        def dropping(backend, instance, dependencies, **options):
-            result = chase_in_sql(backend, instance, dependencies, **options)
+        def dropping(instance, dependencies, **options):
+            result = chase_in_sql(instance, dependencies, **options)
             kept = result.instance.sorted_facts()[:-1]
             return type(result)(Instance(frozenset(kept)), result.produced, result.steps)
 
-        monkeypatch.setattr(sqlbackend.SqlBackend, "stratified_chase", dropping)
+        monkeypatch.setattr(sqlbackend, "sql_stratified_chase", dropping)
         found = [row for case in (self._chase(grid(BACKENDS)), PROJECTION_INVERSE)
                  for row in diff(case)]
         assert [variant for variant, _ in found] == [Variant(backend="sql")]
         assert found[0][1].startswith("Decomposition chase under backend=sql workers=1 shards=1:")
 
     def test_a_row_that_ignores_its_backend_fails_its_evidence(self):
-        with pytest.raises(AssertionError, match="built no kernel instance"):
-            diff(self._chase(grid(("object", "kernel")), on_the_row=False))
+        with pytest.raises(AssertionError, match="chased nothing in SQLite"):
+            diff(self._chase(grid(BACKENDS), on_the_row=False))
