@@ -33,12 +33,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.engine import resize_caches, set_defaults
 from repro.engine.cache import cache_capacity
-from repro.engine.context import BACKEND_MODES, SYMMETRY_MODES, backend_name
+from repro.engine.context import BACKEND_MODES, SYMMETRY_MODES
 from repro.errors import ServiceError
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, discover_endpoint, state_dir
 from repro.service.knobs import knob, port_number
-from repro.service.protocol import add_job_flags, build_payload
+from repro.service.protocol import add_job_flags, backend_flag, build_payload
 from repro.service.queue import JobQueue
 
 
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None, metavar="N")
     serve.add_argument("--cache-size", type=cache_capacity, default=None, metavar="N")
     serve.add_argument("--store", default=None, metavar="PATH")
-    serve.add_argument("--backend", type=backend_name, choices=BACKEND_MODES, default=None)
+    serve.add_argument("--backend", type=backend_flag, choices=BACKEND_MODES, default=None)
     serve.add_argument("--symmetry", choices=SYMMETRY_MODES, default=None)
 
     submit = subparsers.add_parser("submit", help="submit one checking job")

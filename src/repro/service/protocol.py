@@ -27,6 +27,7 @@ Terminal states map exactly onto the CLI's exit codes
 
 from __future__ import annotations
 
+import argparse
 from typing import Any, Dict, Tuple
 
 from repro.engine.context import BACKEND_MODES, PLAN_MODES, SYMMETRY_MODES, backend_name
@@ -302,6 +303,18 @@ def normalize_job(payload: Any) -> Dict[str, Any]:
     return spec
 
 
+def backend_flag(value: str) -> str:
+    """``--backend``'s argparse type: :func:`backend_name`, with the
+    choices named when a value is refused."""
+    try:
+        return backend_name(value)
+    except ValueError:
+        choices = ", ".join(map(repr, BACKEND_MODES))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {choices})"
+        ) from None
+
+
 #: The engine flags a job carries into its payload (``repro.cli run``
 #: and ``all`` take them too), as ``add_argument`` names and options.
 _ENGINE_FLAGS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
@@ -316,7 +329,7 @@ _ENGINE_FLAGS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
         "sweeps fall back to full where the reduction would be unsound",
     )),
     ("--backend", dict(
-        type=backend_name, choices=BACKEND_MODES,
+        type=backend_flag, choices=BACKEND_MODES,
         help="execution backend for bounded checks: interpret the object "
         "datamodel directly (object, the default), or run chases of 128 "
         "facts or more inside SQLite (sql); verdicts and witnesses are "

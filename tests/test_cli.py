@@ -134,9 +134,10 @@ def test_partial_verdicts_of_earlier_checks_do_not_change_the_exit_code(capsys):
     assert "partial verdicts" not in capsys.readouterr().err
 
 
-def test_backend_flag_rejects_unknown_value():
+def test_backend_flag_rejects_unknown_value(capsys):
     with pytest.raises(SystemExit):
         main(["run", "E4", "--backend", "gpu"])
+    assert "invalid choice: 'gpu' (choose from 'object', 'sql')" in capsys.readouterr().err
 
 
 def test_check_done_exit_0(capsys):
