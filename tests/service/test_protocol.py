@@ -205,7 +205,7 @@ class TestBuildPayload:
             ["algebra", "Union", "--check", "inverse", "--reverse", "Union'"],
             [
                 "unique", "Projection", "--domain", "a,b,c", "--max-facts", "2",
-                "--symmetry", "orbits", "--backend", "kernel", "--workers", "2",
+                "--symmetry", "orbits", "--backend", "sql", "--workers", "2",
             ],
             [
                 "roundtrip", "Decomposition", "--reverse", "Decomposition'",
