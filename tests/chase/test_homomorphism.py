@@ -57,6 +57,17 @@ class TestPremiseMatching:
     def test_empty_atom_list_yields_identity(self):
         assert find_homomorphism([], Instance.empty()) == {}
 
+    def test_first_match_agrees_on_atom_reordering(self):
+        # the greedy join order (most-bound, then smallest extent) is a
+        # function of the atoms as a set, so the first match does not
+        # depend on the order the premise lists them in
+        target = Instance.build(
+            {"P": [("a", "b"), ("b", "c")], "Q": [("b",), ("c",)]}
+        )
+        forward = find_homomorphism([atom("P", X, Y), atom("Q", Y)], target)
+        backward = find_homomorphism([atom("Q", Y), atom("P", X, Y)], target)
+        assert forward == backward == {X: Constant("a"), Y: Constant("b")}
+
 
 class TestConstraints:
     def test_constant_constraint_rejects_nulls(self):
@@ -103,6 +114,16 @@ class TestInstanceHomomorphisms:
         assert instance_homomorphism(source, target) is not None
         reversed_target = Instance.build({"P": [("a", "b")]})
         assert instance_homomorphism(source, reversed_target) is None
+
+    def test_hom_existence_negative(self):
+        source = Instance.build({"P": [("a", "a")]})
+        target = Instance.build({"P": [("a", "b")]})
+        assert instance_homomorphism(source, target) is None
+        # a repeated null must map to one term: onto the diagonal fact
+        # only
+        flexible = Instance.build({"P": [(Null("n"), Null("n"))]})
+        assert instance_homomorphism(flexible, source) == {Null("n"): Constant("a")}
+        assert instance_homomorphism(flexible, target) is None
 
     def test_subset_implies_homomorphism(self):
         small = Instance.build({"P": [("a",)]})

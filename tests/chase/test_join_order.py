@@ -91,6 +91,27 @@ def test_reset_all_caches_empties_the_memo():
     assert not homomorphism._ORDERS
 
 
+def test_a_repeated_search_reuses_its_join_order(monkeypatch):
+    # a second search over a target with the same extents, the same
+    # instance or another one, computes no order
+    computed = []
+
+    def counting(atoms, instance, bound):
+        computed.append(atoms)
+        return _greedy_order(atoms, instance, bound)
+
+    monkeypatch.setattr(homomorphism, "_greedy_order", counting)
+    reset_all_caches()
+    source = Instance.build({"S": [("a", Null("n"))], "R": [(Null("n"),)]})
+    first = target({"S": 2, "R": 1}, "a")
+    homomorphism.instance_homomorphism(source, first)
+    homomorphism.instance_homomorphism(source, first)
+    homomorphism.instance_homomorphism(source, target({"S": 2, "R": 1}, "b"))
+    assert len(computed) == 1
+    homomorphism.instance_homomorphism(source, target({"S": 3, "R": 1}, "a"))
+    assert len(computed) == 2
+
+
 def test_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(homomorphism, "_ORDERS_MAX", 3)
     atoms = [Atom("S", (Variable("x"), Variable("y"))), Atom("R", (Variable("y"),))]

@@ -15,6 +15,7 @@ import repro.cli
 import repro.experiments
 from repro.catalog import example_5_4
 from repro.core import SolutionEquivalence, subset_property
+from repro.core.mapping import universal_solution
 from repro.engine import (
     active_backend,
     default_backend,
@@ -39,6 +40,7 @@ from repro.engine.context import (
     CONTEXT,
     KNOBS,
     EngineContext,
+    backend_name,
     environment_defaults,
     resolve_backend,
     scope,
@@ -230,8 +232,17 @@ class TestBackendSelection:
 
     @pytest.mark.parametrize(
         "value, expected",
-        [(" SQL ", "sql"), ("bogus", "object")],
-        ids=["padded-uppercase-sql", "unknown-falls-back-to-object"],
+        [("object", "object"), ("sql", "sql"), ("kernel", "object"), (" Kernel ", "object")],
+        ids=["object", "sql", "kernel", "padded-capitalized-kernel"],
+    )
+    def test_one_parser_resolves_every_spelling(self, value, expected):
+        assert backend_name(value) == expected
+        assert resolve_backend(value) == expected
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("kernel", "object"), (" SQL ", "sql"), ("bogus", "object")],
+        ids=["kernel", "padded-uppercase-sql", "unknown-falls-back-to-object"],
     )
     def test_environment_sets_the_default_at_start(self, value, expected):
         printed = subprocess.run(
@@ -323,6 +334,32 @@ class TestBackendSelection:
         with use_backend("sql"):
             subset_property(mapping, relation, relation, universe)
         assert engine_stats().counter("sql_chase_rounds") > before
+
+    @pytest.mark.parametrize(
+        "backend, in_sqlite", [("object", False), ("sql", True), ("kernel", False)]
+    )
+    def test_each_backend_selects_its_chase(self, backend, in_sqlite, monkeypatch):
+        # The chase's stratified branch is the one place that asks the
+        # backend: on sql it hands the chase to SQLite, elsewhere it
+        # runs the interpreted loop.
+        monkeypatch.setattr(sqlbackend, "_SQL_MIN_FACTS", 0)
+        chase_in_sql = sqlbackend.sql_stratified_chase
+        handed = []
+
+        def recording(instance, dependencies, **options):
+            handed.append(instance)
+            return chase_in_sql(instance, dependencies, **options)
+
+        monkeypatch.setattr(sqlbackend, "sql_stratified_chase", recording)
+        mapping = example_5_4()
+        universe = instance_universe(mapping.source, ["a", "b"], max_facts=1)
+        reset_all_caches()
+        with use_backend(backend):
+            solutions = [universal_solution(mapping, source) for source in universe]
+        assert bool(handed) == in_sqlite
+        reset_all_caches()
+        with use_backend("object"):
+            assert solutions == [universal_solution(mapping, source) for source in universe]
 
     def test_concurrent_scopes_are_per_thread(self):
         # Two daemon jobs hold their own backend, ground-key, budget,

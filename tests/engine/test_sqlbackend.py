@@ -2,10 +2,12 @@
 
 The cross-backend property suite (``tests/properties``) establishes
 equivalence statistically; these tests pin the mechanisms — the term
-intern table and the tagged id encoding over it, the table pool, chase
+intern table and the tagged id encoding over it, lowered instances,
+the premise join's matches and their order, the table pool, chase
 routing, containment in memory through the shared verdict cache,
-budget and ``max_steps`` parity, scratch-file mode, and the
-``sql.exec`` fault point.
+budget and ``max_steps`` parity, scratch-file mode, the ``sql.exec``
+fault point, and the three tracer targets kept for the benchmark
+ledger.
 """
 
 import sqlite3
@@ -14,11 +16,14 @@ import threading
 
 import pytest
 
-from repro.chase.standard import chase
-from repro.core.mapping import solutions_contained, universal_solution
+from repro.chase.homomorphism import all_homomorphisms, instance_homomorphism
+from repro.chase.standard import _sorted_matches, chase
+from repro.core.mapping import SchemaMapping, solutions_contained, universal_solution
 from repro.datamodel.atoms import Atom, atom
 from repro.datamodel.instances import Instance
+from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Constant, Null, Variable
+from repro.dependencies.dependency import Dependency
 from repro.dependencies.parser import parse_dependency
 from repro.algebra.scenarios import fan_in_chain_expression
 from repro.algebra.sweeps import check_expression
@@ -34,11 +39,13 @@ from repro.engine.budget import Budget, use_budget
 from repro.engine.faults import fault_scope
 from repro.engine.cache import verdict_cache
 from repro.engine.sqlbackend import (
+    _INDEX_MIN_ROWS,
     _MAX_JOIN_ATOMS,
     InternTable,
     decode_id,
     encode_term,
     intern_table,
+    sql_instance,
     sql_min_facts,
     sql_stratified_chase,
 )
@@ -61,10 +68,32 @@ def _sql_everything(monkeypatch):
     reset_all_caches()
 
 
+X, Y = Variable("x"), Variable("y")
+
+
 def _mapping(seed=3):
     return random_lav_mapping(
         seed, n_source=2, n_target=2, max_arity=2, n_tgds=2
     )
+
+
+def _edges(n_facts):
+    """A seeded random ground ``E`` instance of exactly *n_facts* facts."""
+    instance = random_ground_instance(
+        Schema.of({"E": 2}), seed=n_facts, n_facts=n_facts, domain_size=12
+    )
+    assert len(instance.facts) == n_facts
+    return instance
+
+
+def _lowered(instance):
+    """This thread's runtime and *instance* lowered into its tables."""
+    return sqlbackend._runtime(), sql_instance(sqlbackend._grouped_rows(instance.facts))
+
+
+def _release(rt, lowered):
+    for (_, arity), table in lowered.tables.items():
+        rt.release_table(table, arity)
 
 
 class TestInternTable:
@@ -145,6 +174,23 @@ class TestChaseEquivalence:
         assert actual.instance.facts == expected.instance.facts
         assert actual.steps == expected.steps
 
+    def test_chase_results_byte_identical(self):
+        mapping = SchemaMapping.from_text(
+            Schema.of({"R": 2}),
+            Schema.of({"S": 1, "T": 2}),
+            "R(x, y) -> S(x); R(x, y) -> T(y, z)",
+            name="Projection with a witness",
+        )
+        source = Instance.build({"R": [("a", "b"), ("b", "b")]})
+        with use_backend("object"):
+            expected = universal_solution(mapping, source)
+        reset_all_caches()
+        with use_backend("sql"):
+            actual = universal_solution(mapping, source)
+        assert list(map(str, actual.sorted_facts())) == list(
+            map(str, expected.sorted_facts())
+        )
+
     def test_bulk_full_tgd_firing_count_matches(self):
         deps = (
             parse_dependency("E(x, y) -> F(x, y)"),
@@ -205,6 +251,112 @@ class TestChaseEquivalence:
         reset_engine_stats()
         assert run("sql") == run("object")
         assert "sql_chase_rounds" not in engine_stats().counters()
+
+
+def _sql_matches(dependency, instance):
+    """The premise matches of *dependency* in *instance* in the order
+    the SQL chase reads them: a traced SQL chase of the premise into
+    one fresh fact per match fires on each match, in that order."""
+    every = Dependency(
+        dependency.premise, ((Atom("Out", dependency.premise_variables()),),)
+    )
+    rounds = engine_stats().counter("sql_chase_rounds")
+    with use_backend("sql"):
+        result = chase(instance, (every,))
+    assert engine_stats().counter("sql_chase_rounds") > rounds  # ran in SQL
+    return [dict(step.homomorphism) for step in result.steps]
+
+
+class TestSortedPremiseMatches:
+    """The SQL chase's premise join lists exactly the object backend's
+    matches, in its sorted order."""
+
+    @pytest.mark.parametrize("n_facts", [1, 8, 32, 70])
+    def test_ground_matches_equal_object_backend(self, n_facts):
+        dependency = parse_dependency("E(x, y), E(y, z) -> F(x, z)")
+        instance = _edges(n_facts)
+        assert _sql_matches(dependency, instance) == list(
+            _sorted_matches(dependency, instance)
+        )
+
+    def test_non_ground_matches_equal_object_backend(self):
+        dependency = parse_dependency("R(x, y) -> S(x)")
+        instance = Instance.build(
+            {"R": [(Null("n"), Constant("b")), ("a", Null("m")), ("a", "b")]}
+        )
+        assert _sql_matches(dependency, instance) == list(
+            _sorted_matches(dependency, instance)
+        )
+
+    def test_growing_instances_match_like_object_backend(self):
+        # each instance is lowered on its own; every list equals a
+        # from-scratch object search
+        dependency = parse_dependency("R(x, y) -> S(x)")
+        facts = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]
+        for size in range(1, len(facts) + 1):
+            instance = Instance.build({"R": facts[:size]})
+            assert _sql_matches(dependency, instance) == list(
+                _sorted_matches(dependency, instance)
+            )
+
+    def test_a_chase_lowers_its_input_once(self):
+        # the premise join runs over the lowered input alone: no
+        # sub-instance of it is lowered along the way
+        dependency = parse_dependency("E(x, y), E(y, z) -> F(x, z)")
+        instance = _edges(8)
+        reset_engine_stats()
+        with use_backend("sql"):
+            chase(instance, (dependency,))
+        assert engine_stats().counters()["sql_instances_loaded"] == 1
+
+
+class TestLoweredInstance:
+    def test_rows_decode_to_the_instance_facts(self):
+        instance = Instance.build(
+            {"P": [("b", "a"), ("a", "c"), ("a", "b")], "Q": [(Null("n"),)]}
+        )
+        rt, lowered = _lowered(instance)
+        try:
+            decoded = {
+                Atom(relation, tuple(decode_id(value, intern_table()) for value in row))
+                for (relation, _), table in lowered.tables.items()
+                for row in rt.execute(f"SELECT * FROM {table}")
+            }
+        finally:
+            _release(rt, lowered)
+        assert set(lowered.tables) == {("P", 2), ("Q", 1)}
+        assert decoded == instance.facts
+
+    def test_only_large_extents_get_column_indexes(self):
+        chain = [(f"v{i}", f"v{i + 1}") for i in range(_INDEX_MIN_ROWS)]
+        rt, lowered = _lowered(Instance.build({"E": chain, "F": chain[:3]}))
+        try:
+            indexes = {
+                relation: {
+                    name
+                    for (name,) in rt.execute(
+                        "SELECT name FROM sqlite_master "
+                        "WHERE type = 'index' AND tbl_name = ?",
+                        (table,),
+                    )
+                }
+                for (relation, _), table in lowered.tables.items()
+            }
+        finally:
+            _release(rt, lowered)
+        assert indexes == {"E": {f"{lowered.tables[('E', 2)]}_i1"}, "F": set()}
+
+    def test_a_reset_drops_the_runtime(self):
+        with use_backend("sql"):
+            chase(Instance.build({"E": [("a", "b")]}), TestTablePool.DEPS)
+        before = sqlbackend._runtime()
+        assert before.ntables > 0
+        reset_all_caches()
+        after = sqlbackend._runtime()
+        assert after is not before
+        assert (after.ntables, after.pool) == (0, {})
+        with pytest.raises(sqlite3.ProgrammingError):
+            before.conn.execute("SELECT 1")
 
 
 class TestLargeChase:
@@ -426,6 +578,37 @@ class TestTablePool:
                 with pytest.raises(BudgetExceeded):
                     chase(longer, self.DEPS, trace=False)
             assert pooled(rt) == rt.ntables
+
+
+class TestTracerTargets:
+    """The benchmark ledger's tracer wraps three names this module keeps
+    for it; each answers exactly what the object search answers."""
+
+    TARGET = Instance.build({"P": [("a", "b"), ("b", "c"), ("c", "c")], "Q": [("c",)]})
+
+    def test_all_homomorphisms_are_the_object_search(self):
+        premise = [atom("P", X, Y)]
+        assert list(
+            sqlbackend.sql_all_homomorphisms(premise, self.TARGET, inequalities={(X, Y)})
+        ) == list(all_homomorphisms(premise, self.TARGET, inequalities={(X, Y)}))
+
+    def test_has_homomorphism_is_the_object_search(self):
+        hits = Instance.build({"P": [(Null("n"), "c")]})
+        misses = Instance.build({"P": [("c", "a")]})
+        for source in (hits, misses):
+            assert sqlbackend.sql_has_homomorphism(source, self.TARGET) == (
+                instance_homomorphism(source, self.TARGET) is not None
+            )
+        assert sqlbackend.sql_has_homomorphism(hits, self.TARGET)
+
+    def test_sorted_premise_matches_are_the_object_search(self):
+        dependency = parse_dependency("P(x, y) & Q(y) -> R(x)")
+        assert list(
+            sqlbackend.sql_sorted_premise_matches(dependency, self.TARGET)
+        ) == list(_sorted_matches(dependency, self.TARGET)) == [
+            {X: Constant("b"), Y: Constant("c")},
+            {X: Constant("c"), Y: Constant("c")},
+        ]
 
 
 class TestExportParity:
